@@ -138,7 +138,6 @@ def build_parser() -> _TrackingParser:
     p.add_argument("--shapes", default="4x1,4x2,8x2")
     p.add_argument("--families", default="anti_slab,block_parity")
     p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="rate.csv")
 
     p = sub.add_parser("isoperimetry", help="exact isoperimetry sweep -> CSV")
@@ -154,7 +153,6 @@ def build_parser() -> _TrackingParser:
     p.add_argument("--taus", default="1,2,4")
     p.add_argument("--outer", type=int, default=400)
     p.add_argument("--inner", type=int, default=200)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="persistence.csv")
 
     p = sub.add_parser("structure", help="decomposition + routing verification")
@@ -185,7 +183,7 @@ def cmd_test(args) -> int:
 def cmd_rate(args) -> int:
     shapes = _parse_shapes(args.shapes)
     families = _parse_families(args.families)
-    rows = reports.rate_rows(shapes, families, args.trials, args.seed, args.workers)
+    rows = reports.rate_rows(shapes, families, args.trials, args.seed)
     reports.write_report(args.out, reports.RATE_HEADER, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -213,7 +211,7 @@ def cmd_persistence(args) -> int:
     families = _parse_families(args.families)
     taus = _parse_ints(args.taus)
     rows = reports.persistence_rows(shapes, families, taus, args.outer,
-                                    args.inner, args.seed, args.workers)
+                                    args.inner, args.seed)
     reports.write_report(args.out, reports.PERSISTENCE_HEADER, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK

@@ -2,7 +2,16 @@
 
 
 class CapacityError(Exception):
-    """An exact computation was requested on a grid too large for it."""
+    """An exact computation was requested on a grid too large for it.
+
+    The message names the operation, the requested size and the limit.
+    """
+
+    def __init__(self, operation: str, requested: int, limit: int, unit: str = "points"):
+        super().__init__(f"{operation} needs {requested} {unit}, above the limit of {limit}")
+        self.operation = operation
+        self.requested = requested
+        self.limit = limit
 
 
 class IntegrityError(Exception):

@@ -95,7 +95,7 @@ class Spectrum:
 def transform(shape: GridShape, values) -> Spectrum:
     """Coefficients as expectations: spectrum = butterfly(values) / n^d."""
     if shape.size > TRANSFORM_CAPACITY:
-        raise CapacityError(f"{shape.size} points exceed the transform capacity")
+        raise CapacityError("Walsh transform", shape.size, TRANSFORM_CAPACITY)
     if not shape.is_pow2():
         raise ValueError("transform needs n a power of 2")
     arr = np.asarray(values, dtype=np.float64)

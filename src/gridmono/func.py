@@ -2,7 +2,10 @@
 
 A BoolFunc is backed either by a dense bit table (canonical at desk scale)
 or by a pure predicate (for larger grids where only sampling runs).  Every
-evaluation, repeated or not, bumps the query counter.
+evaluation, repeated or not, bumps the query counter.  `eval_batch`
+evaluates many points in one call: tables gather by linear index, the
+closed-form generator families carry a vectorised predicate, and any other
+predicate is called once per point.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import io
 import random
 import threading
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, FormatError
 from .grid import GridShape, Point, check_point, linear_index, point_of
@@ -33,6 +38,7 @@ class BoolFunc:
         if (table is None) == (predicate is None):
             raise ValueError("provide exactly one of table, predicate")
         if table is not None:
+            _check_table_capacity(shape, "dense table")
             table = list(table)
             if len(table) != shape.size:
                 raise ValueError(f"table has {len(table)} entries, expected {shape.size}")
@@ -41,6 +47,11 @@ class BoolFunc:
         self.shape = shape
         self._table = table
         self._predicate = predicate
+        # vectorised form of the predicate, set by generate() for closed forms
+        self._batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+        # the table as uint8 and the linear-index strides, built on first batch
+        self._gather: Optional[np.ndarray] = None
+        self._strides: Optional[np.ndarray] = None
         self.queries = 0
         self._lock = threading.Lock()
 
@@ -61,6 +72,35 @@ class BoolFunc:
             self.queries += 1
         if self._table is not None:
             return self._table[linear_index(self.shape, x)]
+        return self._call_predicate(x)
+
+    def eval_batch(self, points: np.ndarray) -> np.ndarray:
+        """f at each row of an integer (B, d) array, as a uint8 array of bits.
+
+        Counts B queries, exactly as B calls of eval would, and checks the
+        same bounds.
+        """
+        shape = self.shape
+        points = np.asarray(points)
+        if points.ndim != 2 or points.shape[1] != shape.d or points.dtype.kind not in "iu":
+            raise ValueError(f"points must be an integer array of shape (B, {shape.d}), "
+                             f"got {points.dtype} {points.shape}")
+        if points.size and (points.min() < 0 or points.max() >= shape.n):
+            raise ValueError(f"coordinate out of range [0, {shape.n})")
+        points = points.astype(np.int64, copy=False)
+        with self._lock:
+            self.queries += len(points)
+        if self._table is not None:
+            if self._gather is None:
+                self._strides = np.array([shape.n ** i for i in range(shape.d)], dtype=np.int64)
+                self._gather = np.array(self._table, dtype=np.uint8)
+            return self._gather[points @ self._strides]
+        if self._batch is not None:
+            return self._batch(points).astype(np.uint8)
+        return np.array([self._call_predicate(tuple(p)) for p in points.tolist()],
+                        dtype=np.uint8).reshape(len(points))
+
+    def _call_predicate(self, x: Point) -> int:
         v = self._predicate(x)
         if v not in (0, 1):
             raise ValueError(f"predicate returned non-bit {v!r}")
@@ -77,8 +117,7 @@ class BoolFunc:
         if self._table is not None:
             return list(self._table)
         if self.shape.size > capacity:
-            raise CapacityError(
-                f"cannot materialize predicate over {self.shape.size} points")
+            raise CapacityError("materializing a predicate", self.shape.size, capacity)
         return [self._predicate(point_of(self.shape, i)) for i in range(self.shape.size)]
 
 
@@ -140,6 +179,7 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
     rng = random.Random(seed)
     if kind == "uniform_random":
         _reject_params(params, set())
+        _check_table_capacity(shape, kind)
         return BoolFunc.from_table(shape, [rng.getrandbits(1) for _ in range(shape.size)])
     if kind == "monotone_threshold":
         _reject_params(params, {"weights", "theta"})
@@ -152,14 +192,23 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
         theta = params.get("theta")
         if theta is None:
             theta = sum(w * (shape.n - 1) for w in weights) / 2
+        batch = None
+        # int64 sums below 2^53 compare with theta exactly, as Python does
+        exact = 1 << 53
+        if (all(isinstance(w, int) for w in weights) and sum(weights) * (shape.n - 1) < exact
+                and (isinstance(theta, float) or (isinstance(theta, int) and abs(theta) < exact))):
+            w_arr = np.array(weights, dtype=np.int64)
+
+            def batch(X):
+                return X @ w_arr >= theta
         return _tabulate_or_wrap(
-            shape, lambda x: 1 if sum(w * v for w, v in zip(weights, x)) >= theta else 0)
+            shape, lambda x: 1 if sum(w * v for w, v in zip(weights, x)) >= theta else 0, batch)
     if kind == "random_monotone":
         _reject_params(params, {"density"})
         density = params.get("density", 0.25)
         if not 0 <= density <= 1:
             raise ValueError("density must be in [0, 1]")
-        _check_table_capacity(shape)
+        _check_table_capacity(shape, kind)
         table = [1 if rng.random() < density else 0 for _ in range(shape.size)]
         _upward_close(shape, table)
         return BoolFunc.from_table(shape, table)
@@ -168,16 +217,19 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
         axis = params.get("axis", 0)
         if not 0 <= axis < shape.d:
             raise ValueError(f"axis {axis} out of range")
-        return _tabulate_or_wrap(shape, lambda x: 1 if 2 * x[axis] < shape.n else 0)
+        return _tabulate_or_wrap(shape, lambda x: 1 if 2 * x[axis] < shape.n else 0,
+                                 lambda X: 2 * X[:, axis] < shape.n)
     if kind == "block_parity":
         _reject_params(params, set())
         return _tabulate_or_wrap(
-            shape, lambda x: 1 if sum(2 * v // shape.n for v in x) % 2 == 0 else 0)
+            shape, lambda x: 1 if sum(2 * v // shape.n for v in x) % 2 == 0 else 0,
+            lambda X: (2 * X // shape.n).sum(axis=1) % 2 == 0)
     if kind == "noisy_monotone":
         _reject_params(params, {"rho", "base"})
         rho = params.get("rho", 0.05)
         if not 0 <= rho <= 1:
             raise ValueError("rho must be in [0, 1]")
+        _check_table_capacity(shape, kind)
         base = params.get("base")
         if base is None:
             base = generate("random_monotone", shape, seed=rng.randrange(1 << 62))
@@ -195,16 +247,20 @@ def _reject_params(params: dict, allowed: set) -> None:
         raise ValueError(f"unknown parameters {sorted(unknown)}")
 
 
-def _check_table_capacity(shape: GridShape) -> None:
+def _check_table_capacity(shape: GridShape, operation: str) -> None:
+    # checked before any table is built, so an oversized grid fails fast
     if shape.size > DEFAULT_TABLE_CAPACITY:
-        raise CapacityError(f"{shape.size} points exceed the dense-table capacity")
+        raise CapacityError(operation, shape.size, DEFAULT_TABLE_CAPACITY)
 
 
-def _tabulate_or_wrap(shape: GridShape, pred: Callable[[Point], int]) -> BoolFunc:
+def _tabulate_or_wrap(shape: GridShape, pred: Callable[[Point], int],
+                      batch: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> BoolFunc:
     if shape.size <= TABULATE_THRESHOLD:
         return BoolFunc.from_table(
             shape, [pred(point_of(shape, i)) for i in range(shape.size)])
-    return BoolFunc.from_predicate(shape, pred)
+    f = BoolFunc.from_predicate(shape, pred)
+    f._batch = batch
+    return f
 
 
 def _upward_close(shape: GridShape, table: list) -> None:

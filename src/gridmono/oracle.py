@@ -45,7 +45,7 @@ class ShapeTables:
 @lru_cache(maxsize=64)
 def shape_tables(shape: GridShape) -> ShapeTables:
     if shape.size > ORACLE_CAPACITY:
-        raise CapacityError(f"{shape.size} points exceed the exact-oracle capacity")
+        raise CapacityError("exact-oracle shape tables", shape.size, ORACLE_CAPACITY)
     pts = tuple(points(shape))
     comparable = []
     for i, x in enumerate(pts):
@@ -68,7 +68,7 @@ def shape_tables(shape: GridShape) -> ShapeTables:
 
 def _table_of(f: BoolFunc) -> list:
     if f.shape.size > ORACLE_CAPACITY:
-        raise CapacityError(f"{f.shape.size} points exceed the exact-oracle capacity")
+        raise CapacityError("exact oracle", f.shape.size, ORACLE_CAPACITY)
     return f.table()
 
 
@@ -174,7 +174,7 @@ def distance_to_monotonicity(f: BoolFunc) -> DistanceReport:
 def monotone_masks(shape: GridShape) -> tuple:
     """Bitmasks of every monotone function on a tiny grid."""
     if shape.size > BRUTE_FORCE_CAPACITY:
-        raise CapacityError(f"{shape.size} points exceed the brute-force capacity")
+        raise CapacityError("brute-force distance", shape.size, BRUTE_FORCE_CAPACITY)
     st = shape_tables(shape)
     edges = [(1 << lo, 1 << hi) for lo, hi in st.unit_edges]
     out = []

@@ -1,15 +1,15 @@
 """Deterministic sweep reports.
 
-Every trial draws from its own stream derived from (master seed, experiment
-id, trial index), and rows are emitted in a fixed order, so a report is a
-pure function of its configuration: identical bytes for any worker count.
+Every row draws from its own stream derived from (master seed, experiment
+id), and rows are emitted in a fixed order, so a report is a pure function
+of its configuration.  The tester's walks are numbered within that stream,
+so the bytes do not depend on how the walks are batched.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import CapacityError
 from .func import BoolFunc, generate
@@ -21,7 +21,7 @@ from .oracle import (
     violated_aug_edges,
 )
 from .streams import derive_rng, derive_seed
-from .tester import persistence_fraction, single_test, wilson_interval
+from .tester import detection_rate, persistence_fraction
 
 RATE_HEADER = "n,d,family,eps_true,trials,rejections,rate,wilson_lo,wilson_hi"
 ISO_HEADER = "n,d,function_id,eps,I,I_minus,gamma_minus,r,margulis_ratio,edge_ratio,vertex_ratio"
@@ -32,36 +32,22 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def run_trials(trials: int, workers: int, fn: Callable[[int], bool]) -> int:
-    """Count successes of fn over trial indices; order-independent."""
-    if workers <= 1:
-        return sum(1 for k in range(trials) if fn(k))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(1 for hit in pool.map(fn, range(trials)) if hit)
-
-
 def make_function(family: str, shape: GridShape, master_seed: int, tag: str) -> BoolFunc:
     return generate(family, shape, seed=derive_seed(master_seed, f"fn:{tag}:{family}:{shape.n}:{shape.d}"))
 
 
 def rate_rows(shapes: Sequence[Tuple[int, int]], families: Sequence[str], trials: int,
-              master_seed: int, workers: int = 1) -> List[str]:
+              master_seed: int) -> List[str]:
     rows = []
     for n, d in shapes:
         shape = GridShape(n, d)
         for family in families:
             f = make_function(family, shape, master_seed, "rate")
             eps_true = float(distance_to_monotonicity(f).eps)
-            exp_id = f"rate:{family}:{n}:{d}"
-
-            def trial(k: int, f=f, exp_id=exp_id) -> bool:
-                return single_test(f, derive_rng(master_seed, exp_id, k)).verdict == "reject"
-
-            rejections = run_trials(trials, workers, trial)
-            lo, hi = wilson_interval(rejections, trials)
+            rate = detection_rate(f, trials, derive_rng(master_seed, f"rate:{family}:{n}:{d}"))
             rows.append(",".join([
-                str(n), str(d), family, _fmt(eps_true), str(trials), str(rejections),
-                _fmt(rejections / trials), _fmt(lo), _fmt(hi)]))
+                str(n), str(d), family, _fmt(eps_true), str(trials), str(rate.rejections),
+                _fmt(rate.estimate), _fmt(rate.wilson_low), _fmt(rate.wilson_high)]))
     return rows
 
 
@@ -73,7 +59,7 @@ def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
         shape = GridShape(n, d)
         size = shape.size
         if size > ORACLE_CAPACITY:
-            raise CapacityError(f"{size} points exceed the exact-oracle capacity")
+            raise CapacityError("isoperimetry sweep", size, ORACLE_CAPACITY)
         if size <= exhaustive_limit:
             masks = range(1 << size)
         else:
@@ -94,7 +80,7 @@ def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
 
 def persistence_rows(shapes: Sequence[Tuple[int, int]], families: Sequence[str],
                      taus: Sequence[int], outer_samples: int, inner_samples: int,
-                     master_seed: int, workers: int = 1) -> List[str]:
+                     master_seed: int) -> List[str]:
     rows = []
     for n, d in shapes:
         shape = GridShape(n, d)
@@ -103,17 +89,11 @@ def persistence_rows(shapes: Sequence[Tuple[int, int]], families: Sequence[str],
             s_minus, s_plus = violated_aug_edges(f)
             total_influence = (len(s_minus) + len(s_plus)) / shape.size
             for tau in taus:
-                exp_id = f"persistence:{family}:{n}:{d}:{tau}"
-
-                def trial(k: int, f=f, tau=tau, exp_id=exp_id) -> bool:
-                    rng = derive_rng(master_seed, exp_id, k)
-                    return persistence_fraction(f, tau, 1, inner_samples, rng) > 0
-
-                non_persistent = run_trials(outer_samples, workers, trial)
+                rng = derive_rng(master_seed, f"persistence:{family}:{n}:{d}:{tau}")
+                fraction = persistence_fraction(f, tau, outer_samples, inner_samples, rng)
                 reference = tau * total_influence / (d * math.log2(n))
                 rows.append(",".join([
-                    str(n), str(d), str(tau), family,
-                    _fmt(non_persistent / outer_samples), _fmt(reference)]))
+                    str(n), str(d), str(tau), family, _fmt(fraction), _fmt(reference)]))
     return rows
 
 

@@ -1,8 +1,8 @@
 """Reproducible random streams.
 
-Each Monte-Carlo trial gets its own generator seeded by a SHA-256 digest of
-(master seed, experiment id, trial index).  Aggregates over trials are then
-independent of execution order and worker count.
+Each Monte-Carlo experiment (a sweep row, or one run among several) gets
+its own generator seeded by a SHA-256 digest of (master seed, experiment
+id, trial index), so its result does not depend on what ran before it.
 """
 
 from __future__ import annotations

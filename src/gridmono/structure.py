@@ -55,7 +55,7 @@ class GridPoset(Poset):
 
     def __init__(self, shape: GridShape):
         if shape.size > POSET_CAPACITY:
-            raise CapacityError(f"{shape.size} points exceed the poset capacity")
+            raise CapacityError("grid poset", shape.size, POSET_CAPACITY)
         self.shape = shape
 
     def vertices(self):
@@ -79,7 +79,7 @@ class ExplicitPoset(Poset):
 
     def __init__(self, num_vertices: int, arcs: Sequence[Tuple[int, int]]):
         if num_vertices > POSET_CAPACITY:
-            raise CapacityError("too many vertices")
+            raise CapacityError("explicit poset", num_vertices, POSET_CAPACITY, "vertices")
         self.n = num_vertices
         self.adj: List[List[int]] = [[] for _ in range(num_vertices)]
         for u, v in arcs:

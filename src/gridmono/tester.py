@@ -4,16 +4,28 @@ One invocation samples a walk length tau, a start point, one matching per
 dimension, then steps tau of the dimensions where the start is a lower
 endpoint.  It rejects only on a witnessed violation, so monotone functions
 are never rejected.
+
+Every sampled walk comes from one array kernel, `_draw_walks`, which draws
+a batch of walks as (B, d) arrays.  Each entry point takes one 128-bit key
+from the caller's `random.Random` and numbers its walks 0, 1, 2, ...; walk
+k reads its own fixed block of words from the counter-based Philox
+generator under that key, so its draws depend only on the key and k, never
+on how walks are grouped into numpy calls.  `exact_rejection_probability`
+enumerates the same randomness independently and is the reference the
+sampled paths are checked against.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
+
+import numpy as np
 
 from .func import BoolFunc
 from .grid import (
@@ -34,7 +46,14 @@ REJECT = "reject"
 # Frozen by the pilot sweep in verify.derive_calibration (master seed 20240811):
 # smallest constant that pushes every pilot family/shape to >= 0.9 per-run
 # rejection, maximized over the pilot grid, with 25% headroom.
-DEFAULT_CALIBRATION = 1.0602
+DEFAULT_CALIBRATION = 1.0537
+
+# Coordinate entries (walks x d) per numpy call of the kernel; bounds the
+# memory a long run holds at once.
+_CALL_ENTRIES = 1 << 16
+# amplified_test's first call draws this many walks and each later call
+# twice as many, so a far input stops after about twice the walks it needed.
+_FIRST_CALL_WALKS = 64
 
 
 @dataclass(frozen=True)
@@ -52,10 +71,26 @@ class TestTranscript:
 
 
 @dataclass(frozen=True)
+class WalkStats:
+    """What a run's walks did.
+
+    tau_histogram lists (tau, walks) pairs in increasing tau; degenerate
+    counts the walks with |S| < tau, whose end point is the start, so their
+    one query could not witness a violation; mean_S is the mean size of
+    the lower set S.
+    """
+
+    tau_histogram: Tuple[Tuple[int, int], ...]
+    degenerate: int
+    mean_S: float
+
+
+@dataclass(frozen=True)
 class TesterVerdict:
     accepted: bool
     invocations: int
     total_queries: int
+    stats: WalkStats
 
 
 @dataclass(frozen=True)
@@ -65,6 +100,7 @@ class RateEstimate:
     wilson_high: float
     rejections: int
     trials: int
+    stats: WalkStats
 
 
 def tau_ceiling(d: int) -> int:
@@ -82,19 +118,8 @@ def tau_ceiling(d: int) -> int:
 
 
 def sample_tau(d: int, rng: random.Random) -> int:
-    p = tau_ceiling(d)
-    return 1 << rng.randint(0, p)
-
-
-def _sample_subset(items: Tuple[int, ...], k: int, rng: random.Random) -> Tuple[int, ...]:
-    # Floyd's algorithm: uniform over size-k subsets, deterministic per rng.
-    chosen = set()
-    n = len(items)
-    for j in range(n - k, n):
-        t = rng.randrange(j + 1)
-        pick = items[t] if items[t] not in chosen else items[j]
-        chosen.add(pick)
-    return tuple(sorted(chosen))
+    """One walk length, drawn as the kernel draws it: 2^t, t uniform in [0, tau_ceiling(d)]."""
+    return int(_taus(np.array([rng.getrandbits(64)], dtype=np.uint64), d)[0])
 
 
 def _require_testable(shape: GridShape) -> None:
@@ -103,41 +128,171 @@ def _require_testable(shape: GridShape) -> None:
         raise ValueError("testing needs n >= 2 with n a power of 2")
 
 
+# ----------------------------------------------------------------------
+# the walk kernel
+
+@dataclass(frozen=True)
+class _Walks:
+    """A batch of walks as arrays; row k is walk `start + k` of its stream."""
+
+    tau: np.ndarray       # (B,) walk length
+    x: np.ndarray         # (B, d) start point
+    exp: np.ndarray       # (B, d) step exponent of each dimension's matching
+    parity: np.ndarray    # (B, d) parity of each dimension's matching
+    lower: np.ndarray     # (B, d) x is a lower endpoint there: the set S
+    stepped: np.ndarray   # (B, d) the stepped subset T of S
+    y: np.ndarray         # (B, d) end point
+    moved: np.ndarray     # (B,) |S| >= tau, so y != x
+
+
+def _key(rng: random.Random) -> np.ndarray:
+    k = rng.getrandbits(128)
+    return np.array([k & 0xFFFFFFFFFFFFFFFF, k >> 64], dtype=np.uint64)
+
+
+def _words(key: np.ndarray, start: int, count: int, width: int) -> np.ndarray:
+    """Rows start .. start+count-1 of the keyed stream, `width` words each.
+
+    width is a multiple of 4, the words of one Philox block, so row k
+    begins at block k * width / 4 whichever call reads it.
+    """
+    counter = np.array([start * width // 4, 0, 0, 0], dtype=np.uint64)
+    gen = np.random.Philox(key=key, counter=counter)
+    return gen.random_raw(count * width).reshape(count, width)
+
+
+def _below(words: np.ndarray, k) -> np.ndarray:
+    """floor(u * k), u uniform on the 53-bit dyadics in [0, 1) from each word.
+
+    Exact for k a power of two; otherwise each value's probability is off by
+    at most 2^-53.
+    """
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return (u * k).astype(np.int64)
+
+
+def _taus(words: np.ndarray, d: int) -> np.ndarray:
+    return np.left_shift(1, _below(words, tau_ceiling(d) + 1))
+
+
+def _draw_walks(shape: GridShape, key: np.ndarray, start: int, count: int,
+                tau: Optional[int] = None, x: Optional[np.ndarray] = None) -> _Walks:
+    """Walks start .. start+count-1 of the stream under `key`.
+
+    With tau given every walk has that length, and with x given (one row
+    per walk) the walks start there: the persistence walk.  Each walk's
+    words are laid out as: its tau draw, one draw per subset pick, then per
+    dimension one word for the start coordinate and the parity and one for
+    the step exponent.
+    """
+    d, n, bits = shape.d, shape.n, shape.bits
+    picks = 1 << tau_ceiling(d) if tau is None else min(tau, d)
+    width = -(-(1 + picks + 2 * d) // 4) * 4
+    w = _words(key, start, count, width)
+    taus = _taus(w[:, 0], d) if tau is None else np.full(count, tau, dtype=np.int64)
+    coord = w[:, 1 + picks:1 + picks + d]
+    if x is None:
+        x = (coord & np.uint64(n - 1)).astype(np.int64)
+    parity = (coord >> np.uint64(63)).astype(np.int64)
+    exp = _below(w[:, 1 + picks + d:1 + picks + 2 * d], bits)
+    step = np.left_shift(1, exp)
+    r = x & (2 * step - 1)
+    lower = np.where(parity == 0, r < step, (r >= step) & (x + step < n))
+    size = lower.sum(axis=1)
+    moved = size >= taus
+    # tau picks without replacement, each uniform over the unpicked part of S
+    stepped = np.zeros_like(lower)
+    for j in range(int(taus[moved].max(initial=0))):
+        free = lower & ~stepped
+        pick = _below(w[:, 1 + j], size - j) + 1
+        hit = free & (np.cumsum(free, axis=1) == pick[:, None])
+        stepped |= hit & (moved & (taus > j))[:, None]
+    y = x + np.where(stepped, step, 0)
+    return _Walks(taus, x, exp, parity, lower, stepped, y, moved)
+
+
+@contextmanager
+def _call_entries(entries: int) -> Iterator[None]:
+    """Run the enclosed calls with at most `entries` coordinates per numpy call.
+
+    No result may depend on this grouping; verify's criterion 9 and the
+    tests run the same work under two groupings to show it.
+    """
+    global _CALL_ENTRIES
+    saved, _CALL_ENTRIES = _CALL_ENTRIES, entries
+    try:
+        yield
+    finally:
+        _CALL_ENTRIES = saved
+
+
+def _calls(total: int, width: int, first: Optional[int] = None) -> Iterator[Tuple[int, int]]:
+    """(start, count) groups covering range(total), count * width <= _CALL_ENTRIES.
+
+    With `first`, the groups start at that many and double.
+    """
+    most = max(1, _CALL_ENTRIES // max(width, 1))
+    size = most if first is None else min(first, most)
+    start = 0
+    while start < total:
+        count = min(size, total - start)
+        yield start, count
+        start += count
+        size = min(2 * size, most)
+
+
+def _walk_batches(shape: GridShape, key: np.ndarray, total: int,
+                  first: Optional[int] = None) -> Iterator[Tuple[int, _Walks]]:
+    """Walks 0 .. total-1 of the stream under `key`, as (start, batch) pairs."""
+    for start, count in _calls(total, shape.d, first):
+        yield start, _draw_walks(shape, key, start, count)
+
+
+def _evaluate(f: BoolFunc, w: _Walks) -> Tuple[np.ndarray, np.ndarray]:
+    """f at both ends of every walk: (fx, fy); y is queried only where it moved."""
+    fx = f.eval_batch(w.x)
+    fy = fx.copy()
+    fy[w.moved] = f.eval_batch(w.y[w.moved])
+    return fx, fy
+
+
+class _Tally:
+    """Walk statistics summed over the counted walks of a run."""
+
+    def __init__(self, d: int):
+        self.taus = np.zeros(tau_ceiling(d) + 1, dtype=np.int64)
+        self.walks = 0
+        self.degenerate = 0
+        self.lower = 0
+
+    def add(self, w: _Walks, end: int) -> None:
+        taus = w.tau[:end]
+        self.taus += np.bincount(np.log2(taus).astype(np.int64), minlength=len(self.taus))
+        self.walks += end
+        self.degenerate += end - int(np.count_nonzero(w.moved[:end]))
+        self.lower += int(np.count_nonzero(w.lower[:end]))
+
+    def stats(self) -> WalkStats:
+        hist = tuple((1 << t, int(c)) for t, c in enumerate(self.taus) if c)
+        return WalkStats(hist, self.degenerate, self.lower / self.walks if self.walks else 0.0)
+
+
+# ----------------------------------------------------------------------
+# entry points
+
 def single_test(f: BoolFunc, rng: random.Random) -> TestTranscript:
-    """One walk of the tester; at most two queries to f."""
+    """One walk of the tester, as a transcript; at most two queries to f."""
     shape = f.shape
     _require_testable(shape)
-    bits = shape.bits
-    tau = sample_tau(shape.d, rng)
-    x = point_of(shape, rng.randrange(shape.size))
-    ids = tuple(
-        MatchingId(i, rng.randrange(bits), rng.getrandbits(1)) for i in range(shape.d))
-    S = []
-    partners = {}
-    for i, mid in enumerate(ids):
-        role, partner = classify_in_matching(shape, x, mid)
-        if role == LOWER:
-            S.append(i)
-            partners[i] = partner[i]
-    S = tuple(S)
-    if len(S) < tau:
-        T = ()
-        y = x
-    else:
-        T = _sample_subset(S, tau, rng)
-        coords = list(x)
-        for i in T:
-            coords[i] = partners[i]
-        y = tuple(coords)
-    fx = f.eval(x)
-    if y == x:
-        fy = fx
-        queries = 1
-    else:
-        fy = f.eval(y)
-        queries = 2
-    verdict = REJECT if fx > fy else ACCEPT
-    return TestTranscript(tau, x, ids, S, T, y, fx, fy, verdict, queries)
+    w = _draw_walks(shape, _key(rng), 0, 1)
+    fx, fy = (int(v[0]) for v in _evaluate(f, w))
+    ids = tuple(MatchingId(i, e, c)
+                for i, (e, c) in enumerate(zip(w.exp[0].tolist(), w.parity[0].tolist())))
+    S = tuple(i for i, b in enumerate(w.lower[0].tolist()) if b)
+    T = tuple(i for i, b in enumerate(w.stepped[0].tolist()) if b)
+    return TestTranscript(int(w.tau[0]), tuple(w.x[0].tolist()), ids, S, T,
+                          tuple(w.y[0].tolist()), fx, fy, REJECT if fx > fy else ACCEPT,
+                          1 + int(w.moved[0]))
 
 
 def edge_test(f: BoolFunc, rng: random.Random) -> TestTranscript:
@@ -182,17 +337,30 @@ def repetitions(n: int, d: int, eps: float, calibration: float) -> int:
 
 def amplified_test(f: BoolFunc, eps: float, calibration: float = DEFAULT_CALIBRATION,
                    rng: Optional[random.Random] = None) -> TesterVerdict:
-    """Repeat single_test; reject on the first witnessed violation."""
+    """Run the repetitions' walks; reject on the first witnessed violation.
+
+    invocations is the 1-based index of the first rejecting walk, or the
+    repetition count; total_queries and stats cover exactly those walks.
+    Walks drawn past the rejection in the same batch are not counted here,
+    though f.queries counts their evaluations.
+    """
     if rng is None:
         rng = random.Random(0)
-    rounds = repetitions(f.shape.n, f.shape.d, eps, calibration)
+    shape = f.shape
+    _require_testable(shape)
+    rounds = repetitions(shape.n, shape.d, eps, calibration)
+    key = _key(rng)
+    tally = _Tally(shape.d)
     total_queries = 0
-    for k in range(rounds):
-        t = single_test(f, rng)
-        total_queries += t.queries_used
-        if t.verdict == REJECT:
-            return TesterVerdict(False, k + 1, total_queries)
-    return TesterVerdict(True, rounds, total_queries)
+    for start, w in _walk_batches(shape, key, rounds, _FIRST_CALL_WALKS):
+        fx, fy = _evaluate(f, w)
+        hits = np.flatnonzero(fx > fy)
+        end = int(hits[0]) + 1 if hits.size else len(fx)
+        total_queries += end + int(np.count_nonzero(w.moved[:end]))
+        tally.add(w, end)
+        if hits.size:
+            return TesterVerdict(False, start + end, total_queries, tally.stats())
+    return TesterVerdict(True, rounds, total_queries, tally.stats())
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
@@ -207,52 +375,48 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 
 def detection_rate(f: BoolFunc, trials: int, rng: random.Random) -> RateEstimate:
+    """Single-walk rejection rate over `trials` walks, with its Wilson interval."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rejections = sum(1 for _ in range(trials) if single_test(f, rng).verdict == REJECT)
-    lo, hi = wilson_interval(rejections, trials)
-    return RateEstimate(rejections / trials, lo, hi, rejections, trials)
-
-
-def _walk_target(f: BoolFunc, x: tuple, tau: int, rng: random.Random) -> tuple:
-    # Steps 3-5 with tau fixed (the persistence walk distribution).
     shape = f.shape
-    bits = shape.bits
-    S = []
-    partners = {}
-    for i in range(shape.d):
-        mid = MatchingId(i, rng.randrange(bits), rng.getrandbits(1))
-        role, partner = classify_in_matching(shape, x, mid)
-        if role == LOWER:
-            S.append(i)
-            partners[i] = partner[i]
-    if len(S) < tau:
-        return x
-    coords = list(x)
-    for i in _sample_subset(tuple(S), tau, rng):
-        coords[i] = partners[i]
-    return tuple(coords)
+    _require_testable(shape)
+    key = _key(rng)
+    tally = _Tally(shape.d)
+    rejections = 0
+    for _, w in _walk_batches(shape, key, trials):
+        fx, fy = _evaluate(f, w)
+        rejections += int(np.count_nonzero(fx > fy))
+        tally.add(w, len(fx))
+    lo, hi = wilson_interval(rejections, trials)
+    return RateEstimate(rejections / trials, lo, hi, rejections, trials, tally.stats())
 
 
 def persistence_fraction(f: BoolFunc, tau: int, outer_samples: int,
                          inner_samples: int, rng: random.Random) -> float:
     """Estimated fraction of start points whose tau-walk flips f too often.
 
-    A point counts as non-persistent when the estimated flip probability
-    exceeds 1/10.
+    Each of the outer samples is a uniform start point x; inner_samples
+    walks of length tau from x estimate its flip probability, and x counts
+    as non-persistent when that estimate exceeds 1/10.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
     shape = f.shape
     _require_testable(shape)
+    d = shape.d
+    x_key, walk_key = _key(rng), _key(rng)
     non_persistent = 0
-    for _ in range(outer_samples):
-        x = point_of(shape, rng.randrange(shape.size))
-        fx = f.eval(x)
-        flips = sum(1 for _ in range(inner_samples)
-                    if f.eval(_walk_target(f, x, tau, rng)) != fx)
-        if flips * 10 > inner_samples:
-            non_persistent += 1
+    for o_start, o_count in _calls(outer_samples, d * inner_samples):
+        xs = _draw_walks(shape, x_key, o_start, o_count).x
+        fx = f.eval_batch(xs)
+        flips = np.zeros(o_count, dtype=np.int64)
+        for start, count in _calls(o_count * inner_samples, d):
+            rows = (start + np.arange(count)) // inner_samples
+            w = _draw_walks(shape, walk_key, o_start * inner_samples + start, count,
+                            tau=tau, x=xs[rows])
+            flipped = f.eval_batch(w.y) != fx[rows]
+            flips += np.bincount(rows[flipped], minlength=o_count)
+        non_persistent += int(np.count_nonzero(flips * 10 > inner_samples))
     return non_persistent / outer_samples
 
 

@@ -38,7 +38,7 @@ def test_rate_report_deterministic(tmp_path, capsys):
     base = ["rate", "--shapes", "4x1,4x2", "--families", "anti_slab",
             "--trials", "200", "--seed", "7"]
     assert run(base + ["--out", str(out1)]) == EXIT_OK
-    assert run(base + ["--out", str(out2), "--workers", "3"]) == EXIT_OK
+    assert run(base + ["--out", str(out2)]) == EXIT_OK
     capsys.readouterr()
     a, b = out1.read_bytes(), out2.read_bytes()
     assert a == b
@@ -63,6 +63,14 @@ def test_isoperimetry_capacity_exit(tmp_path, capsys):
     code = run(["isoperimetry", "--shapes", "32x3", "--out", str(out)])
     assert code == EXIT_CAPACITY
     capsys.readouterr()
+
+
+def test_test_capacity_exit(capsys):
+    # a 2^40-point table must be refused up front, not built
+    code = run(["test", "--family", "uniform_random", "--n", "2", "--d", "40"])
+    assert code == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "uniform_random" in err and str(2 ** 40) in err
 
 
 def test_persistence_report(tmp_path, capsys):

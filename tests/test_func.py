@@ -3,12 +3,14 @@
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gridmono.errors import CapacityError, FormatError
 from gridmono.func import (
+    DEFAULT_TABLE_CAPACITY,
     BoolFunc,
     dumps,
     generate,
@@ -63,6 +65,84 @@ def test_query_counter_thread_safe():
     with ThreadPoolExecutor(max_workers=4) as pool:
         list(pool.map(work, range(8)))
     assert f.queries == 16000
+
+
+def test_eval_batch_matches_eval():
+    shape = GridShape(4, 2)
+    pts = np.array([[a, b] for a in range(4) for b in range(4)] * 2)
+    table = generate("uniform_random", shape, seed=3)
+    pred = BoolFunc.from_predicate(shape, lambda x: (x[0] + x[1]) % 2)
+    for f in (table, pred):
+        expected = [f.eval(tuple(p)) for p in pts.tolist()]
+        before = f.queries
+        got = f.eval_batch(pts)
+        assert got.dtype == np.uint8 and got.tolist() == expected
+        assert f.queries - before == len(pts)
+    assert table.eval_batch(np.zeros((0, 2), dtype=np.int64)).tolist() == []
+
+
+def test_eval_batch_validation():
+    f = BoolFunc.from_table(GridShape(4, 1), [1, 1, 0, 0])
+    with pytest.raises(ValueError):
+        f.eval_batch(np.array([[4]]))
+    with pytest.raises(ValueError):
+        f.eval_batch(np.array([[-1]]))
+    with pytest.raises(ValueError):
+        f.eval_batch(np.array([[0, 0]]))
+    with pytest.raises(ValueError):
+        f.eval_batch(np.array([[1.0]]))
+    bad = BoolFunc.from_predicate(GridShape(4, 1), lambda x: 2)
+    with pytest.raises(ValueError):
+        bad.eval_batch(np.array([[1]]))
+    assert f.queries == 0
+
+
+# Grids above the tabulation threshold, so generate() keeps the predicates.
+BIG_SHAPES = st.sampled_from([GridShape(2, 20), GridShape(4, 9), GridShape(8, 7),
+                              GridShape(16, 5), GridShape(2, 62)])
+
+
+@given(shape=BIG_SHAPES, data=st.data())
+def test_vectorised_predicates_match_scalar(shape, data):
+    coords = st.integers(0, shape.n - 1)
+    pts = np.array(data.draw(st.lists(st.lists(coords, min_size=shape.d, max_size=shape.d),
+                                      min_size=1, max_size=20)), dtype=np.int64)
+    weights = data.draw(st.lists(st.integers(0, 9), min_size=shape.d, max_size=shape.d))
+    theta = data.draw(st.one_of(st.integers(-5, 10 * shape.d * shape.n),
+                                st.floats(-5, 10 * shape.d * shape.n)))
+    funcs = [generate("monotone_threshold", shape, weights=weights, theta=theta),
+             generate("monotone_threshold", shape, seed=data.draw(st.integers(0, 99))),
+             generate("anti_slab", shape, axis=data.draw(st.integers(0, shape.d - 1))),
+             generate("block_parity", shape)]
+    for f in funcs:
+        assert f._batch is not None
+        assert f.eval_batch(pts).tolist() == [f.eval(tuple(p)) for p in pts.tolist()]
+
+
+def test_float_weights_fall_back_per_point():
+    shape = GridShape(2, 20)
+    f = generate("monotone_threshold", shape, weights=[0.1] * 20, theta=0.3)
+    assert f._batch is None
+    pts = np.array([[1, 1, 1] + [0] * 17, [1, 1] + [0] * 18])
+    assert f.eval_batch(pts).tolist() == [f.eval(tuple(p)) for p in pts.tolist()]
+
+
+def test_table_capacity_guard():
+    big = GridShape(2, 40)
+
+    def endless():
+        while True:
+            yield 0
+
+    with pytest.raises(CapacityError) as exc:
+        BoolFunc(big, table=endless())
+    message = str(exc.value)
+    assert "dense table" in message and str(big.size) in message
+    assert str(DEFAULT_TABLE_CAPACITY) in message
+    for kind in ("uniform_random", "noisy_monotone", "random_monotone"):
+        with pytest.raises(CapacityError) as exc:
+            generate(kind, big)
+        assert kind in str(exc.value) and str(big.size) in str(exc.value)
 
 
 def test_table_does_not_count_queries():

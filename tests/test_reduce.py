@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gridmono.func import BoolFunc, generate, is_monotone
@@ -99,6 +100,16 @@ def test_lift_query_forwarding(rng):
     for k in range(1, 30):
         g.eval((rng.randrange(p.N), rng.randrange(p.N)))
         assert f.queries == k and g.queries == k
+
+
+def test_lift_batch_query_forwarding(rng):
+    f = generate("uniform_random", GridShape(3, 2), seed=21)
+    p = plan(3, 2)
+    g = lift(p, f)
+    pts = np.array([[rng.randrange(p.N), rng.randrange(p.N)] for _ in range(40)])
+    values = g.eval_batch(pts)
+    assert f.queries == 40 and g.queries == 40
+    assert values.tolist() == [f.table()[phi(p, a) + 3 * phi(p, b)] for a, b in pts.tolist()]
 
 
 def test_lift_shape_mismatch():

@@ -4,8 +4,9 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from scipy.stats import chisquare
 
@@ -13,6 +14,12 @@ from gridmono.func import BoolFunc, generate
 from gridmono.grid import LOWER, GridShape, MatchingId, classify_in_matching, points
 from gridmono.tester import (
     DEFAULT_CALIBRATION,
+    _call_entries,
+    _draw_walks,
+    _key,
+    _taus,
+    _walk_batches,
+    _words,
     amplified_test,
     detection_rate,
     edge_test,
@@ -86,8 +93,10 @@ def test_single_test_matches_exact_enumeration(rng):
     f = generate("anti_slab", GridShape(8, 1))
     exact = exact_rejection_probability(f)
     trials = 200_000
-    hits = sum(1 for _ in range(trials) if single_test(f, rng).verdict == "reject")
+    hits = detection_rate(f, trials, rng).rejections
     assert_close_to_probability(hits, trials, float(exact))
+    hits = sum(1 for _ in range(2000) if single_test(f, rng).verdict == "reject")
+    assert_close_to_probability(hits, 2000, float(exact))
 
 
 def test_exact_enumeration_monotone_is_zero():
@@ -178,28 +187,27 @@ def test_persistence_examples(rng):
 
 
 def test_tau_distribution_uniform(rng):
-    counts = Counter(sample_tau(4096, rng) for _ in range(CHI_SQUARE_SAMPLES))
-    assert set(counts) == {1, 2, 4}
-    stat = chisquare([counts[1], counts[2], counts[4]])
+    words = _words(_key(rng), 0, CHI_SQUARE_SAMPLES // 4, 4).ravel()
+    values, counts = np.unique(_taus(words, 4096), return_counts=True)
+    assert values.tolist() == [1, 2, 4]
+    stat = chisquare(counts)
     assert stat.pvalue > CHI_SQUARE_ALPHA
 
 
 def test_draw_distributions_chi_square(rng):
-    """x uniform and each a_i uniform, over a million full transcripts."""
+    """x uniform and each a_i uniform, over a million kernel walks."""
     shape = GridShape(4, 2)
-    f = BoolFunc.from_predicate(shape, lambda x: 0)
-    x_counts = Counter()
-    a_counts = [Counter() for _ in range(shape.d)]
-    for _ in range(CHI_SQUARE_SAMPLES):
-        t = single_test(f, rng)
-        x_counts[t.x] += 1
-        for i, mid in enumerate(t.matchings):
-            a_counts[i][(mid.exp, mid.parity)] += 1
-    assert len(x_counts) == shape.size
-    assert chisquare(list(x_counts.values())).pvalue > CHI_SQUARE_ALPHA
+    x_counts = np.zeros(shape.size, dtype=np.int64)
+    a_counts = np.zeros((shape.d, 2 * shape.bits), dtype=np.int64)
+    for _, w in _walk_batches(shape, _key(rng), CHI_SQUARE_SAMPLES):
+        x_counts += np.bincount(w.x[:, 0] + shape.n * w.x[:, 1], minlength=shape.size)
+        for i in range(shape.d):
+            codes = 2 * w.exp[:, i] + w.parity[:, i]
+            a_counts[i] += np.bincount(codes, minlength=2 * shape.bits)
+    assert x_counts.sum() == CHI_SQUARE_SAMPLES
+    assert chisquare(x_counts).pvalue > CHI_SQUARE_ALPHA
     for i in range(shape.d):
-        draws = [a_counts[i][(exp, c)] for exp in range(shape.bits) for c in (0, 1)]
-        assert chisquare(draws).pvalue > CHI_SQUARE_ALPHA
+        assert chisquare(a_counts[i]).pvalue > CHI_SQUARE_ALPHA
 
 
 def exact_step_distribution(shape):
@@ -233,15 +241,13 @@ def test_step_marginal_matches_enumeration(rng):
     shape = GridShape(4, 2)
     exact, stay = exact_step_distribution(shape)
     assert sum(exact.values()) + stay == 1
-    f = BoolFunc.from_predicate(shape, lambda x: 0)
     counts = Counter()
     moved = 0
     trials = 400_000
-    for _ in range(trials):
-        t = single_test(f, rng)
-        if t.y != t.x:
-            counts[(t.x, t.y)] += 1
-            moved += 1
+    for _, w in _walk_batches(shape, _key(rng), trials):
+        for x, y in zip(w.x[w.moved].tolist(), w.y[w.moved].tolist()):
+            counts[(tuple(x), tuple(y))] += 1
+        moved += int(w.moved.sum())
     keys = sorted(exact, key=repr)
     assert set(counts) <= set(keys)
     conditional = [float(exact[k] / (1 - stay)) for k in keys]
@@ -249,3 +255,104 @@ def test_step_marginal_matches_enumeration(rng):
     expected = [moved * p for p in conditional]
     stat = chisquare(observed, expected)
     assert stat.pvalue > CHI_SQUARE_ALPHA
+
+
+def test_walk_rows_do_not_depend_on_grouping():
+    shape = GridShape(8, 3)
+    key = _key(random.Random(5))
+    whole = _draw_walks(shape, key, 0, 100)
+    for cuts in ((0, 1, 100), (0, 37, 38, 100), (0, 64, 100)):
+        parts = [_draw_walks(shape, key, a, b - a) for a, b in zip(cuts, cuts[1:])]
+        for field in ("tau", "x", "exp", "parity", "lower", "stepped", "y", "moved"):
+            joined = np.concatenate([getattr(p, field) for p in parts])
+            assert np.array_equal(joined, getattr(whole, field)), field
+
+
+@pytest.mark.parametrize("entries", [1, 7, 100])
+def test_results_do_not_depend_on_grouping(entries):
+    far = generate("anti_slab", GridShape(4, 3))
+    mono = generate("random_monotone", GridShape(4, 3), seed=2)
+
+    def run():
+        return (amplified_test(far, 0.5, 1.0, random.Random(1)),
+                amplified_test(mono, 0.5, 1.0, random.Random(2)),
+                detection_rate(far, 3000, random.Random(3)),
+                persistence_fraction(far, 2, 30, 25, random.Random(4)))
+
+    default = run()
+    with _call_entries(entries):
+        assert run() == default
+
+
+def test_amplified_matches_walk_by_walk_replay():
+    shape = GridShape(4, 3)
+    rounds = repetitions(shape.n, shape.d, 0.5, 1.0)
+    for family in ("anti_slab", "block_parity", "random_monotone"):
+        f = generate(family, shape, seed=9)
+        for seed in range(4):
+            verdict = amplified_test(f, 0.5, 1.0, random.Random(seed))
+            key = _key(random.Random(seed))
+            queries = 0
+            invocations = rounds
+            for k in range(rounds):
+                w = _draw_walks(shape, key, k, 1)
+                fx = f.eval(tuple(w.x[0].tolist()))
+                fy = f.eval(tuple(w.y[0].tolist())) if w.moved[0] else fx
+                queries += 1 + int(w.moved[0])
+                if fx > fy:
+                    invocations = k + 1
+                    break
+            assert (verdict.invocations, verdict.total_queries) == (invocations, queries)
+            assert verdict.accepted == (invocations == rounds and not fx > fy)
+
+
+def test_amplified_counts_only_walks_up_to_the_rejection():
+    f = generate("anti_slab", GridShape(8, 2))
+    verdict = amplified_test(f, 0.5, DEFAULT_CALIBRATION, random.Random(0))
+    assert not verdict.accepted
+    assert verdict.invocations < 64   # inside the first batch of walks
+    assert f.queries > verdict.total_queries   # the rest of the batch was evaluated
+    assert sum(c for _, c in verdict.stats.tau_histogram) == verdict.invocations
+    assert verdict.total_queries == 2 * verdict.invocations - verdict.stats.degenerate
+
+
+def test_walk_stats():
+    shape = GridShape(4, 2)
+    est = detection_rate(BoolFunc.from_predicate(shape, lambda x: 0), 20_000,
+                         random.Random(6))
+    assert est.stats.tau_histogram == ((1, 20_000),)
+    # per dimension at n = 4, P(lower) = 1/2 * 1/2 (parity 0, any step)
+    # + 1/2 * 1/2 * 1/4 (parity 1, step 1: only x = 1; step 2: never) = 5/16
+    assert abs(est.stats.mean_S - 2 * 5 / 16) < 0.02
+    # degenerate iff S is empty: (11/16)^2
+    assert abs(est.stats.degenerate / 20_000 - (11 / 16) ** 2) < 0.02
+    verdict = amplified_test(generate("monotone_threshold", shape, seed=1), 0.5, 1.0,
+                             random.Random(7))
+    assert verdict.accepted
+    assert verdict.stats.tau_histogram == ((1, verdict.invocations),)
+    assert verdict.total_queries == 2 * verdict.invocations - verdict.stats.degenerate
+
+
+def test_tau_two_subset_uniform_through_persistence():
+    """At tau = 2 the stepped pair is uniform over pairs of zero coordinates of x."""
+    shape = GridShape(2, 6)
+    inner = 60_000
+    checked = 0
+    for seed in range(8):
+        seen = []
+        f = BoolFunc.from_predicate(shape, lambda p: seen.append(p) or 0)
+        persistence_fraction(f, 2, 1, inner, random.Random(seed))
+        x, ys = seen[0], seen[1:]
+        assert len(ys) == inner
+        zeros = [i for i, v in enumerate(x) if v == 0]
+        if len(zeros) < 3:
+            continue
+        pairs = {pair: k for k, pair in enumerate(combinations(zeros, 2))}
+        counts = np.zeros(len(pairs), dtype=np.int64)
+        for y in ys:
+            changed = tuple(i for i in range(shape.d) if y[i] != x[i])
+            if changed:
+                counts[pairs[changed]] += 1
+        assert chisquare(counts).pvalue > CHI_SQUARE_ALPHA
+        checked += 1
+    assert checked >= 3

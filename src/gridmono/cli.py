@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import reports
 from .errors import CapacityError, FormatError, IntegrityError, NotGoodError
@@ -63,61 +63,32 @@ def _load_function(args) -> BoolFunc:
     return generate(args.family, shape, seed=args.seed)
 
 
-def _apply_config(args: argparse.Namespace, parser) -> None:
-    """Fill unset options from the [subcommand] section of --config."""
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(args: argparse.Namespace, sub: argparse.ArgumentParser) -> Dict[str, str]:
+    """The [command] section of --config, each key checked against the command's options."""
     cp = configparser.ConfigParser()
-    read = cp.read(args.config)
-    if not read:
-        parser.error(f"cannot read config file {args.config}")
-    section = args.command
-    if not cp.has_section(section):
-        parser.error(f"config file has no [{section}] section")
-    actions = {a.dest: a for a in parser._all_actions()}
-    known = {k for k in vars(args) if k not in ("command", "config", "_explicit")}
-    for key, value in cp.items(section):
-        if key not in known:
-            parser.error(f"unknown config key {key!r} in [{section}]")
-        if key in args._explicit:
-            continue  # flags override the file
-        action = actions.get(key)
-        if action is not None and action.type is not None:
-            try:
-                value = action.type(value)
-            except ValueError:
-                parser.error(f"bad value {value!r} for config key {key!r}")
-        elif isinstance(getattr(args, key), bool):
-            value = value.lower() in ("1", "true", "yes")
-        setattr(args, key, value)
+    try:
+        if not cp.read(args.config):
+            sub.error(f"cannot read config file {args.config}")
+        if not cp.has_section(args.command):
+            sub.error(f"config file has no [{args.command}] section")
+        section = dict(cp.items(args.command))
+    except configparser.Error as exc:
+        sub.error(f"bad config file {args.config}: {exc}")
+    for key in section:
+        if key not in vars(args) or key in ("command", "config"):
+            sub.error(f"unknown config key {key!r} in [{args.command}]")
+    return section
 
 
-class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which destinations were set explicitly on the command line."""
-
-    def parse_args(self, argv=None, namespace=None):
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = sys.argv[1:] if argv is None else list(argv)
-        for action in self._all_actions():
-            for opt in action.option_strings:
-                if any(tok == opt or tok.startswith(opt + "=") for tok in argv):
-                    explicit.add(action.dest)
-        args._explicit = explicit
-        return args
-
-    def _all_actions(self):
-        actions = list(self._actions)
-        for action in self._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    actions.extend(sub._actions)
-        return actions
-
-
-def build_parser() -> _TrackingParser:
-    parser = _TrackingParser(prog="gridmono", description=__doc__)
+def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
+    parser = argparse.ArgumentParser(prog="gridmono", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: Dict[str, argparse.ArgumentParser] = {}
+
+    def add(name, summary):
+        commands[name] = sub.add_parser(name, help=summary)
+        return commands[name]
 
     def common(p, load_opt=True):
         p.add_argument("--config", help="INI file with a [subcommand] section")
@@ -128,25 +99,25 @@ def build_parser() -> _TrackingParser:
             p.add_argument("--n", type=int, default=None)
             p.add_argument("--d", type=int, default=None)
 
-    p = sub.add_parser("test", help="run the amplified tester on one function")
+    p = add("test", "run the amplified tester on one function")
     common(p)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--calibration", type=float, default=DEFAULT_CALIBRATION)
 
-    p = sub.add_parser("rate", help="detection-rate sweep -> CSV")
+    p = add("rate", "detection-rate sweep -> CSV")
     common(p, load_opt=False)
     p.add_argument("--shapes", default="4x1,4x2,8x2")
     p.add_argument("--families", default="anti_slab,block_parity")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--out", default="rate.csv")
 
-    p = sub.add_parser("isoperimetry", help="exact isoperimetry sweep -> CSV")
+    p = add("isoperimetry", "exact isoperimetry sweep -> CSV")
     common(p, load_opt=False)
     p.add_argument("--shapes", default="4x1,2x2")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--out", default="isoperimetry.csv")
 
-    p = sub.add_parser("persistence", help="persistence sweep -> CSV")
+    p = add("persistence", "persistence sweep -> CSV")
     common(p, load_opt=False)
     p.add_argument("--shapes", default="8x2")
     p.add_argument("--families", default="anti_slab,noisy_monotone")
@@ -155,20 +126,20 @@ def build_parser() -> _TrackingParser:
     p.add_argument("--inner", type=int, default=200)
     p.add_argument("--out", default="persistence.csv")
 
-    p = sub.add_parser("structure", help="decomposition + routing verification")
+    p = add("structure", "decomposition + routing verification")
     common(p)
 
-    p = sub.add_parser("fourier", help="transform and line-inequality checks")
+    p = add("fourier", "transform and line-inequality checks")
     common(p, load_opt=False)
     p.add_argument("--line-n", type=int, default=8, dest="line_n")
     p.add_argument("--tables", type=int, default=100)
 
-    p = sub.add_parser("reduce", help="plan, lift, and compare distances")
+    p = add("reduce", "plan, lift, and compare distances")
     common(p)
 
-    p = sub.add_parser("verify", help="run the full acceptance suite")
+    p = add("verify", "run the full acceptance suite")
     common(p, load_opt=False)
-    return parser
+    return parser, commands
 
 
 def cmd_test(args) -> int:
@@ -282,10 +253,15 @@ COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, parser)
+        if args.config:
+            # file values become the command's defaults, so any flag given
+            # on the command line, in whatever form argparse accepts, wins
+            sub = commands[args.command]
+            sub.set_defaults(**_config_defaults(args, sub))
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

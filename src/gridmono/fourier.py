@@ -66,19 +66,20 @@ def walsh_value(shape: GridShape, idx: WalshIndex, x: Point) -> int:
     return -1 if parity else 1
 
 
-def fwht_inplace(values: list) -> None:
-    """Unnormalized butterfly on a length 2^k list; exact on ints/Fractions."""
-    n = len(values)
-    if n & (n - 1):
-        raise ValueError("length must be a power of two")
+def _butterfly(arr: np.ndarray) -> np.ndarray:
+    """Unnormalized butterfly over a length 2^k array, in place.
+
+    Exact on object arrays of ints or Fractions; float64 otherwise.
+    """
     h = 1
-    while h < n:
-        for base in range(0, n, 2 * h):
-            for k in range(base, base + h):
-                a, b = values[k], values[k + h]
-                values[k] = a + b
-                values[k + h] = a - b
+    while h < len(arr):
+        view = arr.reshape(-1, 2 * h)
+        left = view[:, :h].copy()
+        right = view[:, h:2 * h].copy()
+        view[:, :h] = left + right
+        view[:, h:2 * h] = left - right
         h *= 2
+    return arr
 
 
 @dataclass(frozen=True)
@@ -98,20 +99,10 @@ def transform(shape: GridShape, values) -> Spectrum:
         raise CapacityError("Walsh transform", shape.size, TRANSFORM_CAPACITY)
     if not shape.is_pow2():
         raise ValueError("transform needs n a power of 2")
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64)
     if arr.shape != (shape.size,):
         raise ValueError(f"expected a flat table of {shape.size} values")
-    arr = arr.copy()
-    h = 1
-    n = shape.size
-    while h < n:
-        view = arr.reshape(-1, 2 * h)
-        left = view[:, :h].copy()
-        right = view[:, h:2 * h].copy()
-        view[:, :h] = left + right
-        view[:, h:2 * h] = left - right
-        h *= 2
-    return Spectrum(shape, arr / n)
+    return Spectrum(shape, _butterfly(arr) / shape.size)
 
 
 def inverse_transform(spectrum: Spectrum) -> np.ndarray:
@@ -124,11 +115,10 @@ def transform_exact(shape: GridShape, values: Sequence) -> list:
     """Exact coefficients (Fractions) for integer or rational tables."""
     if not shape.is_pow2():
         raise ValueError("transform needs n a power of 2")
-    arr = list(values)
-    if len(arr) != shape.size:
+    arr = np.array(list(values), dtype=object)
+    if arr.shape != (shape.size,):
         raise ValueError(f"expected a flat table of {shape.size} values")
-    fwht_inplace(arr)
-    return [Fraction(v, shape.size) for v in arr]
+    return [Fraction(v, shape.size) for v in _butterfly(arr)]
 
 
 def edge_coefficient(f: BoolFunc, dim: int, bit: int) -> Fraction:

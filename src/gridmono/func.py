@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, FormatError
-from .grid import GridShape, Point, check_point, linear_index, point_of
+from .grid import GridShape, Point, check_point, linear_index, point_of, unit_steps
 
 MAGIC = b"AGF1"
 
@@ -118,21 +118,15 @@ class BoolFunc:
             return list(self._table)
         if self.shape.size > capacity:
             raise CapacityError("materializing a predicate", self.shape.size, capacity)
-        return [self._predicate(point_of(self.shape, i)) for i in range(self.shape.size)]
+        return [self._call_predicate(point_of(self.shape, i)) for i in range(self.shape.size)]
 
 
 def is_monotone(f: BoolFunc, capacity: int = DEFAULT_TABLE_CAPACITY) -> bool:
     """Exact check over the unit-step grid edges (sufficient by transitivity)."""
     table = f.table(capacity)
-    shape = f.shape
-    stride = 1
-    for _ in range(shape.d):
-        period = stride * shape.n
-        for base in range(0, shape.size, period):
-            for off in range(base, base + period - stride):
-                if table[off] > table[off + stride]:
-                    return False
-        stride = period
+    for lo, hi in unit_steps(f.shape):
+        if table[lo] > table[hi]:
+            return False
     return True
 
 
@@ -265,14 +259,9 @@ def _tabulate_or_wrap(shape: GridShape, pred: Callable[[Point], int],
 
 def _upward_close(shape: GridShape, table: list) -> None:
     # In-place closure: a point is 1 iff some seed point lies at or below it.
-    stride = 1
-    for _ in range(shape.d):
-        period = stride * shape.n
-        for base in range(0, shape.size, period):
-            for off in range(base + stride, base + period):
-                if table[off - stride]:
-                    table[off] = 1
-        stride = period
+    for lo, hi in unit_steps(shape):
+        if table[lo]:
+            table[hi] = 1
 
 
 def save(f: BoolFunc, sink) -> None:

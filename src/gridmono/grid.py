@@ -127,6 +127,20 @@ def points(shape: GridShape) -> Iterator[Point]:
         yield rev[::-1]
 
 
+def unit_steps(shape: GridShape) -> Iterator[tuple]:
+    """(lo, hi) linear indices of every unit-step edge, hi one step above lo.
+
+    Dimension by dimension, and within a dimension in increasing lo, so one
+    in-order pass of "if table[lo]: table[hi] = 1" closes a table upward.
+    """
+    stride = 1
+    for _ in range(shape.d):
+        period = stride * shape.n
+        for base in range(0, shape.size, period):
+            yield from zip(range(base, base + period - stride), range(base + stride, base + period))
+        stride = period
+
+
 def compare(x: Point, y: Point) -> str:
     if len(x) != len(y):
         raise ValueError(f"points {x} and {y} have different dimensions")

@@ -25,6 +25,7 @@ from .grid import (
     enumerate_augmented_edges,
     linear_index,
     points,
+    unit_steps,
 )
 
 ORACLE_CAPACITY = 4096
@@ -55,15 +56,7 @@ def shape_tables(shape: GridShape) -> ShapeTables:
     aug = tuple(
         (linear_index(shape, e.lower), linear_index(shape, e.upper), e)
         for e in enumerate_augmented_edges(shape))
-    unit = []
-    stride = 1
-    for _ in range(shape.d):
-        period = stride * shape.n
-        for base in range(0, shape.size, period):
-            for off in range(base, base + period - stride):
-                unit.append((off, off + stride))
-        stride = period
-    return ShapeTables(shape, pts, tuple(comparable), aug, tuple(unit))
+    return ShapeTables(shape, pts, tuple(comparable), aug, tuple(unit_steps(shape)))
 
 
 def _table_of(f: BoolFunc) -> list:
@@ -141,6 +134,18 @@ def violation_graph(f: BoolFunc) -> ViolationGraph:
     return ViolationGraph(ones, zeros, arcs)
 
 
+def _max_matching(vg: ViolationGraph) -> Tuple[int, List[int]]:
+    """Hopcroft-Karp on the violation graph: size, and for each 1-point (by
+    position in vg.ones) the position in vg.zeros of its partner, or -1."""
+    one_pos = {idx: k for k, idx in enumerate(vg.ones)}
+    zero_pos = {idx: k for k, idx in enumerate(vg.zeros)}
+    adj: List[List[int]] = [[] for _ in vg.ones]
+    for i, j, _ in vg.arcs:
+        adj[one_pos[i]].append(zero_pos[j])
+    size, match_l, _ = hopcroft_karp(adj, len(vg.zeros))
+    return size, match_l
+
+
 @dataclass(frozen=True)
 class DistanceReport:
     eps: Fraction
@@ -156,12 +161,7 @@ def distance_to_monotonicity(f: BoolFunc) -> DistanceReport:
     """
     vg = violation_graph(f)
     st = shape_tables(f.shape)
-    one_pos = {idx: k for k, idx in enumerate(vg.ones)}
-    zero_pos = {idx: k for k, idx in enumerate(vg.zeros)}
-    adj: List[List[int]] = [[] for _ in vg.ones]
-    for i, j, _ in vg.arcs:
-        adj[one_pos[i]].append(zero_pos[j])
-    size, match_l, _ = hopcroft_karp(adj, len(vg.zeros))
+    size, match_l = _max_matching(vg)
     pairs = tuple(
         (st.points[vg.ones[u]], st.points[vg.zeros[v]])
         for u, v in enumerate(match_l) if v != -1)
@@ -279,10 +279,7 @@ def optimal_matching(f: BoolFunc) -> OptimalMatchingReport:
         pairs.append((x, y))
         total += dist
         psi += dist * dist
-    adj: List[List[int]] = [[] for _ in vg.ones]
-    for i, j, _ in vg.arcs:
-        adj[one_pos[i]].append(zero_pos[j])
-    expected, _, _ = hopcroft_karp(adj, len(vg.zeros))
+    expected, _ = _max_matching(vg)
     if len(pairs) != expected:
         raise IntegrityError(
             f"assignment kept {len(pairs)} pairs, maximum matching has {expected}")
@@ -316,7 +313,8 @@ def influence_report(f: BoolFunc) -> InfluenceReport:
     size = f.shape.size
     s_minus, s_plus = violated_aug_edges(f)
     gm = gamma_minus(f)
-    dist = distance_to_monotonicity(f)
+    # optimal_matching checks its pair count against the maximum matching,
+    # so eps is read from it rather than from a second matching
     mstar = optimal_matching(f)
     neg, pos = len(s_minus), len(s_plus)
     return InfluenceReport(
@@ -324,13 +322,13 @@ def influence_report(f: BoolFunc) -> InfluenceReport:
         I_plus=Fraction(pos, size),
         I_minus=Fraction(neg, size),
         gamma_minus=gm.gamma,
-        eps=dist.eps,
+        eps=Fraction(len(mstar.pairs), size),
         r=mstar.r,
         sensitive_edges=neg + pos,
         positive_edges=pos,
         violated_edges=neg,
         gamma_count=len(gm.witness),
-        matching_size=len(dist.matching),
+        matching_size=len(mstar.pairs),
     )
 
 

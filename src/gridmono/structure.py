@@ -11,7 +11,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, FormatError, IntegrityError, NotGoodError
 from .func import BoolFunc
@@ -169,21 +169,31 @@ def consistent_pair(poset: Poset, pairs: Sequence[Tuple], ell: Optional[int] = N
     return ConsistentPair(S, T, ell, tuple(pairs))
 
 
-def level_sets(poset: Poset, S: Sequence, T: Sequence, ell: int) -> List[set]:
-    """L_0..L_ell: z is at level j iff some (s, t) at distance ell has
-    dist(s, z) = j and dist(z, t) = ell - j."""
-    levels: List[set] = [set() for _ in range(ell + 1)]
+def _shortest_path_members(poset: Poset, S: Sequence, T: Sequence, ell: int) -> Iterator[dict]:
+    """For each (s, t) at distance ell, the vertices z on some shortest s -> t
+    path, each mapped to its level dist(s, z)."""
     for s in S:
         for t in T:
             if poset.dist(s, t) != ell:
                 continue
+            members = {}
             for z in poset.between(s, t):
                 ds = poset.dist(s, z)
                 if ds is None:
                     continue
                 dz = poset.dist(z, t)
                 if dz is not None and ds + dz == ell:
-                    levels[ds].add(z)
+                    members[z] = ds
+            yield members
+
+
+def level_sets(poset: Poset, S: Sequence, T: Sequence, ell: int) -> List[set]:
+    """L_0..L_ell: z is at level j iff some (s, t) at distance ell has
+    dist(s, z) = j and dist(z, t) = ell - j."""
+    levels: List[set] = [set() for _ in range(ell + 1)]
+    for members in _shortest_path_members(poset, S, T, ell):
+        for z, ds in members.items():
+            levels[ds].add(z)
     return levels
 
 
@@ -210,27 +220,14 @@ def build_cover_graph(poset: Poset, S: Sequence, T: Sequence, ell: int) -> Cover
         raise ValueError("ell must be positive")
     levels: Dict[object, set] = {}
     arcs = set()
-    for s in S:
-        for t in T:
-            if poset.dist(s, t) != ell:
-                continue
-            members = {}
-            for z in poset.between(s, t):
-                ds = poset.dist(s, z)
-                if ds is None:
-                    continue
-                dz = poset.dist(z, t)
-                if dz is not None and ds + dz == ell:
-                    members[z] = ds
-                    levels.setdefault(z, set()).add(ds)
-            for u, du in members.items():
-                for v in poset.up_neighbors(u):
-                    if members.get(v) == du + 1:
-                        arcs.add((u, v))
-    sets = [set() for _ in range(ell + 1)]
-    for z, ls in levels.items():
-        for j in ls:
-            sets[j].add(z)
+    sets: List[set] = [set() for _ in range(ell + 1)]
+    for members in _shortest_path_members(poset, S, T, ell):
+        for u, du in members.items():
+            levels.setdefault(u, set()).add(du)
+            sets[du].add(u)
+            for v in poset.up_neighbors(u):
+                if members.get(v) == du + 1:
+                    arcs.add((u, v))
     return CoverGraph(
         ell,
         {z: tuple(sorted(ls)) for z, ls in levels.items()},

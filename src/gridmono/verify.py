@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import reports
 from .errors import IntegrityError, NotGoodError
@@ -140,11 +140,17 @@ def decomposition_instances(master_seed: int) -> list:
 # ----------------------------------------------------------------------
 # criterion 1: one-sided error
 
+# Walks sampled over every family, shape and instance together, rounded up
+# to a whole number per instance (200,016 in all).
+ONE_SIDED_WALKS = 200_000
+
+
 def check_one_sided(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
     families = ("monotone_threshold", "random_monotone")
     shapes = [(n, d) for n in (2, 4, 8) for d in range(1, 7)]
     instances_per_shape = 2
-    per_instance = math.ceil(100_000 / (len(shapes) * instances_per_shape))
+    per_instance = math.ceil(
+        ONE_SIDED_WALKS / (len(families) * len(shapes) * instances_per_shape))
     rejections = 0
     calls = 0
     for family in families:
@@ -341,37 +347,50 @@ def check_alternating_counts(master_seed: int = DEFAULT_MASTER_SEED) -> CheckRes
 # ----------------------------------------------------------------------
 # criterion 6: fourier suite
 
-def check_fourier_suite(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
+def _transform_defects(rng, tables: int) -> Tuple[float, float]:
+    """Worst Parseval and inverse-transform defects over random +-1 tables on 8^3."""
     import numpy as np
 
-    from .fourier import line_delta_report, sort_comparisons, transform
+    from .fourier import inverse_transform, transform
 
     shape = GridShape(8, 3)
-    rng = derive_rng(master_seed, "parseval")
-    worst = 0.0
-    for _ in range(1000):
-        values = [1 if rng.getrandbits(1) else -1 for _ in range(shape.size)]
+    worst = worst_inv = 0.0
+    for _ in range(tables):
+        values = np.array([1.0 if rng.getrandbits(1) else -1.0 for _ in range(shape.size)])
         spectrum = transform(shape, values)
         worst = max(worst, abs(float(np.sum(spectrum.coeffs ** 2)) - 1.0))
+        worst_inv = max(worst_inv, float(np.max(np.abs(inverse_transform(spectrum) - values))))
+    return worst, worst_inv
+
+
+def _line_failures(n: int) -> Iterator[Tuple[int, str]]:
+    """(mask, reason) for every function on the line [n] that breaks the line
+    inequality, a sorting claim, or the agreement of the coefficient routes."""
+    from .fourier import line_delta_report, sort_comparisons
+
+    line = GridShape(n, 1)
+    for mask in range(1 << n):
+        g = _mask_function(line, mask)
+        try:
+            rep = line_delta_report(g)
+            cmp_rep = sort_comparisons(g)
+        except IntegrityError as exc:
+            yield mask, str(exc)  # the two coefficient routes disagree
+            continue
+        if not rep.inequality_holds:
+            yield mask, "line bound fails"
+        elif not (cmp_rep.delta_sorted_ge and cmp_rep.final_claim_holds):
+            yield mask, "sorting claim fails"
+
+
+def check_fourier_suite(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
+    worst, _ = _transform_defects(derive_rng(master_seed, "parseval"), 1000)
     if worst > 1e-12:
         return CheckResult(6, "fourier-suite", False, f"Parseval defect {worst}")
 
     for n in (8, 16):
-        line = GridShape(n, 1)
-        for mask in range(1 << n):
-            g = _mask_function(line, mask)
-            try:
-                rep = line_delta_report(g)
-                cmp_rep = sort_comparisons(g)
-            except IntegrityError as exc:
-                return CheckResult(6, "fourier-suite", False,
-                                   f"coefficient routes disagree on n={n} mask {mask}: {exc}")
-            if not rep.inequality_holds:
-                return CheckResult(6, "fourier-suite", False,
-                                   f"line bound fails on n={n} mask {mask}")
-            if not cmp_rep.delta_sorted_ge or not cmp_rep.final_claim_holds:
-                return CheckResult(6, "fourier-suite", False,
-                                   f"sorting claim fails on n={n} mask {mask}")
+        for mask, reason in _line_failures(n):
+            return CheckResult(6, "fourier-suite", False, f"{reason} on n={n} mask {mask}")
 
     shape42 = GridShape(4, 2)
     applicable = 0
@@ -576,35 +595,14 @@ def structural_summary(f: BoolFunc) -> List[str]:
 
 def fourier_spot_checks(line_n: int, tables: int, master_seed: int):
     """Parseval, transform self-inverse, and the exhaustive line sweep."""
-    import numpy as np
-
-    from .fourier import inverse_transform, line_delta_report, sort_comparisons, transform
-
-    lines = []
-    ok = True
-    shape = GridShape(8, 3)
-    rng = derive_rng(master_seed, "cli-parseval")
-    worst = 0.0
-    worst_inv = 0.0
-    for _ in range(tables):
-        values = np.array([1.0 if rng.getrandbits(1) else -1.0 for _ in range(shape.size)])
-        spectrum = transform(shape, values)
-        worst = max(worst, abs(float(np.sum(spectrum.coeffs ** 2)) - 1.0))
-        worst_inv = max(worst_inv, float(np.max(np.abs(inverse_transform(spectrum) - values))))
-    lines.append(f"parseval defect {worst:.3e} over {tables} tables (tolerance 1e-12)")
-    lines.append(f"inverse-transform defect {worst_inv:.3e}")
-    ok &= worst <= 1e-12 and worst_inv <= 1e-9
-    line = GridShape(line_n, 1)
-    bad = 0
-    for mask in range(1 << line.size):
-        g = _mask_function(line, mask)
-        rep = line_delta_report(g)
-        cmp_rep = sort_comparisons(g)
-        if not (rep.inequality_holds and cmp_rep.delta_sorted_ge and cmp_rep.final_claim_holds):
-            bad += 1
-    lines.append(f"line sweep n={line_n}: {bad} failures out of {1 << line.size}")
-    ok &= bad == 0
-    return ok, lines
+    worst, worst_inv = _transform_defects(derive_rng(master_seed, "cli-parseval"), tables)
+    bad = sum(1 for _ in _line_failures(line_n))
+    lines = [
+        f"parseval defect {worst:.3e} over {tables} tables (tolerance 1e-12)",
+        f"inverse-transform defect {worst_inv:.3e}",
+        f"line sweep n={line_n}: {bad} failures out of {1 << line_n}",
+    ]
+    return worst <= 1e-12 and worst_inv <= 1e-9 and bad == 0, lines
 
 
 def _main() -> int:

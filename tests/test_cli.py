@@ -123,11 +123,12 @@ def test_config_file(tmp_path, capsys):
     assert len(lines) == 2
     assert lines[1].split(",")[4] == "100"  # trials taken from the file
 
-    # flags override the file
+    # flags override the file, in every form argparse accepts
     out2 = tmp_path / "r2.csv"
-    assert run(["rate", "--config", str(cfg), "--trials", "50", "--out", str(out2)]) == EXIT_OK
-    capsys.readouterr()
-    assert out2.read_text().splitlines()[1].split(",")[4] == "50"
+    for flag in (["--trials", "50"], ["--tri", "50"], ["--trials=50"]):
+        assert run(["rate", "--config", str(cfg), *flag, "--out", str(out2)]) == EXIT_OK
+        capsys.readouterr()
+        assert out2.read_text().splitlines()[1].split(",")[4] == "50", flag
 
 
 def test_config_typed_values(tmp_path, capsys):
@@ -144,3 +145,20 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code = run(["rate", "--config", str(cfg), "--out", "/dev/null"])
     assert code == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_config_rejects_mistyped_values(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[rate]\ntrials = x\n")
+    code = run(["rate", "--config", str(cfg), "--out", "/dev/null"])
+    assert code == EXIT_USAGE
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_config_rejects_malformed_files(tmp_path, capsys):
+    # no section header; a bare % that interpolation cannot parse
+    for text in ("trials = 5\n", "[rate]\nout = a%b.csv\n"):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert run(["rate", "--config", str(cfg), "--out", "/dev/null"]) == EXIT_USAGE, text
+        assert "bad config file" in capsys.readouterr().err

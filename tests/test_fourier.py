@@ -107,14 +107,17 @@ def test_transform_self_inverse(rng):
 
 
 def test_transform_exact_self_inverse(rng):
-    from gridmono.fourier import fwht_inplace
-
     shape = GridShape(8, 2)
     values = [rng.getrandbits(1) for _ in range(shape.size)]
     spectrum = transform_exact(shape, values)
-    recovered = list(spectrum)
-    fwht_inplace(recovered)
+    recovered = [c * shape.size for c in transform_exact(shape, spectrum)]
     assert recovered == values  # Fraction arithmetic, bit for bit
+
+
+def test_transform_exact_fraction_table(rng):
+    shape = GridShape(4, 2)
+    values = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(shape.size)]
+    assert transform_exact(shape, values) == naive_transform(shape, values)
 
 
 def test_fact_mean_of_characters():

@@ -145,6 +145,14 @@ def test_table_capacity_guard():
         assert kind in str(exc.value) and str(big.size) in str(exc.value)
 
 
+def test_table_checks_predicate_bits():
+    f = BoolFunc.from_predicate(GridShape(2, 2), lambda x: 2)
+    with pytest.raises(ValueError):
+        f.table()
+    with pytest.raises(ValueError):
+        brute_force_distance(f)
+
+
 def test_table_does_not_count_queries():
     f = BoolFunc.from_predicate(GridShape(4, 1), lambda x: 0)
     f.table()

@@ -20,6 +20,7 @@ from gridmono.grid import (
     classify_in_matching,
     compare,
     directed_distance,
+    dominates,
     enumerate_augmented_edges,
     enumerate_matching,
     linear_index,
@@ -28,6 +29,7 @@ from gridmono.grid import (
     point_of,
     points,
     side_in_matching,
+    unit_steps,
 )
 
 SMALL_SHAPES = [GridShape(2, 1), GridShape(2, 3), GridShape(4, 1),
@@ -170,6 +172,22 @@ def test_edge_counts():
     assert num_augmented_edges(GridShape(4, 2)) == 40
     for shape in SMALL_SHAPES + [GridShape(3, 2), GridShape(5, 1)]:
         assert sum(1 for _ in enumerate_augmented_edges(shape)) == num_augmented_edges(shape)
+
+
+def test_unit_steps_are_the_unit_edges(rng):
+    for shape in SMALL_SHAPES + [GridShape(3, 2), GridShape(5, 3)]:
+        pairs = list(unit_steps(shape))
+        expected = {(linear_index(shape, x), linear_index(shape, x[:k] + (x[k] + 1,) + x[k + 1:]))
+                    for x in points(shape) for k in range(shape.d) if x[k] + 1 < shape.n}
+        assert len(pairs) == len(expected) and set(pairs) == expected
+        # the order lets one pass of table[lo] -> table[hi] close a table upward
+        pts = list(points(shape))
+        seeds = [rng.random() < 0.2 for _ in pts]
+        table = list(seeds)
+        for lo, hi in pairs:
+            if table[lo]:
+                table[hi] = True
+        assert table == [any(seeds[i] for i, x in enumerate(pts) if dominates(y, x)) for y in pts]
 
 
 def test_aug_edge_invariant():

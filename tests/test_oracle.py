@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridmono.errors import CapacityError
 from gridmono.func import BoolFunc, generate
@@ -179,6 +181,21 @@ def test_influence_identities(rng):
             assert rep.I_minus > 0 and rep.gamma_minus > 0
         else:
             assert rep.I_minus == 0
+
+
+# Every grid of at most 256 points: the shape tables of a 4096-point grid
+# take tens of seconds to enumerate, per shape, too slow for a sampled test.
+SMALL_SHAPES = [GridShape(n, d) for n in range(2, 257) for d in range(1, 9) if n ** d <= 256]
+
+
+@given(shape=st.sampled_from(SMALL_SHAPES), data=st.data())
+def test_influence_report_matches_distance_oracle(shape, data):
+    table = data.draw(st.lists(st.integers(0, 1), min_size=shape.size, max_size=shape.size))
+    f = BoolFunc.from_table(shape, table)
+    rep = influence_report(f)
+    dist = distance_to_monotonicity(f)
+    assert rep.eps == dist.eps
+    assert rep.matching_size == len(dist.matching)
 
 
 def test_module_regression_minima():

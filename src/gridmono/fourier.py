@@ -155,54 +155,38 @@ class LineDeltaReport:
     I_minus: Fraction
     e1_coeff: Fraction
     inequality_holds: bool
+    delta_sorted_ge: bool       # sorting the line does not shrink delta_I
+    final_claim_holds: bool     # sorting shifts -e1 up by at most 4 I_minus
 
 
-def _line_influences(g: BoolFunc) -> Tuple[Fraction, Fraction, Fraction]:
+def _line_terms(g: BoolFunc) -> Tuple[Fraction, Fraction, Fraction]:
+    """delta_I, I_minus and the longest-matching coefficient e1 of a line."""
     from .oracle import violated_aug_edges
 
     s_minus, s_plus = violated_aug_edges(g)
     n = g.shape.size
-    return (Fraction(len(s_plus) + len(s_minus), n),
-            Fraction(len(s_plus), n),
-            Fraction(len(s_minus), n))
+    return (Fraction(len(s_plus) - len(s_minus), n),
+            Fraction(len(s_minus), n),
+            edge_coefficient(g, 0, g.shape.bits - 1))
 
 
 def line_delta_report(g: BoolFunc) -> LineDeltaReport:
     """Signed influence of a line against its longest-matching coefficient.
 
-    Checks delta_I <= log2(n) * (4 I_minus - e1) exactly.
+    Checks delta_I <= log2(n) * (4 I_minus - e1) exactly, and compares g
+    with its sorted line: sorting never shrinks delta_I and shifts e1 by at
+    most 4 I_minus.
     """
     shape = g.shape
     if shape.d != 1 or not shape.is_pow2() or shape.n < 4:
         raise ValueError("needs a line with n a power of 2, n >= 4")
-    _, I_plus, I_minus = _line_influences(g)
-    delta = I_plus - I_minus
-    e1 = edge_coefficient(g, 0, shape.bits - 1)
-    holds = delta <= shape.bits * (4 * I_minus - e1)
-    return LineDeltaReport(delta, I_minus, e1, holds)
-
-
-@dataclass(frozen=True)
-class SortComparisonReport:
-    delta_sorted_ge: bool
-    final_claim_holds: bool
-
-
-def sort_comparisons(g: BoolFunc) -> SortComparisonReport:
-    """Sorting a line never shrinks delta_I and shifts e1 by at most 4 I_minus."""
-    shape = g.shape
-    if shape.d != 1 or not shape.is_pow2() or shape.n < 4:
-        raise ValueError("needs a line with n a power of 2, n >= 4")
-    sorted_g = sort_line(g)
-    _, I_plus, I_minus = _line_influences(g)
-    _, sp, sm = _line_influences(sorted_g)
-    delta = I_plus - I_minus
-    delta_sorted = sp - sm
-    e1 = edge_coefficient(g, 0, shape.bits - 1)
-    e1_sorted = edge_coefficient(sorted_g, 0, shape.bits - 1)
-    return SortComparisonReport(
-        delta_sorted >= delta,
-        -e1_sorted <= -e1 + 4 * I_minus,
+    delta, I_minus, e1 = _line_terms(g)
+    delta_sorted, _, e1_sorted = _line_terms(sort_line(g))
+    return LineDeltaReport(
+        delta, I_minus, e1,
+        inequality_holds=delta <= shape.bits * (4 * I_minus - e1),
+        delta_sorted_ge=delta_sorted >= delta,
+        final_claim_holds=-e1_sorted <= -e1 + 4 * I_minus,
     )
 
 

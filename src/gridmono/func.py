@@ -109,21 +109,20 @@ class BoolFunc:
     def __call__(self, x: Point) -> int:
         return self.eval(x)
 
-    def table(self, capacity: int = DEFAULT_TABLE_CAPACITY) -> list:
+    def table(self) -> list:
         """The dense bit table, materializing a predicate if small enough.
 
         Does not touch the query counter; this is oracle access, not querying.
         """
         if self._table is not None:
             return list(self._table)
-        if self.shape.size > capacity:
-            raise CapacityError("materializing a predicate", self.shape.size, capacity)
+        _check_table_capacity(self.shape, "materializing a predicate")
         return [self._call_predicate(point_of(self.shape, i)) for i in range(self.shape.size)]
 
 
-def is_monotone(f: BoolFunc, capacity: int = DEFAULT_TABLE_CAPACITY) -> bool:
+def is_monotone(f: BoolFunc) -> bool:
     """Exact check over the unit-step grid edges (sufficient by transitivity)."""
-    table = f.table(capacity)
+    table = f.table()
     for lo, hi in unit_steps(f.shape):
         if table[lo] > table[hi]:
             return False

@@ -217,21 +217,8 @@ def enumerate_matching(shape: GridShape, m: MatchingId) -> list:
     """All edges of the matching m, lower endpoint first."""
     check_matching_id(shape, m)
     s = m.step
-    if m.parity == 0:
-        lowers = [v for v in range(shape.n) if v % (2 * s) < s]
-    else:
-        lowers = [v for v in range(shape.n) if v % (2 * s) >= s and v + s <= shape.n - 1]
-    edges = []
-    other_dims = [i for i in range(shape.d) if i != m.dim]
-    for rest in itertools.product(range(shape.n), repeat=len(other_dims)):
-        base = [0] * shape.d
-        for i, v in zip(other_dims, rest):
-            base[i] = v
-        for v in lowers:
-            base[m.dim] = v
-            lo = tuple(base)
-            edges.append(AugEdge(lo, _with_coord(lo, m.dim, v + s), m))
-    return edges
+    return [AugEdge(lo, hi, m) for lo, hi in _axis_edges(shape, m.dim, s)
+            if (lo[m.dim] % (2 * s) >= s) == m.parity]
 
 
 def steps(shape: GridShape) -> list:
@@ -244,6 +231,21 @@ def steps(shape: GridShape) -> list:
     return out
 
 
+def _axis_edges(shape: GridShape, dim: int, s: int) -> Iterator[tuple]:
+    """(lo, hi) points of every step-s edge along dim: the other coordinates
+    in itertools.product order, lo's coordinate increasing within each."""
+    other_dims = [i for i in range(shape.d) if i != dim]
+    for rest in itertools.product(range(shape.n), repeat=len(other_dims)):
+        base = [0] * shape.d
+        for i, v in zip(other_dims, rest):
+            base[i] = v
+        for v in range(shape.n - s):
+            base[dim] = v
+            lo = tuple(base)
+            base[dim] = v + s
+            yield lo, tuple(base)
+
+
 def enumerate_augmented_edges(shape: GridShape) -> Iterator[AugEdge]:
     """Every augmented edge, each tagged with the matching that owns it.
 
@@ -252,16 +254,9 @@ def enumerate_augmented_edges(shape: GridShape) -> Iterator[AugEdge]:
     """
     for dim in range(shape.d):
         for exp, s in enumerate(steps(shape)):
-            other_dims = [i for i in range(shape.d) if i != dim]
-            for rest in itertools.product(range(shape.n), repeat=len(other_dims)):
-                base = [0] * shape.d
-                for i, v in zip(other_dims, rest):
-                    base[i] = v
-                for v in range(shape.n - s):
-                    parity = 0 if v % (2 * s) < s else 1
-                    base[dim] = v
-                    lo = tuple(base)
-                    yield AugEdge(lo, _with_coord(lo, dim, v + s), MatchingId(dim, exp, parity))
+            ids = (MatchingId(dim, exp, 0), MatchingId(dim, exp, 1))
+            for lo, hi in _axis_edges(shape, dim, s):
+                yield AugEdge(lo, hi, ids[lo[dim] % (2 * s) >= s])
 
 
 def num_augmented_edges(shape: GridShape) -> int:

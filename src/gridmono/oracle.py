@@ -21,7 +21,6 @@ from .grid import (
     AugEdge,
     GridShape,
     directed_distance,
-    dominates,
     enumerate_augmented_edges,
     linear_index,
     points,
@@ -48,11 +47,17 @@ def shape_tables(shape: GridShape) -> ShapeTables:
     if shape.size > ORACLE_CAPACITY:
         raise CapacityError("exact-oracle shape tables", shape.size, ORACLE_CAPACITY)
     pts = tuple(points(shape))
+    # one row of the dominance relation at a time: an N x N matrix would
+    # hold 16M gaps at the 4096-point cap
+    coords = np.array(pts, dtype=np.int64).reshape(len(pts), shape.d)
+    popcount = np.array([v.bit_count() for v in range(shape.n)], dtype=np.int64)
     comparable = []
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            if i != j and dominates(y, x):
-                comparable.append((i, j, directed_distance(shape, x, y)))
+    for i in range(len(pts)):
+        gap = coords - coords[i]
+        above = np.flatnonzero((gap >= 0).all(axis=1))
+        above = above[above != i]
+        dist = popcount[gap[above]].sum(axis=1)
+        comparable.extend(zip([i] * len(above), above.tolist(), dist.tolist()))
     aug = tuple(
         (linear_index(shape, e.lower), linear_index(shape, e.upper), e)
         for e in enumerate_augmented_edges(shape))
@@ -134,16 +139,27 @@ def violation_graph(f: BoolFunc) -> ViolationGraph:
     return ViolationGraph(ones, zeros, arcs)
 
 
-def _max_matching(vg: ViolationGraph) -> Tuple[int, List[int]]:
-    """Hopcroft-Karp on the violation graph: size, and for each 1-point (by
-    position in vg.ones) the position in vg.zeros of its partner, or -1."""
-    one_pos = {idx: k for k, idx in enumerate(vg.ones)}
-    zero_pos = {idx: k for k, idx in enumerate(vg.zeros)}
-    adj: List[List[int]] = [[] for _ in vg.ones]
-    for i, j, _ in vg.arcs:
-        adj[one_pos[i]].append(zero_pos[j])
-    size, match_l, _ = hopcroft_karp(adj, len(vg.zeros))
-    return size, match_l
+def _max_matching(table: list, arcs) -> List[Tuple[int, int]]:
+    """Hopcroft-Karp over arcs (one_index, zero_index, ...) in the order given.
+
+    Returns the matched (one_index, zero_index) pairs in increasing
+    one_index.  Points without arcs stay unmatched and do not change which
+    matching is found.
+    """
+    one_pos: dict = {}
+    zero_pos: dict = {}
+    for idx, b in enumerate(table):
+        side = one_pos if b else zero_pos
+        side[idx] = len(side)
+    adj: List[List[int]] = [[] for _ in one_pos]
+    for arc in arcs:
+        adj[one_pos[arc[0]]].append(zero_pos[arc[1]])
+    size, match_l, _ = hopcroft_karp(adj, len(zero_pos))
+    zeros = list(zero_pos)
+    pairs = [(one, zeros[v]) for one, v in zip(one_pos, match_l) if v != -1]
+    if len(pairs) != size:
+        raise IntegrityError("matching size mismatch")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -160,14 +176,9 @@ def distance_to_monotonicity(f: BoolFunc) -> DistanceReport:
     brute_force_distance rather than assumed blindly.
     """
     vg = violation_graph(f)
-    st = shape_tables(f.shape)
-    size, match_l = _max_matching(vg)
-    pairs = tuple(
-        (st.points[vg.ones[u]], st.points[vg.zeros[v]])
-        for u, v in enumerate(match_l) if v != -1)
-    if len(pairs) != size:
-        raise IntegrityError("matching size mismatch")
-    return DistanceReport(Fraction(size, f.shape.size), pairs)
+    pts = shape_tables(f.shape).points
+    pairs = tuple((pts[i], pts[j]) for i, j in _max_matching(f.table(), vg.arcs))
+    return DistanceReport(Fraction(len(pairs), f.shape.size), pairs)
 
 
 @lru_cache(maxsize=32)
@@ -221,20 +232,10 @@ def gamma_minus(f: BoolFunc) -> GammaReport:
     st = shape_tables(f.shape)
     violated = [(lo, hi, e) for lo, hi, e in st.aug_edges
                 if table[lo] and not table[hi]]
-    lows = sorted({lo for lo, _, _ in violated})
-    highs = sorted({hi for _, hi, _ in violated})
-    low_pos = {idx: k for k, idx in enumerate(lows)}
-    high_pos = {idx: k for k, idx in enumerate(highs)}
-    adj: List[List[int]] = [[] for _ in lows]
-    edge_of = {}
-    for lo, hi, e in violated:
-        adj[low_pos[lo]].append(high_pos[hi])
-        edge_of[(low_pos[lo], high_pos[hi])] = e
-    size, match_l, _ = hopcroft_karp(adj, len(highs))
-    witness = tuple(edge_of[(u, v)] for u, v in enumerate(match_l) if v != -1)
-    if len(witness) != size:
-        raise IntegrityError("gamma witness size mismatch")
-    return GammaReport(Fraction(size, f.shape.size), witness)
+    # an augmented edge is fixed by its endpoints
+    edge_of = {(lo, hi): e for lo, hi, e in violated}
+    witness = tuple(edge_of[pair] for pair in _max_matching(table, violated))
+    return GammaReport(Fraction(len(witness), f.shape.size), witness)
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,7 @@ def optimal_matching(f: BoolFunc) -> OptimalMatchingReport:
         pairs.append((x, y))
         total += dist
         psi += dist * dist
-    expected, _ = _max_matching(vg)
+    expected = len(_max_matching(f.table(), vg.arcs))
     if len(pairs) != expected:
         raise IntegrityError(
             f"assignment kept {len(pairs)} pairs, maximum matching has {expected}")

@@ -52,15 +52,15 @@ def rate_rows(shapes: Sequence[Tuple[int, int]], families: Sequence[str], trials
 
 
 def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
-                      exhaustive_limit: int = 16, samples: int = 1000) -> List[str]:
-    """One row per eps-far function: exhaustive when 2^(n^d) is small, sampled above."""
+                      samples: int = 1000) -> List[str]:
+    """One row per eps-far function: all 2^(n^d) when n^d <= 16, sampled above."""
     rows = []
     for n, d in shapes:
         shape = GridShape(n, d)
         size = shape.size
         if size > ORACLE_CAPACITY:
             raise CapacityError("isoperimetry sweep", size, ORACLE_CAPACITY)
-        if size <= exhaustive_limit:
+        if size <= 16:
             masks = range(1 << size)
         else:
             rng = derive_rng(master_seed, f"iso:{n}:{d}")

@@ -33,7 +33,6 @@ from .grid import (
     GridShape,
     MatchingId,
     classify_in_matching,
-    enumerate_augmented_edges,
     linear_index,
     num_augmented_edges,
     point_of,
@@ -363,10 +362,11 @@ def amplified_test(f: BoolFunc, eps: float, calibration: float = DEFAULT_CALIBRA
     return TesterVerdict(True, rounds, total_queries, tally.stats())
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """95% score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054  # two-sided 95% normal quantile
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -464,9 +464,6 @@ def exact_rejection_probability(f: BoolFunc) -> Fraction:
 
 def exact_edge_rejection_probability(f: BoolFunc) -> Fraction:
     """Violated fraction of the augmented edge set (edge_test's reject rate)."""
-    shape = f.shape
-    table = f.table()
-    violated = sum(
-        1 for e in enumerate_augmented_edges(shape)
-        if table[linear_index(shape, e.lower)] > table[linear_index(shape, e.upper)])
-    return Fraction(violated, num_augmented_edges(shape))
+    from .oracle import violated_aug_edges  # not at import: oracle loads scipy
+
+    return Fraction(len(violated_aug_edges(f)[0]), num_augmented_edges(f.shape))

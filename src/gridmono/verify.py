@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import reports
-from .errors import IntegrityError, NotGoodError
+from .errors import CapacityError, IntegrityError, NotGoodError
 from .func import BoolFunc, generate, is_monotone
 from .grid import GridShape, directed_distance, matching_ids
 from .oracle import (
@@ -82,16 +82,19 @@ _SWEEPS: Dict[Tuple[int, int], List[SweepRow]] = {}
 _INSTANCES: Dict[int, list] = {}
 
 
+def _mask_function(shape: GridShape, mask: int) -> BoolFunc:
+    return BoolFunc.from_table(shape, [(mask >> k) & 1 for k in range(shape.size)])
+
+
 def full_sweep(n: int, d: int) -> List[SweepRow]:
     """Every function on the (n, d) grid: distance both ways plus ratios."""
     key = (n, d)
     if key in _SWEEPS:
         return _SWEEPS[key]
     shape = GridShape(n, d)
-    size = shape.size
     rows = []
-    for mask in range(1 << size):
-        f = BoolFunc.from_table(shape, [(mask >> k) & 1 for k in range(size)])
+    for mask in range(1 << shape.size):
+        f = _mask_function(shape, mask)
         report = isoperimetry_report(f)
         rows.append(SweepRow(
             mask,
@@ -103,10 +106,6 @@ def full_sweep(n: int, d: int) -> List[SweepRow]:
         ))
     _SWEEPS[key] = rows
     return rows
-
-
-def _mask_function(shape: GridShape, mask: int) -> BoolFunc:
-    return BoolFunc.from_table(shape, [(mask >> k) & 1 for k in range(shape.size)])
 
 
 def decomposition_instances(master_seed: int) -> list:
@@ -242,6 +241,14 @@ def _violated_edge_on(f: BoolFunc, path: tuple) -> bool:
     return any(f.eval(u) == 1 and f.eval(v) == 0 for u, v in zip(path, path[1:]))
 
 
+def _pairs_by_distance(shape: GridShape, pairs: tuple) -> List[Tuple[int, list]]:
+    """Matched pairs grouped by directed distance, shortest distance first."""
+    by_dist: Dict[int, list] = {}
+    for x, y in pairs:
+        by_dist.setdefault(directed_distance(shape, x, y), []).append((x, y))
+    return sorted(by_dist.items())
+
+
 def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
     from .structure import (
         GridPoset,
@@ -260,10 +267,7 @@ def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> Check
         for shape, mask, f, mstar in decomposition_instances(master_seed):
             poset = posets.setdefault(shape, GridPoset(shape))
             gamma_count = len(gamma_minus(f).witness)
-            by_dist: Dict[int, list] = {}
-            for x, y in mstar.pairs:
-                by_dist.setdefault(directed_distance(shape, x, y), []).append((x, y))
-            for ell, pairs in sorted(by_dist.items()):
+            for ell, pairs in _pairs_by_distance(shape, mstar.pairs):
                 parts = conflict_free_decompose(poset, pairs, ell)
                 got_s = sorted(s for cp in parts for s in cp.S)
                 got_t = sorted(t for cp in parts for t in cp.T)
@@ -366,20 +370,24 @@ def _transform_defects(rng, tables: int) -> Tuple[float, float]:
 def _line_failures(n: int) -> Iterator[Tuple[int, str]]:
     """(mask, reason) for every function on the line [n] that breaks the line
     inequality, a sorting claim, or the agreement of the coefficient routes."""
-    from .fourier import line_delta_report, sort_comparisons
+    from .fourier import line_delta_report
 
+    # [16] is criterion 6's longest line, and its 2^16 functions take
+    # seconds; the 2^32 of [32] would take days.  The limit is on n, so an
+    # absurd n never builds 2^n.
+    if n > 16:
+        raise CapacityError("line sweep", n, 16)
     line = GridShape(n, 1)
     for mask in range(1 << n):
         g = _mask_function(line, mask)
         try:
             rep = line_delta_report(g)
-            cmp_rep = sort_comparisons(g)
         except IntegrityError as exc:
             yield mask, str(exc)  # the two coefficient routes disagree
             continue
         if not rep.inequality_holds:
             yield mask, "line bound fails"
-        elif not (cmp_rep.delta_sorted_ge and cmp_rep.final_claim_holds):
+        elif not (rep.delta_sorted_ge and rep.final_claim_holds):
             yield mask, "sorting claim fails"
 
 
@@ -459,20 +467,19 @@ def check_reduction(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
 # ----------------------------------------------------------------------
 # criterion 8: calibrated detection
 
-def derive_calibration(master_seed: int = DEFAULT_MASTER_SEED,
-                       pilot_trials: int = 4000) -> float:
+def derive_calibration(master_seed: int = DEFAULT_MASTER_SEED) -> float:
     """Recompute the frozen calibration constant from the pilot sweep.
 
-    For each pilot configuration, the per-invocation rejection rate's Wilson
-    lower bound dictates how many repetitions push one run to >= 0.9
-    rejection probability; the constant is the largest implied multiple of
-    the repetition formula, padded 25%.
+    For each pilot configuration, the Wilson lower bound of the rejection
+    rate over 4000 single walks dictates how many repetitions push one run
+    to >= 0.9 rejection probability; the constant is the largest implied
+    multiple of the repetition formula, padded 25%.
     """
     worst = 0.0
     for family, n, d in PILOT_GRID:
         shape = GridShape(n, d)
         f = generate(family, shape, seed=derive_seed(master_seed, f"pilot-fn:{family}:{n}:{d}"))
-        rate = detection_rate(f, pilot_trials,
+        rate = detection_rate(f, 4000,
                               derive_rng(master_seed, f"pilot:{family}:{n}:{d}"))
         if rate.wilson_low <= 0:
             raise IntegrityError(f"pilot rate not separated from zero for {family} {n}x{d}")
@@ -583,10 +590,7 @@ def structural_summary(f: BoolFunc) -> List[str]:
         return ["function is monotone: empty violation matching"]
     poset = GridPoset(shape)
     lines = [f"|M*|={len(mstar.pairs)} r={mstar.r} psi={mstar.psi}"]
-    by_dist: Dict[int, list] = {}
-    for x, y in mstar.pairs:
-        by_dist.setdefault(directed_distance(shape, x, y), []).append((x, y))
-    for ell, pairs in sorted(by_dist.items()):
+    for ell, pairs in _pairs_by_distance(shape, mstar.pairs):
         parts = conflict_free_decompose(poset, pairs, ell)
         paths = sum(len(route_disjoint_paths(poset, cp)) for cp in parts)
         lines.append(f"i={ell}: |M*_i|={len(pairs)} good_pairs={len(parts)} disjoint_paths={paths}")

@@ -1,7 +1,12 @@
 """CLI behavior: exit codes, report files, config handling."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import gridmono
 from gridmono.cli import EXIT_CAPACITY, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from gridmono.func import generate, save
 from gridmono.grid import GridShape
@@ -104,6 +109,19 @@ def test_fourier_subcommand(capsys):
     assert run(["fourier", "--line-n", "8", "--tables", "20"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "parseval" in out and "0 failures" in out
+
+
+def test_fourier_line_sweep_capacity_exit():
+    # 2^32 line functions would run for days; in a subprocess with a timeout,
+    # so that a missing guard fails this test instead of hanging the suite
+    env = dict(os.environ)
+    src = str(Path(gridmono.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridmono.cli", "fourier", "--line-n", "32", "--tables", "1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CAPACITY, proc.stderr
+    assert "line sweep" in proc.stderr and "32" in proc.stderr
 
 
 def test_usage_errors(capsys):

@@ -12,7 +12,6 @@ from gridmono.fourier import (
     edge_coefficient,
     inverse_transform,
     line_delta_report,
-    sort_comparisons,
     transform,
     transform_exact,
     unit_coefficients,
@@ -179,15 +178,15 @@ def test_line_sweep_n8_exhaustive():
     shape = GridShape(8, 1)
     for mask in range(1 << 8):
         g = mask_function(shape, mask)
-        assert line_delta_report(g).inequality_holds, mask
-        rep = sort_comparisons(g)
+        rep = line_delta_report(g)
+        assert rep.inequality_holds, mask
         assert rep.delta_sorted_ge and rep.final_claim_holds, mask
 
 
 def test_sort_comparisons_monotone_fixed_point():
     shape = GridShape(8, 1)
     g = BoolFunc.from_table(shape, [0, 0, 0, 1, 1, 1, 1, 1])
-    rep = sort_comparisons(g)
+    rep = line_delta_report(g)
     assert rep.delta_sorted_ge and rep.final_claim_holds
 
 
@@ -195,7 +194,7 @@ def test_validation():
     with pytest.raises(ValueError):
         line_delta_report(BoolFunc.from_table(GridShape(2, 1), [0, 1]))
     with pytest.raises(ValueError):
-        sort_comparisons(generate("anti_slab", GridShape(4, 2)))
+        line_delta_report(generate("anti_slab", GridShape(4, 2)))
     with pytest.raises(ValueError):
         transform(GridShape(3, 1), [0.0, 1.0, 0.0])
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, IntegrityError
 from .func import BoolFunc, sort_line
-from .grid import GridShape, MatchingId, Point, check_point, enumerate_matching, linear_index
+from .grid import GridShape, MatchingId, Point, _matching_edges, check_point, linear_index
 
 TRANSFORM_CAPACITY = 1 << 22
 
@@ -129,19 +129,15 @@ def edge_coefficient(f: BoolFunc, dim: int, bit: int) -> Fraction:
     A mismatch means the side convention broke, which is unrecoverable.
     """
     shape = f.shape
-    mid = MatchingId(dim, bit, 0)
     table = f.table()
     mask = 1 << bit
+    stride = shape.n ** dim
     total = 0
     for idx, b in enumerate(table):
-        if not b:
-            continue
-        coord = (idx // shape.n ** dim) % shape.n
-        total += -1 if coord & mask else 1
+        if b:
+            total += -1 if (idx // stride) % shape.n & mask else 1
     by_expectation = Fraction(total, shape.size)
-    diff = 0
-    for e in enumerate_matching(shape, mid):
-        diff += table[linear_index(shape, e.lower)] - table[linear_index(shape, e.upper)]
+    diff = sum(table[lo] - table[hi] for lo, hi in _matching_edges(shape, MatchingId(dim, bit, 0)))
     by_matching = Fraction(diff, shape.size)
     if by_expectation != by_matching:
         raise IntegrityError(

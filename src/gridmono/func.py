@@ -60,6 +60,14 @@ class BoolFunc:
         return cls(shape, table=table)
 
     @classmethod
+    def from_mask(cls, shape: GridShape, mask: int) -> "BoolFunc":
+        """The table whose value at linear index k is bit k of mask."""
+        _check_table_capacity(shape, "dense table")
+        if not 0 <= mask < 1 << shape.size:
+            raise ValueError(f"mask {mask} out of range [0, 2^{shape.size})")
+        return cls(shape, table=[(mask >> k) & 1 for k in range(shape.size)])
+
+    @classmethod
     def from_predicate(cls, shape: GridShape, predicate: Callable[[Point], int]) -> "BoolFunc":
         return cls(shape, predicate=predicate)
 
@@ -248,10 +256,9 @@ def _check_table_capacity(shape: GridShape, operation: str) -> None:
 
 def _tabulate_or_wrap(shape: GridShape, pred: Callable[[Point], int],
                       batch: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> BoolFunc:
-    if shape.size <= TABULATE_THRESHOLD:
-        return BoolFunc.from_table(
-            shape, [pred(point_of(shape, i)) for i in range(shape.size)])
     f = BoolFunc.from_predicate(shape, pred)
+    if shape.size <= TABULATE_THRESHOLD:
+        return BoolFunc.from_table(shape, f.table())
     f._batch = batch
     return f
 
@@ -286,32 +293,35 @@ def save(f: BoolFunc, sink) -> None:
 
 
 def load(source) -> BoolFunc:
-    """Read a function file written by save(); strict about sizes and padding."""
+    """Read a function file written by save(); strict about sizes and padding.
+
+    The header is read and the table capacity checked before any of the
+    payload is read.
+    """
     if isinstance(source, (str, bytes)):
         with open(source, "rb") as fh:
-            data = fh.read()
-    else:
-        data = source.read()
-    if len(data) < len(MAGIC) + 16:
+            return load(fh)
+    header = source.read(len(MAGIC) + 16)
+    if len(header) < len(MAGIC) + 16:
         raise FormatError("truncated header")
-    if data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}")
-    n = int.from_bytes(data[4:12], "little")
-    d = int.from_bytes(data[12:20], "little")
+    if header[:4] != MAGIC:
+        raise FormatError(f"bad magic {header[:4]!r}")
+    n = int.from_bytes(header[4:12], "little")
+    d = int.from_bytes(header[12:20], "little")
     try:
         shape = GridShape(n, d)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    _check_table_capacity(shape, "loading a function file")
     size = shape.size
-    payload = data[20:]
+    payload = source.read()
     expected = (size + 7) // 8
     if len(payload) != expected:
         raise FormatError(f"payload has {len(payload)} bytes, expected {expected}")
-    table = [(payload[k // 8] >> (k % 8)) & 1 for k in range(size)]
-    for k in range(size, expected * 8):
-        if (payload[k // 8] >> (k % 8)) & 1:
-            raise FormatError("nonzero padding bits")
-    return BoolFunc.from_table(shape, table)
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
+    if bits[size:].any():
+        raise FormatError("nonzero padding bits")
+    return BoolFunc.from_table(shape, bits[:size].tolist())
 
 
 def dumps(f: BoolFunc) -> bytes:

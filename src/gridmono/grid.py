@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 # compare() outcomes
@@ -133,12 +134,7 @@ def unit_steps(shape: GridShape) -> Iterator[tuple]:
     Dimension by dimension, and within a dimension in increasing lo, so one
     in-order pass of "if table[lo]: table[hi] = 1" closes a table upward.
     """
-    stride = 1
-    for _ in range(shape.d):
-        period = stride * shape.n
-        for base in range(0, shape.size, period):
-            yield from zip(range(base, base + period - stride), range(base + stride, base + period))
-        stride = period
+    return itertools.chain.from_iterable(_step_edges(shape, dim, 1) for dim in range(shape.d))
 
 
 def compare(x: Point, y: Point) -> str:
@@ -194,11 +190,7 @@ def side_in_matching(shape: GridShape, x: Point, m: MatchingId) -> str:
     reports as unmatched.  This is the side notion used for pair
     classification and the pair potential.
     """
-    s = m.step
-    r = x[m.dim] % (2 * s)
-    if m.parity == 0:
-        return LOWER if r < s else UPPER
-    return LOWER if r >= s else UPPER
+    return LOWER if _parity(x[m.dim], m.step) == m.parity else UPPER
 
 
 def _with_coord(x: Point, dim: int, v: int) -> Point:
@@ -215,35 +207,66 @@ def matching_ids(shape: GridShape) -> Iterator[MatchingId]:
 
 def enumerate_matching(shape: GridShape, m: MatchingId) -> list:
     """All edges of the matching m, lower endpoint first."""
+    return [AugEdge(point_of(shape, lo), point_of(shape, hi), m)
+            for lo, hi in _matching_edges(shape, m)]
+
+
+def _matching_edges(shape: GridShape, m: MatchingId) -> list:
+    """(lo, hi) linear indices of the edges of the matching m, in increasing lo."""
     check_matching_id(shape, m)
-    s = m.step
-    return [AugEdge(lo, hi, m) for lo, hi in _axis_edges(shape, m.dim, s)
-            if (lo[m.dim] % (2 * s) >= s) == m.parity]
+    return [(lo, hi) for lo, hi, owner in _tagged_edges(shape, m.dim, m.exp)
+            if owner.parity == m.parity]
 
 
 def steps(shape: GridShape) -> list:
     """Allowed step lengths: powers of two that fit on one axis."""
-    out = []
-    s = 1
-    while s <= shape.n - 1:
-        out.append(s)
-        s *= 2
-    return out
+    return [1 << exp for exp in range((shape.n - 1).bit_length())]
 
 
-def _axis_edges(shape: GridShape, dim: int, s: int) -> Iterator[tuple]:
-    """(lo, hi) points of every step-s edge along dim: the other coordinates
-    in itertools.product order, lo's coordinate increasing within each."""
-    other_dims = [i for i in range(shape.d) if i != dim]
-    for rest in itertools.product(range(shape.n), repeat=len(other_dims)):
-        base = [0] * shape.d
-        for i, v in zip(other_dims, rest):
-            base[i] = v
-        for v in range(shape.n - s):
-            base[dim] = v
-            lo = tuple(base)
-            base[dim] = v + s
-            yield lo, tuple(base)
+def _step_edges(shape: GridShape, dim: int, s: int) -> Iterator[tuple]:
+    """(lo, hi) linear indices of every step-s edge along dim, in increasing lo:
+    each block of n^(dim+1) indices joins its first (n - s) n^dim to s n^dim above."""
+    stride = shape.n ** dim
+    span, jump = (shape.n - s) * stride, s * stride
+    return itertools.chain.from_iterable(
+        zip(range(base, base + span), range(base + jump, base + jump + span))
+        for base in range(0, shape.size, stride * shape.n))
+
+
+def _parity(v: int, s: int) -> int:
+    """Parity of the matching owning a step-s edge whose lower end has v along its axis."""
+    return int(v % (2 * s) >= s)
+
+
+def _tagged_edges(shape: GridShape, dim: int, exp: int) -> Iterator[tuple]:
+    """(lo, hi, owning MatchingId) of every step-2^exp edge along dim."""
+    s, stride = 1 << exp, shape.n ** dim
+    ids = (MatchingId(dim, exp, 0), MatchingId(dim, exp, 1))
+    return ((lo, hi, ids[_parity(lo // stride % shape.n, s)])
+            for lo, hi in _step_edges(shape, dim, s))
+
+
+def _aug_edges(shape: GridShape) -> Iterator[tuple]:
+    """(lo, hi, MatchingId) of every augmented edge, by dimension, then step, then lo."""
+    exps = range(len(steps(shape)))
+    return itertools.chain.from_iterable(
+        _tagged_edges(shape, dim, exp) for dim in range(shape.d) for exp in exps)
+
+
+def _aug_edge_at(shape: GridShape, r: int) -> tuple:
+    """Edge r of _aug_edges(shape), by arithmetic instead of enumeration."""
+    counts = _edges_per_step(shape)
+    dim, r = divmod(r, sum(counts))
+    if not 0 <= dim < shape.d:
+        raise ValueError(f"edge index out of range [0, {num_augmented_edges(shape)})")
+    for exp, count in enumerate(counts):
+        if r < count:
+            break
+        r -= count
+    s, stride = 1 << exp, shape.n ** dim
+    block, offset = divmod(r, (shape.n - s) * stride)
+    lo = block * stride * shape.n + offset
+    return lo, lo + s * stride, MatchingId(dim, exp, _parity(offset // stride, s))
 
 
 def enumerate_augmented_edges(shape: GridShape) -> Iterator[AugEdge]:
@@ -252,16 +275,18 @@ def enumerate_augmented_edges(shape: GridShape) -> Iterator[AugEdge]:
     Works for any n (steps are the powers of two at most n-1); for
     power-of-two n the tags partition the edge set into the matching family.
     """
-    for dim in range(shape.d):
-        for exp, s in enumerate(steps(shape)):
-            ids = (MatchingId(dim, exp, 0), MatchingId(dim, exp, 1))
-            for lo, hi in _axis_edges(shape, dim, s):
-                yield AugEdge(lo, hi, ids[lo[dim] % (2 * s) >= s])
+    for lo, hi, m in _aug_edges(shape):
+        yield AugEdge(point_of(shape, lo), point_of(shape, hi), m)
+
+
+@lru_cache(maxsize=64)
+def _edges_per_step(shape: GridShape) -> tuple:
+    """Per-dimension edge count (n - s) n^(d-1) of each step s; cached for edge_test."""
+    return tuple((shape.n - s) * (shape.size // shape.n) for s in steps(shape))
 
 
 def num_augmented_edges(shape: GridShape) -> int:
-    per_axis = sum(shape.n - s for s in steps(shape))
-    return shape.d * shape.n ** (shape.d - 1) * per_axis
+    return shape.d * sum(_edges_per_step(shape))
 
 
 def directed_distance(shape: GridShape, x: Point, y: Point) -> Optional[int]:

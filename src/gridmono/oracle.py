@@ -20,9 +20,8 @@ from .func import BoolFunc
 from .grid import (
     AugEdge,
     GridShape,
+    _aug_edges,
     directed_distance,
-    enumerate_augmented_edges,
-    linear_index,
     points,
     unit_steps,
 )
@@ -39,7 +38,6 @@ class ShapeTables:
     points: tuple
     comparable: tuple      # (lo_index, hi_index, directed distance), strict pairs
     aug_edges: tuple       # (lo_index, hi_index, AugEdge)
-    unit_edges: tuple      # (lo_index, hi_index) along single unit steps
 
 
 @lru_cache(maxsize=64)
@@ -58,10 +56,8 @@ def shape_tables(shape: GridShape) -> ShapeTables:
         above = above[above != i]
         dist = popcount[gap[above]].sum(axis=1)
         comparable.extend(zip([i] * len(above), above.tolist(), dist.tolist()))
-    aug = tuple(
-        (linear_index(shape, e.lower), linear_index(shape, e.upper), e)
-        for e in enumerate_augmented_edges(shape))
-    return ShapeTables(shape, pts, tuple(comparable), aug, tuple(unit_steps(shape)))
+    aug = tuple((lo, hi, AugEdge(pts[lo], pts[hi], m)) for lo, hi, m in _aug_edges(shape))
+    return ShapeTables(shape, pts, tuple(comparable), aug)
 
 
 def _table_of(f: BoolFunc) -> list:
@@ -186,8 +182,7 @@ def monotone_masks(shape: GridShape) -> tuple:
     """Bitmasks of every monotone function on a tiny grid."""
     if shape.size > BRUTE_FORCE_CAPACITY:
         raise CapacityError("brute-force distance", shape.size, BRUTE_FORCE_CAPACITY)
-    st = shape_tables(shape)
-    edges = [(1 << lo, 1 << hi) for lo, hi in st.unit_edges]
+    edges = [(1 << lo, 1 << hi) for lo, hi in unit_steps(shape)]
     out = []
     for mask in range(1 << shape.size):
         if all(not (mask & lo and not mask & hi) for lo, hi in edges):

@@ -54,6 +54,8 @@ def rate_rows(shapes: Sequence[Tuple[int, int]], families: Sequence[str], trials
 def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
                       samples: int = 1000) -> List[str]:
     """One row per eps-far function: all 2^(n^d) when n^d <= 16, sampled above."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rows = []
     for n, d in shapes:
         shape = GridShape(n, d)
@@ -66,7 +68,7 @@ def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
             rng = derive_rng(master_seed, f"iso:{n}:{d}")
             masks = [rng.randrange(1 << size) for _ in range(samples)]
         for mask in masks:
-            f = BoolFunc.from_table(shape, [(mask >> k) & 1 for k in range(size)])
+            f = BoolFunc.from_mask(shape, mask)
             report = isoperimetry_report(f)
             if report.margulis_ratio is None:
                 continue

@@ -32,11 +32,11 @@ from .grid import (
     LOWER,
     GridShape,
     MatchingId,
+    _aug_edge_at,
     classify_in_matching,
     linear_index,
     num_augmented_edges,
     point_of,
-    steps,
 )
 
 ACCEPT = "accept"
@@ -298,28 +298,12 @@ def edge_test(f: BoolFunc, rng: random.Random) -> TestTranscript:
     """Sample one augmented edge uniformly over all edges; reject if violated."""
     shape = f.shape
     _require_testable(shape)
-    step_list = steps(shape)
-    per_axis = [shape.n - s for s in step_list]
-    axis_total = sum(per_axis)
-    block = shape.n ** (shape.d - 1)
-    r = rng.randrange(shape.d * axis_total * block)
-    dim, r = divmod(r, axis_total * block)
-    for exp, cnt in enumerate(per_axis):
-        if r < cnt * block:
-            break
-        r -= cnt * block
-    v, rest = divmod(r, block)
-    s = step_list[exp]
-    other = point_of(GridShape(shape.n, shape.d - 1), rest) if shape.d > 1 else ()
-    x = other[:dim] + (v,) + other[dim:]
-    y = other[:dim] + (v + s,) + other[dim:]
-    parity = 0 if v % (2 * s) < s else 1
-    mid = MatchingId(dim, exp, parity)
-    ids = tuple(mid if i == dim else None for i in range(shape.d))
-    fx = f.eval(x)
-    fy = f.eval(y)
-    verdict = REJECT if fx > fy else ACCEPT
-    return TestTranscript(1, x, ids, (dim,), (dim,), y, fx, fy, verdict, 2)
+    lo, hi, mid = _aug_edge_at(shape, rng.randrange(num_augmented_edges(shape)))
+    x, y = point_of(shape, lo), point_of(shape, hi)
+    ids = (None,) * mid.dim + (mid,) + (None,) * (shape.d - 1 - mid.dim)
+    fx, fy = f.eval(x), f.eval(y)
+    return TestTranscript(1, x, ids, (mid.dim,), (mid.dim,), y, fx, fy,
+                          REJECT if fx > fy else ACCEPT, 2)
 
 
 def repetitions(n: int, d: int, eps: float, calibration: float) -> int:
@@ -401,6 +385,8 @@ def persistence_fraction(f: BoolFunc, tau: int, outer_samples: int,
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
+    if outer_samples < 1 or inner_samples < 1:
+        raise ValueError("outer and inner sample counts must be >= 1")
     shape = f.shape
     _require_testable(shape)
     d = shape.d

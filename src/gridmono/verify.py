@@ -82,10 +82,6 @@ _SWEEPS: Dict[Tuple[int, int], List[SweepRow]] = {}
 _INSTANCES: Dict[int, list] = {}
 
 
-def _mask_function(shape: GridShape, mask: int) -> BoolFunc:
-    return BoolFunc.from_table(shape, [(mask >> k) & 1 for k in range(shape.size)])
-
-
 def full_sweep(n: int, d: int) -> List[SweepRow]:
     """Every function on the (n, d) grid: distance both ways plus ratios."""
     key = (n, d)
@@ -94,7 +90,7 @@ def full_sweep(n: int, d: int) -> List[SweepRow]:
     shape = GridShape(n, d)
     rows = []
     for mask in range(1 << shape.size):
-        f = _mask_function(shape, mask)
+        f = BoolFunc.from_mask(shape, mask)
         report = isoperimetry_report(f)
         rows.append(SweepRow(
             mask,
@@ -117,7 +113,7 @@ def decomposition_instances(master_seed: int) -> list:
     for n, d in ((2, 1), (2, 2), (4, 1)):
         shape = GridShape(n, d)
         for mask in range(1 << shape.size):
-            f = _mask_function(shape, mask)
+            f = BoolFunc.from_mask(shape, mask)
             mstar = optimal_matching(f)
             if not mstar.empty:
                 instances.append((shape, mask, f, mstar))
@@ -126,7 +122,7 @@ def decomposition_instances(master_seed: int) -> list:
     picked = 0
     while picked < 1000:
         mask = rng.randrange(1 << shape.size)
-        f = _mask_function(shape, mask)
+        f = BoolFunc.from_mask(shape, mask)
         mstar = optimal_matching(f)
         if mstar.empty:
             continue
@@ -168,7 +164,7 @@ def check_one_sided(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
     for d in (1, 2):
         shape = GridShape(4, d)
         for mask in monotone_masks(shape):
-            f = _mask_function(shape, mask)
+            f = BoolFunc.from_mask(shape, mask)
             if exact_rejection_probability(f) != 0:
                 return CheckResult(1, "one-sided", False,
                                    f"monotone mask {mask} on 4^{d} has nonzero reject probability")
@@ -379,7 +375,7 @@ def _line_failures(n: int) -> Iterator[Tuple[int, str]]:
         raise CapacityError("line sweep", n, 16)
     line = GridShape(n, 1)
     for mask in range(1 << n):
-        g = _mask_function(line, mask)
+        g = BoolFunc.from_mask(line, mask)
         try:
             rep = line_delta_report(g)
         except IntegrityError as exc:
@@ -403,7 +399,7 @@ def check_fourier_suite(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
     shape42 = GridShape(4, 2)
     applicable = 0
     for mask in range(1 << shape42.size):
-        chk = influence_bound_check(_mask_function(shape42, mask))
+        chk = influence_bound_check(BoolFunc.from_mask(shape42, mask))
         if chk.applicable:
             applicable += 1
             if not chk.holds:
@@ -426,7 +422,7 @@ def check_reduction(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
         p = plan(n, d)
         if shape.size <= 20:
             for mask in monotone_masks(shape):
-                g = lift(p, _mask_function(shape, mask))
+                g = lift(p, BoolFunc.from_mask(shape, mask))
                 if not is_monotone(g):
                     return CheckResult(7, "reduction", False,
                                        f"monotone mask {mask} on {n}^{d} lifts non-monotone")
@@ -441,7 +437,7 @@ def check_reduction(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
             rng = derive_rng(master_seed, f"reduce:{n}:{d}")
             masks = [rng.randrange(1 << shape.size) for _ in range(1000)]
         for mask in masks:
-            f = _mask_function(shape, mask)
+            f = BoolFunc.from_mask(shape, mask)
             eps_f = distance_to_monotonicity(f).eps
             eps_g = distance_to_monotonicity(lift(p, f)).eps
             if eps_g < Fraction(eps_f, 6):
@@ -599,6 +595,8 @@ def structural_summary(f: BoolFunc) -> List[str]:
 
 def fourier_spot_checks(line_n: int, tables: int, master_seed: int):
     """Parseval, transform self-inverse, and the exhaustive line sweep."""
+    if tables < 1:
+        raise ValueError("tables must be >= 1")
     worst, worst_inv = _transform_defects(derive_rng(master_seed, "cli-parseval"), tables)
     bad = sum(1 for _ in _line_failures(line_n))
     lines = [

@@ -1,10 +1,13 @@
 """CLI behavior: exit codes, report files, config handling."""
 
+import hashlib
 import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gridmono
 from gridmono.cli import EXIT_CAPACITY, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
@@ -129,6 +132,39 @@ def test_usage_errors(capsys):
     assert run(["rate", "--shapes", "4by2", "--out", "/dev/null"]) == EXIT_USAGE
     assert run(["test"]) == EXIT_USAGE  # no --load and no shape
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["persistence", "--shapes", "4x1", "--outer", "0"],
+    ["persistence", "--shapes", "4x1", "--inner", "0"],
+    ["isoperimetry", "--shapes", "8x2", "--samples", "0"],
+    ["fourier", "--tables", "0"],
+    ["rate", "--shapes", "4x1", "--trials", "0"],
+])
+def test_zero_sample_counts_are_usage_errors(argv, tmp_path, capsys):
+    out = [] if argv[0] == "fourier" else ["--out", str(tmp_path / "r.csv")]
+    assert run(argv + out) == EXIT_USAGE
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+# SHA-256 of reports whose bytes must not change unless a stream is meant to
+@pytest.mark.parametrize("argv, digest", [
+    (["rate", "--shapes", "4x1,4x2", "--trials", "300"],
+     "106c24775a54147b267a4c6393fa1262baf6af3a23b84c185188a3f8ebe35a18"),
+    (["isoperimetry"],
+     "0c8ab04d8c4faa66cccc1cfae0efd34f2cb59b6ba5a87675c9337a43b9427ac4"),
+    (["persistence", "--shapes", "8x2", "--families", "anti_slab", "--taus", "1,2",
+      "--outer", "50", "--inner", "40"],
+     "3bd90c3be0c04c2e0672c8012b2c02b6a6384b5ccd487039a419efda3e9d5f8f"),
+    (["fourier", "--line-n", "8", "--tables", "20"],
+     "f8be8fc6d61e5a54c9f9417b6861db5a01dc2b92c1ce4c900529658de1974ba6"),
+])
+def test_report_bytes_pinned(argv, digest, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert run(argv + ([] if argv[0] == "fourier" else ["--out", str(out)])) == EXIT_OK
+    stdout = capsys.readouterr().out
+    data = stdout.encode() if argv[0] == "fourier" else out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_config_file(tmp_path, capsys):

@@ -21,10 +21,6 @@ from gridmono.grid import GridShape, linear_index, point_of, points
 from gridmono.oracle import violated_aug_edges
 
 
-def mask_function(shape, mask):
-    return BoolFunc.from_table(shape, [(mask >> k) & 1 for k in range(shape.size)])
-
-
 def naive_transform(shape, values):
     """Oracle: each coefficient as a plain expectation against its character."""
     out = []
@@ -131,7 +127,7 @@ def test_edge_coefficient_examples():
     shape = GridShape(4, 1)
     const = BoolFunc.from_table(shape, [1, 1, 1, 1])
     assert edge_coefficient(const, 0, 1) == 0
-    f = mask_function(shape, 0b0011)  # (1,1,0,0)
+    f = BoolFunc.from_mask(shape, 0b0011)  # (1,1,0,0)
     assert edge_coefficient(f, 0, 1) == Fraction(1, 2)
     comp = BoolFunc.from_table(shape, [0, 0, 1, 1])
     assert edge_coefficient(comp, 0, 1) == -Fraction(1, 2)
@@ -177,7 +173,7 @@ def test_line_delta_report_examples():
 def test_line_sweep_n8_exhaustive():
     shape = GridShape(8, 1)
     for mask in range(1 << 8):
-        g = mask_function(shape, mask)
+        g = BoolFunc.from_mask(shape, mask)
         rep = line_delta_report(g)
         assert rep.inequality_holds, mask
         assert rep.delta_sorted_ge and rep.final_claim_holds, mask
@@ -212,13 +208,13 @@ def aggregation_gap(f):
 def test_coefficient_aggregation_lower_bound_line():
     shape = GridShape(4, 1)
     for mask in range(1 << shape.size):
-        assert aggregation_gap(mask_function(shape, mask)) >= 0
+        assert aggregation_gap(BoolFunc.from_mask(shape, mask)) >= 0
 
 
 def test_coefficient_aggregation_lower_bound_grid():
     shape = GridShape(4, 2)
     for mask in range(1 << shape.size):
-        assert aggregation_gap(mask_function(shape, mask)) >= 0, mask
+        assert aggregation_gap(BoolFunc.from_mask(shape, mask)) >= 0, mask
 
 
 def test_restricted_line_coefficients_average(rng):

@@ -314,6 +314,25 @@ def test_load_errors():
         load(io.BytesIO(blob))
 
 
+def test_load_checks_capacity_from_header():
+    # 2^25 points claimed, no payload: refused from the header alone
+    blob = b"AGF1" + (2).to_bytes(8, "little") + (25).to_bytes(8, "little")
+    with pytest.raises(CapacityError) as exc:
+        load(io.BytesIO(blob))
+    assert "loading a function file" in str(exc.value) and str(1 << 25) in str(exc.value)
+
+
+def test_from_mask():
+    shape = GridShape(4, 1)
+    assert BoolFunc.from_mask(shape, 0b0011).table() == [1, 1, 0, 0]
+    assert BoolFunc.from_mask(GridShape(2, 2), 0b1000).eval((1, 1)) == 1
+    for bad in (-1, 1 << 4):
+        with pytest.raises(ValueError):
+            BoolFunc.from_mask(shape, bad)
+    with pytest.raises(CapacityError):
+        BoolFunc.from_mask(GridShape(2, 40), 1)
+
+
 def test_save_predicate_rejected():
     f = BoolFunc.from_predicate(GridShape(4, 1), lambda x: 0)
     with pytest.raises(ValueError):

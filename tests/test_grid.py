@@ -31,6 +31,7 @@ from gridmono.grid import (
     side_in_matching,
     unit_steps,
 )
+from gridmono.grid import _aug_edge_at
 
 SMALL_SHAPES = [GridShape(2, 1), GridShape(2, 3), GridShape(4, 1),
                 GridShape(4, 2), GridShape(8, 1), GridShape(8, 2)]
@@ -172,6 +173,30 @@ def test_edge_counts():
     assert num_augmented_edges(GridShape(4, 2)) == 40
     for shape in SMALL_SHAPES + [GridShape(3, 2), GridShape(5, 1)]:
         assert sum(1 for _ in enumerate_augmented_edges(shape)) == num_augmented_edges(shape)
+
+
+def test_edge_decode_matches_enumeration():
+    # edge_test draws r uniformly and decodes edge r by arithmetic; it must
+    # be edge r of the enumeration, tags included
+    for n, d in [(2, 1), (4, 1), (8, 1), (4, 2), (2, 3), (4, 3), (8, 2), (16, 2),
+                 (3, 2), (5, 3), (6, 2)]:
+        shape = GridShape(n, d)
+        for r, e in enumerate(enumerate_augmented_edges(shape)):
+            lo, hi, m = _aug_edge_at(shape, r)
+            assert (point_of(shape, lo), point_of(shape, hi), m) == (e.lower, e.upper, e.id)
+        with pytest.raises(ValueError):
+            _aug_edge_at(shape, num_augmented_edges(shape))
+
+
+def test_edge_tags_follow_the_point_rule():
+    # the owning matching's parity is 1 iff lo[dim] % (2s) >= s, for any n
+    for shape in [GridShape(3, 2), GridShape(5, 3), GridShape(6, 2)]:
+        edges = list(enumerate_augmented_edges(shape))
+        assert len(edges) == num_augmented_edges(shape)
+        for e in edges:
+            s = e.id.step
+            assert e.id.parity == (e.lower[e.id.dim] % (2 * s) >= s)
+            assert e.upper[e.id.dim] - e.lower[e.id.dim] == s
 
 
 def test_unit_steps_are_the_unit_edges(rng):

@@ -25,10 +25,6 @@ from gridmono.oracle import (
 )
 
 
-def mask_function(shape, mask):
-    return BoolFunc.from_table(shape, [(mask >> k) & 1 for k in range(shape.size)])
-
-
 def all_maximum_matchings(arcs, max_size=None):
     """Oracle: every maximum matching of the arc set, by direct enumeration."""
     if max_size is None:
@@ -52,7 +48,7 @@ def all_maximum_matchings(arcs, max_size=None):
 
 def test_violated_aug_edges_examples():
     shape = GridShape(4, 1)
-    f = mask_function(shape, 0b0011)  # table (1,1,0,0)
+    f = BoolFunc.from_mask(shape, 0b0011)  # table (1,1,0,0)
     s_minus, s_plus = violated_aug_edges(f)
     assert {(e.lower, e.upper) for e in s_minus} == {((1,), (2,)), ((0,), (2,)), ((1,), (3,))}
     assert s_plus == []
@@ -64,11 +60,11 @@ def test_violated_aug_edges_examples():
 
 def test_distance_examples():
     shape = GridShape(4, 1)
-    report = distance_to_monotonicity(mask_function(shape, 0b0011))
+    report = distance_to_monotonicity(BoolFunc.from_mask(shape, 0b0011))
     assert report.eps == Fraction(1, 2)
     assert len(report.matching) == 2
-    assert distance_to_monotonicity(mask_function(shape, 0b1100)).eps == 0
-    assert distance_to_monotonicity(mask_function(shape, 0b0001)).eps == Fraction(1, 4)
+    assert distance_to_monotonicity(BoolFunc.from_mask(shape, 0b1100)).eps == 0
+    assert distance_to_monotonicity(BoolFunc.from_mask(shape, 0b0001)).eps == Fraction(1, 4)
 
 
 def test_distance_witness_is_valid():
@@ -86,7 +82,7 @@ def test_distance_witness_is_valid():
 def test_brute_force_agreement_exhaustive():
     for shape in (GridShape(2, 2), GridShape(3, 2), GridShape(2, 3)):
         for mask in range(1 << shape.size):
-            f = mask_function(shape, mask)
+            f = BoolFunc.from_mask(shape, mask)
             assert distance_to_monotonicity(f).eps == brute_force_distance(f), mask
 
 
@@ -95,7 +91,7 @@ def test_brute_force_agreement_sampled(rng):
     for shape, samples in ((GridShape(4, 2), 400), (GridShape(2, 4), 400),
                            (GridShape(20, 1), 200)):
         for _ in range(samples):
-            f = mask_function(shape, rng.randrange(1 << shape.size))
+            f = BoolFunc.from_mask(shape, rng.randrange(1 << shape.size))
             assert distance_to_monotonicity(f).eps == brute_force_distance(f)
 
 
@@ -108,14 +104,14 @@ def test_brute_force_capacity():
 
 def test_gamma_examples():
     shape = GridShape(4, 1)
-    rep = gamma_minus(mask_function(shape, 0b0011))
+    rep = gamma_minus(BoolFunc.from_mask(shape, 0b0011))
     assert rep.gamma == Fraction(2, 4)
     touched = set()
     for e in rep.witness:
         assert e.lower not in touched and e.upper not in touched
         touched.update((e.lower, e.upper))
     assert gamma_minus(generate("monotone_threshold", shape, seed=2)).gamma == 0
-    assert gamma_minus(mask_function(shape, 0b0001)).gamma == Fraction(1, 4)
+    assert gamma_minus(BoolFunc.from_mask(shape, 0b0001)).gamma == Fraction(1, 4)
 
 
 def test_gamma_witness_is_maximum(rng):
@@ -125,7 +121,7 @@ def test_gamma_witness_is_maximum(rng):
     for shape in (GridShape(3, 2), GridShape(2, 3)):
         cases.extend((shape, rng.randrange(1 << shape.size)) for _ in range(200))
     for shape, mask in cases:
-        f = mask_function(shape, mask)
+        f = BoolFunc.from_mask(shape, mask)
         s_minus, _ = violated_aug_edges(f)
         rep = gamma_minus(f)
         touched = set()
@@ -153,7 +149,7 @@ def test_shape_tables_comparable_matches_scalar_definition():
 
 def test_optimal_matching_examples():
     shape = GridShape(4, 1)
-    rep = optimal_matching(mask_function(shape, 0b0011))
+    rep = optimal_matching(BoolFunc.from_mask(shape, 0b0011))
     assert set(rep.pairs) == {((0,), (2,)), ((1,), (3,))}
     assert rep.r == 1 and rep.psi == 2 and not rep.empty
     mono = optimal_matching(generate("monotone_threshold", shape, seed=2))
@@ -173,7 +169,7 @@ def test_optimal_matching_lexicographic_vs_enumeration(rng):
     for shape in shapes[2:]:
         cases.extend((shape, rng.randrange(1 << shape.size)) for _ in range(150))
     for shape, mask in cases:
-        f = mask_function(shape, mask)
+        f = BoolFunc.from_mask(shape, mask)
         rep = optimal_matching(f)
         vg = violation_graph(f)
         pts = list(points(shape))
@@ -191,9 +187,9 @@ def test_optimal_matching_lexicographic_vs_enumeration(rng):
 
 def test_isoperimetry_examples():
     shape = GridShape(4, 1)
-    rep = isoperimetry_report(mask_function(shape, 0b0011))
+    rep = isoperimetry_report(BoolFunc.from_mask(shape, 0b0011))
     assert rep.margulis_ratio == Fraction(3, 2)
-    rep2 = isoperimetry_report(mask_function(shape, 0b0001))
+    rep2 = isoperimetry_report(BoolFunc.from_mask(shape, 0b0001))
     assert rep2.margulis_ratio == Fraction(2)
     mono = isoperimetry_report(generate("monotone_threshold", shape, seed=2))
     assert mono.influence.eps == 0
@@ -204,7 +200,7 @@ def test_influence_identities(rng):
     shape = GridShape(4, 2)
     bound = shape.d * shape.bits
     for _ in range(200):
-        f = mask_function(shape, rng.randrange(1 << shape.size))
+        f = BoolFunc.from_mask(shape, rng.randrange(1 << shape.size))
         rep = influence_report(f)
         assert rep.I == rep.I_plus + rep.I_minus
         assert 0 <= rep.I <= bound
@@ -239,7 +235,7 @@ def test_module_regression_minima():
     for shape, frozen in ((GridShape(4, 1), Fraction(1)), (GridShape(2, 2), Fraction(1))):
         best = None
         for mask in range(1 << shape.size):
-            rep = isoperimetry_report(mask_function(shape, mask))
+            rep = isoperimetry_report(BoolFunc.from_mask(shape, mask))
             if rep.margulis_ratio is None:
                 continue
             assert rep.margulis_ratio > 0

@@ -11,10 +11,6 @@ from gridmono.oracle import distance_to_monotonicity, monotone_masks
 from gridmono.reduce import lift, phi, plan
 
 
-def mask_function(shape, mask):
-    return BoolFunc.from_table(shape, [(mask >> k) & 1 for k in range(shape.size)])
-
-
 def test_plan_examples():
     p = plan(3, 2)
     assert (p.i, p.N, p.m) == (0, 8, 1)
@@ -67,7 +63,7 @@ def test_lift_preserves_monotone():
         shape = GridShape(n, d)
         p = plan(n, d)
         for mask in monotone_masks(shape):
-            assert is_monotone(lift(p, mask_function(shape, mask)))
+            assert is_monotone(lift(p, BoolFunc.from_mask(shape, mask)))
 
 
 def test_lift_distance_bound_exhaustive():
@@ -75,7 +71,7 @@ def test_lift_distance_bound_exhaustive():
         shape = GridShape(n, d)
         p = plan(n, d)
         for mask in range(1 << shape.size):
-            f = mask_function(shape, mask)
+            f = BoolFunc.from_mask(shape, mask)
             eps_f = distance_to_monotonicity(f).eps
             eps_g = distance_to_monotonicity(lift(p, f)).eps
             assert eps_g >= Fraction(eps_f, 6)
@@ -86,7 +82,7 @@ def test_lift_distance_bound_sampled(rng):
         shape = GridShape(n, d)
         p = plan(n, d)
         for _ in range(samples):
-            f = mask_function(shape, rng.randrange(1 << shape.size))
+            f = BoolFunc.from_mask(shape, rng.randrange(1 << shape.size))
             eps_f = distance_to_monotonicity(f).eps
             eps_g = distance_to_monotonicity(lift(p, f)).eps
             assert eps_g >= Fraction(eps_f, 6)

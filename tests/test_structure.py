@@ -43,10 +43,6 @@ from gridmono.structure import (
 )
 
 
-def mask_function(shape, mask):
-    return BoolFunc.from_table(shape, [(mask >> k) & 1 for k in range(shape.size)])
-
-
 def make_counterexample_dag():
     """Two length-3 pairs whose shortest paths meet at different levels.
 
@@ -207,7 +203,7 @@ def test_decompose_merges_conflicting_singletons():
 def test_decompose_partitions_endpoints(rng):
     gp = GridPoset(GridShape(4, 2))
     for _ in range(40):
-        f = mask_function(GridShape(4, 2), rng.randrange(1 << 16))
+        f = BoolFunc.from_mask(GridShape(4, 2), rng.randrange(1 << 16))
         rep = optimal_matching(f)
         if rep.empty:
             continue
@@ -268,7 +264,7 @@ def test_degree_monotonicity_and_dichotomy():
     gp = GridPoset(GridShape(4, 1))
     shape = GridShape(4, 1)
     for mask in range(1 << 4):
-        f = mask_function(shape, mask)
+        f = BoolFunc.from_mask(shape, mask)
         rep = optimal_matching(f)
         if rep.empty:
             continue
@@ -327,7 +323,7 @@ def test_pair_crosses_examples():
     shape = GridShape(4, 1)
     assert pair_crosses(shape, (0,), (2,), MatchingId(0, 1, 0))
     assert not pair_crosses(shape, (0,), (2,), MatchingId(0, 0, 0))
-    f = mask_function(shape, 0)
+    f = BoolFunc.from_mask(shape, 0)
     classes = classify_pairs([((0,), (2,))], MatchingId(0, 0, 0), f)
     assert classes.straight == (((0,), (2,)),)
 
@@ -335,7 +331,7 @@ def test_pair_crosses_examples():
 def test_pair_classification_against_path_oracle(rng):
     for shape in (GridShape(8, 1), GridShape(4, 2), GridShape(8, 2)):
         pts = list(points(shape))
-        f = mask_function(shape, 0)
+        f = BoolFunc.from_mask(shape, 0)
         for _ in range(250):
             x = pts[rng.randrange(len(pts))]
             y = pts[rng.randrange(len(pts))]
@@ -380,7 +376,7 @@ def test_potential_phi_examples():
 
 def test_alternating_sequence_immediate_violation():
     shape = GridShape(4, 1)
-    f = mask_function(shape, 0b0011)  # (1,1,0,0)
+    f = BoolFunc.from_mask(shape, 0b0011)  # (1,1,0,0)
     pairs = [((0,), (2,)), ((1,), (3,))]
     mid = MatchingId(0, 1, 0)
     classes = classify_pairs(pairs, mid, f)
@@ -410,7 +406,7 @@ def test_alternating_sequence_straight_unmatched():
 
 def test_alternating_sequence_longer_walk():
     shape = GridShape(4, 1)
-    f = mask_function(shape, 0b0011)
+    f = BoolFunc.from_mask(shape, 0b0011)
     pairs = [((0,), (2,)), ((1,), (3,))]
     mid = MatchingId(0, 0, 1)  # odd unit matching: edges (1,2) only
     classes = classify_pairs(pairs, mid, f)
@@ -422,7 +418,7 @@ def test_alternating_sequence_longer_walk():
 def test_alternating_summary_on_optimal_matchings(rng):
     shape = GridShape(4, 2)
     for _ in range(60):
-        f = mask_function(shape, rng.randrange(1 << 16))
+        f = BoolFunc.from_mask(shape, rng.randrange(1 << 16))
         rep = optimal_matching(f)
         if rep.empty:
             continue
@@ -477,6 +473,6 @@ def test_full_pipeline_on_larger_grid(rng):
 
 def test_alternating_sequence_validates_start():
     shape = GridShape(4, 1)
-    f = mask_function(shape, 0b0011)
+    f = BoolFunc.from_mask(shape, 0b0011)
     with pytest.raises(IntegrityError):
         alternating_sequence((2,), MatchingId(0, 1, 0), [((2,), (3,))], f)

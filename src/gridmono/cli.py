@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -63,7 +64,7 @@ def _load_function(args) -> BoolFunc:
     return generate(args.family, shape, seed=args.seed)
 
 
-def _config_defaults(args: argparse.Namespace, sub: argparse.ArgumentParser) -> Dict[str, str]:
+def _config_defaults(args: argparse.Namespace, sub: argparse.ArgumentParser) -> Dict[str, object]:
     """The [command] section of --config, each key checked against the command's options."""
     cp = configparser.ConfigParser()
     try:
@@ -77,6 +78,12 @@ def _config_defaults(args: argparse.Namespace, sub: argparse.ArgumentParser) -> 
     for key in section:
         if key not in vars(args) or key in ("command", "config"):
             sub.error(f"unknown config key {key!r} in [{args.command}]")
+        # an on/off flag reads a word such as "false", which as a string is truthy
+        if isinstance(sub.get_default(key), bool):
+            try:
+                section[key] = cp.getboolean(args.command, key)
+            except ValueError as exc:
+                sub.error(f"bad config value for {key!r}: {exc}")
     return section
 
 
@@ -139,6 +146,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
 
     p = add("verify", "run the full acceptance suite")
     common(p, load_opt=False)
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object per criterion instead of a status line")
     return parser, commands
 
 
@@ -233,8 +242,14 @@ def cmd_verify(args) -> int:
     results = run_all(args.seed)
     failed = 0
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} criterion-{res.criterion} {res.name}: {res.detail}")
+        if args.json:
+            print(json.dumps({
+                "criterion": res.criterion, "name": res.name, "passed": res.passed,
+                "detail": res.detail, "seconds": round(res.seconds, 3),
+                "work": res.work, "work_unit": res.work_unit}))
+        else:
+            status = "PASS" if res.passed else "FAIL"
+            print(f"{status} criterion-{res.criterion} {res.name}: {res.detail}")
         if not res.passed:
             failed += 1
     return EXIT_OK if failed == 0 else EXIT_INTEGRITY

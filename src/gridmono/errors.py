@@ -27,4 +27,4 @@ class NotGoodError(ValueError):
 
 
 class FormatError(ValueError):
-    """A serialized function or poset file is malformed."""
+    """A serialized function file is malformed."""

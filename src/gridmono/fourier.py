@@ -10,13 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import CapacityError, IntegrityError
-from .func import BoolFunc, sort_line
-from .grid import GridShape, MatchingId, Point, _matching_edges, check_point, linear_index
+from .func import BoolFunc
+from .grid import (
+    GridShape,
+    MatchingId,
+    Point,
+    _matching_edges,
+    check_point,
+    linear_index,
+)
+from .oracle import _row_batches, edge_counts_batch
 
 TRANSFORM_CAPACITY = 1 << 22
 
@@ -121,28 +130,52 @@ def transform_exact(shape: GridShape, values: Sequence) -> list:
     return [Fraction(v, shape.size) for v in _butterfly(arr)]
 
 
-def edge_coefficient(f: BoolFunc, dim: int, bit: int) -> Fraction:
-    """Coefficient of the single-bit character, computed two independent ways.
+@lru_cache(maxsize=64)
+def _coefficient_weights(shape: GridShape, dim: int, bit: int) -> np.ndarray:
+    """(n^d, 2) int64 weights of the two coefficient routes.
+
+    Column 0 is the single-bit character, read off each point's coordinate
+    bit.  Column 1 is +1 on the lower and -1 on the upper endpoints of the
+    even matching with step 2^bit along dim, read off the grid's matching.
+    """
+    weights = np.zeros((shape.size, 2), dtype=np.int64)
+    coord = np.arange(shape.size) // shape.n ** dim % shape.n
+    weights[:, 0] = np.where(coord & (1 << bit), -1, 1)
+    for lo, hi in _matching_edges(shape, MatchingId(dim, bit, 0)):
+        weights[lo, 1] += 1
+        weights[hi, 1] -= 1
+    return weights
+
+
+def _coefficient_routes(shape: GridShape, tables: np.ndarray, dim: int,
+                        bit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """n^d times the single-bit coefficient of each row, by both routes.
 
     Route one is the plain expectation of f times the character; route two
-    averages f over the endpoints of the even matching with step 2^bit.
-    A mismatch means the side convention broke, which is unrecoverable.
+    sums f over the lower minus the upper endpoints of the even matching.
     """
-    shape = f.shape
-    table = f.table()
-    mask = 1 << bit
-    stride = shape.n ** dim
-    total = 0
-    for idx, b in enumerate(table):
-        if b:
-            total += -1 if (idx // stride) % shape.n & mask else 1
-    by_expectation = Fraction(total, shape.size)
-    diff = sum(table[lo] - table[hi] for lo, hi in _matching_edges(shape, MatchingId(dim, bit, 0)))
-    by_matching = Fraction(diff, shape.size)
+    weights = _coefficient_weights(shape, dim, bit)
+    routes = np.empty((len(tables), 2), dtype=np.int64)
+    for rows in _row_batches(len(tables), shape.size):
+        routes[rows] = tables[rows] @ weights
+    return routes[:, 0], routes[:, 1]
+
+
+def _agreed(by_expectation: int, by_matching: int, size: int) -> Fraction:
+    """The coefficient both routes give; a mismatch means the side
+    convention broke, which is unrecoverable."""
     if by_expectation != by_matching:
         raise IntegrityError(
-            f"coefficient routes disagree: {by_expectation} vs {by_matching}")
-    return by_expectation
+            f"coefficient routes disagree: {Fraction(int(by_expectation), size)} "
+            f"vs {Fraction(int(by_matching), size)}")
+    return Fraction(int(by_expectation), size)
+
+
+def edge_coefficient(f: BoolFunc, dim: int, bit: int) -> Fraction:
+    """Coefficient of the single-bit character, computed two independent ways."""
+    table = np.array([f.table()], dtype=np.uint8)
+    by_expectation, by_matching = _coefficient_routes(f.shape, table, dim, bit)
+    return _agreed(by_expectation[0], by_matching[0], f.shape.size)
 
 
 @dataclass(frozen=True)
@@ -155,35 +188,75 @@ class LineDeltaReport:
     final_claim_holds: bool     # sorting shifts -e1 up by at most 4 I_minus
 
 
-def _line_terms(g: BoolFunc) -> Tuple[Fraction, Fraction, Fraction]:
-    """delta_I, I_minus and the longest-matching coefficient e1 of a line."""
-    from .oracle import violated_aug_edges
+@dataclass(frozen=True)
+class LineSweep:
+    """Line reports of many lines [n], one row per line.
 
-    s_minus, s_plus = violated_aug_edges(g)
-    n = g.shape.size
-    return (Fraction(len(s_plus) - len(s_minus), n),
-            Fraction(len(s_minus), n),
-            edge_coefficient(g, 0, g.shape.bits - 1))
+    Quantities are integer numerators over n; e1 is the longest-matching
+    coefficient by expectation, e1_matching the same by the matching, and
+    the _sorted arrays describe each line's sorted line.
+    """
+
+    n: int
+    delta_I: np.ndarray
+    I_minus: np.ndarray
+    e1: np.ndarray
+    e1_matching: np.ndarray
+    delta_sorted: np.ndarray
+    e1_sorted: np.ndarray
+    e1_sorted_matching: np.ndarray
+    inequality_holds: np.ndarray
+    delta_sorted_ge: np.ndarray
+    final_claim_holds: np.ndarray
+
+    @property
+    def passed(self) -> np.ndarray:
+        """Rows whose routes agree and whose three claims hold."""
+        return ((self.e1 == self.e1_matching) & (self.e1_sorted == self.e1_sorted_matching)
+                & self.inequality_holds & self.delta_sorted_ge & self.final_claim_holds)
+
+    def report(self, k: int) -> LineDeltaReport:
+        """Row k as a report; IntegrityError if its coefficient routes disagree."""
+        e1 = _agreed(self.e1[k], self.e1_matching[k], self.n)
+        _agreed(self.e1_sorted[k], self.e1_sorted_matching[k], self.n)
+        return LineDeltaReport(
+            Fraction(int(self.delta_I[k]), self.n), Fraction(int(self.I_minus[k]), self.n), e1,
+            inequality_holds=bool(self.inequality_holds[k]),
+            delta_sorted_ge=bool(self.delta_sorted_ge[k]),
+            final_claim_holds=bool(self.final_claim_holds[k]),
+        )
 
 
-def line_delta_report(g: BoolFunc) -> LineDeltaReport:
-    """Signed influence of a line against its longest-matching coefficient.
+def line_sweep(shape: GridShape, tables: np.ndarray) -> LineSweep:
+    """Signed influence of each line against its longest-matching coefficient.
 
-    Checks delta_I <= log2(n) * (4 I_minus - e1) exactly, and compares g
+    `tables` is a (lines, n) array of bits.  Checks
+    delta_I <= log2(n) * (4 I_minus - e1) exactly, and compares each line
     with its sorted line: sorting never shrinks delta_I and shifts e1 by at
     most 4 I_minus.
     """
-    shape = g.shape
     if shape.d != 1 or not shape.is_pow2() or shape.n < 4:
         raise ValueError("needs a line with n a power of 2, n >= 4")
-    delta, I_minus, e1 = _line_terms(g)
-    delta_sorted, _, e1_sorted = _line_terms(sort_line(g))
-    return LineDeltaReport(
-        delta, I_minus, e1,
-        inequality_holds=delta <= shape.bits * (4 * I_minus - e1),
+    top = shape.bits - 1
+    tables = np.asarray(tables, dtype=np.uint8)
+    violated, upward = edge_counts_batch(shape, tables)
+    e1, e1_matching = _coefficient_routes(shape, tables, 0, top)
+    ordered = np.sort(tables, axis=1)  # sort_line, row by row
+    violated_sorted, upward_sorted = edge_counts_batch(shape, ordered)
+    e1_sorted, e1_sorted_matching = _coefficient_routes(shape, ordered, 0, top)
+    delta = upward - violated
+    delta_sorted = upward_sorted - violated_sorted
+    return LineSweep(
+        shape.n, delta, violated, e1, e1_matching, delta_sorted, e1_sorted, e1_sorted_matching,
+        inequality_holds=delta <= shape.bits * (4 * violated - e1),
         delta_sorted_ge=delta_sorted >= delta,
-        final_claim_holds=-e1_sorted <= -e1 + 4 * I_minus,
+        final_claim_holds=-e1_sorted <= -e1 + 4 * violated,
     )
+
+
+def line_delta_report(g: BoolFunc) -> LineDeltaReport:
+    """The line report of one line: the one-row view of line_sweep."""
+    return line_sweep(g.shape, np.array([g.table()], dtype=np.uint8)).report(0)
 
 
 def unit_coefficients(f: BoolFunc) -> list:

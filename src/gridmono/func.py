@@ -128,6 +128,14 @@ class BoolFunc:
         return [self._call_predicate(point_of(self.shape, i)) for i in range(self.shape.size)]
 
 
+def _mask_bits(masks, size: int) -> np.ndarray:
+    """(len(masks), size) uint8 array whose row r is the table of
+    BoolFunc.from_mask(shape, masks[r]) for a grid of `size` <= 64 points."""
+    words = np.asarray(masks, dtype="<u8").reshape(-1)
+    octets = words.view(np.uint8).reshape(len(words), 8)[:, :(size + 7) // 8]
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :size]
+
+
 def is_monotone(f: BoolFunc) -> bool:
     """Exact check over the unit-step grid edges (sufficient by transitivity)."""
     table = f.table()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -28,6 +28,14 @@ from .grid import (
 
 ORACLE_CAPACITY = 4096
 BRUTE_FORCE_CAPACITY = 20
+
+# Table cells per numpy call in the batch kernels: each temporary stays
+# near 1 MB however many functions one call covers.
+BATCH_CELLS = 1 << 17
+
+# Set bits of every 16-bit value v = 256 hi + lo, as popcount(hi) + popcount(lo).
+_POPCOUNT8 = np.array([v.bit_count() for v in range(256)], dtype=np.uint8)
+_POPCOUNT16 = np.add.outer(_POPCOUNT8, _POPCOUNT8).ravel()
 
 
 @dataclass(frozen=True)
@@ -61,9 +69,19 @@ def shape_tables(shape: GridShape) -> ShapeTables:
 
 
 def _table_of(f: BoolFunc) -> list:
-    if f.shape.size > ORACLE_CAPACITY:
-        raise CapacityError("exact oracle", f.shape.size, ORACLE_CAPACITY)
+    _check_oracle_capacity(f.shape)
     return f.table()
+
+
+def _check_oracle_capacity(shape: GridShape) -> None:
+    if shape.size > ORACLE_CAPACITY:
+        raise CapacityError("exact oracle", shape.size, ORACLE_CAPACITY)
+
+
+def _row_batches(rows: int, width: int) -> Iterator[slice]:
+    """Row slices whose (rows, width) gathers hold about BATCH_CELLS cells."""
+    step = max(1, BATCH_CELLS // max(width, 1))
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def hopcroft_karp(adj: List[List[int]], n_right: int) -> Tuple[int, List[int], List[int]]:
@@ -190,16 +208,60 @@ def monotone_masks(shape: GridShape) -> tuple:
     return tuple(out)
 
 
+def brute_force_batch(shape: GridShape, masks) -> np.ndarray:
+    """Fewest changed points to a monotone table, for each mask in `masks`.
+
+    Bit k of a mask is the value at linear index k, as in BoolFunc.from_mask.
+    The minimum of popcount(mask XOR g) over the monotone masks g is taken
+    one block of rows at a time, so the whole masks x monotone matrix
+    (18 MB at 4^2) is never formed.
+    """
+    monotone = np.array(monotone_masks(shape), dtype=np.uint32)
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    if masks.size and (masks.min() < 0 or masks.max() >= 1 << shape.size):
+        raise ValueError(f"masks must lie in [0, 2^{shape.size})")
+    words = masks.astype(np.uint32)  # BRUTE_FORCE_CAPACITY bits fit
+    best = np.empty(len(words), dtype=np.uint8)
+    for rows in _row_batches(len(words), len(monotone)):
+        changed = words[rows, None] ^ monotone
+        best[rows] = (_POPCOUNT16[changed & 0xFFFF] + _POPCOUNT16[changed >> 16]).min(axis=1)
+    return best
+
+
 def brute_force_distance(f: BoolFunc) -> Fraction:
     """Independent oracle: minimum changed fraction over all monotone tables."""
     table = _table_of(f)
-    shape = f.shape
-    fmask = 0
-    for k, b in enumerate(table):
-        if b:
-            fmask |= 1 << k
-    best = min((fmask ^ g).bit_count() for g in monotone_masks(shape))
-    return Fraction(best, shape.size)
+    fmask = sum(1 << k for k, b in enumerate(table) if b)
+    return Fraction(int(brute_force_batch(f.shape, [fmask])[0]), f.shape.size)
+
+
+@lru_cache(maxsize=64)
+def _aug_edge_index(shape: GridShape) -> Tuple[np.ndarray, np.ndarray]:
+    """lo and hi linear indices of every augmented edge, in _aug_edges order."""
+    pairs = np.array([(lo, hi) for lo, hi, _ in _aug_edges(shape)], dtype=np.intp)
+    pairs = pairs.reshape(len(pairs), 2)
+    return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+
+def edge_counts_batch(shape: GridShape, tables: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(|S_minus|, |S_plus|) of violated_aug_edges for each row of `tables`.
+
+    `tables` is a (functions, n^d) array of bits; row k is the table of
+    function k.  Both ends of every augmented edge are gathered at once.
+    """
+    _check_oracle_capacity(shape)
+    tables = np.asarray(tables, dtype=np.uint8)
+    if tables.ndim != 2 or tables.shape[1] != shape.size:
+        raise ValueError(f"tables must have shape (functions, {shape.size})")
+    lo, hi = _aug_edge_index(shape)
+    violated = np.empty(len(tables), dtype=np.int64)
+    upward = np.empty(len(tables), dtype=np.int64)
+    for rows in _row_batches(len(tables), len(lo)):
+        block = tables[rows]
+        below, above = block[:, lo], block[:, hi]
+        violated[rows] = (below > above).sum(axis=1)
+        upward[rows] = (below < above).sum(axis=1)
+    return violated, upward
 
 
 def violated_aug_edges(f: BoolFunc) -> Tuple[List[AugEdge], List[AugEdge]]:
@@ -350,19 +412,30 @@ class InfluenceBoundCheck:
     I_minus: Fraction
 
 
+def influence_bound_batch(shape: GridShape, tables: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Total-influence bound for each row of a (functions, n^d) bit array.
+
+    Returns the arrays (applicable, holds, n^d I, n^d I_minus):
+    applicable iff I_minus < sqrt(d); holds iff I < 7 sqrt(d) log2(n).
+    Both comparisons are done on squared integer numerators, so they are exact.
+    """
+    if not shape.is_pow2() or shape.n < 4:
+        raise ValueError("needs n a power of 2 with n >= 4")
+    violated, upward = edge_counts_batch(shape, tables)
+    sensitive = violated + upward
+    size_sq = shape.size * shape.size
+    applicable = violated * violated < shape.d * size_sq
+    holds = sensitive * sensitive < 49 * shape.d * shape.bits * shape.bits * size_sq
+    return applicable, holds, sensitive, violated
+
+
 def influence_bound_check(f: BoolFunc) -> InfluenceBoundCheck:
     """Total-influence bound: small negative influence caps the total.
 
-    applicable iff I_minus < sqrt(d); holds iff I < 7 sqrt(d) log2(n).
-    Both comparisons are done on squares, so the check is exact.
+    The one-function view of influence_bound_batch.
     """
-    shape = f.shape
-    if not shape.is_pow2() or shape.n < 4:
-        raise ValueError("needs n a power of 2 with n >= 4")
-    size = shape.size
-    s_minus, s_plus = violated_aug_edges(f)
-    I_minus = Fraction(len(s_minus), size)
-    I = Fraction(len(s_minus) + len(s_plus), size)
-    applicable = I_minus * I_minus < shape.d
-    holds = I * I < 49 * shape.d * shape.bits * shape.bits
-    return InfluenceBoundCheck(applicable, holds, I, I_minus)
+    table = np.array([_table_of(f)], dtype=np.uint8)
+    applicable, holds, sensitive, violated = influence_bound_batch(f.shape, table)
+    size = f.shape.size
+    return InfluenceBoundCheck(bool(applicable[0]), bool(holds[0]),
+                               Fraction(int(sensitive[0]), size), Fraction(int(violated[0]), size))

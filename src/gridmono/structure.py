@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import CapacityError, FormatError, IntegrityError, NotGoodError
+from .errors import CapacityError, IntegrityError, NotGoodError
 from .func import BoolFunc
 from .grid import (
     LOWER,
@@ -112,35 +112,6 @@ class ExplicitPoset(Poset):
 
     def up_neighbors(self, u):
         return self.adj[u]
-
-
-def parse_poset(text: str) -> ExplicitPoset:
-    """Plain-text fixture: first line "poset <num_vertices>", then arc lines "u v"."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty poset file")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "poset":
-        raise FormatError(f"bad header {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"bad vertex count {head[1]!r}") from exc
-    arcs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad arc line {ln!r}")
-        try:
-            arcs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise FormatError(f"bad arc line {ln!r}") from exc
-    return ExplicitPoset(n, arcs)
-
-
-def load_poset(path) -> ExplicitPoset:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_poset(fh.read())
 
 
 @dataclass(frozen=True)

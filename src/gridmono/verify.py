@@ -8,20 +8,24 @@ the exhaustive enumerations once.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from . import reports
 from .errors import CapacityError, IntegrityError, NotGoodError
-from .func import BoolFunc, generate, is_monotone
+from .func import BoolFunc, _mask_bits, generate, is_monotone
 from .grid import GridShape, directed_distance, matching_ids
 from .oracle import (
-    brute_force_distance,
+    brute_force_batch,
     distance_to_monotonicity,
     gamma_minus,
-    influence_bound_check,
+    influence_bound_batch,
     isoperimetry_report,
     monotone_masks,
     optimal_matching,
@@ -63,6 +67,9 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    work: int = 0           # items a passing check covered, counted in work_unit
+    work_unit: str = ""
+    seconds: float = 0.0    # wall time, filled in by run_all
 
 
 # ----------------------------------------------------------------------
@@ -88,20 +95,36 @@ def full_sweep(n: int, d: int) -> List[SweepRow]:
     if key in _SWEEPS:
         return _SWEEPS[key]
     shape = GridShape(n, d)
+    eps_of = [Fraction(k, shape.size) for k in range(shape.size + 1)]
+    brute = brute_force_batch(shape, np.arange(1 << shape.size)).tolist()
     rows = []
     for mask in range(1 << shape.size):
-        f = BoolFunc.from_mask(shape, mask)
-        report = isoperimetry_report(f)
+        report = isoperimetry_report(BoolFunc.from_mask(shape, mask))
         rows.append(SweepRow(
             mask,
             report.influence.eps,
-            brute_force_distance(f),
+            eps_of[brute[mask]],
             report.margulis_ratio,
             report.edge_ratio,
             report.vertex_ratio,
         ))
     _SWEEPS[key] = rows
     return rows
+
+
+# Functions per batch-kernel call in the exhaustive sweeps: the kernels
+# keep several int64 values per function, so whole 2^16 sweeps would add
+# megabytes to the process's peak memory.
+SWEEP_BLOCK = 1 << 12
+
+
+def _table_blocks(shape: GridShape) -> Iterator[Tuple[int, np.ndarray]]:
+    """(first mask, tables) for consecutive blocks of every function on the
+    grid, in mask order; row k of a block holds mask first + k."""
+    total = 1 << shape.size
+    for first in range(0, total, SWEEP_BLOCK):
+        masks = np.arange(first, min(first + SWEEP_BLOCK, total))
+        yield first, _mask_bits(masks, shape.size)
 
 
 def decomposition_instances(master_seed: int) -> list:
@@ -173,7 +196,8 @@ def check_one_sided(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
     return CheckResult(
         1, "one-sided", passed,
         f"{calls} sampled invocations, {rejections} rejections; "
-        f"{exhaustive} monotone functions exhausted over the randomness space")
+        f"{exhaustive} monotone functions exhausted over the randomness space",
+        calls + exhaustive, "invocations + functions")
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +216,8 @@ def check_distance_equivalence() -> CheckResult:
                     f"mask {row.mask} on {n}^{d}: matching {row.eps} != brute {row.brute}")
             checked += 1
     return CheckResult(2, "distance-equivalence", True,
-                       f"{checked} functions agree exactly across {len(DISTANCE_SHAPES)} shapes")
+                       f"{checked} functions agree exactly across {len(DISTANCE_SHAPES)} shapes",
+                       checked, "functions")
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +235,9 @@ def sweep_minima(n: int, d: int) -> Tuple[Fraction, Fraction, Fraction]:
 
 def check_isoperimetry_regression() -> CheckResult:
     details = []
+    swept = 0
     for n, d in DISTANCE_SHAPES:
+        swept += len(full_sweep(n, d))
         for row in full_sweep(n, d):
             if row.margulis is None:
                 continue
@@ -227,7 +254,8 @@ def check_isoperimetry_regression() -> CheckResult:
             return CheckResult(3, "isoperimetry-regression", False,
                                f"shape {n}x{d}: minima {mins} != frozen {expected}")
         details.append(f"{n}x{d}: margulis>={mins[0]}")
-    return CheckResult(3, "isoperimetry-regression", True, "; ".join(details))
+    return CheckResult(3, "isoperimetry-regression", True, "; ".join(details),
+                       swept, "functions")
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +339,8 @@ def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> Check
         return CheckResult(4, "decomposition-routing", False, f"integrity failure: {exc}")
     n_inst = len(decomposition_instances(master_seed))
     return CheckResult(4, "decomposition-routing", True,
-                       f"{n_inst} eps-far instances, {classes_checked} distance classes verified")
+                       f"{n_inst} eps-far instances, {classes_checked} distance classes verified",
+                       classes_checked, "distance classes")
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +370,8 @@ def check_alternating_counts(master_seed: int = DEFAULT_MASTER_SEED) -> CheckRes
     except IntegrityError as exc:
         return CheckResult(5, "alternating-counts", False, f"walk integrity failure: {exc}")
     return CheckResult(5, "alternating-counts", True,
-                       f"{walks} alternating walks, counting identity exact on every instance")
+                       f"{walks} alternating walks, counting identity exact on every instance",
+                       walks, "alternating walks")
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +379,6 @@ def check_alternating_counts(master_seed: int = DEFAULT_MASTER_SEED) -> CheckRes
 
 def _transform_defects(rng, tables: int) -> Tuple[float, float]:
     """Worst Parseval and inverse-transform defects over random +-1 tables on 8^3."""
-    import numpy as np
-
     from .fourier import inverse_transform, transform
 
     shape = GridShape(8, 3)
@@ -366,29 +394,32 @@ def _transform_defects(rng, tables: int) -> Tuple[float, float]:
 def _line_failures(n: int) -> Iterator[Tuple[int, str]]:
     """(mask, reason) for every function on the line [n] that breaks the line
     inequality, a sorting claim, or the agreement of the coefficient routes."""
-    from .fourier import line_delta_report
+    from .fourier import line_sweep
 
-    # [16] is criterion 6's longest line, and its 2^16 functions take
-    # seconds; the 2^32 of [32] would take days.  The limit is on n, so an
-    # absurd n never builds 2^n.
+    # [16] is criterion 6's longest line, a 2^16 x 16 bit array; [32] would
+    # need 2^32 rows.  The limit is on n, so an absurd n never builds 2^n.
     if n > 16:
         raise CapacityError("line sweep", n, 16)
     line = GridShape(n, 1)
-    for mask in range(1 << n):
-        g = BoolFunc.from_mask(line, mask)
-        try:
-            rep = line_delta_report(g)
-        except IntegrityError as exc:
-            yield mask, str(exc)  # the two coefficient routes disagree
-            continue
-        if not rep.inequality_holds:
-            yield mask, "line bound fails"
-        elif not (rep.delta_sorted_ge and rep.final_claim_holds):
-            yield mask, "sorting claim fails"
+    for first, tables in _table_blocks(line):
+        sweep = line_sweep(line, tables)
+        for k in np.flatnonzero(~sweep.passed).tolist():
+            try:
+                rep = sweep.report(k)
+            except IntegrityError as exc:
+                yield first + k, str(exc)  # the two coefficient routes disagree
+                continue
+            if not rep.inequality_holds:
+                yield first + k, "line bound fails"
+            elif not (rep.delta_sorted_ge and rep.final_claim_holds):
+                yield first + k, "sorting claim fails"
+
+
+PARSEVAL_TABLES = 1000
 
 
 def check_fourier_suite(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
-    worst, _ = _transform_defects(derive_rng(master_seed, "parseval"), 1000)
+    worst, _ = _transform_defects(derive_rng(master_seed, "parseval"), PARSEVAL_TABLES)
     if worst > 1e-12:
         return CheckResult(6, "fourier-suite", False, f"Parseval defect {worst}")
 
@@ -398,17 +429,18 @@ def check_fourier_suite(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
 
     shape42 = GridShape(4, 2)
     applicable = 0
-    for mask in range(1 << shape42.size):
-        chk = influence_bound_check(BoolFunc.from_mask(shape42, mask))
-        if chk.applicable:
-            applicable += 1
-            if not chk.holds:
-                return CheckResult(6, "fourier-suite", False,
-                                   f"influence bound fails at mask {mask} on 4^2")
+    for first, tables in _table_blocks(shape42):
+        in_range, holds, _, _ = influence_bound_batch(shape42, tables)
+        failing = np.flatnonzero(in_range & ~holds)
+        if len(failing):
+            return CheckResult(6, "fourier-suite", False,
+                               f"influence bound fails at mask {first + int(failing[0])} on 4^2")
+        applicable += int(in_range.sum())
     return CheckResult(
         6, "fourier-suite", True,
         f"Parseval defect {worst:.2e}; 256+65536 line functions pass; "
-        f"{applicable} applicable functions satisfy the influence bound")
+        f"{applicable} applicable functions satisfy the influence bound",
+        PARSEVAL_TABLES + (1 << 8) + (1 << 16) + (1 << shape42.size), "tables + functions")
 
 
 # ----------------------------------------------------------------------
@@ -457,7 +489,8 @@ def check_reduction(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
         return CheckResult(7, "reduction", False, "query forwarding is not 1:1")
     return CheckResult(7, "reduction", True,
                        f"{preserved} monotone lifts exact; {compared} distance comparisons; "
-                       f"query forwarding 1:1 over {k} probes")
+                       f"query forwarding 1:1 over {k} probes",
+                       preserved + compared, "lifts + distance comparisons")
 
 
 # ----------------------------------------------------------------------
@@ -511,7 +544,8 @@ def check_calibrated_detection(master_seed: int = DEFAULT_MASTER_SEED) -> CheckR
         for key, vals in sorted(trend.items()))
     return CheckResult(8, "calibrated-detection", True,
                        f"calibration {DEFAULT_CALIBRATION}; all 12 configs reject >= {need}/{runs}; "
-                       f"single-shot rates for inspection: {trend_text}")
+                       f"single-shot rates for inspection: {trend_text}",
+                       runs * len(PILOT_GRID), "amplified verdicts")
 
 
 # ----------------------------------------------------------------------
@@ -551,25 +585,32 @@ def check_determinism(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
     if p1 != p2:
         return CheckResult(9, "determinism", False,
                            "persistence sweep bytes differ across walk groupings")
+    rows = (len(a.splitlines()) - 1, len(i1.splitlines()) - 1, len(p1.splitlines()) - 1)
     return CheckResult(9, "determinism", True,
                        f"rate/isoperimetry/persistence reports byte-identical "
-                       f"({len(a.splitlines()) - 1} + {len(i1.splitlines()) - 1} + "
-                       f"{len(p1.splitlines()) - 1} rows)")
+                       f"({rows[0]} + {rows[1]} + {rows[2]} rows)",
+                       sum(rows), "report rows")
 
 
 # ----------------------------------------------------------------------
 
+def _timed(check, *args) -> CheckResult:
+    start = time.perf_counter()
+    result = check(*args)
+    return dataclasses.replace(result, seconds=time.perf_counter() - start)
+
+
 def run_all(master_seed: int = DEFAULT_MASTER_SEED) -> List[CheckResult]:
     return [
-        check_one_sided(master_seed),
-        check_distance_equivalence(),
-        check_isoperimetry_regression(),
-        check_decomposition_routing(master_seed),
-        check_alternating_counts(master_seed),
-        check_fourier_suite(master_seed),
-        check_reduction(master_seed),
-        check_calibrated_detection(master_seed),
-        check_determinism(master_seed),
+        _timed(check_one_sided, master_seed),
+        _timed(check_distance_equivalence),
+        _timed(check_isoperimetry_regression),
+        _timed(check_decomposition_routing, master_seed),
+        _timed(check_alternating_counts, master_seed),
+        _timed(check_fourier_suite, master_seed),
+        _timed(check_reduction, master_seed),
+        _timed(check_calibrated_detection, master_seed),
+        _timed(check_determinism, master_seed),
     ]
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import gridmono
-from gridmono.cli import EXIT_CAPACITY, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
+from gridmono import verify
+from gridmono.cli import EXIT_CAPACITY, EXIT_INTEGRITY, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from gridmono.func import generate, save
 from gridmono.grid import GridShape
 
@@ -216,3 +218,50 @@ def test_config_rejects_malformed_files(tmp_path, capsys):
         cfg.write_text(text)
         assert run(["rate", "--config", str(cfg), "--out", "/dev/null"]) == EXIT_USAGE, text
         assert "bad config file" in capsys.readouterr().err
+
+
+VERIFY_CHECKS = ("check_one_sided", "check_distance_equivalence", "check_isoperimetry_regression",
+                 "check_decomposition_routing", "check_alternating_counts", "check_fourier_suite",
+                 "check_reduction", "check_calibrated_detection", "check_determinism")
+
+
+def stub_slow_checks(monkeypatch, failing=()):
+    """Every criterion but the determinism check (a fraction of a second) stubbed."""
+    for k, name in enumerate(VERIFY_CHECKS[:-1], 1):
+        result = verify.CheckResult(k, f"stub-{k}", k not in failing, f"stub {k}", 10 * k, "items")
+        monkeypatch.setattr(verify, name, lambda *args, result=result: result)
+
+
+def test_verify_json_schema(monkeypatch, capsys):
+    stub_slow_checks(monkeypatch)
+    assert run(["verify", "--json"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    for k, line in enumerate(lines, 1):
+        obj = json.loads(line)
+        assert list(obj) == ["criterion", "name", "passed", "detail", "seconds", "work",
+                             "work_unit"]
+        assert obj["criterion"] == k and obj["passed"] is True
+        assert isinstance(obj["name"], str) and isinstance(obj["detail"], str)
+        assert isinstance(obj["seconds"], float) and obj["seconds"] >= 0
+        assert isinstance(obj["work"], int) and isinstance(obj["work_unit"], str)
+    real = json.loads(lines[-1])
+    assert real["name"] == "determinism" and real["work_unit"] == "report rows"
+    assert real["work"] == 4 + 21 + 2 and real["seconds"] > 0
+
+
+def test_verify_text_and_failures(monkeypatch, tmp_path, capsys):
+    stub_slow_checks(monkeypatch, failing=(2,))
+    assert run(["verify"]) == EXIT_INTEGRITY
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["PASS criterion-1 stub-1: stub 1", "FAIL criterion-2 stub-2: stub 2"]
+    assert lines[-1].startswith("PASS criterion-9 determinism: ")
+    # a flag read from a config file takes its boolean value, not the string's truth
+    cfg = tmp_path / "v.ini"
+    for word, is_json in (("false", False), ("no", False), ("true", True)):
+        cfg.write_text(f"[verify]\njson = {word}\n")
+        assert run(["verify", "--config", str(cfg)]) == EXIT_INTEGRITY
+        assert capsys.readouterr().out.startswith("{") == is_json, word
+    cfg.write_text("[verify]\njson = maybe\n")
+    assert run(["verify", "--config", str(cfg)]) == EXIT_USAGE
+    assert "json" in capsys.readouterr().err

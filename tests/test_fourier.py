@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridmono.func import BoolFunc, generate, restrict_line
+from gridmono.errors import CapacityError, IntegrityError
+from gridmono.func import BoolFunc, _mask_bits, generate, restrict_line, sort_line
 from gridmono.fourier import (
     WalshIndex,
     edge_coefficient,
     inverse_transform,
     line_delta_report,
+    line_sweep,
     transform,
     transform_exact,
     unit_coefficients,
@@ -229,3 +231,96 @@ def test_restricted_line_coefficients_average(rng):
             total += edge_coefficient(BoolFunc.from_table(GridShape(4, 1), table),
                                       0, shape.bits - 1)
         assert total / shape.n == edge_coefficient(f, dim, shape.bits - 1)
+
+
+# ----------------------------------------------------------------------
+# the batch line kernel against the per-function oracles
+
+def reference_line_row(g):
+    """Numerators over n of the line report, from violated_aug_edges, a
+    plain expectation for e1 and sort_line."""
+    shape = g.shape
+    half = shape.n // 2
+
+    def terms(h):
+        s_minus, s_plus = violated_aug_edges(h)
+        table = h.table()
+        e1 = sum(table[:half]) - sum(table[half:])
+        return len(s_plus) - len(s_minus), len(s_minus), e1
+
+    delta, neg, e1 = terms(g)
+    delta_sorted, _, e1_sorted = terms(sort_line(g))
+    return (delta, neg, e1, delta_sorted, e1_sorted,
+            delta <= shape.bits * (4 * neg - e1), delta_sorted >= delta,
+            -e1_sorted <= -e1 + 4 * neg)
+
+
+def sweep_row(sweep, k):
+    assert sweep.e1_matching[k] == sweep.e1[k]
+    assert sweep.e1_sorted_matching[k] == sweep.e1_sorted[k]
+    return (sweep.delta_I[k], sweep.I_minus[k], sweep.e1[k], sweep.delta_sorted[k],
+            sweep.e1_sorted[k], sweep.inequality_holds[k], sweep.delta_sorted_ge[k],
+            sweep.final_claim_holds[k])
+
+
+@pytest.mark.parametrize("n, masks", [
+    (4, range(1 << 4)),
+    (8, range(1 << 8)),
+    (16, random.Random(16).sample(range(1 << 16), 2000)),
+])
+def test_line_sweep_matches_per_function_reference(n, masks):
+    line = GridShape(n, 1)
+    masks = list(masks)
+    sweep = line_sweep(line, _mask_bits(masks, n))
+    for k, mask in enumerate(masks):
+        g = BoolFunc.from_mask(line, mask)
+        assert sweep_row(sweep, k) == reference_line_row(g), mask
+        assert sweep.report(k) == line_delta_report(g), mask
+    assert sweep.passed.all()
+
+
+def test_edge_coefficient_matches_plain_expectation(rng):
+    for shape in (GridShape(4, 2), GridShape(8, 2), GridShape(2, 3)):
+        for _ in range(10):
+            table = [rng.getrandbits(1) for _ in range(shape.size)]
+            f = BoolFunc.from_table(shape, table)
+            for dim in range(shape.d):
+                for bit in range(shape.bits):
+                    total = sum(b * (-1 if x[dim] >> bit & 1 else 1)
+                                for b, x in zip(table, points(shape)))
+                    assert edge_coefficient(f, dim, bit) == Fraction(total, shape.size)
+
+
+def test_line_failures_reasons_in_priority_order(monkeypatch):
+    from gridmono import fourier, verify
+
+    routes = fourier._coefficient_routes
+
+    def skewed_routes(shape, tables, dim, bit):
+        by_expectation, by_matching = routes(shape, tables, dim, bit)
+        return by_expectation, by_matching + 1
+
+    monkeypatch.setattr(fourier, "_coefficient_routes", skewed_routes)
+    failures = list(verify._line_failures(4))
+    assert failures[:2] == [(0, "coefficient routes disagree: 0 vs 1/4"),
+                            (1, "coefficient routes disagree: 1/4 vs 1/2")]
+    assert len(failures) == 16
+    with pytest.raises(IntegrityError, match="coefficient routes disagree"):
+        line_delta_report(BoolFunc.from_mask(GridShape(4, 1), 5))
+
+    monkeypatch.setattr(fourier, "_coefficient_routes", routes)
+    counts = fourier.edge_counts_batch
+
+    def more_upward(shape, tables):
+        violated, upward = counts(shape, tables)
+        return violated, upward + 100
+
+    monkeypatch.setattr(fourier, "edge_counts_batch", more_upward)
+    assert list(verify._line_failures(4))[:1] == [(0, "line bound fails")]
+
+
+def test_line_sweep_capacity_before_allocation():
+    from gridmono import verify
+
+    with pytest.raises(CapacityError):
+        next(verify._line_failures(1 << 40))

@@ -3,17 +3,21 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gridmono.errors import CapacityError
-from gridmono.func import BoolFunc, generate
+from gridmono.func import BoolFunc, _mask_bits, generate, is_monotone
 from gridmono.grid import GridShape, directed_distance, dominates, points
 from gridmono.oracle import (
+    brute_force_batch,
     brute_force_distance,
     distance_to_monotonicity,
+    edge_counts_batch,
     gamma_minus,
+    influence_bound_batch,
     influence_bound_check,
     influence_report,
     isoperimetry_report,
@@ -260,3 +264,62 @@ def test_influence_bound_sampled(rng):
         chk = influence_bound_check(f)
         if chk.applicable:
             assert chk.holds
+
+
+# ----------------------------------------------------------------------
+# batch kernels against the per-function oracles
+
+@pytest.mark.parametrize("shape", [GridShape(4, 2), GridShape(2, 3)])
+def test_edge_counts_batch_exhaustive(shape):
+    masks = range(1 << shape.size)
+    violated, upward = edge_counts_batch(shape, _mask_bits(masks, shape.size))
+    for mask in masks:
+        s_minus, s_plus = violated_aug_edges(BoolFunc.from_mask(shape, mask))
+        assert (violated[mask], upward[mask]) == (len(s_minus), len(s_plus)), mask
+
+
+def test_edge_counts_batch_random_tables(rng):
+    shape = GridShape(8, 3)
+    tables = [[rng.getrandbits(1) for _ in range(shape.size)] for _ in range(40)]
+    violated, upward = edge_counts_batch(shape, np.array(tables, dtype=np.uint8))
+    for k, table in enumerate(tables):
+        s_minus, s_plus = violated_aug_edges(BoolFunc.from_table(shape, table))
+        assert (violated[k], upward[k]) == (len(s_minus), len(s_plus))
+
+
+def test_influence_bound_batch_matches_one_row_view(rng):
+    shape = GridShape(4, 2)
+    masks = [rng.randrange(1 << shape.size) for _ in range(500)]
+    applicable, holds, sensitive, violated = influence_bound_batch(
+        shape, _mask_bits(masks, shape.size))
+    for k, mask in enumerate(masks):
+        chk = influence_bound_check(BoolFunc.from_mask(shape, mask))
+        assert (chk.applicable, chk.holds) == (applicable[k], holds[k])
+        assert (chk.I, chk.I_minus) == (Fraction(int(sensitive[k]), 16),
+                                        Fraction(int(violated[k]), 16))
+
+
+@pytest.mark.parametrize("shape", [GridShape(2, 2), GridShape(2, 3), GridShape(3, 2)])
+def test_brute_force_batch_exhaustive(shape):
+    masks = range(1 << shape.size)
+    monotone = [m for m in masks if is_monotone(BoolFunc.from_mask(shape, m))]
+    best = brute_force_batch(shape, list(masks))
+    for mask in masks:
+        assert best[mask] == min(bin(mask ^ g).count("1") for g in monotone), mask
+        assert brute_force_distance(BoolFunc.from_mask(shape, mask)) == \
+            Fraction(int(best[mask]), shape.size)
+
+
+def test_brute_force_batch_rejects_out_of_range_masks():
+    for masks in ([-1], [1 << 4]):
+        with pytest.raises(ValueError):
+            brute_force_batch(GridShape(2, 2), masks)
+
+
+def test_mask_bits_rows_are_mask_tables(rng):
+    for shape in (GridShape(4, 2), GridShape(20, 1), GridShape(3, 2)):
+        masks = [rng.randrange(1 << shape.size) for _ in range(50)]
+        rows = _mask_bits(masks, shape.size)
+        assert rows.dtype == np.uint8 and rows.shape == (50, shape.size)
+        for mask, row in zip(masks, rows.tolist()):
+            assert row == BoolFunc.from_mask(shape, mask).table()

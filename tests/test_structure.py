@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from gridmono.errors import FormatError, IntegrityError, NotGoodError
+from gridmono.errors import IntegrityError, NotGoodError
 from gridmono.func import BoolFunc, generate
 from gridmono.grid import (
     LOWER,
@@ -35,9 +35,7 @@ from gridmono.structure import (
     is_good,
     layer_size_dichotomy,
     level_sets,
-    load_poset,
     pair_crosses,
-    parse_poset,
     potential_phi,
     route_disjoint_paths,
 )
@@ -66,23 +64,6 @@ def test_explicit_poset_distances():
 def test_explicit_poset_rejects_cycles():
     with pytest.raises(ValueError):
         ExplicitPoset(3, [(0, 1), (1, 2), (2, 0)])
-
-
-def test_poset_text_format(tmp_path):
-    text = "poset 7\n0 2\n2 3\n3 5\n1 4\n4 2\n2 6\n"
-    p = parse_poset(text)
-    assert p.dist(0, 5) == 3
-    path = tmp_path / "fixture.poset"
-    path.write_text(text)
-    assert load_poset(str(path)).dist(1, 5) == 4
-    with pytest.raises(FormatError):
-        parse_poset("")
-    with pytest.raises(FormatError):
-        parse_poset("dag 3\n0 1\n")
-    with pytest.raises(FormatError):
-        parse_poset("poset 3\n0 1 2\n")
-    with pytest.raises(FormatError):
-        parse_poset("poset x\n")
 
 
 def test_grid_poset_between():

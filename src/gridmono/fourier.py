@@ -173,8 +173,7 @@ def _agreed(by_expectation: int, by_matching: int, size: int) -> Fraction:
 
 def edge_coefficient(f: BoolFunc, dim: int, bit: int) -> Fraction:
     """Coefficient of the single-bit character, computed two independent ways."""
-    table = np.array([f.table()], dtype=np.uint8)
-    by_expectation, by_matching = _coefficient_routes(f.shape, table, dim, bit)
+    by_expectation, by_matching = _coefficient_routes(f.shape, f.bits[None], dim, bit)
     return _agreed(by_expectation[0], by_matching[0], f.shape.size)
 
 
@@ -256,7 +255,7 @@ def line_sweep(shape: GridShape, tables: np.ndarray) -> LineSweep:
 
 def line_delta_report(g: BoolFunc) -> LineDeltaReport:
     """The line report of one line: the one-row view of line_sweep."""
-    return line_sweep(g.shape, np.array([g.table()], dtype=np.uint8)).report(0)
+    return line_sweep(g.shape, g.bits[None]).report(0)
 
 
 def unit_coefficients(f: BoolFunc) -> list:

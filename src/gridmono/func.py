@@ -1,11 +1,11 @@
 """Boolean functions on the grid: storage, query counting, generators, I/O.
 
-A BoolFunc is backed either by a dense bit table (canonical at desk scale)
-or by a pure predicate (for larger grids where only sampling runs).  Every
-evaluation, repeated or not, bumps the query counter.  `eval_batch`
-evaluates many points in one call: tables gather by linear index, the
-closed-form generator families carry a vectorised predicate, and any other
-predicate is called once per point.
+A BoolFunc is backed either by a dense bit table, one read-only uint8
+array (canonical at desk scale), or by a pure predicate (for larger grids
+where only sampling runs).  Every evaluation, repeated or not, bumps the
+query counter.  `eval_batch` evaluates many points in one call: tables
+gather by linear index, the closed-form generator families carry a
+vectorised predicate, and any other predicate is called once per point.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import random
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,20 +37,12 @@ class BoolFunc:
                  predicate: Optional[Callable[[Point], int]] = None):
         if (table is None) == (predicate is None):
             raise ValueError("provide exactly one of table, predicate")
-        if table is not None:
-            _check_table_capacity(shape, "dense table")
-            table = list(table)
-            if len(table) != shape.size:
-                raise ValueError(f"table has {len(table)} entries, expected {shape.size}")
-            if any(b not in (0, 1) for b in table):
-                raise ValueError("table entries must be bits")
         self.shape = shape
-        self._table = table
+        self._bits = None if table is None else _checked_bits(shape, table)
         self._predicate = predicate
         # vectorised form of the predicate, set by generate() for closed forms
         self._batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-        # the table as uint8 and the linear-index strides, built on first batch
-        self._gather: Optional[np.ndarray] = None
+        # the linear-index strides, built on first batch
         self._strides: Optional[np.ndarray] = None
         self.queries = 0
         self._lock = threading.Lock()
@@ -65,21 +57,22 @@ class BoolFunc:
         _check_table_capacity(shape, "dense table")
         if not 0 <= mask < 1 << shape.size:
             raise ValueError(f"mask {mask} out of range [0, 2^{shape.size})")
-        return cls(shape, table=[(mask >> k) & 1 for k in range(shape.size)])
+        octets = np.frombuffer(mask.to_bytes((shape.size + 7) // 8, "little"), dtype=np.uint8)
+        return cls(shape, table=np.unpackbits(octets, count=shape.size, bitorder="little"))
 
     @classmethod
     def from_predicate(cls, shape: GridShape, predicate: Callable[[Point], int]) -> "BoolFunc":
         return cls(shape, predicate=predicate)
 
     def is_table_backed(self) -> bool:
-        return self._table is not None
+        return self._bits is not None
 
     def eval(self, x: Point) -> int:
         check_point(self.shape, x)
         with self._lock:
             self.queries += 1
-        if self._table is not None:
-            return self._table[linear_index(self.shape, x)]
+        if self._bits is not None:
+            return self._bits.item(linear_index(self.shape, x))
         return self._call_predicate(x)
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
@@ -98,11 +91,10 @@ class BoolFunc:
         points = points.astype(np.int64, copy=False)
         with self._lock:
             self.queries += len(points)
-        if self._table is not None:
-            if self._gather is None:
+        if self._bits is not None:
+            if self._strides is None:
                 self._strides = np.array([shape.n ** i for i in range(shape.d)], dtype=np.int64)
-                self._gather = np.array(self._table, dtype=np.uint8)
-            return self._gather[points @ self._strides]
+            return self._bits[points @ self._strides]
         if self._batch is not None:
             return self._batch(points).astype(np.uint8)
         return np.array([self._call_predicate(tuple(p)) for p in points.tolist()],
@@ -117,15 +109,36 @@ class BoolFunc:
     def __call__(self, x: Point) -> int:
         return self.eval(x)
 
-    def table(self) -> list:
-        """The dense bit table, materializing a predicate if small enough.
-
-        Does not touch the query counter; this is oracle access, not querying.
-        """
-        if self._table is not None:
-            return list(self._table)
+    @property
+    def bits(self) -> np.ndarray:
+        """The dense bit table as a read-only uint8 array, materializing a
+        predicate if small enough; oracle access, so no query is counted."""
+        if self._bits is not None:
+            return self._bits
         _check_table_capacity(self.shape, "materializing a predicate")
-        return [self._call_predicate(point_of(self.shape, i)) for i in range(self.shape.size)]
+        bits = np.array([self._call_predicate(point_of(self.shape, i))
+                         for i in range(self.shape.size)], dtype=np.uint8)
+        bits.setflags(write=False)
+        return bits
+
+    def table(self) -> list:
+        """The dense bit table as a new list; see bits."""
+        return self.bits.tolist()
+
+
+def _checked_bits(shape: GridShape, table) -> np.ndarray:
+    """A read-only uint8 copy of `table`; ValueError unless it holds one bit per point."""
+    _check_table_capacity(shape, "dense table")
+    given = np.asarray(table)
+    if given.ndim != 1 or len(given) != shape.size:
+        raise ValueError(f"table has shape {given.shape}, expected ({shape.size},)")
+    # checked before the cast, which would wrap -1, 256 and 0.5 into bits
+    if given.dtype.kind not in "biuf" or np.count_nonzero(
+            given > 1 if given.dtype == np.uint8 else (given != 0) & (given != 1)):
+        raise ValueError("table entries must be bits")
+    bits = given.astype(np.uint8)
+    bits.setflags(write=False)
+    return bits
 
 
 def _mask_bits(masks, size: int) -> np.ndarray:
@@ -134,6 +147,21 @@ def _mask_bits(masks, size: int) -> np.ndarray:
     words = np.asarray(masks, dtype="<u8").reshape(-1)
     octets = words.view(np.uint8).reshape(len(words), 8)[:, :(size + 7) // 8]
     return np.unpackbits(octets, axis=1, bitorder="little")[:, :size]
+
+
+# Functions per batch-kernel call in the exhaustive sweeps: the kernels
+# keep several int64 values per function, so whole 2^16 sweeps would add
+# megabytes to the process's peak memory.
+SWEEP_BLOCK = 1 << 12
+
+
+def _table_blocks(shape: GridShape) -> Iterator[Tuple[int, np.ndarray]]:
+    """(first mask, tables) for consecutive blocks of every function on the
+    grid, in mask order; row k of a block holds mask first + k."""
+    total = 1 << shape.size
+    for first in range(0, total, SWEEP_BLOCK):
+        masks = np.arange(first, min(first + SWEEP_BLOCK, total))
+        yield first, _mask_bits(masks, shape.size)
 
 
 def is_monotone(f: BoolFunc) -> bool:
@@ -172,9 +200,7 @@ def sort_line(g: BoolFunc) -> BoolFunc:
     """The monotone line 0^j 1^(n-j) with the same number of ones as g."""
     if g.shape.d != 1:
         raise ValueError("sort_line needs a line function")
-    table = g.table()
-    zeros = table.count(0)
-    return BoolFunc.from_table(g.shape, [0] * zeros + [1] * (len(table) - zeros))
+    return BoolFunc.from_table(g.shape, np.sort(g.bits))
 
 
 def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
@@ -244,8 +270,7 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
             base = generate("random_monotone", shape, seed=rng.randrange(1 << 62))
         if base.shape != shape:
             raise ValueError("base shape mismatch")
-        table = base.table()
-        flipped = [b ^ 1 if rng.random() < rho else b for b in table]
+        flipped = [b ^ 1 if rng.random() < rho else b for b in base.table()]
         return BoolFunc.from_table(shape, flipped)
     raise ValueError(f"unknown generator kind {kind!r}")
 
@@ -287,12 +312,8 @@ def save(f: BoolFunc, sink) -> None:
     """
     if not f.is_table_backed():
         raise ValueError("only table-backed functions can be saved")
-    table = f.table()
-    payload = bytearray((len(table) + 7) // 8)
-    for k, b in enumerate(table):
-        if b:
-            payload[k // 8] |= 1 << (k % 8)
-    blob = MAGIC + f.shape.n.to_bytes(8, "little") + f.shape.d.to_bytes(8, "little") + bytes(payload)
+    payload = np.packbits(f.bits, bitorder="little").tobytes()
+    blob = MAGIC + f.shape.n.to_bytes(8, "little") + f.shape.d.to_bytes(8, "little") + payload
     if isinstance(sink, (str, bytes)):
         with open(sink, "wb") as fh:
             fh.write(blob)
@@ -329,7 +350,7 @@ def load(source) -> BoolFunc:
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
     if bits[size:].any():
         raise FormatError("nonzero padding bits")
-    return BoolFunc.from_table(shape, bits[:size].tolist())
+    return BoolFunc.from_table(shape, bits[:size])
 
 
 def dumps(f: BoolFunc) -> bytes:

@@ -10,21 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import CapacityError, IntegrityError
-from .func import BoolFunc
-from .grid import (
-    AugEdge,
-    GridShape,
-    _aug_edges,
-    directed_distance,
-    points,
-    unit_steps,
-)
+from .func import BoolFunc, _table_blocks
+from .grid import AugEdge, GridShape, _aug_edges, points
 
 ORACLE_CAPACITY = 4096
 BRUTE_FORCE_CAPACITY = 20
@@ -44,8 +38,10 @@ class ShapeTables:
 
     shape: GridShape
     points: tuple
-    comparable: tuple      # (lo_index, hi_index, directed distance), strict pairs
-    aug_edges: tuple       # (lo_index, hi_index, AugEdge)
+    # (pairs, 3) int64 rows (lo_index, hi_index, directed distance) of the
+    # strict pairs, in increasing lo_index, then hi_index
+    comparable: np.ndarray
+    aug_edges: tuple       # AugEdge k joins lo[k] to hi[k] of _aug_edge_index(shape)
 
 
 @lru_cache(maxsize=64)
@@ -57,20 +53,25 @@ def shape_tables(shape: GridShape) -> ShapeTables:
     # hold 16M gaps at the 4096-point cap
     coords = np.array(pts, dtype=np.int64).reshape(len(pts), shape.d)
     popcount = np.array([v.bit_count() for v in range(shape.n)], dtype=np.int64)
-    comparable = []
+    # pairs x <= y in each coordinate, less the N pairs x = y
+    comparable = np.empty(((shape.n * (shape.n + 1) // 2) ** shape.d - shape.size, 3),
+                          dtype=np.int64)
+    end = 0
     for i in range(len(pts)):
         gap = coords - coords[i]
-        above = np.flatnonzero((gap >= 0).all(axis=1))
+        above = (gap >= 0).all(axis=1).nonzero()[0]
         above = above[above != i]
-        dist = popcount[gap[above]].sum(axis=1)
-        comparable.extend(zip([i] * len(above), above.tolist(), dist.tolist()))
-    aug = tuple((lo, hi, AugEdge(pts[lo], pts[hi], m)) for lo, hi, m in _aug_edges(shape))
-    return ShapeTables(shape, pts, tuple(comparable), aug)
+        rows = comparable[end:end + len(above)]
+        rows[:, 0], rows[:, 1], rows[:, 2] = i, above, popcount[gap[above]].sum(axis=1)
+        end += len(above)
+    comparable.setflags(write=False)
+    aug = tuple(AugEdge(pts[lo], pts[hi], m) for lo, hi, m in _aug_edges(shape))
+    return ShapeTables(shape, pts, comparable, aug)
 
 
-def _table_of(f: BoolFunc) -> list:
+def _bits_of(f: BoolFunc) -> np.ndarray:
     _check_oracle_capacity(f.shape)
-    return f.table()
+    return f.bits
 
 
 def _check_oracle_capacity(shape: GridShape) -> None:
@@ -138,42 +139,40 @@ def hopcroft_karp(adj: List[List[int]], n_right: int) -> Tuple[int, List[int], L
 
 @dataclass(frozen=True)
 class ViolationGraph:
-    ones: tuple      # indices with f = 1
-    zeros: tuple     # indices with f = 0
-    arcs: tuple      # (one_index, zero_index, distance) with one < zero in the order
+    ones: np.ndarray   # indices with f = 1
+    zeros: np.ndarray  # indices with f = 0
+    arcs: np.ndarray   # (arcs, 3) rows of comparable with f = 1 at lo_index, 0 at hi_index
 
 
 def violation_graph(f: BoolFunc) -> ViolationGraph:
-    table = _table_of(f)
-    st = shape_tables(f.shape)
-    ones = tuple(i for i, b in enumerate(table) if b)
-    zeros = tuple(i for i, b in enumerate(table) if not b)
-    arcs = tuple((i, j, dist) for i, j, dist in st.comparable
-                 if table[i] and not table[j])
-    return ViolationGraph(ones, zeros, arcs)
+    t = _bits_of(f)
+    comparable = shape_tables(f.shape).comparable
+    arcs = comparable[t[comparable[:, 0]] > t[comparable[:, 1]]]
+    return ViolationGraph(t.nonzero()[0], (t == 0).nonzero()[0], arcs)
 
 
-def _max_matching(table: list, arcs) -> List[Tuple[int, int]]:
-    """Hopcroft-Karp over arcs (one_index, zero_index, ...) in the order given.
+def _max_matching(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> List[int]:
+    """Hopcroft-Karp over the arcs lo[k] -> hi[k], from 1-points to
+    0-points of `table`; each point lists its arcs in the order given.
 
-    Returns the matched (one_index, zero_index) pairs in increasing
-    one_index.  Points without arcs stay unmatched and do not change which
-    matching is found.
+    Returns the positions k of the matched arcs, in increasing lo[k].  The
+    left side is the 1-points in increasing index; points without arcs stay
+    unmatched and do not change which matching is found, so the right side
+    is every grid index.
     """
-    one_pos: dict = {}
-    zero_pos: dict = {}
-    for idx, b in enumerate(table):
-        side = one_pos if b else zero_pos
-        side[idx] = len(side)
-    adj: List[List[int]] = [[] for _ in one_pos]
-    for arc in arcs:
-        adj[one_pos[arc[0]]].append(zero_pos[arc[1]])
-    size, match_l, _ = hopcroft_karp(adj, len(zero_pos))
-    zeros = list(zero_pos)
-    pairs = [(one, zeros[v]) for one, v in zip(one_pos, match_l) if v != -1]
-    if len(pairs) != size:
+    ones = table.nonzero()[0]
+    by_lo = lo.argsort(kind="stable")
+    adj: List[List[int]] = [[] for _ in range(len(ones))]
+    for u, v in zip(ones.searchsorted(lo[by_lo]).tolist(), hi[by_lo].tolist()):
+        adj[u].append(v)
+    matched, match_l, _ = hopcroft_karp(adj, len(table))
+    # in by_lo order, the arcs of left vertex u start at first[u]
+    first = list(accumulate(map(len, adj), initial=0))
+    at = by_lo.tolist()
+    arcs = [at[first[u] + adj[u].index(v)] for u, v in enumerate(match_l) if v != -1]
+    if len(arcs) != matched:
         raise IntegrityError("matching size mismatch")
-    return pairs
+    return arcs
 
 
 @dataclass(frozen=True)
@@ -189,22 +188,23 @@ def distance_to_monotonicity(f: BoolFunc) -> DistanceReport:
     maximum violation matching; that equivalence is itself tested against
     brute_force_distance rather than assumed blindly.
     """
-    vg = violation_graph(f)
+    arcs = violation_graph(f).arcs
+    matched = arcs[_max_matching(_bits_of(f), arcs[:, 0], arcs[:, 1])]
     pts = shape_tables(f.shape).points
-    pairs = tuple((pts[i], pts[j]) for i, j in _max_matching(f.table(), vg.arcs))
+    pairs = tuple((pts[i], pts[j]) for i, j in matched[:, :2].tolist())
     return DistanceReport(Fraction(len(pairs), f.shape.size), pairs)
 
 
 @lru_cache(maxsize=32)
 def monotone_masks(shape: GridShape) -> tuple:
-    """Bitmasks of every monotone function on a tiny grid."""
+    """Bitmasks of every monotone function on a tiny grid: those with no
+    violated augmented edge."""
     if shape.size > BRUTE_FORCE_CAPACITY:
         raise CapacityError("brute-force distance", shape.size, BRUTE_FORCE_CAPACITY)
-    edges = [(1 << lo, 1 << hi) for lo, hi in unit_steps(shape)]
     out = []
-    for mask in range(1 << shape.size):
-        if all(not (mask & lo and not mask & hi) for lo, hi in edges):
-            out.append(mask)
+    for first, tables in _table_blocks(shape):
+        violated, _ = edge_counts_batch(shape, tables)
+        out.extend((first + (violated == 0).nonzero()[0]).tolist())
     return tuple(out)
 
 
@@ -230,8 +230,7 @@ def brute_force_batch(shape: GridShape, masks) -> np.ndarray:
 
 def brute_force_distance(f: BoolFunc) -> Fraction:
     """Independent oracle: minimum changed fraction over all monotone tables."""
-    table = _table_of(f)
-    fmask = sum(1 << k for k, b in enumerate(table) if b)
+    fmask = int.from_bytes(np.packbits(_bits_of(f), bitorder="little").tobytes(), "little")
     return Fraction(int(brute_force_batch(f.shape, [fmask])[0]), f.shape.size)
 
 
@@ -266,10 +265,12 @@ def edge_counts_batch(shape: GridShape, tables: np.ndarray) -> Tuple[np.ndarray,
 
 def violated_aug_edges(f: BoolFunc) -> Tuple[List[AugEdge], List[AugEdge]]:
     """(S_minus, S_plus): violated and upward-sensitive augmented edges."""
-    table = _table_of(f)
-    st = shape_tables(f.shape)
-    s_minus = [e for lo, hi, e in st.aug_edges if table[lo] and not table[hi]]
-    s_plus = [e for lo, hi, e in st.aug_edges if not table[lo] and table[hi]]
+    t = _bits_of(f)
+    edges = shape_tables(f.shape).aug_edges
+    lo, hi = _aug_edge_index(f.shape)
+    below, above = t[lo], t[hi]
+    s_minus = [edges[k] for k in (below > above).nonzero()[0].tolist()]
+    s_plus = [edges[k] for k in (below < above).nonzero()[0].tolist()]
     return s_minus, s_plus
 
 
@@ -285,13 +286,12 @@ def gamma_minus(f: BoolFunc) -> GammaReport:
     Violated edges run from 1-points to 0-points, so this is a bipartite
     matching problem.
     """
-    table = _table_of(f)
-    st = shape_tables(f.shape)
-    violated = [(lo, hi, e) for lo, hi, e in st.aug_edges
-                if table[lo] and not table[hi]]
-    # an augmented edge is fixed by its endpoints
-    edge_of = {(lo, hi): e for lo, hi, e in violated}
-    witness = tuple(edge_of[pair] for pair in _max_matching(table, violated))
+    t = _bits_of(f)
+    edges = shape_tables(f.shape).aug_edges
+    lo, hi = _aug_edge_index(f.shape)
+    violated = (t[lo] > t[hi]).nonzero()[0]
+    at = violated.tolist()
+    witness = tuple(edges[at[k]] for k in _max_matching(t, lo[violated], hi[violated]))
     return GammaReport(Fraction(len(witness), f.shape.size), witness)
 
 
@@ -312,32 +312,27 @@ def optimal_matching(f: BoolFunc) -> OptimalMatchingReport:
     linear term dominate any squared-term variation.
     """
     vg = violation_graph(f)
-    st = shape_tables(f.shape)
-    if not vg.arcs:
+    if not len(vg.arcs):
         return OptimalMatchingReport((), Fraction(0), 0, True)
-    one_pos = {idx: k for k, idx in enumerate(vg.ones)}
-    zero_pos = {idx: k for k, idx in enumerate(vg.zeros)}
-    dmax = max(dist for _, _, dist in vg.arcs)
+    lo, hi, dist = vg.arcs.T
+    dmax = max(dist.tolist())
     K = 1 + f.shape.size * dmax * dmax
     m = min(len(vg.ones), len(vg.zeros))
     forbid = float(m * dmax * K + 1)
     cost = np.full((len(vg.ones), len(vg.zeros)), forbid)
-    for i, j, dist in vg.arcs:
-        cost[one_pos[i], zero_pos[j]] = dist * K - dist * dist
+    cost[vg.ones.searchsorted(lo), vg.zeros.searchsorted(hi)] = dist * (K - dist)
     rows, cols = linear_sum_assignment(cost)
-    pairs = []
-    total = 0
-    psi = 0
-    for u, v in zip(rows, cols):
-        if cost[u, v] >= forbid:
+    ones, zeros, pts = vg.ones.tolist(), vg.zeros.tolist(), shape_tables(f.shape).points
+    pairs, total, psi = [], 0, 0
+    for u, v, c in zip(rows.tolist(), cols.tolist(), cost[rows, cols].tolist()):
+        if c >= forbid:
             continue
-        x = st.points[vg.ones[u]]
-        y = st.points[vg.zeros[v]]
-        dist = directed_distance(f.shape, x, y)
-        pairs.append((x, y))
+        pairs.append((pts[ones[u]], pts[zeros[v]]))
+        # an arc's cost is (dist - 1) K + (K - dist^2), with 0 < K - dist^2 < K
+        dist = int(c // K) + 1
         total += dist
         psi += dist * dist
-    expected = len(_max_matching(f.table(), vg.arcs))
+    expected = len(_max_matching(_bits_of(f), lo, hi))
     if len(pairs) != expected:
         raise IntegrityError(
             f"assignment kept {len(pairs)} pairs, maximum matching has {expected}")
@@ -434,8 +429,7 @@ def influence_bound_check(f: BoolFunc) -> InfluenceBoundCheck:
 
     The one-function view of influence_bound_batch.
     """
-    table = np.array([_table_of(f)], dtype=np.uint8)
-    applicable, holds, sensitive, violated = influence_bound_batch(f.shape, table)
+    applicable, holds, sensitive, violated = influence_bound_batch(f.shape, _bits_of(f)[None])
     size = f.shape.size
     return InfluenceBoundCheck(bool(applicable[0]), bool(holds[0]),
                                Fraction(int(sensitive[0]), size), Fraction(int(violated[0]), size))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import reports
 from .errors import CapacityError, IntegrityError, NotGoodError
-from .func import BoolFunc, _mask_bits, generate, is_monotone
+from .func import BoolFunc, _table_blocks, generate, is_monotone
 from .grid import GridShape, directed_distance, matching_ids
 from .oracle import (
     brute_force_batch,
@@ -110,21 +110,6 @@ def full_sweep(n: int, d: int) -> List[SweepRow]:
         ))
     _SWEEPS[key] = rows
     return rows
-
-
-# Functions per batch-kernel call in the exhaustive sweeps: the kernels
-# keep several int64 values per function, so whole 2^16 sweeps would add
-# megabytes to the process's peak memory.
-SWEEP_BLOCK = 1 << 12
-
-
-def _table_blocks(shape: GridShape) -> Iterator[Tuple[int, np.ndarray]]:
-    """(first mask, tables) for consecutive blocks of every function on the
-    grid, in mask order; row k of a block holds mask first + k."""
-    total = 1 << shape.size
-    for first in range(0, total, SWEEP_BLOCK):
-        masks = np.arange(first, min(first + SWEEP_BLOCK, total))
-        yield first, _mask_bits(masks, shape.size)
 
 
 def decomposition_instances(master_seed: int) -> list:

@@ -171,6 +171,53 @@ def test_constructor_validation():
         BoolFunc.from_table(shape, [1, 0, 2, 0])
 
 
+def test_table_entries_must_be_bits():
+    shape = GridShape(2, 1)
+    for bad in (np.array([0, -1]), np.array([0, 2]), np.array([0, 256]), np.array([0, 0.5]),
+                np.array([0, 2], dtype=np.uint8), [0, 2]):
+        with pytest.raises(ValueError, match="table entries must be bits"):
+            BoolFunc.from_table(shape, bad)
+    for good in ([0, 1], [False, True], np.array([0.0, 1.0]), np.array([0, 1], dtype=np.int8)):
+        assert BoolFunc.from_table(shape, good).table() == [0, 1]
+
+
+def test_bits_is_one_read_only_array():
+    source = np.array([1, 1, 0, 0], dtype=np.uint8)
+    f = BoolFunc.from_table(GridShape(4, 1), source)
+    source[0] = 0  # the function keeps its own copy
+    assert f.bits.dtype == np.uint8 and not f.bits.flags.writeable
+    assert f.bits is f.bits and f.bits.tolist() == [1, 1, 0, 0]
+    with pytest.raises(ValueError):
+        f.bits[0] = 0
+    g = BoolFunc.from_predicate(GridShape(4, 1), lambda x: int(x[0] >= 2))
+    assert g.bits.tolist() == [0, 0, 1, 1] and not g.bits.flags.writeable
+
+
+def test_table_returns_a_fresh_list():
+    f = BoolFunc.from_table(GridShape(4, 1), [1, 1, 0, 0])
+    table = f.table()
+    assert type(table) is list and table is not f.table()
+    table[0] = 0
+    assert f.table() == [1, 1, 0, 0]
+
+
+def test_eval_returns_python_int():
+    table = BoolFunc.from_table(GridShape(4, 1), [1, 1, 0, 0])
+    predicate = BoolFunc.from_predicate(GridShape(4, 1), lambda x: 1)
+    for f in (table, predicate):
+        assert all(type(f.eval((t,))) is int for t in range(4))
+
+
+def test_save_load_blobs_byte_identical():
+    rng = np.random.default_rng(5)
+    for shape in (GridShape(3, 2), GridShape(5, 3), GridShape(2, 20)):
+        f = BoolFunc.from_table(shape, rng.integers(0, 2, shape.size, dtype=np.uint8))
+        blob = dumps(f)
+        g = load(io.BytesIO(blob))
+        assert dumps(g) == blob, shape
+        assert np.array_equal(g.bits, f.bits), shape
+
+
 def test_generate_anti_slab():
     f = generate("anti_slab", GridShape(4, 1))
     assert f.table() == [1, 1, 0, 0]

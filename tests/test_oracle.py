@@ -147,8 +147,11 @@ def test_shape_tables_comparable_matches_scalar_definition():
                          for i, x in enumerate(pts) for j, y in enumerate(pts)
                          if i != j and dominates(y, x))
         comparable = shape_tables(shape).comparable
-        assert comparable == expected, shape
-        assert all(type(v) is int for row in comparable for v in row)
+        assert tuple(map(tuple, comparable.tolist())) == expected, shape
+        assert comparable.dtype == np.int64
+        assert len(comparable) == len(expected)
+    f = BoolFunc.from_mask(GridShape(4, 1), 0b0011)  # table (1,1,0,0)
+    assert len(violation_graph(f).arcs) == 4
 
 
 def test_optimal_matching_examples():
@@ -308,6 +311,16 @@ def test_brute_force_batch_exhaustive(shape):
         assert best[mask] == min(bin(mask ^ g).count("1") for g in monotone), mask
         assert brute_force_distance(BoolFunc.from_mask(shape, mask)) == \
             Fraction(int(best[mask]), shape.size)
+
+
+@pytest.mark.parametrize("shape", [GridShape(2, 2), GridShape(2, 3), GridShape(3, 2),
+                                   GridShape(4, 1), GridShape(1, 3), GridShape(13, 1)])
+def test_monotone_masks_match_unit_step_check(shape):
+    # 13^1 has two blocks of masks
+    expected = tuple(m for m in range(1 << shape.size)
+                     if is_monotone(BoolFunc.from_mask(shape, m)))
+    assert monotone_masks(shape) == expected
+    assert all(type(m) is int for m in monotone_masks(shape))
 
 
 def test_brute_force_batch_rejects_out_of_range_masks():

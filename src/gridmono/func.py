@@ -29,6 +29,10 @@ DEFAULT_TABLE_CAPACITY = 1 << 24
 # building a test function never costs a full-grid materialization.
 TABULATE_THRESHOLD = 1 << 16
 
+# Coordinates per call of a vectorised predicate while `bits` materializes
+# it: the (points, d) coordinate block stays at 512 KB at any grid size.
+MATERIALIZE_ENTRIES = 1 << 16
+
 
 class BoolFunc:
     """A queryable f: [n]^d -> {0,1} with an exact evaluation counter."""
@@ -92,13 +96,17 @@ class BoolFunc:
         with self._lock:
             self.queries += len(points)
         if self._bits is not None:
-            if self._strides is None:
-                self._strides = np.array([shape.n ** i for i in range(shape.d)], dtype=np.int64)
-            return self._bits[points @ self._strides]
+            return self._bits[points @ self._linear_strides()]
         if self._batch is not None:
             return self._batch(points).astype(np.uint8)
         return np.array([self._call_predicate(tuple(p)) for p in points.tolist()],
                         dtype=np.uint8).reshape(len(points))
+
+    def _linear_strides(self) -> np.ndarray:
+        if self._strides is None:
+            self._strides = np.array([self.shape.n ** i for i in range(self.shape.d)],
+                                     dtype=np.int64)
+        return self._strides
 
     def _call_predicate(self, x: Point) -> int:
         v = self._predicate(x)
@@ -112,12 +120,22 @@ class BoolFunc:
     @property
     def bits(self) -> np.ndarray:
         """The dense bit table as a read-only uint8 array, materializing a
-        predicate if small enough; oracle access, so no query is counted."""
+        predicate if small enough, through its vectorised form when it has
+        one; oracle access, so no query is counted."""
         if self._bits is not None:
             return self._bits
-        _check_table_capacity(self.shape, "materializing a predicate")
-        bits = np.array([self._call_predicate(point_of(self.shape, i))
-                         for i in range(self.shape.size)], dtype=np.uint8)
+        shape = self.shape
+        _check_table_capacity(shape, "materializing a predicate")
+        if self._batch is None:
+            bits = np.array([self._call_predicate(point_of(shape, i)) for i in range(shape.size)],
+                            dtype=np.uint8)
+        else:
+            bits = np.empty(shape.size, dtype=np.uint8)
+            step = max(1, MATERIALIZE_ENTRIES // shape.d)
+            for start in range(0, shape.size, step):
+                index = np.arange(start, min(start + step, shape.size), dtype=np.int64)
+                bits[start:start + step] = self._batch(
+                    index[:, None] // self._linear_strides() % shape.n)
         bits.setflags(write=False)
         return bits
 
@@ -165,10 +183,17 @@ def _table_blocks(shape: GridShape) -> Iterator[Tuple[int, np.ndarray]]:
 
 
 def is_monotone(f: BoolFunc) -> bool:
-    """Exact check over the unit-step grid edges (sufficient by transitivity)."""
-    table = f.table()
-    for lo, hi in unit_steps(f.shape):
-        if table[lo] > table[hi]:
+    """Exact check over the unit-step grid edges (sufficient by transitivity).
+
+    The unit steps along one dimension join the neighbours along one axis of
+    the table viewed as an n x ... x n array (dimension 0 is the last axis),
+    so each dimension is one comparison of two slices, with no index arrays."""
+    shape = f.shape
+    grid = f.bits.reshape((shape.n,) * shape.d)
+    for axis in range(shape.d):
+        lower = (slice(None),) * axis + (slice(None, -1),)
+        upper = (slice(None),) * axis + (slice(1, None),)
+        if (grid[lower] > grid[upper]).any():
             return False
     return True
 

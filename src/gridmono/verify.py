@@ -26,7 +26,7 @@ from .oracle import (
     distance_to_monotonicity,
     gamma_minus,
     influence_bound_batch,
-    isoperimetry_report,
+    isoperimetry_sweep,
     monotone_masks,
     optimal_matching,
 )
@@ -98,16 +98,11 @@ def full_sweep(n: int, d: int) -> List[SweepRow]:
     eps_of = [Fraction(k, shape.size) for k in range(shape.size + 1)]
     brute = brute_force_batch(shape, np.arange(1 << shape.size)).tolist()
     rows = []
-    for mask in range(1 << shape.size):
-        report = isoperimetry_report(BoolFunc.from_mask(shape, mask))
-        rows.append(SweepRow(
-            mask,
-            report.influence.eps,
-            eps_of[brute[mask]],
-            report.margulis_ratio,
-            report.edge_ratio,
-            report.vertex_ratio,
-        ))
+    for first, tables in _table_blocks(shape):
+        sweep = isoperimetry_sweep(shape, tables)
+        for k, matched in enumerate(sweep.matched):
+            rows.append(SweepRow(first + k, eps_of[matched], eps_of[brute[first + k]],
+                                 *sweep.ratios(k)))
     _SWEEPS[key] = rows
     return rows
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridmono import func
 from gridmono.errors import CapacityError, FormatError
 from gridmono.func import (
     DEFAULT_TABLE_CAPACITY,
@@ -20,7 +21,7 @@ from gridmono.func import (
     save,
     sort_line,
 )
-from gridmono.grid import GridShape
+from gridmono.grid import GridShape, point_of, unit_steps
 from gridmono.oracle import brute_force_distance
 
 
@@ -267,6 +268,35 @@ def test_is_monotone_examples():
     assert not is_monotone(BoolFunc.from_table(shape, [1, 1, 0, 0]))
     assert is_monotone(BoolFunc.from_table(GridShape(2, 2), [0, 1, 0, 1]))
     assert not is_monotone(BoolFunc.from_table(GridShape(2, 2), [0, 1, 1, 0]))
+
+
+def test_is_monotone_matches_unit_step_loop(rng):
+    for shape in (GridShape(1, 3), GridShape(5, 1), GridShape(2, 3), GridShape(3, 2),
+                  GridShape(4, 3), GridShape(3, 4)):
+        for _ in range(30):
+            table = generate("random_monotone", shape, seed=rng.randrange(1 << 30)).table()
+            if rng.random() < 0.7:
+                table[rng.randrange(shape.size)] ^= 1
+            expected = all(table[lo] <= table[hi] for lo, hi in unit_steps(shape))
+            assert is_monotone(BoolFunc.from_table(shape, table)) == expected, (shape, table)
+
+
+@pytest.mark.parametrize("kind", ["monotone_threshold", "anti_slab", "block_parity"])
+def test_bits_through_vectorised_predicate(kind, monkeypatch):
+    # with no tabulation, generate keeps the predicate and its vectorised form
+    monkeypatch.setattr(func, "TABULATE_THRESHOLD", 0)
+    gen = np.random.default_rng(4)
+    for shape in (GridShape(2, 20), GridShape(8, 6), GridShape(3, 5)):
+        f = generate(kind, shape, seed=3)
+        assert not f.is_table_backed() and f._batch is not None
+        bits = f.bits
+        assert not bits.flags.writeable and f.queries == 0
+        # every point below 2^20; at 2^20, 20,000 points across the blocks
+        index = range(shape.size) if shape.size < 1 << 20 else gen.integers(0, shape.size, 20_000)
+        scalar = [f._predicate(point_of(shape, k)) for k in index]
+        assert bits[index].tolist() == scalar, (kind, shape)
+        if kind == "monotone_threshold":
+            assert is_monotone(f)
 
 
 def test_is_monotone_capacity():

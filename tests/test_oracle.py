@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridmono.errors import CapacityError
+from gridmono import oracle
+from gridmono.errors import CapacityError, IntegrityError
 from gridmono.func import BoolFunc, _mask_bits, generate, is_monotone
 from gridmono.grid import GridShape, directed_distance, dominates, points
 from gridmono.oracle import (
@@ -17,10 +18,12 @@ from gridmono.oracle import (
     distance_to_monotonicity,
     edge_counts_batch,
     gamma_minus,
+    hopcroft_karp,
     influence_bound_batch,
     influence_bound_check,
     influence_report,
     isoperimetry_report,
+    isoperimetry_sweep,
     monotone_masks,
     optimal_matching,
     shape_tables,
@@ -154,6 +157,15 @@ def test_shape_tables_comparable_matches_scalar_definition():
     assert len(violation_graph(f).arcs) == 4
 
 
+def test_shape_tables_rows_do_not_depend_on_blocks(monkeypatch):
+    shapes = (GridShape(5, 2), GridShape(2, 3), GridShape(16, 1), GridShape(3, 3))
+    expected = [shape_tables(shape).comparable for shape in shapes]
+    for cells in (1, 7, 64):   # one lo point per block, and blocks that split rows
+        monkeypatch.setattr(oracle, "BATCH_CELLS", cells)
+        for shape, comparable in zip(shapes, expected):
+            assert np.array_equal(oracle._comparable(shape), comparable), (shape, cells)
+
+
 def test_optimal_matching_examples():
     shape = GridShape(4, 1)
     rep = optimal_matching(BoolFunc.from_mask(shape, 0b0011))
@@ -201,6 +213,64 @@ def test_isoperimetry_examples():
     mono = isoperimetry_report(generate("monotone_threshold", shape, seed=2))
     assert mono.influence.eps == 0
     assert mono.margulis_ratio is None and mono.edge_ratio is None and mono.vertex_ratio is None
+
+
+def test_hopcroft_karp_rejects_a_start_that_is_not_a_matching():
+    adj = [[0, 1], [1]]
+    for start in ([(0, 2)], [(1, 0)], [(2, 0)], [(-1, 0)], [(0, 1), (1, 1)], [(0, 0), (0, 1)]):
+        with pytest.raises(IntegrityError):
+            hopcroft_karp(adj, 2, start)
+    assert hopcroft_karp(adj, 2, [(0, 1)])[0] == 2   # grown by one augmenting path
+    assert hopcroft_karp(adj, 2, [(0, 0), (1, 1)]) == (2, [0, 1], [0, 1])
+
+
+def test_dropped_assignment_pair_is_caught(monkeypatch):
+    solve = oracle.linear_sum_assignment
+    # every pair these assignments keep is an arc: dropping one leaves a
+    # matching one short of the maximum
+    monkeypatch.setattr(oracle, "linear_sum_assignment", lambda cost: tuple(
+        side[1:] for side in solve(cost)))
+    for f in (BoolFunc.from_mask(GridShape(4, 1), 0b0011),
+              generate("anti_slab", GridShape(4, 2))):
+        with pytest.raises(IntegrityError, match="maximum matching"):
+            optimal_matching(f)
+        with pytest.raises(IntegrityError, match="maximum matching"):
+            isoperimetry_report(f)
+
+
+def test_isoperimetry_sweep_rows_match_per_function_oracles(monkeypatch):
+    gen = np.random.default_rng(8)
+    for shape, count in ((GridShape(4, 2), 60), (GridShape(8, 3), 12), (GridShape(4, 5), 6),
+                         (GridShape(32, 2), 3)):
+        densities = gen.random(count)
+        tables = (gen.random((count, shape.size)) < densities[:, None]).astype(np.uint8)
+        tables[0] = generate("random_monotone", shape, seed=1).bits
+        sweep = isoperimetry_sweep(shape, tables)
+        with monkeypatch.context() as patch:   # one row per block
+            patch.setattr(oracle, "BATCH_CELLS", 1)
+            assert isoperimetry_sweep(shape, tables) == sweep
+        for k, table in enumerate(tables):
+            f = BoolFunc.from_table(shape, table)
+            mstar = optimal_matching(f)
+            assert sweep.gamma[k] == len(gamma_minus(f).witness), (shape, k)
+            assert sweep.matched[k] == len(mstar.pairs), (shape, k)
+            assert Fraction(sweep.matched[k], shape.size) == distance_to_monotonicity(f).eps
+            assert (sweep.report(k).influence.r, sweep.total[k]) == (
+                mstar.r, sum(directed_distance(shape, x, y) for x, y in mstar.pairs))
+            assert sweep.report(k) == isoperimetry_report(f), (shape, k)
+
+
+def test_isoperimetry_report_reads_the_table_once():
+    calls = []
+
+    def upper_left(x):
+        calls.append(x)
+        return int(x[0] < 2 <= x[1])
+
+    f = BoolFunc.from_predicate(GridShape(4, 2), upper_left)
+    rep = isoperimetry_report(f)
+    assert len(calls) == 16 and f.queries == 0
+    assert rep.influence.eps > 0 and rep == isoperimetry_report(BoolFunc.from_table(f.shape, f.bits))
 
 
 def test_influence_identities(rng):

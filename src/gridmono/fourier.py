@@ -25,7 +25,7 @@ from .grid import (
     check_point,
     linear_index,
 )
-from .oracle import _row_batches, edge_counts_batch
+from .oracle import _checked_tables, _row_batches, edge_counts_batch
 
 TRANSFORM_CAPACITY = 1 << 22
 
@@ -237,7 +237,7 @@ def line_sweep(shape: GridShape, tables: np.ndarray) -> LineSweep:
     if shape.d != 1 or not shape.is_pow2() or shape.n < 4:
         raise ValueError("needs a line with n a power of 2, n >= 4")
     top = shape.bits - 1
-    tables = np.asarray(tables, dtype=np.uint8)
+    tables = _checked_tables(shape, tables)
     violated, upward = edge_counts_batch(shape, tables)
     e1, e1_matching = _coefficient_routes(shape, tables, 0, top)
     ordered = np.sort(tables, axis=1)  # sort_line, row by row

@@ -57,12 +57,11 @@ class BoolFunc:
 
     @classmethod
     def from_mask(cls, shape: GridShape, mask: int) -> "BoolFunc":
-        """The table whose value at linear index k is bit k of mask."""
+        """The table whose value at linear index k is bit k of mask (one row of _mask_bits)."""
         _check_table_capacity(shape, "dense table")
         if not 0 <= mask < 1 << shape.size:
             raise ValueError(f"mask {mask} out of range [0, 2^{shape.size})")
-        octets = np.frombuffer(mask.to_bytes((shape.size + 7) // 8, "little"), dtype=np.uint8)
-        return cls(shape, table=np.unpackbits(octets, count=shape.size, bitorder="little"))
+        return cls(shape, table=_mask_bits([mask], shape.size)[0])
 
     @classmethod
     def from_predicate(cls, shape: GridShape, predicate: Callable[[Point], int]) -> "BoolFunc":
@@ -150,36 +149,45 @@ def _checked_bits(shape: GridShape, table) -> np.ndarray:
     given = np.asarray(table)
     if given.ndim != 1 or len(given) != shape.size:
         raise ValueError(f"table has shape {given.shape}, expected ({shape.size},)")
-    # checked before the cast, which would wrap -1, 256 and 0.5 into bits
-    if given.dtype.kind not in "biuf" or np.count_nonzero(
-            given > 1 if given.dtype == np.uint8 else (given != 0) & (given != 1)):
-        raise ValueError("table entries must be bits")
+    _check_bits(given)
     bits = given.astype(np.uint8)
     bits.setflags(write=False)
     return bits
 
 
-def _mask_bits(masks, size: int) -> np.ndarray:
-    """(len(masks), size) uint8 array whose row r is the table of
-    BoolFunc.from_mask(shape, masks[r]) for a grid of `size` <= 64 points."""
-    words = np.asarray(masks, dtype="<u8").reshape(-1)
-    octets = words.view(np.uint8).reshape(len(words), 8)[:, :(size + 7) // 8]
-    return np.unpackbits(octets, axis=1, bitorder="little")[:, :size]
+def _check_bits(given: np.ndarray) -> None:
+    # ValueError unless every entry is 0 or 1; test before any cast to
+    # uint8, which would wrap -1, 256 and 0.5 into bits
+    if given.dtype.kind not in "biuf" or np.count_nonzero(
+            given > 1 if given.dtype == np.uint8 else (given != 0) & (given != 1)):
+        raise ValueError("table entries must be bits")
 
 
-# Functions per batch-kernel call in the exhaustive sweeps: the kernels
+def _mask_bits(masks: Sequence[int], size: int) -> np.ndarray:
+    """(len(masks), size) uint8 array whose row r holds bit k of masks[r], a
+    mask in [0, 2^size), at column k: the table value at linear index k."""
+    width = (size + 7) // 8
+    octets = np.frombuffer(b"".join(int(m).to_bytes(width, "little") for m in masks),
+                           dtype=np.uint8)
+    return np.unpackbits(octets.reshape(-1, width), axis=1, count=size, bitorder="little")
+
+
+# Functions per batch-kernel call in the sweeps over masks: the kernels
 # keep several int64 values per function, so whole 2^16 sweeps would add
 # megabytes to the process's peak memory.
 SWEEP_BLOCK = 1 << 12
 
 
+def _mask_blocks(shape: GridShape, masks: Sequence[int]) -> Iterator[Tuple[int, np.ndarray]]:
+    """(position, tables) for consecutive blocks of `masks`; row k of a
+    block is the table of masks[position + k]."""
+    for first in range(0, len(masks), SWEEP_BLOCK):
+        yield first, _mask_bits(masks[first:first + SWEEP_BLOCK], shape.size)
+
+
 def _table_blocks(shape: GridShape) -> Iterator[Tuple[int, np.ndarray]]:
-    """(first mask, tables) for consecutive blocks of every function on the
-    grid, in mask order; row k of a block holds mask first + k."""
-    total = 1 << shape.size
-    for first in range(0, total, SWEEP_BLOCK):
-        masks = np.arange(first, min(first + SWEEP_BLOCK, total))
-        yield first, _mask_bits(masks, shape.size)
+    """_mask_blocks over every mask of the grid, in order: row k of a block holds mask first + k."""
+    return _mask_blocks(shape, range(1 << shape.size))
 
 
 def is_monotone(f: BoolFunc) -> bool:

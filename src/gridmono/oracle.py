@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import CapacityError, IntegrityError
-from .func import BoolFunc, _table_blocks
+from .func import BoolFunc, _check_bits, _table_blocks
 from .grid import AugEdge, GridShape, _aug_edges, points
 
 ORACLE_CAPACITY = 4096
@@ -40,7 +40,7 @@ class ShapeTables:
     # (pairs, 3) int64 rows (lo_index, hi_index, directed distance) of the
     # strict pairs, in increasing lo_index, then hi_index
     comparable: np.ndarray
-    aug_edges: tuple       # AugEdge k joins lo[k] to hi[k] of _aug_edge_index(shape)
+    aug_edges: tuple       # AugEdge k joins lo[k] to hi[k] of _aug_edges_by_lo(shape)
 
 
 @lru_cache(maxsize=64)
@@ -48,7 +48,9 @@ def shape_tables(shape: GridShape) -> ShapeTables:
     if shape.size > ORACLE_CAPACITY:
         raise CapacityError("exact-oracle shape tables", shape.size, ORACLE_CAPACITY)
     pts = tuple(points(shape))
-    aug = tuple(AugEdge(pts[lo], pts[hi], m) for lo, hi, m in _aug_edges(shape))
+    edges = list(_aug_edges(shape))
+    by_lo = [edges[k] for k in _aug_edges_by_lo(shape)[0].tolist()]
+    aug = tuple(AugEdge(pts[lo], pts[hi], m) for lo, hi, m in by_lo)
     return ShapeTables(shape, pts, _comparable(shape), aug)
 
 
@@ -245,19 +247,18 @@ def monotone_masks(shape: GridShape) -> tuple:
     return tuple(out)
 
 
-def brute_force_batch(shape: GridShape, masks) -> np.ndarray:
-    """Fewest changed points to a monotone table, for each mask in `masks`.
+def brute_force_batch(shape: GridShape, tables: np.ndarray) -> np.ndarray:
+    """Fewest changed points to a monotone table, for each row of a
+    (functions, n^d) bit array.
 
-    Bit k of a mask is the value at linear index k, as in BoolFunc.from_mask.
-    The minimum of popcount(mask XOR g) over the monotone masks g is taken
-    one block of rows at a time, so the whole masks x monotone matrix
-    (18 MB at 4^2) is never formed.
+    Each row becomes the uint32 word whose bit k is its column k, as in
+    BoolFunc.from_mask.  The minimum of popcount(word XOR g) over the
+    monotone masks g is taken one block of rows at a time, so the whole
+    functions x monotone matrix (18 MB at 4^2) is never formed.
     """
     monotone = np.array(monotone_masks(shape), dtype=np.uint32)
-    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-    if masks.size and (masks.min() < 0 or masks.max() >= 1 << shape.size):
-        raise ValueError(f"masks must lie in [0, 2^{shape.size})")
-    words = masks.astype(np.uint32)  # BRUTE_FORCE_CAPACITY bits fit
+    tables = _checked_tables(shape, tables)
+    words = (tables @ (1 << np.arange(shape.size, dtype=np.int64))).astype(np.uint32)
     best = np.empty(len(words), dtype=np.uint8)
     for rows in _row_batches(len(words), len(monotone)):
         changed = words[rows, None] ^ monotone
@@ -267,33 +268,28 @@ def brute_force_batch(shape: GridShape, masks) -> np.ndarray:
 
 def brute_force_distance(f: BoolFunc) -> Fraction:
     """Independent oracle: minimum changed fraction over all monotone tables."""
-    fmask = int.from_bytes(np.packbits(_bits_of(f), bitorder="little").tobytes(), "little")
-    return Fraction(int(brute_force_batch(f.shape, [fmask])[0]), f.shape.size)
-
-
-@lru_cache(maxsize=64)
-def _aug_edge_index(shape: GridShape) -> Tuple[np.ndarray, np.ndarray]:
-    """lo and hi linear indices of every augmented edge, in _aug_edges order."""
-    pairs = np.array([(lo, hi) for lo, hi, _ in _aug_edges(shape)], dtype=np.intp)
-    pairs = pairs.reshape(len(pairs), 2)
-    return pairs[:, 0].copy(), pairs[:, 1].copy()
+    return Fraction(int(brute_force_batch(f.shape, _bits_of(f)[None])[0]), f.shape.size)
 
 
 @lru_cache(maxsize=64)
 def _aug_edges_by_lo(shape: GridShape) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, lo, hi): the augmented edges stably sorted by lo, where
-    order[k] is the position in _aug_edge_index of sorted edge k."""
-    lo, hi = _aug_edge_index(shape)
-    order = lo.argsort(kind="stable")
-    return order, lo[order], hi[order]
+    """(order, lo, hi): the lo and hi linear indices of every augmented
+    edge, stably sorted by lo, where order[k] is the position in _aug_edges
+    of sorted edge k."""
+    pairs = np.array([(lo, hi) for lo, hi, _ in _aug_edges(shape)], dtype=np.intp).reshape(-1, 2)
+    order = pairs[:, 0].argsort(kind="stable")
+    lo, hi = pairs[order].T.copy()
+    return order, lo, hi
 
 
 def _checked_tables(shape: GridShape, tables) -> np.ndarray:
+    """`tables` as uint8; ValueError unless it is a (functions, n^d) array of bits."""
     _check_oracle_capacity(shape)
-    tables = np.asarray(tables, dtype=np.uint8)
+    tables = np.asarray(tables)
     if tables.ndim != 2 or tables.shape[1] != shape.size:
         raise ValueError(f"tables must have shape (functions, {shape.size})")
-    return tables
+    _check_bits(tables)
+    return tables.astype(np.uint8, copy=False)
 
 
 def _edge_masks(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -321,10 +317,10 @@ def edge_counts_batch(shape: GridShape, tables: np.ndarray) -> Tuple[np.ndarray,
 
 
 def violated_aug_edges(f: BoolFunc) -> Tuple[List[AugEdge], List[AugEdge]]:
-    """(S_minus, S_plus): violated and upward-sensitive augmented edges."""
+    """(S_minus, S_plus): violated and upward-sensitive augmented edges, by lower endpoint."""
     t = _bits_of(f)
     edges = shape_tables(f.shape).aug_edges
-    lo, hi = _aug_edge_index(f.shape)
+    _, lo, hi = _aug_edges_by_lo(f.shape)
     below, above = t[lo], t[hi]
     s_minus = [edges[k] for k in (below > above).nonzero()[0].tolist()]
     s_plus = [edges[k] for k in (below < above).nonzero()[0].tolist()]
@@ -344,12 +340,12 @@ def gamma_minus(f: BoolFunc) -> GammaReport:
     matching problem.
     """
     t = _bits_of(f)
-    order, lo, hi = _aug_edges_by_lo(f.shape)
+    _, lo, hi = _aug_edges_by_lo(f.shape)
     violated = (t[lo] > t[hi]).nonzero()[0]
     ones = t.nonzero()[0]
     picked = _max_matching(ones.searchsorted(lo[violated]), hi[violated], len(ones), f.shape.size)
     edges = shape_tables(f.shape).aug_edges
-    witness = tuple(edges[k] for k in order[violated[picked]].tolist())
+    witness = tuple(edges[k] for k in violated[picked].tolist())
     return GammaReport(Fraction(len(witness), f.shape.size), witness)
 
 

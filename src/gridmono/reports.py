@@ -12,12 +12,12 @@ import math
 from typing import List, Sequence, Tuple
 
 from .errors import CapacityError
-from .func import BoolFunc, generate
+from .func import BoolFunc, _mask_blocks, generate
 from .grid import GridShape
 from .oracle import (
     ORACLE_CAPACITY,
     distance_to_monotonicity,
-    isoperimetry_report,
+    isoperimetry_sweep,
     violated_aug_edges,
 )
 from .streams import derive_rng, derive_seed
@@ -67,16 +67,14 @@ def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
         else:
             rng = derive_rng(master_seed, f"iso:{n}:{d}")
             masks = [rng.randrange(1 << size) for _ in range(samples)]
-        for mask in masks:
-            f = BoolFunc.from_mask(shape, mask)
-            report = isoperimetry_report(f)
-            if report.margulis_ratio is None:
-                continue
-            inf = report.influence
-            rows.append(",".join([
-                str(n), str(d), str(mask), _fmt(inf.eps), _fmt(inf.I), _fmt(inf.I_minus),
-                _fmt(inf.gamma_minus), _fmt(inf.r), _fmt(report.margulis_ratio),
-                _fmt(report.edge_ratio), _fmt(report.vertex_ratio)]))
+        for first, tables in _mask_blocks(shape, masks):
+            sweep = isoperimetry_sweep(shape, tables)
+            for k in (k for k, matched in enumerate(sweep.matched) if matched):
+                report = sweep.report(k)
+                inf = report.influence
+                values = (inf.eps, inf.I, inf.I_minus, inf.gamma_minus, inf.r,
+                          report.margulis_ratio, report.edge_ratio, report.vertex_ratio)
+                rows.append(",".join([str(n), str(d), str(masks[first + k]), *map(_fmt, values)]))
     return rows
 
 
@@ -101,9 +99,7 @@ def persistence_rows(shapes: Sequence[Tuple[int, int]], families: Sequence[str],
 
 def write_report(path: str, header: str, rows: Sequence[str]) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write(render_report(header, rows))
 
 
 def render_report(header: str, rows: Sequence[str]) -> str:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridmono import oracle
+from gridmono import func, oracle, reports
 from gridmono.errors import CapacityError, IntegrityError
+from gridmono.fourier import line_sweep
 from gridmono.func import BoolFunc, _mask_bits, generate, is_monotone
 from gridmono.grid import GridShape, directed_distance, dominates, points
 from gridmono.oracle import (
@@ -30,6 +31,7 @@ from gridmono.oracle import (
     violated_aug_edges,
     violation_graph,
 )
+from gridmono.streams import derive_rng
 
 
 def all_maximum_matchings(arcs, max_size=None):
@@ -376,7 +378,7 @@ def test_influence_bound_batch_matches_one_row_view(rng):
 def test_brute_force_batch_exhaustive(shape):
     masks = range(1 << shape.size)
     monotone = [m for m in masks if is_monotone(BoolFunc.from_mask(shape, m))]
-    best = brute_force_batch(shape, list(masks))
+    best = brute_force_batch(shape, _mask_bits(masks, shape.size))
     for mask in masks:
         assert best[mask] == min(bin(mask ^ g).count("1") for g in monotone), mask
         assert brute_force_distance(BoolFunc.from_mask(shape, mask)) == \
@@ -393,16 +395,57 @@ def test_monotone_masks_match_unit_step_check(shape):
     assert all(type(m) is int for m in monotone_masks(shape))
 
 
-def test_brute_force_batch_rejects_out_of_range_masks():
-    for masks in ([-1], [1 << 4]):
+@pytest.mark.parametrize("bad", [
+    [[2, 0, 0, 0]],
+    np.array([[2, 0, 0, 0]], dtype=np.uint8),
+    np.array([[257, 0, 0, 0]], dtype=np.int64),
+    np.array([[-1, 0, 0, 0]], dtype=np.int64),
+    [[0.5, 0, 0, 0]],
+    [[0, 1, 0]],
+    [0, 1, 0, 0],
+], ids=["two", "two-uint8", "257-int64", "minus-one-int64", "half", "wrong-width", "one-row"])
+def test_batch_kernels_reject_tables_that_are_not_bits(bad):
+    # a cast before the check would read 257 as 1 and -1 as 255
+    line = GridShape(4, 1)
+    for kernel in (edge_counts_batch, influence_bound_batch, isoperimetry_sweep,
+                   brute_force_batch, line_sweep):
         with pytest.raises(ValueError):
-            brute_force_batch(GridShape(2, 2), masks)
+            kernel(line, bad)
 
 
 def test_mask_bits_rows_are_mask_tables(rng):
-    for shape in (GridShape(4, 2), GridShape(20, 1), GridShape(3, 2)):
-        masks = [rng.randrange(1 << shape.size) for _ in range(50)]
-        rows = _mask_bits(masks, shape.size)
-        assert rows.dtype == np.uint8 and rows.shape == (50, shape.size)
+    for size in (4, 20, 72, 4096):
+        masks = [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(20)]
+        rows = _mask_bits(masks, size)
+        assert rows.dtype == np.uint8 and rows.shape == (len(masks), size)
         for mask, row in zip(masks, rows.tolist()):
-            assert row == BoolFunc.from_mask(shape, mask).table()
+            assert row == [(mask >> k) & 1 for k in range(size)], (size, mask)
+
+
+def reference_isoperimetry_rows(shape, masks):
+    """isoperimetry_rows' rows for `masks`, from one BoolFunc and one report per mask."""
+    rows = []
+    for mask in masks:
+        report = isoperimetry_report(BoolFunc.from_mask(shape, mask))
+        if report.margulis_ratio is None:
+            continue
+        inf = report.influence
+        values = (inf.eps, inf.I, inf.I_minus, inf.gamma_minus, inf.r, report.margulis_ratio,
+                  report.edge_ratio, report.vertex_ratio)
+        rows.append(",".join([str(shape.n), str(shape.d), str(mask)]
+                             + [repr(float(x)) for x in values]))
+    return rows
+
+
+def test_sampled_isoperimetry_rows_match_per_mask_reports(monkeypatch):
+    # above 16 points the report samples masks; blocks of 7 leave a ragged last block
+    monkeypatch.setattr(func, "SWEEP_BLOCK", 7)
+    shapes, seed, samples = ((8, 2), (3, 3), (16, 2)), 7, 40
+    expected = []
+    for n, d in shapes:
+        rng = derive_rng(seed, f"iso:{n}:{d}")
+        shape = GridShape(n, d)
+        masks = [rng.randrange(1 << shape.size) for _ in range(samples)]
+        expected += reference_isoperimetry_rows(shape, masks)
+    assert len(expected) > 100
+    assert reports.isoperimetry_rows(shapes, seed, samples) == expected

@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
 
 from .errors import CapacityError, IntegrityError
 from .func import BoolFunc, _check_bits, _table_blocks
@@ -113,27 +115,19 @@ def _row_batches(rows: int, width: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
-def hopcroft_karp(adj: List[List[int]], n_right: int,
-                  start: Sequence[Tuple[int, int]] = ()) -> Tuple[int, List[int], List[int]]:
+def hopcroft_karp(adj: List[List[int]], n_right: int) -> Tuple[int, List[int], List[int]]:
     """Maximum bipartite matching size plus both matched-partner arrays.
 
     adj[u] lists the right neighbours of left vertex u.  Unmatched slots
-    hold -1.  The search grows the matching `start`, a list of (u, v) arcs;
-    IntegrityError unless they are arcs with pairwise distinct ends.  By
-    Berge's theorem the returned size equals len(start) iff `start` is
-    already maximum, which the first phase shows.  Deterministic for a fixed
-    adjacency order and start.
+    hold -1.  Deterministic for a fixed adjacency order.  This pure-Python
+    search finds the witnesses of gamma_minus and distance_to_monotonicity;
+    the block kernels count and check matchings in scipy's csgraph routines.
     """
     n_left = len(adj)
     INF = n_left + n_right + 1
     match_l = [-1] * n_left
     match_r = [-1] * n_right
     dist = [0] * n_left
-    for u, v in start:
-        if not (0 <= u < n_left and v in adj[u]) or match_l[u] != -1 or match_r[v] != -1:
-            raise IntegrityError(f"start pair ({u}, {v}) is not an arc of a matching")
-        match_l[u] = v
-        match_r[v] = u
 
     def bfs() -> bool:
         queue = []
@@ -167,18 +161,16 @@ def hopcroft_karp(adj: List[List[int]], n_right: int,
         dist[u] = INF
         return False
 
-    size = len(start)
     while bfs():
         for u in range(n_left):
-            if match_l[u] == -1 and dfs(u):
-                size += 1
-    return size, match_l, match_r
+            if match_l[u] == -1:
+                dfs(u)
+    return n_left - match_l.count(-1), match_l, match_r
 
 
 @dataclass(frozen=True)
 class ViolationGraph:
     ones: np.ndarray   # indices with f = 1
-    zeros: np.ndarray  # indices with f = 0
     arcs: np.ndarray   # (arcs, 3) rows of comparable with f = 1 at lo_index, 0 at hi_index
 
 
@@ -186,15 +178,7 @@ def violation_graph(f: BoolFunc) -> ViolationGraph:
     t = _bits_of(f)
     comparable = shape_tables(f.shape).comparable
     arcs = comparable[t[comparable[:, 0]] > t[comparable[:, 1]]]
-    return ViolationGraph(t.nonzero()[0], (t == 0).nonzero()[0], arcs)
-
-
-def _adjacency(u: np.ndarray, v: np.ndarray, n_left: int) -> Tuple[List[List[int]], List[int]]:
-    """adj[w] lists v[k] of the arcs k with u[k] == w, in arc order, and
-    first[w] is the position of adj[w]'s first arc; u must be nondecreasing."""
-    first = [0, *np.bincount(u, minlength=n_left).cumsum().tolist()]
-    right = v.tolist()
-    return [right[a:b] for a, b in zip(first, first[1:])], first
+    return ViolationGraph(t.nonzero()[0], arcs)
 
 
 def _max_matching(u: np.ndarray, v: np.ndarray, n_left: int, n_right: int) -> List[int]:
@@ -205,7 +189,9 @@ def _max_matching(u: np.ndarray, v: np.ndarray, n_left: int, n_right: int) -> Li
     callers' left vertices are the 1-points in increasing index and their
     arcs run in increasing lo, so every witness depends only on the arc order.
     """
-    adj, first = _adjacency(u, v, n_left)
+    first = [0, *np.bincount(u, minlength=n_left).cumsum().tolist()]
+    right = v.tolist()
+    adj = [right[a:b] for a, b in zip(first, first[1:])]   # slices of one list, in arc order
     matched, match_l, _ = hopcroft_karp(adj, n_right)
     arcs = [first[w] + adj[w].index(x) for w, x in enumerate(match_l) if x != -1]
     if len(arcs) != matched:
@@ -349,37 +335,106 @@ def gamma_minus(f: BoolFunc) -> GammaReport:
     return GammaReport(Fraction(len(witness), f.shape.size), witness)
 
 
-def _optimal_assignment(u: np.ndarray, v: np.ndarray, dist: np.ndarray, n_ones: int,
-                        n_zeros: int, size: int) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """A maximum matching of the violation arcs u[k] -> v[k] (ranks of a
-    1-point and a 0-point, u nondecreasing, at least one arc) that minimizes
-    the total directed distance and, among those, maximizes the sum of
-    squared distances: its (u, v) pairs in increasing u, and their distances.
+def _vertex_ids(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n_ones, left, right) of a block of tables: its 1-points, row by row
+    and in increasing index, are the left vertices 0, 1, ..., its 0-points the
+    right ones, and left[r, i] (right[r, i]) is the id of point i of row r."""
+    ones_upto = block.cumsum(dtype=np.int64).reshape(block.shape)
+    return (block.sum(axis=1, dtype=np.int64), ones_upto - 1,
+            np.arange(block.size).reshape(block.shape) - ones_upto)
 
-    Encoded as one assignment solve with per-arc cost dist*K - dist^2,
-    K = 1 + size * (max dist)^2, which makes the linear term dominate any
-    squared-term variation.  The pairs the assignment keeps must be a
-    maximum matching: they start a Hopcroft-Karp search, which must find
-    no augmenting path, else IntegrityError.
+
+def _csr(tails: np.ndarray, heads: np.ndarray, n_tails: int, n_heads: int) -> csr_matrix:
+    """Adjacency of the arcs tails[k] -> heads[k], tails nondecreasing."""
+    indptr = np.concatenate(([0], np.bincount(tails, minlength=n_tails).cumsum()))
+    return csr_matrix((np.ones(len(heads), np.int8), heads, indptr), shape=(n_tails, n_heads))
+
+
+def _matching_sizes(u: np.ndarray, v: np.ndarray, n_ones: np.ndarray, size: int) -> np.ndarray:
+    """Maximum matching size of each row of a block, over the arcs u[k] -> v[k]
+    between its vertex ids (see _vertex_ids), u nondecreasing."""
+    n_left = int(n_ones.sum())
+    if not len(u):
+        return np.zeros(len(n_ones), np.int64)
+    graph = _csr(u, v, n_left, len(n_ones) * size - n_left)
+    matched = maximum_bipartite_matching(graph, perm_type="column") >= 0
+    return np.bincount(np.repeat(np.arange(len(n_ones)), n_ones)[matched], minlength=len(n_ones))
+
+
+def _check_maximum(u: np.ndarray, v: np.ndarray, kept_u: np.ndarray, kept_v: np.ndarray,
+                   n_left: int, n_right: int) -> None:
+    """IntegrityError unless the pairs (kept_u[k], kept_v[k]) are a maximum
+    matching of the bipartite arcs u[k] -> v[k], in increasing (u, v).
+
+    The pairs must be arcs with pairwise distinct ends.  By Berge's theorem
+    they are maximum iff no augmenting path exists: one breadth-first search
+    from a source pointing to every free left vertex, along the arcs left to
+    right and the pairs right to left, must reach no free right vertex.
     """
-    dmax = max(dist.tolist())
+    arcs, pairs = u * n_right + v, kept_u * n_right + kept_v
+    in_range = (kept_u >= 0) & (kept_u < n_left) & (kept_v >= 0) & (kept_v < n_right)
+    if not (in_range.all() and (arcs[np.searchsorted(arcs, pairs) % len(arcs)] == pairs).all()):
+        raise IntegrityError("an assignment pair is not a violation arc")
+    partner = np.full(n_right, -1)
+    partner[kept_v] = kept_u
+    start = (np.bincount(kept_u, minlength=n_left) == 0).nonzero()[0]   # free left vertices
+    taken = (partner >= 0).nonzero()[0]
+    if len(start) + len(kept_u) != n_left or len(taken) != len(kept_v):
+        raise IntegrityError("two assignment pairs share an end")
+    if not len(start) or len(taken) == n_right:   # a saturated side leaves no augmenting path
+        return
+    n = 1 + n_left + n_right   # the source, then the left and the right vertices
+    graph = _csr(np.concatenate((np.zeros(len(start), np.int64), 1 + u, 1 + n_left + taken)),
+                 np.concatenate((1 + start, 1 + n_left + v, 1 + partner[taken])), n, n)
+    reached = breadth_first_order(graph, 0, return_predecessors=False)
+    if (partner[reached[reached > n_left] - n_left - 1] < 0).any():
+        raise IntegrityError(f"assignment kept {len(kept_u)} pairs, not a maximum matching")
+
+
+def _optimal_assignment(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """For each row of a block of tables: a maximum matching of its violation
+    arcs that minimizes the total directed distance and, among those,
+    maximizes the sum of squared distances.
+
+    Returns the pairs as arrays (row, 1-point id, 0-point id, distance; ids as
+    in _vertex_ids), by row and then increasing 1-point.  Each row with an arc
+    is one assignment solve on its (1-points, 0-points) matrix, with per-arc
+    cost dist*K - dist^2, K = 1 + size * (the row's max dist)^2, so that the
+    linear term dominates any squared-term variation; pairs at the forbidden
+    cost are dropped.  The block's pairs must be a maximum matching.
+    """
+    n_ones, left, right = _vertex_ids(block)
+    size, n_rows, n_zeros = shape.size, len(block), shape.size - n_ones
+    lo, hi, dist = shape_tables(shape).comparable.T
+    row, k = (block[:, lo] > block[:, hi]).nonzero()
+    u, v, dist = left[row, lo[k]], right[row, hi[k]], dist[k]
+    if not len(row):
+        return row, u, v, dist
+    arcs = np.bincount(row, minlength=n_rows)
+    busy = arcs.nonzero()[0]
+    dmax = np.zeros(n_rows, np.int64)
+    dmax[busy] = np.maximum.reduceat(dist, (arcs.cumsum() - arcs)[busy])
     K = 1 + size * dmax * dmax
-    forbid = float(min(n_ones, n_zeros) * dmax * K + 1)
-    cost = np.full((n_ones, n_zeros), forbid)
-    cost[u, v] = dist * (K - dist)
-    rows, cols = linear_sum_assignment(cost)
-    pairs, dists = [], []
-    for one, zero, c in zip(rows.tolist(), cols.tolist(), cost[rows, cols].tolist()):
-        if c < forbid:
-            pairs.append((one, zero))
-            # an arc's cost is (dist - 1) K + (K - dist^2), with 0 < K - dist^2 < K
-            dists.append(int(c // K) + 1)
-    adj, _ = _adjacency(u, v, n_ones)
-    expected, _, _ = hopcroft_karp(adj, n_zeros, pairs)
-    if len(pairs) != expected:
-        raise IntegrityError(
-            f"assignment kept {len(pairs)} pairs, maximum matching has {expected}")
-    return pairs, dists
+    forbid = (np.minimum(n_ones, n_zeros) * dmax * K + 1).astype(np.float64)
+    # the cost matrices of the rows with arcs, row-major one after another
+    cells = np.where(arcs > 0, n_ones * n_zeros, 0)
+    at = cells.cumsum() - cells
+    first_one, first_zero = n_ones.cumsum() - n_ones, n_zeros.cumsum() - n_zeros
+    cost = np.repeat(forbid, cells)
+    cost[at[row] + (u - first_one[row]) * n_zeros[row] + v - first_zero[row]] = (
+        dist * (K[row] - dist))
+    solved = [linear_sum_assignment(cost[a:a + c].reshape(ones, zeros)) for a, c, ones, zeros
+              in zip(*(x[busy].tolist() for x in (at, cells, n_ones, n_zeros)))]
+    one, zero = (np.concatenate(x) for x in zip(*solved))
+    kept_row = np.repeat(busy, [len(x) for x, _ in solved])
+    kept_cost = cost[at[kept_row] + one * n_zeros[kept_row] + zero]
+    keep = kept_cost < forbid[kept_row]
+    kept_row, kept_cost = kept_row[keep], kept_cost[keep]
+    kept_u, kept_v = one[keep] + first_one[kept_row], zero[keep] + first_zero[kept_row]
+    del cost, solved, one, zero, row, k, dist, keep   # freed before the check builds its graph
+    _check_maximum(u, v, kept_u, kept_v, int(n_ones.sum()), int(n_zeros.sum()))
+    # an arc's cost is (dist - 1) K + (K - dist^2), with 0 < K - dist^2 < K
+    return kept_row, kept_u, kept_v, kept_cost.astype(np.int64) // K[kept_row] + 1
 
 
 @dataclass(frozen=True)
@@ -390,19 +445,31 @@ class OptimalMatchingReport:
     empty: bool
 
 
+def optimal_matching_batch(shape: GridShape, tables: np.ndarray) -> List[OptimalMatchingReport]:
+    """optimal_matching of each row of a (functions, n^d) bit array, one
+    block of rows per _optimal_assignment."""
+    tables = _checked_tables(shape, tables)
+    pts = shape_tables(shape).points
+    reports = []
+    for rows in _row_batches(len(tables), max(len(shape_tables(shape).comparable), shape.size)):
+        block = tables[rows]
+        kept_row, kept_u, kept_v, kept_dist = _optimal_assignment(shape, block)
+        # vertex ids to linear indices: id k is the k-th 1-point (0-point) of the block
+        lows = (np.flatnonzero(block)[kept_u] % shape.size).tolist()
+        highs = (np.flatnonzero(block == 0)[kept_v] % shape.size).tolist()
+        at = [0, *np.bincount(kept_row, minlength=len(block)).cumsum().tolist()]
+        dists = kept_dist.tolist()
+        reports.extend(OptimalMatchingReport(   # a == b: no violated pair
+            tuple((pts[i], pts[j]) for i, j in zip(lows[a:b], highs[a:b])),
+            Fraction(sum(dists[a:b]), max(b - a, 1)), sum(x * x for x in dists[a:b]), a == b)
+            for a, b in zip(at, at[1:]))
+    return reports
+
+
 def optimal_matching(f: BoolFunc) -> OptimalMatchingReport:
     """A maximum violation matching minimizing the total directed distance
     and, among those, maximizing the sum of squared distances."""
-    vg = violation_graph(f)
-    if not len(vg.arcs):
-        return OptimalMatchingReport((), Fraction(0), 0, True)
-    lo, hi, dist = vg.arcs.T
-    kept, dists = _optimal_assignment(vg.ones.searchsorted(lo), vg.zeros.searchsorted(hi), dist,
-                                      len(vg.ones), len(vg.zeros), f.shape.size)
-    ones, zeros, pts = vg.ones.tolist(), vg.zeros.tolist(), shape_tables(f.shape).points
-    pairs = tuple((pts[ones[u]], pts[zeros[v]]) for u, v in kept)
-    return OptimalMatchingReport(pairs, Fraction(sum(dists), len(pairs)),
-                                 sum(x * x for x in dists), False)
+    return optimal_matching_batch(f.shape, _bits_of(f)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -480,50 +547,27 @@ def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySwee
     """Exact influence counts, Γ⁻ and the optimal matching of each row of a
     (functions, n^d) bit array.
 
-    The edge and violation masks and the ranks of the 1- and 0-points are
-    taken for a block of rows at once; each row then runs Hopcroft-Karp for
-    Γ⁻ and one checked assignment solve (see _optimal_assignment).
+    Each block of rows is one graph whose vertices are the points of all its
+    rows (see _vertex_ids).  Γ⁻ is one maximum matching of the block's
+    violated augmented edges in scipy, and the optimal matching is one
+    checked assignment solve per row (see _optimal_assignment).
     """
     tables = _checked_tables(shape, tables)
-    comparable = shape_tables(shape).comparable
-    lo, hi, dist = comparable[:, 0], comparable[:, 1], comparable[:, 2]
     _, edge_lo, edge_hi = _aug_edges_by_lo(shape)
-    size = shape.size
-    violated: List[int] = []
-    upward: List[int] = []
-    gamma: List[int] = []
-    matched: List[int] = []
-    total: List[int] = []
-    for rows in _row_batches(len(tables), max(len(comparable), len(edge_lo), size)):
+    width, size = max(len(shape_tables(shape).comparable), len(edge_lo), shape.size), shape.size
+    counts = []   # per block: violated, upward, gamma, matched, total
+    for rows in _row_batches(len(tables), width):
         block = tables[rows]
-        ones_upto = block.cumsum(axis=1, dtype=np.int64)
-        rank_one, rank_zero = ones_upto - 1, np.arange(size) - ones_upto
-        n_ones = ones_upto[:, -1].tolist()
+        kept_row, _, _, kept_dist = _optimal_assignment(shape, block)
+        n_ones, left, right = _vertex_ids(block)   # after the solves, so as not to hold two copies
         down, up = _edge_masks(shape, block)
-        violated.extend(down.sum(axis=1).tolist())
-        upward.extend(up.sum(axis=1).tolist())
-        # the arcs of all rows, row by row and in arc order within a row;
-        # row r's are at positions [at[r], at[r + 1])
         row, k = down.nonzero()
-        edge_u, edge_v = rank_one[row, edge_lo[k]], edge_hi[k]
-        edge_at = [0, *np.bincount(row, minlength=len(block)).cumsum().tolist()]
-        row, k = (block[:, lo] > block[:, hi]).nonzero()
-        arc_u, arc_v, arc_dist = rank_one[row, lo[k]], rank_zero[row, hi[k]], dist[k]
-        arc_at = [0, *np.bincount(row, minlength=len(block)).cumsum().tolist()]
-        for r, ones in enumerate(n_ones):
-            arcs = slice(arc_at[r], arc_at[r + 1])
-            if arcs.start == arcs.stop:   # monotone: no violated pair, so no violated edge
-                gamma.append(0)
-                matched.append(0)
-                total.append(0)
-                continue
-            edges = slice(edge_at[r], edge_at[r + 1])
-            gamma.append(len(_max_matching(edge_u[edges], edge_v[edges], ones, size)))
-            _, dists = _optimal_assignment(arc_u[arcs], arc_v[arcs], arc_dist[arcs],
-                                           ones, size - ones, size)
-            matched.append(len(dists))
-            total.append(sum(dists))
-    return IsoperimetrySweep(size, violated, upward, gamma, matched, total)
+        counts.append((down.sum(axis=1), up.sum(axis=1),
+                       _matching_sizes(left[row, edge_lo[k]], right[row, edge_hi[k]], n_ones, size),
+                       np.bincount(kept_row, minlength=len(block)),
+                       np.bincount(kept_row, kept_dist, minlength=len(block)).astype(np.int64)))
+    columns = [np.concatenate(c).tolist() for c in zip(*counts)] or [[] for _ in range(5)]
+    return IsoperimetrySweep(size, *columns)
 
 
 def influence_report(f: BoolFunc) -> InfluenceReport:

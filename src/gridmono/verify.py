@@ -19,7 +19,7 @@ import numpy as np
 
 from . import reports
 from .errors import CapacityError, IntegrityError, NotGoodError
-from .func import BoolFunc, _table_blocks, generate, is_monotone
+from .func import BoolFunc, _mask_bits, _table_blocks, generate, is_monotone
 from .grid import GridShape, directed_distance, matching_ids
 from .oracle import (
     brute_force_batch,
@@ -29,6 +29,7 @@ from .oracle import (
     isoperimetry_sweep,
     monotone_masks,
     optimal_matching,
+    optimal_matching_batch,
 )
 from .reduce import lift, plan
 from .streams import derive_rng, derive_seed
@@ -109,28 +110,23 @@ def full_sweep(n: int, d: int) -> List[SweepRow]:
 
 def decomposition_instances(master_seed: int) -> list:
     """(shape, mask, f, M*) for every eps-far function of the small shapes
-    plus 1000 sampled eps-far functions at (4, 2)."""
+    plus 1000 sampled eps-far functions at (4, 2), one batch per shape."""
     if master_seed in _INSTANCES:
         return _INSTANCES[master_seed]
-    instances = []
-    for n, d in ((2, 1), (2, 2), (4, 1)):
-        shape = GridShape(n, d)
-        for mask in range(1 << shape.size):
-            f = BoolFunc.from_mask(shape, mask)
-            mstar = optimal_matching(f)
-            if not mstar.empty:
-                instances.append((shape, mask, f, mstar))
-    shape = GridShape(4, 2)
+    sampled_shape = GridShape(4, 2)
     rng = derive_rng(master_seed, "decomposition-sample")
-    picked = 0
-    while picked < 1000:
-        mask = rng.randrange(1 << shape.size)
-        f = BoolFunc.from_mask(shape, mask)
-        mstar = optimal_matching(f)
-        if mstar.empty:
-            continue
-        instances.append((shape, mask, f, mstar))
-        picked += 1
+    monotone = set(monotone_masks(sampled_shape))   # exactly the masks with an empty M*
+    sampled: List[int] = []
+    while len(sampled) < 1000:
+        mask = rng.randrange(1 << sampled_shape.size)
+        if mask not in monotone:
+            sampled.append(mask)
+    instances = []
+    for shape, masks in ((GridShape(2, 1), range(1 << 2)), (GridShape(2, 2), range(1 << 4)),
+                         (GridShape(4, 1), range(1 << 4)), (sampled_shape, sampled)):
+        mstars = optimal_matching_batch(shape, _mask_bits(masks, shape.size))
+        instances.extend((shape, mask, BoolFunc.from_mask(shape, mask), mstar)
+                         for mask, mstar in zip(masks, mstars) if not mstar.empty)
     _INSTANCES[master_seed] = instances
     return instances
 

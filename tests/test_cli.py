@@ -160,6 +160,8 @@ def test_zero_sample_counts_are_usage_errors(argv, tmp_path, capsys):
      "3bd90c3be0c04c2e0672c8012b2c02b6a6384b5ccd487039a419efda3e9d5f8f"),
     (["fourier", "--line-n", "8", "--tables", "20"],
      "f8be8fc6d61e5a54c9f9417b6861db5a01dc2b92c1ce4c900529658de1974ba6"),
+    (["isoperimetry", "--shapes", "8x2,3x3", "--samples", "300"],
+     "5fe59175c4eb635e27c88012aff7d06ecbd6bfd1145d5971c5f35da87e8cd62f"),
 ])
 def test_report_bytes_pinned(argv, digest, tmp_path, capsys):
     out = tmp_path / "report.csv"

@@ -217,13 +217,20 @@ def test_isoperimetry_examples():
     assert mono.margulis_ratio is None and mono.edge_ratio is None and mono.vertex_ratio is None
 
 
-def test_hopcroft_karp_rejects_a_start_that_is_not_a_matching():
-    adj = [[0, 1], [1]]
-    for start in ([(0, 2)], [(1, 0)], [(2, 0)], [(-1, 0)], [(0, 1), (1, 1)], [(0, 0), (0, 1)]):
-        with pytest.raises(IntegrityError):
-            hopcroft_karp(adj, 2, start)
-    assert hopcroft_karp(adj, 2, [(0, 1)])[0] == 2   # grown by one augmenting path
-    assert hopcroft_karp(adj, 2, [(0, 0), (1, 1)]) == (2, [0, 1], [0, 1])
+def test_maximality_check_rejects_what_is_not_a_maximum_matching():
+    # arcs 0->0, 0->1, 1->1; the one maximum matching is {0-0, 1-1}
+    u, v = np.array([0, 0, 1]), np.array([0, 1, 1])
+    assert hopcroft_karp([[0, 1], [1]], 2) == (2, [0, 1], [0, 1])
+    oracle._check_maximum(u, v, np.array([0, 1]), np.array([0, 1]), 2, 2)
+    for kept in ([(1, 0)], [(0, 0), (1, 0)], [(2, 0)], [(-1, 0)], [(0, 2)], [(0, -1)]):
+        with pytest.raises(IntegrityError, match="not a violation arc"):
+            oracle._check_maximum(u, v, *np.array(kept).T, 2, 2)
+    for kept in ([(0, 0), (0, 1)], [(0, 1), (1, 1)]):
+        with pytest.raises(IntegrityError, match="share an end"):
+            oracle._check_maximum(u, v, *np.array(kept).T, 2, 2)
+    # one short: 1 -> 1 -> (partner) 0 -> 0 is an augmenting path
+    with pytest.raises(IntegrityError, match="maximum matching"):
+        oracle._check_maximum(u, v, np.array([0]), np.array([1]), 2, 2)
 
 
 def test_dropped_assignment_pair_is_caught(monkeypatch):
@@ -238,6 +245,43 @@ def test_dropped_assignment_pair_is_caught(monkeypatch):
             optimal_matching(f)
         with pytest.raises(IntegrityError, match="maximum matching"):
             isoperimetry_report(f)
+
+
+def test_dropped_pair_in_one_row_of_a_block_is_caught(monkeypatch):
+    shape = GridShape(4, 2)
+    tables = _mask_bits([m for m in range(40, 4000, 97) if m not in monotone_masks(shape)],
+                        shape.size)
+    expected = isoperimetry_sweep(shape, tables)   # one block of rows
+    solve, calls = oracle.linear_sum_assignment, []
+
+    def drop_in_fifth_row(cost):
+        one, zero = solve(cost)
+        calls.append(len(one))
+        if len(calls) != 5:
+            return one, zero
+        cheapest = cost[one, zero].argmin()   # an arc: each of these rows keeps one
+        return np.delete(one, cheapest), np.delete(zero, cheapest)
+
+    monkeypatch.setattr(oracle, "linear_sum_assignment", drop_in_fifth_row)
+    with pytest.raises(IntegrityError, match="maximum matching"):
+        isoperimetry_sweep(shape, tables)
+    assert len(calls) == len(tables) == len(expected.matched) > 5
+
+
+def test_isoperimetry_sweep_rows_do_not_depend_on_blocks(monkeypatch):
+    gen = np.random.default_rng(3)
+    for shape, count in ((GridShape(4, 2), 40), (GridShape(8, 3), 8), (GridShape(32, 2), 4)):
+        tables = (gen.random((count, shape.size)) < gen.random(count)[:, None]).astype(np.uint8)
+        tables[1], tables[2] = 0, 1   # constant rows and a monotone one: no violated edge
+        tables[3] = generate("random_monotone", shape, seed=4).bits
+        expected = isoperimetry_sweep(shape, tables)
+        assert expected.violated[1:4] == expected.matched[1:4] == expected.gamma[1:4] == [0, 0, 0]
+        for cells in (1, 7, 64):
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "BATCH_CELLS", cells)
+                assert isoperimetry_sweep(shape, tables) == expected, (shape, cells)
+                assert isoperimetry_sweep(shape, tables[:0]) == oracle.IsoperimetrySweep(
+                    shape.size, [], [], [], [], [])
 
 
 def test_isoperimetry_sweep_rows_match_per_function_oracles(monkeypatch):

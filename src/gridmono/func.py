@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityError, FormatError
-from .grid import GridShape, Point, check_point, linear_index, point_of, unit_steps
+from .grid import GridShape, Point, check_point, linear_index, point_of
 
 MAGIC = b"AGF1"
 
@@ -277,9 +277,8 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
         if not 0 <= density <= 1:
             raise ValueError("density must be in [0, 1]")
         _check_table_capacity(shape, kind)
-        table = [1 if rng.random() < density else 0 for _ in range(shape.size)]
-        _upward_close(shape, table)
-        return BoolFunc.from_table(shape, table)
+        seeds = np.array([rng.random() for _ in range(shape.size)]) < density
+        return BoolFunc.from_table(shape, _upward_close(shape, seeds))
     if kind == "anti_slab":
         _reject_params(params, {"axis"})
         axis = params.get("axis", 0)
@@ -303,8 +302,8 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
             base = generate("random_monotone", shape, seed=rng.randrange(1 << 62))
         if base.shape != shape:
             raise ValueError("base shape mismatch")
-        flipped = [b ^ 1 if rng.random() < rho else b for b in base.table()]
-        return BoolFunc.from_table(shape, flipped)
+        flips = np.array([rng.random() for _ in range(shape.size)]) < rho
+        return BoolFunc.from_table(shape, base.bits ^ flips)
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -322,18 +321,22 @@ def _check_table_capacity(shape: GridShape, operation: str) -> None:
 
 def _tabulate_or_wrap(shape: GridShape, pred: Callable[[Point], int],
                       batch: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> BoolFunc:
+    """Tabulated from `bits` up to TABULATE_THRESHOLD points, so through the
+    vectorised form `batch` where there is one; predicate-backed above."""
     f = BoolFunc.from_predicate(shape, pred)
-    if shape.size <= TABULATE_THRESHOLD:
-        return BoolFunc.from_table(shape, f.table())
     f._batch = batch
+    if shape.size <= TABULATE_THRESHOLD:
+        return BoolFunc.from_table(shape, f.bits)
     return f
 
 
-def _upward_close(shape: GridShape, table: list) -> None:
-    # In-place closure: a point is 1 iff some seed point lies at or below it.
-    for lo, hi in unit_steps(shape):
-        if table[lo]:
-            table[hi] = 1
+def _upward_close(shape: GridShape, seeds: np.ndarray) -> np.ndarray:
+    """The flat table that is 1 exactly at the points at or above some seed:
+    a cumulative OR along each axis of the (n,)*d view in turn."""
+    grid = seeds.reshape((shape.n,) * shape.d)
+    for axis in range(shape.d):
+        np.logical_or.accumulate(grid, axis=axis, out=grid)
+    return grid.reshape(-1)
 
 
 def save(f: BoolFunc, sink) -> None:

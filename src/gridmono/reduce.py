@@ -13,6 +13,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .func import BoolFunc
 from .grid import GridShape
 
@@ -64,11 +66,15 @@ def phi(p: ReductionPlan, y: int) -> int:
 
 
 def lift(p: ReductionPlan, f: BoolFunc) -> BoolFunc:
-    """g(y) = f applied blockwise; predicate-backed, one f query per g query."""
+    """g(y) = f applied blockwise; predicate-backed, one f query per g query,
+    and vectorised as f.eval_batch at the block indices (phi of each coordinate)."""
     if f.shape != GridShape(p.n, p.d):
         raise ValueError(f"plan is for {p.n}^{p.d}, function is on {f.shape.n}^{f.shape.d}")
 
     def g(y) -> int:
         return f.eval(tuple(phi(p, v) for v in y))
 
-    return BoolFunc.from_predicate(GridShape(p.N, p.d), g)
+    block_of = np.searchsorted(p.boundaries, np.arange(p.N), side="right")
+    lifted = BoolFunc.from_predicate(GridShape(p.N, p.d), g)
+    lifted._batch = lambda X: f.eval_batch(block_of[X])
+    return lifted

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .errors import CapacityError
 from .func import BoolFunc, _mask_blocks, generate
 from .grid import GridShape
@@ -51,6 +53,13 @@ def rate_rows(shapes: Sequence[Tuple[int, int]], families: Sequence[str], trials
     return rows
 
 
+def ratio_terms(violated, gamma, matched, total) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """(numerators, denominators) of the margulis, edge and vertex ratios from
+    integer count columns, as IsoperimetrySweep.ratios forms them."""
+    square = matched * matched
+    return (violated * gamma, square), (violated, total), (gamma * total, square)
+
+
 def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
                       samples: int = 1000) -> List[str]:
     """One row per eps-far function: all 2^(n^d) when n^d <= 16, sampled above."""
@@ -69,12 +78,14 @@ def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
             masks = [rng.randrange(1 << size) for _ in range(samples)]
         for first, tables in _mask_blocks(shape, masks):
             sweep = isoperimetry_sweep(shape, tables)
-            for k in (k for k, matched in enumerate(sweep.matched) if matched):
-                report = sweep.report(k)
-                inf = report.influence
-                values = (inf.eps, inf.I, inf.I_minus, inf.gamma_minus, inf.r,
-                          report.margulis_ratio, report.edge_ratio, report.vertex_ratio)
-                rows.append(",".join([str(n), str(d), str(masks[first + k]), *map(_fmt, values)]))
+            far = np.flatnonzero(sweep.matched)
+            neg, pos, g, m, total = (np.array(c, dtype=np.int64)[far] for c in (
+                sweep.violated, sweep.upward, sweep.gamma, sweep.matched, sweep.total))
+            # exact below 2^53, so each division rounds once, as float(Fraction) does
+            values = np.stack([m / size, (neg + pos) / size, neg / size, g / size, total / m,
+                               *(num / den for num, den in ratio_terms(neg, g, m, total))], axis=1)
+            rows.extend(",".join([str(n), str(d), str(masks[first + k]), *map(repr, row)])
+                        for k, row in zip(far.tolist(), values.tolist()))
     return rows
 
 

@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -77,35 +77,38 @@ class CheckResult:
 # shared caches
 
 @dataclass(frozen=True)
-class SweepRow:
-    mask: int
-    eps: Fraction
-    brute: Fraction
-    margulis: Optional[Fraction]
-    edge_ratio: Optional[Fraction]
-    vertex_ratio: Optional[Fraction]
+class ShapeSweep:
+    """Integer columns over every function on one grid, indexed by mask:
+    the counts of IsoperimetrySweep plus the brute-force distance count."""
+    size: int
+    violated: np.ndarray
+    gamma: np.ndarray
+    matched: np.ndarray
+    total: np.ndarray
+    brute: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.matched)
 
 
-_SWEEPS: Dict[Tuple[int, int], List[SweepRow]] = {}
+_SWEEPS: Dict[Tuple[int, int], ShapeSweep] = {}
 _INSTANCES: Dict[int, list] = {}
 
 
-def full_sweep(n: int, d: int) -> List[SweepRow]:
-    """Every function on the (n, d) grid: distance both ways plus ratios."""
+def full_sweep(n: int, d: int) -> ShapeSweep:
+    """Every function on the (n, d) grid: distance both ways and the ratios' counts, in int64."""
     key = (n, d)
     if key in _SWEEPS:
         return _SWEEPS[key]
     shape = GridShape(n, d)
-    eps_of = [Fraction(k, shape.size) for k in range(shape.size + 1)]
-    rows = []
-    for first, tables in _table_blocks(shape):
+    blocks = []
+    for _, tables in _table_blocks(shape):
         sweep = isoperimetry_sweep(shape, tables)
-        brute = brute_force_batch(shape, tables).tolist()
-        for k, matched in enumerate(sweep.matched):
-            rows.append(SweepRow(first + k, eps_of[matched], eps_of[brute[k]],
-                                 *sweep.ratios(k)))
-    _SWEEPS[key] = rows
-    return rows
+        blocks.append((sweep.violated, sweep.gamma, sweep.matched, sweep.total,
+                       brute_force_batch(shape, tables)))
+    _SWEEPS[key] = ShapeSweep(shape.size, *(np.concatenate(c).astype(np.int64)
+                                            for c in zip(*blocks)))
+    return _SWEEPS[key]
 
 
 def decomposition_instances(master_seed: int) -> list:
@@ -185,12 +188,15 @@ DISTANCE_SHAPES = ((2, 2), (2, 3), (3, 2), (4, 2))
 def check_distance_equivalence() -> CheckResult:
     checked = 0
     for n, d in DISTANCE_SHAPES:
-        for row in full_sweep(n, d):
-            if row.eps != row.brute:
-                return CheckResult(
-                    2, "distance-equivalence", False,
-                    f"mask {row.mask} on {n}^{d}: matching {row.eps} != brute {row.brute}")
-            checked += 1
+        sweep = full_sweep(n, d)
+        wrong = np.flatnonzero(sweep.matched != sweep.brute)
+        if len(wrong):
+            mask = int(wrong[0])
+            return CheckResult(
+                2, "distance-equivalence", False,
+                f"mask {mask} on {n}^{d}: matching {Fraction(int(sweep.matched[mask]), sweep.size)}"
+                f" != brute {Fraction(int(sweep.brute[mask]), sweep.size)}")
+        checked += len(sweep)
     return CheckResult(2, "distance-equivalence", True,
                        f"{checked} functions agree exactly across {len(DISTANCE_SHAPES)} shapes",
                        checked, "functions")
@@ -200,26 +206,29 @@ def check_distance_equivalence() -> CheckResult:
 # criterion 3: isoperimetry positivity and frozen regression minima
 
 def sweep_minima(n: int, d: int) -> Tuple[Fraction, Fraction, Fraction]:
-    mins = None
-    for row in full_sweep(n, d):
-        if row.margulis is None:
-            continue
-        vals = (row.margulis, row.edge_ratio, row.vertex_ratio)
-        mins = vals if mins is None else tuple(map(min, mins, vals))
-    return mins
+    """Exact minima of the three ratios over the eps-far functions, each
+    taken over the distinct (numerator, denominator) pairs."""
+    sweep = full_sweep(n, d)
+    far = sweep.matched > 0
+    terms = reports.ratio_terms(sweep.violated, sweep.gamma, sweep.matched, sweep.total)
+    return tuple(min(Fraction(a, b) for a, b in
+                     np.unique(np.stack([num[far], den[far]], axis=1), axis=0).tolist())
+                 for num, den in terms)
 
 
 def check_isoperimetry_regression() -> CheckResult:
     details = []
     swept = 0
     for n, d in DISTANCE_SHAPES:
-        swept += len(full_sweep(n, d))
-        for row in full_sweep(n, d):
-            if row.margulis is None:
-                continue
-            if row.margulis <= 0 or row.edge_ratio <= 0 or row.vertex_ratio <= 0:
-                return CheckResult(3, "isoperimetry-regression", False,
-                                   f"nonpositive ratio at mask {row.mask} on {n}^{d}")
+        sweep = full_sweep(n, d)
+        swept += len(sweep)
+        terms = reports.ratio_terms(sweep.violated, sweep.gamma, sweep.matched, sweep.total)
+        nonpositive = np.any([(num <= 0) | (den <= 0) for num, den in terms], axis=0)
+        # only the eps-far functions (matched > 0) have ratios
+        wrong = np.flatnonzero(nonpositive & (sweep.matched > 0))
+        if len(wrong):
+            return CheckResult(3, "isoperimetry-regression", False,
+                               f"nonpositive ratio at mask {wrong[0]} on {n}^{d}")
         mins = sweep_minima(n, d)
         frozen = FROZEN_RATIO_MINIMA.get((n, d))
         if frozen is None:

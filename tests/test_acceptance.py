@@ -6,13 +6,15 @@ pytest -s or in captured output).  The CLI `verify` subcommand runs the
 same checks.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from gridmono import verify
 from gridmono.func import BoolFunc
 from gridmono.grid import GridShape
-from gridmono.oracle import optimal_matching
+from gridmono.oracle import brute_force_distance, isoperimetry_report, optimal_matching
 from gridmono.streams import derive_rng
 
 SEED = verify.DEFAULT_MASTER_SEED
@@ -30,6 +32,61 @@ def test_criterion_1_one_sided_error():
 
 def test_criterion_2_distance_oracle_equivalence():
     report(verify.check_distance_equivalence())
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2)])
+def test_full_sweep_matches_per_mask_reports(n, d):
+    shape = GridShape(n, d)
+    sweep = verify.full_sweep(n, d)
+    assert len(sweep) == 1 << shape.size
+    minima = None
+    for mask in range(1 << shape.size):
+        f = BoolFunc.from_mask(shape, mask)
+        inf = isoperimetry_report(f).influence
+        assert (sweep.violated[mask], sweep.gamma[mask], sweep.matched[mask]) == (
+            inf.violated_edges, inf.gamma_count, inf.matching_size)
+        assert sweep.total[mask] == inf.r * inf.matching_size
+        assert Fraction(int(sweep.brute[mask]), shape.size) == brute_force_distance(f)
+        if inf.matching_size:
+            # the ratios from their definitions in the normalised quantities
+            ratios = (inf.I_minus * inf.gamma_minus / inf.eps ** 2,
+                      inf.I_minus / (inf.r * inf.eps), inf.gamma_minus * inf.r / inf.eps)
+            minima = ratios if minima is None else tuple(map(min, minima, ratios))
+    assert verify.sweep_minima(n, d) == minima
+
+
+def test_criterion_2_names_the_first_mismatch(monkeypatch):
+    shape = GridShape(2, 3)
+    real = verify.brute_force_batch
+
+    def off_by_one(grid, tables):
+        counts = real(grid, tables).astype(np.int64)
+        if grid == shape:
+            counts[37] += 1
+        return counts
+
+    monkeypatch.setattr(verify, "brute_force_batch", off_by_one)
+    monkeypatch.setattr(verify, "_SWEEPS", {})
+    eps = brute_force_distance(BoolFunc.from_mask(shape, 37))
+    result = verify.check_distance_equivalence()
+    assert not result.passed
+    assert result.detail == f"mask 37 on 2^3: matching {eps} != brute {eps + Fraction(1, 8)}"
+
+
+def test_criterion_3_names_a_nonpositive_ratio(monkeypatch):
+    real = verify.isoperimetry_sweep
+
+    def no_violated_edge_at_mask_2(grid, tables):
+        sweep = real(grid, tables)
+        if grid == GridShape(2, 2):
+            sweep.violated[2] = 0   # mask 2 is eps-far, so its margulis ratio becomes 0
+        return sweep
+
+    monkeypatch.setattr(verify, "isoperimetry_sweep", no_violated_edge_at_mask_2)
+    monkeypatch.setattr(verify, "_SWEEPS", {})
+    result = verify.check_isoperimetry_regression()
+    assert not result.passed
+    assert result.detail == "nonpositive ratio at mask 2 on 2^2"
 
 
 def test_criterion_3_isoperimetry_regression():

@@ -1,6 +1,8 @@
 """Function storage, generators, line ops, and the binary file format."""
 
 import io
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -297,6 +299,58 @@ def test_bits_through_vectorised_predicate(kind, monkeypatch):
         assert bits[index].tolist() == scalar, (kind, shape)
         if kind == "monotone_threshold":
             assert is_monotone(f)
+
+
+# Grids at or below the tabulation threshold, so generate() returns tables.
+TABULATED_SHAPES = (GridShape(4, 2), GridShape(8, 4), GridShape(8, 5), GridShape(4, 8),
+                    GridShape(2, 16))
+
+
+@pytest.mark.parametrize("shape", TABULATED_SHAPES, ids=str)
+def test_tabulation_matches_scalar_predicate(shape, monkeypatch):
+    # the closed forms tabulate through their vectorised form; float weights
+    # and a theta past int64's exact range have none and go point by point,
+    # which is checked on the smaller grids only, to keep the test fast
+    d = shape.d
+    cases = [("monotone_threshold", {}, True), ("anti_slab", {"axis": d - 1}, True),
+             ("block_parity", {}, True)]
+    if shape.size <= 1 << 12:
+        cases += [("monotone_threshold", {"weights": [0.5 + k for k in range(d)]}, False),
+                  ("monotone_threshold", {"weights": [1] * d, "theta": -(1 << 70)}, False)]
+    # every point in linear-index order: dimension 0 varies fastest
+    points = [p[::-1] for p in itertools.product(range(shape.n), repeat=d)]
+    assert points[:3] == [point_of(shape, k) for k in range(3)]
+    for kind, params, vectorised in cases:
+        table = generate(kind, shape, seed=5, **params)
+        assert table.is_table_backed()
+        monkeypatch.setattr(func, "TABULATE_THRESHOLD", 0)
+        wrapped = generate(kind, shape, seed=5, **params)
+        monkeypatch.undo()
+        assert (wrapped._batch is not None) == vectorised, (kind, params)
+        assert table.table() == [wrapped._predicate(x) for x in points], (kind, params)
+
+
+def unit_step_closure(shape, table):
+    """The upward closure by one in-order pass over the unit steps."""
+    table = list(table)
+    for lo, hi in unit_steps(shape):
+        if table[lo]:
+            table[hi] = 1
+    return table
+
+
+@pytest.mark.parametrize("shape", [GridShape(2, 6), GridShape(3, 3), GridShape(4, 3),
+                                   GridShape(5, 2), GridShape(8, 4)], ids=str)
+def test_upward_close_matches_unit_step_loop(shape):
+    gen = np.random.default_rng(shape.size)
+    for density in (0.0, 0.02, 0.1, 0.4):
+        seeds = gen.random(shape.size) < density
+        expected = unit_step_closure(shape, seeds.astype(int).tolist())
+        assert func._upward_close(shape, seeds.copy()).astype(int).tolist() == expected
+    # random_monotone draws one rng.random() per point, in linear order
+    rng = random.Random(11)
+    draws = [1 if rng.random() < 0.25 else 0 for _ in range(shape.size)]
+    assert generate("random_monotone", shape, seed=11).table() == unit_step_closure(shape, draws)
 
 
 def test_is_monotone_capacity():

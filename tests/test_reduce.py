@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridmono.func import BoolFunc, generate, is_monotone
-from gridmono.grid import GridShape
+from gridmono.grid import GridShape, linear_index, point_of
 from gridmono.oracle import distance_to_monotonicity, monotone_masks
 from gridmono.reduce import lift, phi, plan
 
@@ -106,6 +106,21 @@ def test_lift_batch_query_forwarding(rng):
     values = g.eval_batch(pts)
     assert f.queries == 40 and g.queries == 40
     assert values.tolist() == [f.table()[phi(p, a) + 3 * phi(p, b)] for a, b in pts.tolist()]
+
+
+@pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (5, 1), (5, 2), (6, 2)])
+def test_lift_bits_match_phi(n, d, rng):
+    shape = GridShape(n, d)
+    p = plan(n, d)
+    big = GridShape(p.N, d)
+    for _ in range(4):
+        f = BoolFunc.from_mask(shape, rng.randrange(1 << shape.size))
+        g = lift(p, f)
+        expected = [f.table()[linear_index(shape, tuple(phi(p, v) for v in point_of(big, k)))]
+                    for k in range(big.size)]
+        before = f.queries
+        assert g.bits.tolist() == expected
+        assert f.queries - before == big.size and g.queries == 0
 
 
 def test_lift_shape_mismatch():

@@ -1,4 +1,9 @@
-"""Monotonicity testing on augmented hypergrids, with exact desk-scale oracles."""
+"""Monotonicity testing on augmented hypergrids, with exact desk-scale oracles.
+
+The exact oracles load scipy, which the tester never calls, so their names
+resolve on first access (see __getattr__) and `import gridmono` stays
+scipy-free.
+"""
 
 from .errors import CapacityError, FormatError, IntegrityError, NotGoodError
 from .func import BoolFunc, generate, is_monotone, load, restrict_line, save, sort_line
@@ -13,15 +18,6 @@ from .grid import (
     enumerate_matching,
     linear_index,
     point_of,
-)
-from .oracle import (
-    brute_force_distance,
-    distance_to_monotonicity,
-    gamma_minus,
-    influence_bound_check,
-    isoperimetry_report,
-    optimal_matching,
-    violated_aug_edges,
 )
 from .tester import (
     DEFAULT_CALIBRATION,
@@ -70,3 +66,26 @@ __all__ = [
     "sort_line",
     "violated_aug_edges",
 ]
+
+_ORACLE_NAMES = frozenset({
+    "brute_force_distance",
+    "distance_to_monotonicity",
+    "gamma_minus",
+    "influence_bound_check",
+    "isoperimetry_report",
+    "optimal_matching",
+    "violated_aug_edges",
+})
+
+
+def __getattr__(name):
+    # not cached here: each access reads gridmono.oracle, so a rebinding there is seen
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)

@@ -14,10 +14,10 @@ import json
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from . import reports
 from .errors import CapacityError, FormatError, IntegrityError, NotGoodError
 from .func import BoolFunc, generate, load
 from .grid import GridShape
+from .reduce import ReductionPlan, lift, plan
 from .streams import derive_rng
 from .tester import DEFAULT_CALIBRATION, amplified_test
 
@@ -151,9 +151,20 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
     return parser, commands
 
 
+def _print_plan(p: ReductionPlan) -> None:
+    print(f"plan: i={p.i} N={p.N} m={p.m} blocks={p.block_sizes}")
+
+
 def cmd_test(args) -> int:
     f = _load_function(args)
-    verdict = amplified_test(f, args.eps, args.calibration,
+    eps = args.eps
+    if not f.shape.is_pow2():
+        # the walks need a power-of-two side: test the lift, which keeps
+        # monotonicity and at least a sixth of the distance
+        p = plan(f.shape.n, f.shape.d)
+        _print_plan(p)
+        f, eps = lift(p, f), eps / 6
+    verdict = amplified_test(f, eps, args.calibration,
                              derive_rng(args.seed, "cli-test"))
     print(f"verdict={'ACCEPT' if verdict.accepted else 'REJECT'} "
           f"invocations={verdict.invocations} queries={verdict.total_queries}")
@@ -161,6 +172,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    from . import reports
+
     shapes = _parse_shapes(args.shapes)
     families = _parse_families(args.families)
     rows = reports.rate_rows(shapes, families, args.trials, args.seed)
@@ -170,6 +183,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_isoperimetry(args) -> int:
+    from . import reports
+
     shapes = _parse_shapes(args.shapes)
     rows = reports.isoperimetry_rows(shapes, args.seed, samples=args.samples)
     reports.write_report(args.out, reports.ISO_HEADER, rows)
@@ -187,6 +202,8 @@ def cmd_isoperimetry(args) -> int:
 
 
 def cmd_persistence(args) -> int:
+    from . import reports
+
     shapes = _parse_shapes(args.shapes)
     families = _parse_families(args.families)
     taus = _parse_ints(args.taus)
@@ -220,12 +237,11 @@ def cmd_reduce(args) -> int:
     from fractions import Fraction
 
     from .oracle import distance_to_monotonicity
-    from .reduce import lift, plan
 
     f = _load_function(args)
     shape = f.shape
     p = plan(shape.n, shape.d)
-    print(f"plan: i={p.i} N={p.N} m={p.m} blocks={p.block_sizes}")
+    _print_plan(p)
     g = lift(p, f)
     eps_f = distance_to_monotonicity(f).eps
     eps_g = distance_to_monotonicity(g).eps

@@ -499,17 +499,17 @@ class IsoperimetryReport:
 class IsoperimetrySweep:
     """Isoperimetry reports of many functions on one grid, one row per function.
 
-    Every quantity is an integer count: the violated and upward augmented
-    edges, Γ⁻ (the most vertex-disjoint violated edges), and the size and
-    summed directed distance of the optimal matching.
+    Every quantity is an int64 column of counts: the violated and upward
+    augmented edges, Γ⁻ (the most vertex-disjoint violated edges), and the
+    size and summed directed distance of the optimal matching.
     """
 
     size: int
-    violated: List[int]
-    upward: List[int]
-    gamma: List[int]
-    matched: List[int]
-    total: List[int]
+    violated: np.ndarray
+    upward: np.ndarray
+    gamma: np.ndarray
+    matched: np.ndarray
+    total: np.ndarray
 
     def ratios(self, k: int) -> Tuple[Optional[Fraction], ...]:
         """Row k's (margulis, edge, vertex) ratios; all None when eps = 0.
@@ -518,15 +518,15 @@ class IsoperimetrySweep:
         edges: margulis = I_minus gamma / eps^2 = neg g / m^2, edge =
         I_minus / (r eps) = neg / total, vertex = gamma r / eps = g total / m^2.
         """
-        m = self.matched[k]
+        m = int(self.matched[k])
         if not m:
             return None, None, None
-        neg, g, total = self.violated[k], self.gamma[k], self.total[k]
+        neg, g, total = int(self.violated[k]), int(self.gamma[k]), int(self.total[k])
         return Fraction(neg * g, m * m), Fraction(neg, total), Fraction(g * total, m * m)
 
     def report(self, k: int) -> IsoperimetryReport:
-        size, neg, pos = self.size, self.violated[k], self.upward[k]
-        g, m, total = self.gamma[k], self.matched[k], self.total[k]
+        size, neg, pos = self.size, int(self.violated[k]), int(self.upward[k])
+        g, m, total = int(self.gamma[k]), int(self.matched[k]), int(self.total[k])
         influence = InfluenceReport(
             I=Fraction(neg + pos, size),
             I_plus=Fraction(pos, size),
@@ -566,7 +566,8 @@ def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySwee
                        _matching_sizes(left[row, edge_lo[k]], right[row, edge_hi[k]], n_ones, size),
                        np.bincount(kept_row, minlength=len(block)),
                        np.bincount(kept_row, kept_dist, minlength=len(block)).astype(np.int64)))
-    columns = [np.concatenate(c).tolist() for c in zip(*counts)] or [[] for _ in range(5)]
+    columns = ([np.concatenate(c).astype(np.int64, copy=False) for c in zip(*counts)]
+               or [np.zeros(0, np.int64) for _ in range(5)])
     return IsoperimetrySweep(size, *columns)
 
 

@@ -79,7 +79,7 @@ def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
         for first, tables in _mask_blocks(shape, masks):
             sweep = isoperimetry_sweep(shape, tables)
             far = np.flatnonzero(sweep.matched)
-            neg, pos, g, m, total = (np.array(c, dtype=np.int64)[far] for c in (
+            neg, pos, g, m, total = (c[far] for c in (
                 sweep.violated, sweep.upward, sweep.gamma, sweep.matched, sweep.total))
             # exact below 2^53, so each division rounds once, as float(Fraction) does
             values = np.stack([m / size, (neg + pos) / size, neg / size, g / size, total / m,

@@ -105,9 +105,8 @@ def full_sweep(n: int, d: int) -> ShapeSweep:
     for _, tables in _table_blocks(shape):
         sweep = isoperimetry_sweep(shape, tables)
         blocks.append((sweep.violated, sweep.gamma, sweep.matched, sweep.total,
-                       brute_force_batch(shape, tables)))
-    _SWEEPS[key] = ShapeSweep(shape.size, *(np.concatenate(c).astype(np.int64)
-                                            for c in zip(*blocks)))
+                       brute_force_batch(shape, tables).astype(np.int64)))
+    _SWEEPS[key] = ShapeSweep(shape.size, *map(np.concatenate, zip(*blocks)))
     return _SWEEPS[key]
 
 

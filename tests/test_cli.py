@@ -42,6 +42,34 @@ def test_test_subcommand_loads_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_test_subcommand_lifts_other_n(capsys):
+    # n = 3 is tested through the lift onto 8^2 at a sixth of eps; the plan comes first
+    from gridmono.reduce import lift, plan
+    from gridmono.streams import derive_rng
+    from gridmono.tester import DEFAULT_CALIBRATION, amplified_test
+
+    for family, code in (("monotone_threshold", EXIT_OK), ("anti_slab", EXIT_REJECT)):
+        assert run(["test", "--family", family, "--n", "3", "--d", "2", "--eps", "0.3"]) == code
+        p = plan(3, 2)
+        verdict = amplified_test(lift(p, generate(family, GridShape(3, 2), seed=0)), 0.3 / 6,
+                                 DEFAULT_CALIBRATION, derive_rng(0, "cli-test"))
+        assert capsys.readouterr().out.splitlines() == [
+            "plan: i=0 N=8 m=1 blocks=(2, 3, 3)",
+            f"verdict={'ACCEPT' if verdict.accepted else 'REJECT'} "
+            f"invocations={verdict.invocations} queries={verdict.total_queries}"]
+
+
+def test_test_subcommand_power_of_two_prints_no_plan(capsys):
+    assert run(["test", "--family", "anti_slab", "--n", "4", "--d", "2"]) == EXIT_REJECT
+    assert capsys.readouterr().out.splitlines() == ["verdict=REJECT invocations=11 queries=17"]
+
+
+def test_test_subcommand_lift_past_the_index_range(capsys):
+    # 3^30 fits, but its lift 128^30 does not
+    assert run(["test", "--family", "anti_slab", "--n", "3", "--d", "30"]) == EXIT_USAGE
+    assert "exceeds the index range" in capsys.readouterr().err
+
+
 def test_rate_report_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from gridmono.errors import CapacityError, IntegrityError
-from gridmono.func import BoolFunc, _mask_bits, generate, restrict_line, sort_line
+from gridmono.func import BoolFunc, _mask_bits, _table_blocks, generate, restrict_line, sort_line
 from gridmono.fourier import (
     WalshIndex,
+    _coefficient_routes,
     edge_coefficient,
     inverse_transform,
     line_delta_report,
@@ -20,7 +21,7 @@ from gridmono.fourier import (
     walsh_value,
 )
 from gridmono.grid import GridShape, linear_index, point_of, points
-from gridmono.oracle import violated_aug_edges
+from gridmono.oracle import edge_counts_batch, violated_aug_edges
 
 
 def naive_transform(shape, values):
@@ -214,9 +215,25 @@ def test_coefficient_aggregation_lower_bound_line():
 
 
 def test_coefficient_aggregation_lower_bound_grid():
+    # every mask in integers: n^d bits times aggregation_gap is
+    # bits * sum |n^d c| - (violated + upward) + 6 * bits * violated
     shape = GridShape(4, 2)
-    for mask in range(1 << shape.size):
-        assert aggregation_gap(BoolFunc.from_mask(shape, mask)) >= 0, mask
+    bits, slack = shape.bits, []
+    for _, tables in _table_blocks(shape):
+        violated, upward = edge_counts_batch(shape, tables)
+        magnitude = np.zeros(len(tables), dtype=np.int64)
+        for dim in range(shape.d):
+            by_expectation, by_matching = _coefficient_routes(shape, tables, dim, bits - 1)
+            assert np.array_equal(by_expectation, by_matching), dim
+            magnitude += np.abs(by_expectation)
+        slack.append(bits * magnitude - (violated + upward) + 6 * bits * violated)
+    slack = np.concatenate(slack)
+    assert len(slack) == 1 << shape.size
+    failing = np.flatnonzero(slack < 0)
+    assert not len(failing), f"mask {failing[0]} breaks the bound"
+    for mask in (0, 1, 0x00FF, 0x0F0F, 0x8001, 0xFFFF, 40503):
+        gap = aggregation_gap(BoolFunc.from_mask(shape, mask))
+        assert gap == Fraction(int(slack[mask]), shape.size * bits), mask
 
 
 def test_restricted_line_coefficients_average(rng):

@@ -25,7 +25,6 @@ from .grid import (
     check_point,
     linear_index,
 )
-from .oracle import _checked_tables, _row_batches, edge_counts_batch
 
 TRANSFORM_CAPACITY = 1 << 22
 
@@ -154,6 +153,8 @@ def _coefficient_routes(shape: GridShape, tables: np.ndarray, dim: int,
     Route one is the plain expectation of f times the character; route two
     sums f over the lower minus the upper endpoints of the even matching.
     """
+    from .oracle import _row_batches
+
     weights = _coefficient_weights(shape, dim, bit)
     routes = np.empty((len(tables), 2), dtype=np.int64)
     for rows in _row_batches(len(tables), shape.size):
@@ -234,6 +235,8 @@ def line_sweep(shape: GridShape, tables: np.ndarray) -> LineSweep:
     with its sorted line: sorting never shrinks delta_I and shifts e1 by at
     most 4 I_minus.
     """
+    from .oracle import _checked_tables, edge_counts_batch
+
     if shape.d != 1 or not shape.is_pow2() or shape.n < 4:
         raise ValueError("needs a line with n a power of 2, n >= 4")
     top = shape.bits - 1

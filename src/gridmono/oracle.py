@@ -1,8 +1,8 @@
-"""Exact desk-scale oracles: violation graph, distance, influences, ratios.
+"""Exact desk-scale oracles: distance, influences, matchings, ratios.
 
 Everything here enumerates the grid, so it is guarded by a point-count
-capacity.  Distances between matched violation pairs use the directed
-augmented-hypergrid metric.
+capacity: 2^16 points for the distance cut, 4096 for the rest.  Distances
+between matched violation pairs use the directed augmented-hypergrid metric.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
+from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching, maximum_flow
 
 from .errors import CapacityError, IntegrityError
 from .func import BoolFunc, _check_bits, _table_blocks
-from .grid import AugEdge, GridShape, _aug_edges, points
+from .grid import AugEdge, GridShape, _aug_edges, points, unit_steps
 
 ORACLE_CAPACITY = 4096
+DISTANCE_CAPACITY = 1 << 16   # the cut graph has O(N d) arcs, not the N^2 comparable pairs
 BRUTE_FORCE_CAPACITY = 20
 
 # Table cells per numpy call in the batch kernels: each temporary stays
@@ -100,13 +101,14 @@ def _comparable(shape: GridShape) -> np.ndarray:
 
 
 def _bits_of(f: BoolFunc) -> np.ndarray:
-    _check_oracle_capacity(f.shape)
+    _check_capacity(f.shape)
     return f.bits
 
 
-def _check_oracle_capacity(shape: GridShape) -> None:
-    if shape.size > ORACLE_CAPACITY:
-        raise CapacityError("exact oracle", shape.size, ORACLE_CAPACITY)
+def _check_capacity(shape: GridShape, limit: int = ORACLE_CAPACITY,
+                    operation: str = "exact oracle") -> None:
+    if shape.size > limit:
+        raise CapacityError(operation, shape.size, limit)
 
 
 def _row_batches(rows: int, width: int) -> Iterator[slice]:
@@ -115,88 +117,70 @@ def _row_batches(rows: int, width: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
-def hopcroft_karp(adj: List[List[int]], n_right: int) -> Tuple[int, List[int], List[int]]:
-    """Maximum bipartite matching size plus both matched-partner arrays.
+@lru_cache(maxsize=16)   # up to 4 MB each at 2^16 points
+def _unit_step_arrays(shape: GridShape) -> np.ndarray:
+    """(2, steps) int32 lo and hi linear indices of grid.unit_steps."""
+    return np.fromiter(unit_steps(shape), dtype=(np.int32, 2)).T
 
-    adj[u] lists the right neighbours of left vertex u.  Unmatched slots
-    hold -1.  Deterministic for a fixed adjacency order.  This pure-Python
-    search finds the witnesses of gamma_minus and distance_to_monotonicity;
-    the block kernels count and check matchings in scipy's csgraph routines.
+
+def _cut_flow(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray, csr_matrix]:
+    """(count, flow) of a maximum flow on the cut graph of a block of tables.
+
+    Vertex r N + i is point i of row r, then come the source and the sink.
+    Each unit step of a row is an arc of capacity N, above any minimum cut;
+    each 1-point has a unit arc from the source, each 0-point one to the
+    sink.  A cut crossing no step keeps an upward-closed set on the source
+    side: 1 there and 0 elsewhere is a monotone table differing from the row
+    at the cut's arcs (maximum closure, Picard 1976).  The rows share only
+    the terminals, so count[r], the flow into row r, is its own minimum cut.
     """
-    n_left = len(adj)
-    INF = n_left + n_right + 1
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    dist = [0] * n_left
-
-    def bfs() -> bool:
-        queue = []
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
-
-    while bfs():
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dfs(u)
-    return n_left - match_l.count(-1), match_l, match_r
+    size, n_rows = shape.size, len(block)
+    lo, hi = _unit_step_arrays(shape)
+    base = np.arange(n_rows, dtype=np.int32)[:, None] * size
+    ones = block.reshape(-1).astype(bool)
+    point = np.arange(n_rows * size, dtype=np.int32)
+    source, sink = n_rows * size, n_rows * size + 1
+    tails = np.concatenate(((base + lo).ravel(), np.where(ones, source, point)))
+    heads = np.concatenate(((base + hi).ravel(), np.where(ones, point, sink)))
+    capacity = np.repeat(np.array([size, 1], np.int32), [n_rows * len(lo), n_rows * size])
+    graph = csr_matrix((capacity, (tails, heads)), shape=(sink + 1, sink + 1))
+    flow = maximum_flow(graph, source, sink, method="dinic").flow
+    arcs = slice(flow.indptr[source], flow.indptr[source + 1])
+    used = flow.indices[arcs][flow.data[arcs] > 0]
+    return np.bincount(used // size, minlength=n_rows).astype(np.int64), flow
 
 
-@dataclass(frozen=True)
-class ViolationGraph:
-    ones: np.ndarray   # indices with f = 1
-    arcs: np.ndarray   # (arcs, 3) rows of comparable with f = 1 at lo_index, 0 at hi_index
+def cut_distance_batch(shape: GridShape, tables: np.ndarray) -> np.ndarray:
+    """Fewest changed points to a monotone table, for each row of a
+    (functions, n^d) bit array: one maximum flow per block of rows over the
+    disjoint union of their cut graphs (see _cut_flow)."""
+    tables = _checked_tables(shape, tables, DISTANCE_CAPACITY, "exact distance")
+    # a flow holds about 70 bytes per arc (with its reverse and Dinic's work
+    # arrays) against 8 per cell of a kernel temporary, so blocks are 1/8 the cells
+    width = 8 * (_unit_step_arrays(shape).shape[1] + shape.size)
+    counts = [_cut_flow(shape, tables[rows])[0] for rows in _row_batches(len(tables), width)]
+    return np.concatenate(counts) if counts else np.zeros(0, np.int64)
 
 
-def violation_graph(f: BoolFunc) -> ViolationGraph:
-    t = _bits_of(f)
-    comparable = shape_tables(f.shape).comparable
-    arcs = comparable[t[comparable[:, 0]] > t[comparable[:, 1]]]
-    return ViolationGraph(t.nonzero()[0], arcs)
-
-
-def _max_matching(u: np.ndarray, v: np.ndarray, n_left: int, n_right: int) -> List[int]:
-    """Hopcroft-Karp over the arcs u[k] -> v[k], with u nondecreasing; each
-    left vertex lists its arcs in the order given.
-
-    Returns the positions k of the matched arcs, in increasing u[k].  The
-    callers' left vertices are the 1-points in increasing index and their
-    arcs run in increasing lo, so every witness depends only on the arc order.
-    """
-    first = [0, *np.bincount(u, minlength=n_left).cumsum().tolist()]
-    right = v.tolist()
-    adj = [right[a:b] for a, b in zip(first, first[1:])]   # slices of one list, in arc order
-    matched, match_l, _ = hopcroft_karp(adj, n_right)
-    arcs = [first[w] + adj[w].index(x) for w, x in enumerate(match_l) if x != -1]
-    if len(arcs) != matched:
-        raise IntegrityError("matching size mismatch")
-    return arcs
+def _flow_paths(flow: csr_matrix, source: int, sink: int) -> List[Tuple[int, int]]:
+    """(first, last) inner vertex of each unit of an acyclic integer flow,
+    walked from the source along the first out-arc with flow left, which
+    inflow = outflow guarantees away from the terminals.  Clears `flow`'s
+    negative entries (its reverse arcs)."""
+    flow.data[flow.data < 0] = 0
+    flow.eliminate_zeros()
+    indptr, heads, left = (x.tolist() for x in (flow.indptr, flow.indices, flow.data))
+    nxt = indptr[:-1]
+    paths = []
+    for first in heads[indptr[source]:indptr[source + 1]]:
+        v = first
+        while v != sink:
+            k = nxt[v]
+            left[k] -= 1
+            nxt[v] += left[k] == 0   # past a drained arc
+            last, v = v, heads[k]
+        paths.append((first, last))
+    return paths
 
 
 @dataclass(frozen=True)
@@ -206,18 +190,20 @@ class DistanceReport:
 
 
 def distance_to_monotonicity(f: BoolFunc) -> DistanceReport:
-    """Distance via the maximum matching in the violation graph.
+    """Distance as the minimum cut of the unit-step graph: the one-row view of
+    cut_distance_batch, with a maximum violation matching as the witness.
 
-    For Boolean functions the minimum number of value changes equals the
-    maximum violation matching; that equivalence is itself tested against
-    brute_force_distance rather than assumed blindly.
+    Each unit of flow runs from a 1-point x up unit steps to a 0-point y, so
+    x <= y and f(x) = 1 > f(y) = 0, and the unit terminal arcs make the
+    pairs disjoint: as many as the cut, so a maximum violation matching.
     """
-    vg = violation_graph(f)
-    lo, hi = vg.arcs[:, 0], vg.arcs[:, 1]
-    matched = vg.arcs[_max_matching(vg.ones.searchsorted(lo), hi, len(vg.ones), f.shape.size)]
-    pts = shape_tables(f.shape).points
-    pairs = tuple((pts[i], pts[j]) for i, j in matched[:, :2].tolist())
-    return DistanceReport(Fraction(len(pairs), f.shape.size), pairs)
+    shape = f.shape
+    _check_capacity(shape, DISTANCE_CAPACITY, "exact distance")
+    _, flow = _cut_flow(shape, f.bits[None])
+    ends = np.array(_flow_paths(flow, shape.size, shape.size + 1), dtype=np.int64).reshape(-1, 2)
+    coords = ends[..., None] // shape.n ** np.arange(shape.d) % shape.n
+    pairs = tuple((tuple(x), tuple(y)) for x, y in coords.tolist())
+    return DistanceReport(Fraction(len(pairs), shape.size), pairs)
 
 
 @lru_cache(maxsize=32)
@@ -268,9 +254,10 @@ def _aug_edges_by_lo(shape: GridShape) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     return order, lo, hi
 
 
-def _checked_tables(shape: GridShape, tables) -> np.ndarray:
+def _checked_tables(shape: GridShape, tables, limit: int = ORACLE_CAPACITY,
+                    operation: str = "exact oracle") -> np.ndarray:
     """`tables` as uint8; ValueError unless it is a (functions, n^d) array of bits."""
-    _check_oracle_capacity(shape)
+    _check_capacity(shape, limit, operation)
     tables = np.asarray(tables)
     if tables.ndim != 2 or tables.shape[1] != shape.size:
         raise ValueError(f"tables must have shape (functions, {shape.size})")
@@ -323,15 +310,13 @@ def gamma_minus(f: BoolFunc) -> GammaReport:
     """Largest set of pairwise vertex-disjoint violated augmented edges.
 
     Violated edges run from 1-points to 0-points, so this is a bipartite
-    matching problem.
+    matching problem: the one-row view of the matching behind
+    isoperimetry_sweep's Γ⁻ counts (see _gamma_edges).
     """
-    t = _bits_of(f)
-    _, lo, hi = _aug_edges_by_lo(f.shape)
-    violated = (t[lo] > t[hi]).nonzero()[0]
-    ones = t.nonzero()[0]
-    picked = _max_matching(ones.searchsorted(lo[violated]), hi[violated], len(ones), f.shape.size)
+    block = _bits_of(f)[None]
+    _, picked = _gamma_edges(f.shape, block, _edge_masks(f.shape, block)[0])
     edges = shape_tables(f.shape).aug_edges
-    witness = tuple(edges[k] for k in violated[picked].tolist())
+    witness = tuple(edges[k] for k in picked.tolist())
     return GammaReport(Fraction(len(witness), f.shape.size), witness)
 
 
@@ -350,15 +335,26 @@ def _csr(tails: np.ndarray, heads: np.ndarray, n_tails: int, n_heads: int) -> cs
     return csr_matrix((np.ones(len(heads), np.int8), heads, indptr), shape=(n_tails, n_heads))
 
 
-def _matching_sizes(u: np.ndarray, v: np.ndarray, n_ones: np.ndarray, size: int) -> np.ndarray:
-    """Maximum matching size of each row of a block, over the arcs u[k] -> v[k]
-    between its vertex ids (see _vertex_ids), u nondecreasing."""
-    n_left = int(n_ones.sum())
+def _gamma_edges(shape: GridShape, block: np.ndarray,
+                 down: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(row, k) of a maximum set of vertex-disjoint violated augmented edges
+    in each row of a block, by row and then k (an index of _aug_edges_by_lo).
+
+    `down` is the block's violated mask (see _edge_masks); its edges are the
+    arcs of one scipy matching over the points of all rows (see _vertex_ids).
+    No two edges join the same two points, so partner[u] == v picks one arc.
+    """
+    _, lo, hi = _aug_edges_by_lo(shape)
+    n_ones, left, right = _vertex_ids(block)
+    row, k = down.nonzero()
+    u, v = left[row, lo[k]], right[row, hi[k]]
     if not len(u):
-        return np.zeros(len(n_ones), np.int64)
-    graph = _csr(u, v, n_left, len(n_ones) * size - n_left)
-    matched = maximum_bipartite_matching(graph, perm_type="column") >= 0
-    return np.bincount(np.repeat(np.arange(len(n_ones)), n_ones)[matched], minlength=len(n_ones))
+        return row, k
+    n_left = int(n_ones.sum())
+    partner = maximum_bipartite_matching(_csr(u, v, n_left, block.size - n_left),
+                                         perm_type="column")
+    picked = partner[u] == v
+    return row[picked], k[picked]
 
 
 def _check_maximum(u: np.ndarray, v: np.ndarray, kept_u: np.ndarray, kept_v: np.ndarray,
@@ -553,22 +549,20 @@ def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySwee
     checked assignment solve per row (see _optimal_assignment).
     """
     tables = _checked_tables(shape, tables)
-    _, edge_lo, edge_hi = _aug_edges_by_lo(shape)
-    width, size = max(len(shape_tables(shape).comparable), len(edge_lo), shape.size), shape.size
+    width = max(len(shape_tables(shape).comparable), len(_aug_edges_by_lo(shape)[1]), shape.size)
     counts = []   # per block: violated, upward, gamma, matched, total
     for rows in _row_batches(len(tables), width):
         block = tables[rows]
         kept_row, _, _, kept_dist = _optimal_assignment(shape, block)
-        n_ones, left, right = _vertex_ids(block)   # after the solves, so as not to hold two copies
-        down, up = _edge_masks(shape, block)
-        row, k = down.nonzero()
+        down, up = _edge_masks(shape, block)   # after the solves, so as not to hold two copies
+        gamma_row, _ = _gamma_edges(shape, block, down)
         counts.append((down.sum(axis=1), up.sum(axis=1),
-                       _matching_sizes(left[row, edge_lo[k]], right[row, edge_hi[k]], n_ones, size),
+                       np.bincount(gamma_row, minlength=len(block)),
                        np.bincount(kept_row, minlength=len(block)),
                        np.bincount(kept_row, kept_dist, minlength=len(block)).astype(np.int64)))
     columns = ([np.concatenate(c).astype(np.int64, copy=False) for c in zip(*counts)]
                or [np.zeros(0, np.int64) for _ in range(5)])
-    return IsoperimetrySweep(size, *columns)
+    return IsoperimetrySweep(shape.size, *columns)
 
 
 def influence_report(f: BoolFunc) -> InfluenceReport:

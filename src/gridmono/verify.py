@@ -23,7 +23,7 @@ from .func import BoolFunc, _mask_bits, _table_blocks, generate, is_monotone
 from .grid import GridShape, directed_distance, matching_ids
 from .oracle import (
     brute_force_batch,
-    distance_to_monotonicity,
+    cut_distance_batch,
     gamma_minus,
     influence_bound_batch,
     isoperimetry_sweep,
@@ -446,19 +446,21 @@ def check_reduction(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
     for n, d, exhaustive in ((3, 1, True), (3, 2, False), (5, 1, False)):
         shape = GridShape(n, d)
         p = plan(n, d)
+        big = GridShape(p.N, d)
         if exhaustive:
             masks = list(range(1 << shape.size))
         else:
             rng = derive_rng(master_seed, f"reduce:{n}:{d}")
             masks = [rng.randrange(1 << shape.size) for _ in range(1000)]
-        for mask in masks:
-            f = BoolFunc.from_mask(shape, mask)
-            eps_f = distance_to_monotonicity(f).eps
-            eps_g = distance_to_monotonicity(lift(p, f)).eps
-            if eps_g < Fraction(eps_f, 6):
-                return CheckResult(7, "reduction", False,
-                                   f"mask {mask} on {n}^{d}: lifted distance {eps_g} < {eps_f}/6")
-            compared += 1
+        count_f = cut_distance_batch(shape, _mask_bits(masks, shape.size))
+        count_g = cut_distance_batch(big, np.array(
+            [lift(p, BoolFunc.from_mask(shape, mask)).bits for mask in masks]))
+        # eps_g >= eps_f / 6, as 6 count_g N_f >= count_f N_g
+        for k in np.flatnonzero(6 * count_g * shape.size < count_f * big.size)[:1].tolist():
+            eps_f, eps_g = Fraction(int(count_f[k]), shape.size), Fraction(int(count_g[k]), big.size)
+            return CheckResult(7, "reduction", False,
+                               f"mask {masks[k]} on {n}^{d}: lifted distance {eps_g} < {eps_f}/6")
+        compared += len(masks)
     shape = GridShape(3, 2)
     f = generate("uniform_random", shape, seed=derive_seed(master_seed, "reduce-queries"))
     g = lift(plan(3, 2), f)

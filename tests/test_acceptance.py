@@ -133,6 +133,19 @@ def test_criterion_7_reduction():
     report(verify.check_reduction(SEED))
 
 
+def test_criterion_7_names_the_first_short_lift(monkeypatch):
+    real = verify.cut_distance_batch
+
+    def lifts_at_distance_zero(grid, tables):
+        counts = real(grid, tables)
+        return 0 * counts if grid.is_pow2() else counts   # the lifted grids, [N]^d
+
+    monkeypatch.setattr(verify, "cut_distance_batch", lifts_at_distance_zero)
+    result = verify.check_reduction(SEED)
+    assert not result.passed
+    assert result.detail == "mask 1 on 3^1: lifted distance 0 < 1/3/6"   # table (1, 0, 0)
+
+
 def test_criterion_8_calibrated_detection():
     report(verify.check_calibrated_detection(SEED))
 

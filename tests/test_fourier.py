@@ -309,7 +309,7 @@ def test_edge_coefficient_matches_plain_expectation(rng):
 
 
 def test_line_failures_reasons_in_priority_order(monkeypatch):
-    from gridmono import fourier, verify
+    from gridmono import fourier, oracle, verify
 
     routes = fourier._coefficient_routes
 
@@ -326,13 +326,14 @@ def test_line_failures_reasons_in_priority_order(monkeypatch):
         line_delta_report(BoolFunc.from_mask(GridShape(4, 1), 5))
 
     monkeypatch.setattr(fourier, "_coefficient_routes", routes)
-    counts = fourier.edge_counts_batch
+    counts = oracle.edge_counts_batch
 
     def more_upward(shape, tables):
         violated, upward = counts(shape, tables)
         return violated, upward + 100
 
-    monkeypatch.setattr(fourier, "edge_counts_batch", more_upward)
+    # line_sweep imports the edge counts from the oracle when it runs
+    monkeypatch.setattr(oracle, "edge_counts_batch", more_upward)
     assert list(verify._line_failures(4))[:1] == [(0, "line bound fails")]
 
 

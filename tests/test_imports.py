@@ -1,4 +1,5 @@
-"""What importing gridmono loads: the tester never touches scipy, the oracles do."""
+"""What importing gridmono loads: the package, the tester and the Walsh
+transforms import no scipy; the oracles do."""
 
 import json
 import os
@@ -32,6 +33,11 @@ def loaded_after(code: str) -> list:
 
 def test_import_loads_no_scipy():
     assert loaded_after("import gridmono") == []
+
+
+def test_fourier_import_loads_no_scipy():
+    # the line kernel imports the oracle's table checks when it first runs
+    assert loaded_after("import gridmono.fourier") == []
 
 
 @pytest.mark.parametrize("argv, code", [

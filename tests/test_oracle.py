@@ -14,12 +14,13 @@ from gridmono.fourier import line_sweep
 from gridmono.func import BoolFunc, _mask_bits, generate, is_monotone
 from gridmono.grid import GridShape, directed_distance, dominates, points
 from gridmono.oracle import (
+    DISTANCE_CAPACITY,
     brute_force_batch,
     brute_force_distance,
+    cut_distance_batch,
     distance_to_monotonicity,
     edge_counts_batch,
     gamma_minus,
-    hopcroft_karp,
     influence_bound_batch,
     influence_bound_check,
     influence_report,
@@ -27,11 +28,12 @@ from gridmono.oracle import (
     isoperimetry_sweep,
     monotone_masks,
     optimal_matching,
+    optimal_matching_batch,
     shape_tables,
     violated_aug_edges,
-    violation_graph,
 )
 from gridmono.streams import derive_rng
+from gridmono.verify import DISTANCE_SHAPES, full_sweep
 
 
 def all_maximum_matchings(arcs, max_size=None):
@@ -76,32 +78,103 @@ def test_distance_examples():
     assert distance_to_monotonicity(BoolFunc.from_mask(shape, 0b0001)).eps == Fraction(1, 4)
 
 
-def test_distance_witness_is_valid():
-    shape = GridShape(4, 2)
-    f = generate("uniform_random", shape, seed=13)
-    report = distance_to_monotonicity(f)
-    used = set()
-    for x, y in report.matching:
-        assert f.eval(x) == 1 and f.eval(y) == 0
-        assert dominates(y, x) and x != y
-        assert x not in used and y not in used
-        used.update((x, y))
+
+
+def assert_cut_agrees_with_brute_force(shape, masks):
+    """The cut and brute force count the same changes on every mask, and the
+    one-row view gives its batch row on a few of them."""
+    tables = _mask_bits(masks, shape.size)
+    counts = cut_distance_batch(shape, tables)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, brute_force_batch(shape, tables)), shape
+    for k in np.linspace(0, len(masks) - 1, 8).astype(int).tolist():
+        f = BoolFunc.from_mask(shape, masks[k])
+        assert distance_to_monotonicity(f).eps == Fraction(int(counts[k]), shape.size), masks[k]
 
 
 def test_brute_force_agreement_exhaustive():
     for shape in (GridShape(2, 2), GridShape(3, 2), GridShape(2, 3)):
-        for mask in range(1 << shape.size):
-            f = BoolFunc.from_mask(shape, mask)
-            assert distance_to_monotonicity(f).eps == brute_force_distance(f), mask
+        assert_cut_agrees_with_brute_force(shape, range(1 << shape.size))
 
 
 def test_brute_force_agreement_sampled(rng):
     # a thousand random functions across grids up to the 20-point cap
     for shape, samples in ((GridShape(4, 2), 400), (GridShape(2, 4), 400),
                            (GridShape(20, 1), 200)):
-        for _ in range(samples):
-            f = BoolFunc.from_mask(shape, rng.randrange(1 << shape.size))
-            assert distance_to_monotonicity(f).eps == brute_force_distance(f)
+        assert_cut_agrees_with_brute_force(
+            shape, [rng.randrange(1 << shape.size) for _ in range(samples)])
+
+
+@pytest.mark.parametrize("n, d", DISTANCE_SHAPES)
+def test_three_distance_routes_agree_on_every_mask(n, d):
+    # the cut, brute force and the assignment solve's matching size
+    shape = GridShape(n, d)
+    sweep = full_sweep(n, d)
+    cut = cut_distance_batch(shape, _mask_bits(range(1 << shape.size), shape.size))
+    assert np.array_equal(cut, sweep.brute)
+    assert np.array_equal(cut, sweep.matched)
+
+
+def test_cut_distance_rows_do_not_depend_on_blocks(monkeypatch):
+    gen = np.random.default_rng(11)
+    for shape, count in ((GridShape(3, 2), 30), (GridShape(4, 3), 12), (GridShape(16, 2), 5)):
+        tables = (gen.random((count, shape.size)) < gen.random(count)[:, None]).astype(np.uint8)
+        tables[1], tables[2] = 0, 1
+        tables[3] = generate("random_monotone", shape, seed=4).bits
+        expected = cut_distance_batch(shape, tables)
+        assert np.array_equal(expected[1:4], [0, 0, 0])
+        for cells in (1, 7, 64):   # one row per block, and blocks of several rows
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "BATCH_CELLS", cells)
+                assert np.array_equal(cut_distance_batch(shape, tables), expected), (shape, cells)
+                assert cut_distance_batch(shape, tables[:0]).shape == (0,)
+
+
+def assert_maximum_violation_matching(f, report):
+    """The pairs are violated, x <= y with f(x) = 1 > f(y) = 0, pairwise
+    disjoint, and as many as the cut's changes: a maximum matching."""
+    used = set()
+    for x, y in report.matching:
+        assert f.eval(x) == 1 and f.eval(y) == 0
+        assert dominates(y, x) and x != y
+        assert x not in used and y not in used
+        used.update((x, y))
+    count = cut_distance_batch(f.shape, f.bits[None])[0]
+    assert len(report.matching) == count
+    assert report.eps == Fraction(int(count), f.shape.size)
+
+
+def test_distance_witness_is_valid():
+    big = GridShape(16, 3)   # the comparable pairs' 4096-point cap
+    for f in (generate("uniform_random", GridShape(4, 2), seed=13),
+              generate("uniform_random", big, seed=5), generate("noisy_monotone", big, seed=5),
+              generate("block_parity", big)):
+        report = distance_to_monotonicity(f)
+        assert report.eps > 0
+        assert_maximum_violation_matching(f, report)
+
+
+def test_distance_past_the_comparable_pairs_cap():
+    shape = GridShape(2, 13)   # 8192 points, twice the shape tables' cap
+    f = generate("anti_slab", shape)
+    report = distance_to_monotonicity(f)
+    assert report.eps == Fraction(1, 2)
+    assert_maximum_violation_matching(f, report)
+    with pytest.raises(CapacityError):
+        shape_tables(shape)
+
+
+def test_distance_capacity_is_checked_before_any_graph(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "_cut_flow", lambda *args: calls.append(args))
+    shape = GridShape(2, 17)
+    assert shape.size == 2 * DISTANCE_CAPACITY
+    f = BoolFunc.from_predicate(shape, lambda x: calls.append(x) or 0)
+    with pytest.raises(CapacityError, match="exact distance"):
+        distance_to_monotonicity(f)
+    with pytest.raises(CapacityError, match="exact distance"):
+        cut_distance_batch(shape, np.zeros((1, shape.size), np.uint8))
+    assert calls == [] and f.queries == 0
 
 
 def test_brute_force_capacity():
@@ -155,8 +228,9 @@ def test_shape_tables_comparable_matches_scalar_definition():
         assert tuple(map(tuple, comparable.tolist())) == expected, shape
         assert comparable.dtype == np.int64
         assert len(comparable) == len(expected)
-    f = BoolFunc.from_mask(GridShape(4, 1), 0b0011)  # table (1,1,0,0)
-    assert len(violation_graph(f).arcs) == 4
+    t = BoolFunc.from_mask(GridShape(4, 1), 0b0011).bits  # table (1,1,0,0)
+    comparable = shape_tables(GridShape(4, 1)).comparable
+    assert (t[comparable[:, 0]] > t[comparable[:, 1]]).sum() == 4
 
 
 def test_shape_tables_rows_do_not_depend_on_blocks(monkeypatch):
@@ -184,26 +258,26 @@ def lex_signature(shape, matching):
 
 def test_optimal_matching_lexicographic_vs_enumeration(rng):
     shapes = [GridShape(2, 2), GridShape(4, 1), GridShape(2, 3), GridShape(3, 2)]
-    cases = []
-    for shape in shapes[:2]:
-        cases.extend((shape, mask) for mask in range(1 << shape.size))
-    for shape in shapes[2:]:
-        cases.extend((shape, rng.randrange(1 << shape.size)) for _ in range(150))
-    for shape, mask in cases:
-        f = BoolFunc.from_mask(shape, mask)
-        rep = optimal_matching(f)
-        vg = violation_graph(f)
-        pts = list(points(shape))
-        arcs = [(pts[i], pts[j]) for i, j, _ in vg.arcs]
-        best = None
-        for matching in all_maximum_matchings(arcs, max_size=len(rep.pairs) or None):
-            sig = lex_signature(shape, matching)
-            best = sig if best is None else min(best, sig)
-        got = lex_signature(shape, rep.pairs)
-        if rep.empty:
-            assert not arcs
+    for k, shape in enumerate(shapes):
+        if k < 2:
+            masks = range(1 << shape.size)
         else:
-            assert got == best, (shape, mask)
+            masks = [rng.randrange(1 << shape.size) for _ in range(150)]
+        tables = _mask_bits(masks, shape.size)
+        comparable = shape_tables(shape).comparable
+        pts = list(points(shape))
+        for mask, t, rep in zip(masks, tables, optimal_matching_batch(shape, tables)):
+            violated = comparable[t[comparable[:, 0]] > t[comparable[:, 1]]]
+            arcs = [(pts[i], pts[j]) for i, j, _ in violated.tolist()]
+            best = None
+            for matching in all_maximum_matchings(arcs, max_size=len(rep.pairs) or None):
+                sig = lex_signature(shape, matching)
+                best = sig if best is None else min(best, sig)
+            got = lex_signature(shape, rep.pairs)
+            if rep.empty:
+                assert not arcs
+            else:
+                assert got == best, (shape, mask)
 
 
 def test_isoperimetry_examples():
@@ -220,7 +294,6 @@ def test_isoperimetry_examples():
 def test_maximality_check_rejects_what_is_not_a_maximum_matching():
     # arcs 0->0, 0->1, 1->1; the one maximum matching is {0-0, 1-1}
     u, v = np.array([0, 0, 1]), np.array([0, 1, 1])
-    assert hopcroft_karp([[0, 1], [1]], 2) == (2, [0, 1], [0, 1])
     oracle._check_maximum(u, v, np.array([0, 1]), np.array([0, 1]), 2, 2)
     for kept in ([(1, 0)], [(0, 0), (1, 0)], [(2, 0)], [(-1, 0)], [(0, 2)], [(0, -1)]):
         with pytest.raises(IntegrityError, match="not a violation arc"):

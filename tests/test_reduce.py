@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridmono.func import BoolFunc, generate, is_monotone
+from gridmono.func import BoolFunc, _mask_bits, generate, is_monotone
 from gridmono.grid import GridShape, linear_index, point_of
-from gridmono.oracle import distance_to_monotonicity, monotone_masks
+from gridmono.oracle import cut_distance_batch, distance_to_monotonicity, monotone_masks
 from gridmono.reduce import lift, phi, plan
 
 
@@ -66,26 +66,29 @@ def test_lift_preserves_monotone():
             assert is_monotone(lift(p, BoolFunc.from_mask(shape, mask)))
 
 
+def assert_lift_keeps_a_sixth(n, d, masks):
+    """eps(lift f) >= eps(f) / 6 for each mask, from one cut batch for the
+    functions and one for their lifts; a few rows also through the one-row view."""
+    shape, p = GridShape(n, d), plan(n, d)
+    big = GridShape(p.N, d)
+    lifts = [lift(p, BoolFunc.from_mask(shape, mask)) for mask in masks]
+    count_f = cut_distance_batch(shape, _mask_bits(masks, shape.size))
+    count_g = cut_distance_batch(big, np.array([g.bits for g in lifts]))
+    assert (6 * count_g * shape.size >= count_f * big.size).all()
+    for k in np.linspace(0, len(masks) - 1, 4).astype(int).tolist():
+        assert distance_to_monotonicity(lifts[k]).eps == Fraction(int(count_g[k]), big.size)
+        assert distance_to_monotonicity(BoolFunc.from_mask(shape, masks[k])).eps == \
+            Fraction(int(count_f[k]), shape.size)
+
+
 def test_lift_distance_bound_exhaustive():
     for n, d in ((3, 1), (2, 1), (2, 2)):
-        shape = GridShape(n, d)
-        p = plan(n, d)
-        for mask in range(1 << shape.size):
-            f = BoolFunc.from_mask(shape, mask)
-            eps_f = distance_to_monotonicity(f).eps
-            eps_g = distance_to_monotonicity(lift(p, f)).eps
-            assert eps_g >= Fraction(eps_f, 6)
+        assert_lift_keeps_a_sixth(n, d, range(1 << (n ** d)))
 
 
 def test_lift_distance_bound_sampled(rng):
     for n, d, samples in ((3, 2, 60), (5, 1, 60), (5, 2, 15)):
-        shape = GridShape(n, d)
-        p = plan(n, d)
-        for _ in range(samples):
-            f = BoolFunc.from_mask(shape, rng.randrange(1 << shape.size))
-            eps_f = distance_to_monotonicity(f).eps
-            eps_g = distance_to_monotonicity(lift(p, f)).eps
-            assert eps_g >= Fraction(eps_f, 6)
+        assert_lift_keeps_a_sixth(n, d, [rng.randrange(1 << (n ** d)) for _ in range(samples)])
 
 
 def test_lift_query_forwarding(rng):

@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
 
 from .errors import CapacityError, IntegrityError
 from .func import BoolFunc, _check_bits, _table_blocks
-from .grid import AugEdge, GridShape, _aug_edges, points, unit_steps
+from .grid import AugEdge, GridShape, _aug_edges, unit_steps
 
 ORACLE_CAPACITY = 4096
 DISTANCE_CAPACITY = 1 << 16   # the cut graph has O(N d) arcs, not the N^2 comparable pairs
@@ -36,25 +36,19 @@ _POPCOUNT16 = np.add.outer(_POPCOUNT8, _POPCOUNT8).ravel()
 
 @dataclass(frozen=True)
 class ShapeTables:
-    """Per-shape enumeration shared by all exact oracles."""
+    """The comparable pairs of a shape, shared by the matching oracles."""
 
     shape: GridShape
-    points: tuple
     # (pairs, 3) int64 rows (lo_index, hi_index, directed distance) of the
     # strict pairs, in increasing lo_index, then hi_index
     comparable: np.ndarray
-    aug_edges: tuple       # AugEdge k joins lo[k] to hi[k] of _aug_edges_by_lo(shape)
 
 
 @lru_cache(maxsize=64)
 def shape_tables(shape: GridShape) -> ShapeTables:
     if shape.size > ORACLE_CAPACITY:
         raise CapacityError("exact-oracle shape tables", shape.size, ORACLE_CAPACITY)
-    pts = tuple(points(shape))
-    edges = list(_aug_edges(shape))
-    by_lo = [edges[k] for k in _aug_edges_by_lo(shape)[0].tolist()]
-    aug = tuple(AugEdge(pts[lo], pts[hi], m) for lo, hi, m in by_lo)
-    return ShapeTables(shape, pts, _comparable(shape), aug)
+    return ShapeTables(shape, _comparable(shape))
 
 
 def _comparable(shape: GridShape) -> np.ndarray:
@@ -98,6 +92,12 @@ def _comparable(shape: GridShape) -> np.ndarray:
         end += len(cells)
     comparable.setflags(write=False)
     return comparable
+
+
+def _point_tuples(shape: GridShape, idx) -> List[tuple]:
+    """grid.point_of of every linear index in `idx`, in row-major order."""
+    coords = np.asarray(idx, dtype=np.int64).reshape(-1, 1) // shape.n ** np.arange(shape.d) % shape.n
+    return list(map(tuple, coords.tolist()))
 
 
 def _bits_of(f: BoolFunc) -> np.ndarray:
@@ -200,9 +200,8 @@ def distance_to_monotonicity(f: BoolFunc) -> DistanceReport:
     shape = f.shape
     _check_capacity(shape, DISTANCE_CAPACITY, "exact distance")
     _, flow = _cut_flow(shape, f.bits[None])
-    ends = np.array(_flow_paths(flow, shape.size, shape.size + 1), dtype=np.int64).reshape(-1, 2)
-    coords = ends[..., None] // shape.n ** np.arange(shape.d) % shape.n
-    pairs = tuple((tuple(x), tuple(y)) for x, y in coords.tolist())
+    ends = _point_tuples(shape, _flow_paths(flow, shape.size, shape.size + 1))
+    pairs = tuple(zip(ends[::2], ends[1::2]))
     return DistanceReport(Fraction(len(pairs), shape.size), pairs)
 
 
@@ -254,6 +253,16 @@ def _aug_edges_by_lo(shape: GridShape) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     return order, lo, hi
 
 
+@lru_cache(maxsize=16)   # under 10 MB each at 4096 points
+def _aug_edge_labels(shape: GridShape) -> tuple:
+    """AugEdge k of _aug_edges_by_lo(shape): the labels of the violated_aug_edges
+    and gamma_minus witnesses, O(n^d d log n) objects against the comparable
+    pairs' O(n^2d)."""
+    pts = _point_tuples(shape, np.arange(shape.size))
+    edges = [AugEdge(pts[lo], pts[hi], m) for lo, hi, m in _aug_edges(shape)]
+    return tuple(edges[r] for r in _aug_edges_by_lo(shape)[0].tolist())
+
+
 def _checked_tables(shape: GridShape, tables, limit: int = ORACLE_CAPACITY,
                     operation: str = "exact oracle") -> np.ndarray:
     """`tables` as uint8; ValueError unless it is a (functions, n^d) array of bits."""
@@ -291,13 +300,9 @@ def edge_counts_batch(shape: GridShape, tables: np.ndarray) -> Tuple[np.ndarray,
 
 def violated_aug_edges(f: BoolFunc) -> Tuple[List[AugEdge], List[AugEdge]]:
     """(S_minus, S_plus): violated and upward-sensitive augmented edges, by lower endpoint."""
-    t = _bits_of(f)
-    edges = shape_tables(f.shape).aug_edges
-    _, lo, hi = _aug_edges_by_lo(f.shape)
-    below, above = t[lo], t[hi]
-    s_minus = [edges[k] for k in (below > above).nonzero()[0].tolist()]
-    s_plus = [edges[k] for k in (below < above).nonzero()[0].tolist()]
-    return s_minus, s_plus
+    edges = _aug_edge_labels(f.shape)
+    down, up = (mask[0].nonzero()[0].tolist() for mask in _edge_masks(f.shape, _bits_of(f)[None]))
+    return [edges[k] for k in down], [edges[k] for k in up]
 
 
 @dataclass(frozen=True)
@@ -315,7 +320,7 @@ def gamma_minus(f: BoolFunc) -> GammaReport:
     """
     block = _bits_of(f)[None]
     _, picked = _gamma_edges(f.shape, block, _edge_masks(f.shape, block)[0])
-    edges = shape_tables(f.shape).aug_edges
+    edges = _aug_edge_labels(f.shape)
     witness = tuple(edges[k] for k in picked.tolist())
     return GammaReport(Fraction(len(witness), f.shape.size), witness)
 
@@ -445,18 +450,17 @@ def optimal_matching_batch(shape: GridShape, tables: np.ndarray) -> List[Optimal
     """optimal_matching of each row of a (functions, n^d) bit array, one
     block of rows per _optimal_assignment."""
     tables = _checked_tables(shape, tables)
-    pts = shape_tables(shape).points
     reports = []
     for rows in _row_batches(len(tables), max(len(shape_tables(shape).comparable), shape.size)):
         block = tables[rows]
         kept_row, kept_u, kept_v, kept_dist = _optimal_assignment(shape, block)
         # vertex ids to linear indices: id k is the k-th 1-point (0-point) of the block
-        lows = (np.flatnonzero(block)[kept_u] % shape.size).tolist()
-        highs = (np.flatnonzero(block == 0)[kept_v] % shape.size).tolist()
+        lows = _point_tuples(shape, np.flatnonzero(block)[kept_u] % shape.size)
+        highs = _point_tuples(shape, np.flatnonzero(block == 0)[kept_v] % shape.size)
         at = [0, *np.bincount(kept_row, minlength=len(block)).cumsum().tolist()]
         dists = kept_dist.tolist()
         reports.extend(OptimalMatchingReport(   # a == b: no violated pair
-            tuple((pts[i], pts[j]) for i, j in zip(lows[a:b], highs[a:b])),
+            tuple(zip(lows[a:b], highs[a:b])),
             Fraction(sum(dists[a:b]), max(b - a, 1)), sum(x * x for x in dists[a:b]), a == b)
             for a, b in zip(at, at[1:]))
     return reports

@@ -11,7 +11,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, IntegrityError, NotGoodError
 from .func import BoolFunc
@@ -140,34 +140,6 @@ def consistent_pair(poset: Poset, pairs: Sequence[Tuple], ell: Optional[int] = N
     return ConsistentPair(S, T, ell, tuple(pairs))
 
 
-def _shortest_path_members(poset: Poset, S: Sequence, T: Sequence, ell: int) -> Iterator[dict]:
-    """For each (s, t) at distance ell, the vertices z on some shortest s -> t
-    path, each mapped to its level dist(s, z)."""
-    for s in S:
-        for t in T:
-            if poset.dist(s, t) != ell:
-                continue
-            members = {}
-            for z in poset.between(s, t):
-                ds = poset.dist(s, z)
-                if ds is None:
-                    continue
-                dz = poset.dist(z, t)
-                if dz is not None and ds + dz == ell:
-                    members[z] = ds
-            yield members
-
-
-def level_sets(poset: Poset, S: Sequence, T: Sequence, ell: int) -> List[set]:
-    """L_0..L_ell: z is at level j iff some (s, t) at distance ell has
-    dist(s, z) = j and dist(z, t) = ell - j."""
-    levels: List[set] = [set() for _ in range(ell + 1)]
-    for members in _shortest_path_members(poset, S, T, ell):
-        for z, ds in members.items():
-            levels[ds].add(z)
-    return levels
-
-
 @dataclass(frozen=True)
 class CoverGraph:
     """Union of all length-ell shortest S -> T paths, with level annotations.
@@ -187,18 +159,26 @@ class CoverGraph:
 
 
 def build_cover_graph(poset: Poset, S: Sequence, T: Sequence, ell: int) -> CoverGraph:
+    """z is at level j iff some (s, t) at distance ell has dist(s, z) = j and
+    dist(z, t) = ell - j; arcs are the single steps between such members of
+    one (s, t) at consecutive levels."""
     if ell <= 0:
         raise ValueError("ell must be positive")
     levels: Dict[object, set] = {}
     arcs = set()
     sets: List[set] = [set() for _ in range(ell + 1)]
-    for members in _shortest_path_members(poset, S, T, ell):
-        for u, du in members.items():
-            levels.setdefault(u, set()).add(du)
-            sets[du].add(u)
-            for v in poset.up_neighbors(u):
-                if members.get(v) == du + 1:
-                    arcs.add((u, v))
+    for s in S:
+        for t in T:
+            if poset.dist(s, t) != ell:
+                continue
+            members = {z: ds for z in poset.between(s, t)
+                       if (ds := poset.dist(s, z)) + poset.dist(z, t) == ell}
+            for u, du in members.items():
+                levels.setdefault(u, set()).add(du)
+                sets[du].add(u)
+                for v in poset.up_neighbors(u):
+                    if members.get(v) == du + 1:
+                        arcs.add((u, v))
     return CoverGraph(
         ell,
         {z: tuple(sorted(ls)) for z, ls in levels.items()},
@@ -217,52 +197,61 @@ def cover_is_layered(cover: CoverGraph) -> bool:
     return True
 
 
-def is_good(poset: Poset, S: Sequence, T: Sequence, ell: int) -> bool:
-    """True iff the cover graph is an ell-layered DAG."""
-    return cover_is_layered(build_cover_graph(poset, S, T, ell))
+def _check_disjoint_ends(pairs: Sequence[Tuple]) -> None:
+    ends = [z for pair in pairs for z in pair]
+    if len(set(ends)) != len(ends):
+        raise ValueError("pairs must not share an endpoint")
 
 
-def _endpoint_sets(pairs: Sequence[Tuple]):
-    return [s for s, _ in pairs], [t for _, t in pairs]
-
-
-def conflicts(poset: Poset, C1: Sequence[Tuple], C2: Sequence[Tuple], ell: int) -> bool:
-    """Do shortest paths of the two pair-sets meet at a shared vertex at the
-    same level?  Levels 0 and ell are admitted by the membership test but can
-    never fire for vertex-disjoint pair-sets; that is enforced, not assumed.
-    """
-    S1, T1 = _endpoint_sets(C1)
-    S2, T2 = _endpoint_sets(C2)
-    touched1 = set(S1) | set(T1)
-    touched2 = set(S2) | set(T2)
-    if touched1 & touched2:
-        raise ValueError("conflict test requires vertex-disjoint pair-sets")
-    L1 = level_sets(poset, S1, T1, ell)
-    L2 = level_sets(poset, S2, T2, ell)
-    for j in range(ell + 1):
-        if L1[j] & L2[j]:
-            if j in (0, ell):
-                raise IntegrityError(
-                    f"disjoint pair-sets share a level-{j} vertex")
+def _share_a_level(c1: CoverGraph, c2: CoverGraph) -> bool:
+    """Do the covers hold a common vertex at the same level?  Levels 0 and
+    ell hold only endpoints, so they never fire for vertex-disjoint pair-sets;
+    that is enforced, not assumed."""
+    for j, (L1, L2) in enumerate(zip(c1.level_sets, c2.level_sets)):
+        if L1 & L2:
+            if j in (0, c1.ell):
+                raise IntegrityError(f"disjoint pair-sets share a level-{j} vertex")
             return True
     return False
 
 
-def conflict_free_decompose(poset: Poset, pairs: Sequence[Tuple], ell: int) -> List[ConsistentPair]:
+def conflicts(poset: Poset, C1: Sequence[Tuple], C2: Sequence[Tuple], ell: int) -> bool:
+    """Do shortest paths of the two pair-sets meet at a shared vertex at the
+    same level?"""
+    _check_disjoint_ends([*C1, *C2])
+    return _share_a_level(*(build_cover_graph(poset, [s for s, _ in C], [t for _, t in C], ell)
+                            for C in (C1, C2)))
+
+
+def conflict_free_decompose(poset: Poset, pairs: Sequence[Tuple],
+                            ell: int) -> List[Tuple[ConsistentPair, CoverGraph]]:
     """Merge pair-sets along conflict-graph components until conflict-free.
 
     Starts from singletons, repeatedly unions the connected components of
     the conflict graph, and stops when no two survivor sets conflict.  The
-    outputs partition the input pairs.
+    outputs partition the input pairs, each with its cover graph; a round
+    builds covers only for the sets it merged.
     """
     for s, t in pairs:
         if poset.dist(s, t) != ell:
             raise ValueError(f"pair ({s}, {t}) is not at distance {ell}")
-    groups: List[List[Tuple]] = [[p] for p in pairs]
+    _check_disjoint_ends(pairs)
+
+    def group(members: List[Tuple]) -> Tuple[List[Tuple], CoverGraph]:
+        return members, build_cover_graph(poset, [s for s, _ in members],
+                                          [t for _, t in members], ell)
+
+    groups = [group([p]) for p in pairs]
     while len(groups) > 1:
         k = len(groups)
-        edges = [(a, b) for a in range(k) for b in range(a + 1, k)
-                 if conflicts(poset, groups[a], groups[b], ell)]
+        # only covers with a common vertex can share a level
+        owners: Dict[object, List[int]] = {}
+        for a, (_, cover) in enumerate(groups):
+            for z in cover.levels:
+                owners.setdefault(z, []).append(a)
+        meeting = {ab for ids in owners.values() for ab in itertools.combinations(ids, 2)}
+        edges = [(a, b) for a, b in sorted(meeting)
+                 if _share_a_level(groups[a][1], groups[b][1])]
         if not edges:
             break
         parent = list(range(k))
@@ -275,32 +264,26 @@ def conflict_free_decompose(poset: Poset, pairs: Sequence[Tuple], ell: int) -> L
 
         for a, b in edges:
             parent[find(a)] = find(b)
-        merged: Dict[int, List[Tuple]] = {}
+        merged: Dict[int, List[int]] = {}
         for a in range(k):
-            merged.setdefault(find(a), []).extend(groups[a])
-        groups = [merged[root] for root in sorted(merged)]
-    return [consistent_pair(poset, g, ell) for g in groups]
+            merged.setdefault(find(a), []).append(a)
+        groups = [groups[ids[0]] if len(ids) == 1
+                  else group([p for a in ids for p in groups[a][0]])
+                  for _, ids in sorted(merged.items())]
+    return [(consistent_pair(poset, members, ell), cover) for members, cover in groups]
 
 
 def covers_disjoint(c1: CoverGraph, c2: CoverGraph) -> bool:
     return not (c1.vertices & c2.vertices)
 
 
-def are_independent(poset: Poset, p1: ConsistentPair, p2: ConsistentPair) -> bool:
-    """True iff the two cover graphs share no vertex."""
-    c1 = build_cover_graph(poset, p1.S, p1.T, p1.ell)
-    c2 = build_cover_graph(poset, p2.S, p2.T, p2.ell)
-    return covers_disjoint(c1, c2)
-
-
-def route_disjoint_paths(poset: Poset, pair: ConsistentPair) -> List[tuple]:
-    """Exactly |S| vertex-disjoint length-ell paths inside the cover graph.
+def route_disjoint_paths(cover: CoverGraph, pair: ConsistentPair) -> List[tuple]:
+    """Exactly |S| vertex-disjoint length-ell paths inside the pair's cover graph.
 
     Unit-capacity max flow after vertex splitting.  A shortfall would
     contradict the routing guarantee for layered pairs, so it raises
     IntegrityError rather than returning a partial answer.
     """
-    cover = build_cover_graph(poset, pair.S, pair.T, pair.ell)
     if not cover_is_layered(cover):
         raise NotGoodError("pair is not layered; routing undefined")
     verts = sorted(cover.vertices, key=repr)

@@ -9,6 +9,7 @@ the exhaustive enumerations once.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -22,9 +23,10 @@ from .errors import CapacityError, IntegrityError, NotGoodError
 from .func import BoolFunc, _mask_bits, _table_blocks, generate, is_monotone
 from .grid import GridShape, directed_distance, matching_ids
 from .oracle import (
+    _edge_masks,
+    _gamma_edges,
     brute_force_batch,
     cut_distance_batch,
-    gamma_minus,
     influence_bound_batch,
     isoperimetry_sweep,
     monotone_masks,
@@ -257,10 +259,20 @@ def _pairs_by_distance(shape: GridShape, pairs: tuple) -> List[Tuple[int, list]]
     return sorted(by_dist.items())
 
 
+def _gamma_counts(instances: list) -> List[int]:
+    """Γ⁻ count of each instance's function: one matching per shape, whose
+    edges are counted by row, as isoperimetry_sweep counts them."""
+    counts: List[int] = []
+    for shape, group in itertools.groupby(instances, key=lambda inst: inst[0]):
+        block = np.stack([f.bits for _, _, f, _ in group])
+        rows, _ = _gamma_edges(shape, block, _edge_masks(shape, block)[0])
+        counts.extend(np.bincount(rows, minlength=len(block)).tolist())
+    return counts
+
+
 def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
     from .structure import (
         GridPoset,
-        build_cover_graph,
         conflict_free_decompose,
         cover_is_layered,
         covers_disjoint,
@@ -271,19 +283,16 @@ def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> Check
 
     posets: Dict[GridShape, GridPoset] = {}
     classes_checked = 0
+    instances = decomposition_instances(master_seed)
     try:
-        for shape, mask, f, mstar in decomposition_instances(master_seed):
+        for (shape, mask, f, mstar), gamma_count in zip(instances, _gamma_counts(instances)):
             poset = posets.setdefault(shape, GridPoset(shape))
-            gamma_count = len(gamma_minus(f).witness)
             for ell, pairs in _pairs_by_distance(shape, mstar.pairs):
                 parts = conflict_free_decompose(poset, pairs, ell)
-                got_s = sorted(s for cp in parts for s in cp.S)
-                got_t = sorted(t for cp in parts for t in cp.T)
-                if got_s != sorted(x for x, _ in pairs) or got_t != sorted(y for _, y in pairs):
+                if sorted(p for cp, _ in parts for p in cp.phi) != sorted(pairs):
                     return CheckResult(4, "decomposition-routing", False,
                                        f"mask {mask} on {shape.n}^{shape.d}: endpoints not partitioned")
-                covers = [build_cover_graph(poset, cp.S, cp.T, ell) for cp in parts]
-                for cover, cp in zip(covers, parts):
+                for cp, cover in parts:
                     if not cover_is_layered(cover):
                         return CheckResult(4, "decomposition-routing", False,
                                            f"mask {mask}: pair of size {len(cp.S)} not {ell}-good")
@@ -293,15 +302,15 @@ def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> Check
                     if not layer_size_dichotomy(cover, len(cp.S)):
                         return CheckResult(4, "decomposition-routing", False,
                                            f"mask {mask}: no wide boundary layer")
-                for a in range(len(covers)):
-                    for b in range(a + 1, len(covers)):
-                        if not covers_disjoint(covers[a], covers[b]):
+                for a in range(len(parts)):
+                    for b in range(a + 1, len(parts)):
+                        if not covers_disjoint(parts[a][1], parts[b][1]):
                             return CheckResult(4, "decomposition-routing", False,
                                                f"mask {mask}: cover graphs intersect")
                 seen_vertices: set = set()
                 total_paths = 0
-                for cp in parts:
-                    paths = route_disjoint_paths(poset, cp)
+                for cp, cover in parts:
+                    paths = route_disjoint_paths(cover, cp)
                     if len(paths) != len(cp.S):
                         return CheckResult(4, "decomposition-routing", False,
                                            f"mask {mask}: {len(paths)} paths for {len(cp.S)} sources")
@@ -321,9 +330,8 @@ def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> Check
                 classes_checked += 1
     except (IntegrityError, NotGoodError) as exc:
         return CheckResult(4, "decomposition-routing", False, f"integrity failure: {exc}")
-    n_inst = len(decomposition_instances(master_seed))
     return CheckResult(4, "decomposition-routing", True,
-                       f"{n_inst} eps-far instances, {classes_checked} distance classes verified",
+                       f"{len(instances)} eps-far instances, {classes_checked} distance classes verified",
                        classes_checked, "distance classes")
 
 
@@ -614,7 +622,7 @@ def structural_summary(f: BoolFunc) -> List[str]:
     lines = [f"|M*|={len(mstar.pairs)} r={mstar.r} psi={mstar.psi}"]
     for ell, pairs in _pairs_by_distance(shape, mstar.pairs):
         parts = conflict_free_decompose(poset, pairs, ell)
-        paths = sum(len(route_disjoint_paths(poset, cp)) for cp in parts)
+        paths = sum(len(route_disjoint_paths(cover, cp)) for cp, cover in parts)
         lines.append(f"i={ell}: |M*_i|={len(pairs)} good_pairs={len(parts)} disjoint_paths={paths}")
     return lines
 

@@ -11,11 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridmono import verify
+from gridmono import structure, verify
 from gridmono.func import BoolFunc
 from gridmono.grid import GridShape
-from gridmono.oracle import brute_force_distance, isoperimetry_report, optimal_matching
+from gridmono.oracle import brute_force_distance, gamma_minus, isoperimetry_report, optimal_matching
 from gridmono.streams import derive_rng
+from gridmono.structure import GridPoset, build_cover_graph, conflict_free_decompose, conflicts
 
 SEED = verify.DEFAULT_MASTER_SEED
 
@@ -95,6 +96,75 @@ def test_criterion_3_isoperimetry_regression():
 
 def test_criterion_4_decomposition_routing():
     report(verify.check_decomposition_routing(SEED))
+
+
+def test_decomposition_covers_match_a_fresh_build():
+    instances = verify.decomposition_instances(SEED)
+    sampled = [inst for inst in instances if inst[0] == GridShape(4, 2)][:200]
+    classes = 0
+    for shape, _, _, mstar in [inst for inst in instances if inst[0] != GridShape(4, 2)] + sampled:
+        poset = GridPoset(shape)
+        for ell, pairs in verify._pairs_by_distance(shape, mstar.pairs):
+            parts = conflict_free_decompose(poset, pairs, ell)
+            for cp, cover in parts:
+                assert cover == build_cover_graph(poset, cp.S, cp.T, ell)
+            for a in range(len(parts)):
+                for b in range(a + 1, len(parts)):
+                    assert not conflicts(poset, parts[a][0].phi, parts[b][0].phi, ell)
+            classes += 1
+    assert classes > 200
+
+
+def test_criterion_4_builds_covers_only_for_new_or_merged_groups(monkeypatch):
+    real_build, real_decompose = structure.build_cover_graph, structure.conflict_free_decompose
+    state = {"inside": False, "built": set(), "covers": [], "decompositions": 0}
+
+    def build(poset, S, T, ell):
+        assert state["inside"], "a cover was built outside the decomposition"
+        key = (frozenset(S), frozenset(T))
+        assert key not in state["built"], "a group's cover was built twice"
+        state["built"].add(key)
+        cover = real_build(poset, S, T, ell)
+        state["covers"].append(cover)
+        return cover
+
+    def decompose(poset, pairs, ell):
+        state.update(inside=True, built=set(), covers=[])
+        parts = real_decompose(poset, pairs, ell)
+        state["inside"] = False
+        assert all(any(cover is c for c in state["covers"]) for _, cover in parts)
+        state["decompositions"] += 1
+        return parts
+
+    monkeypatch.setattr(structure, "build_cover_graph", build)
+    monkeypatch.setattr(structure, "conflict_free_decompose", decompose)
+    report(verify.check_decomposition_routing(SEED))
+    assert state["decompositions"] > 1000
+
+
+def test_criterion_4_gamma_counts_match_gamma_minus():
+    instances = verify.decomposition_instances(SEED)
+    assert verify._gamma_counts(instances) == [len(gamma_minus(f).witness)
+                                                for _, _, f, _ in instances]
+
+
+def test_criterion_4_names_the_mask_below_its_gamma_count(monkeypatch):
+    instances = verify.decomposition_instances(SEED)
+    k = 600
+    shape, mask, _, mstar = instances[k]
+    real = verify._gamma_counts
+
+    def one_count_zero(insts):
+        counts = real(insts)
+        counts[k] = 0
+        return counts
+
+    monkeypatch.setattr(verify, "_gamma_counts", one_count_zero)
+    result = verify.check_decomposition_routing(SEED)
+    assert not result.passed
+    _, pairs = verify._pairs_by_distance(shape, mstar.pairs)[0]
+    assert result.detail == (f"mask {mask}: {len(pairs)} paths vs |M*_i|={len(pairs)}, "
+                             f"gamma count 0")
 
 
 def test_decomposition_instances_match_a_per_mask_loop():

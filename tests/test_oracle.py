@@ -12,7 +12,14 @@ from gridmono import func, oracle, reports
 from gridmono.errors import CapacityError, IntegrityError
 from gridmono.fourier import line_sweep
 from gridmono.func import BoolFunc, _mask_bits, generate, is_monotone
-from gridmono.grid import GridShape, directed_distance, dominates, points
+from gridmono.grid import (
+    GridShape,
+    directed_distance,
+    dominates,
+    enumerate_augmented_edges,
+    linear_index,
+    points,
+)
 from gridmono.oracle import (
     DISTANCE_CAPACITY,
     brute_force_batch,
@@ -231,6 +238,23 @@ def test_shape_tables_comparable_matches_scalar_definition():
     t = BoolFunc.from_mask(GridShape(4, 1), 0b0011).bits  # table (1,1,0,0)
     comparable = shape_tables(GridShape(4, 1)).comparable
     assert (t[comparable[:, 0]] > t[comparable[:, 1]]).sum() == 4
+
+
+def test_witness_labels_match_the_scalar_definitions():
+    for shape in (GridShape(3, 2), GridShape(5, 1), GridShape(2, 3), GridShape(4, 2),
+                  GridShape(8, 3), GridShape(2, 13)):
+        assert oracle._point_tuples(shape, np.arange(shape.size)) == list(points(shape))
+        if shape.size <= 4096:
+            by_lo = sorted(enumerate_augmented_edges(shape), key=lambda e: linear_index(shape, e.lower))
+            assert oracle._aug_edge_labels(shape) == tuple(by_lo)
+
+
+def test_witness_oracles_build_no_shape_tables():
+    shape_tables.cache_clear()
+    f = BoolFunc.from_mask(GridShape(4, 2), 0x0F0F)
+    violated_aug_edges(f)
+    gamma_minus(f)
+    assert shape_tables.cache_info().currsize == 0
 
 
 def test_shape_tables_rows_do_not_depend_on_blocks(monkeypatch):

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from gridmono import structure
 from gridmono.errors import IntegrityError, NotGoodError
 from gridmono.func import BoolFunc, generate
 from gridmono.grid import (
@@ -24,17 +25,15 @@ from gridmono.structure import (
     GridPoset,
     alternating_sequence,
     alternating_summary,
-    are_independent,
     build_cover_graph,
     classify_pairs,
     conflict_free_decompose,
     conflicts,
     consistent_pair,
     cover_is_layered,
+    covers_disjoint,
     degree_monotonicity_check,
-    is_good,
     layer_size_dichotomy,
-    level_sets,
     pair_crosses,
     potential_phi,
     route_disjoint_paths,
@@ -79,18 +78,18 @@ def test_grid_poset_between():
 def test_level_sets_examples():
     # matched arcs only, at ell = 1
     gp = GridPoset(GridShape(4, 1))
-    levels = level_sets(gp, [(0,)], [(1,)], 1)
-    assert levels == [{(0,)}, {(1,)}]
+    levels = build_cover_graph(gp, [(0,)], [(1,)], 1).level_sets
+    assert levels == ({(0,)}, {(1,)})
     # distance-2 singleton on the line: both middles appear
-    levels = level_sets(gp, [(0,)], [(3,)], 2)
-    assert levels == [{(0,)}, {(1,), (2,)}, {(3,)}]
+    levels = build_cover_graph(gp, [(0,)], [(3,)], 2).level_sets
+    assert levels == ({(0,)}, {(1,), (2,)}, {(3,)})
 
 
 def test_counterexample_pair_is_not_good():
     p = make_counterexample_dag()
     S, T = [0, 1], [5, 6]
-    assert not is_good(p, S, T, 3)
     cover = build_cover_graph(p, S, T, 3)
+    assert not cover_is_layered(cover)
     assert cover.levels[2] == (1, 2)  # z sits on two levels
     # the short s1 -> z -> t2 path is present even though its ends are 2 apart
     assert (0, 2) in cover.arcs and (2, 6) in cover.arcs
@@ -98,17 +97,17 @@ def test_counterexample_pair_is_not_good():
 
 def test_singleton_pairs_are_good():
     p = make_counterexample_dag()
-    assert is_good(p, [0], [5], 3)
-    assert is_good(p, [1], [6], 3)
+    assert cover_is_layered(build_cover_graph(p, [0], [5], 3))
+    assert cover_is_layered(build_cover_graph(p, [1], [6], 3))
     gp = GridPoset(GridShape(8, 1))
-    assert is_good(gp, [(0,)], [(7,)], 3)
+    assert cover_is_layered(build_cover_graph(gp, [(0,)], [(7,)], 3))
 
 
 def test_hypercube_level_pair_is_good():
     gp = GridPoset(GridShape(2, 3))
     S = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     T = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
-    assert is_good(gp, S, T, 1)
+    assert cover_is_layered(build_cover_graph(gp, S, T, 1))
     S2 = [(1, 0, 0), (0, 1, 0)]
     T2 = [(1, 1, 1), (1, 1, 0)]
     # distances differ (3 vs 1): not consistent, so the pair factory refuses
@@ -171,14 +170,28 @@ def test_decompose_conflict_free_input_stays_singleton():
     gp = GridPoset(GridShape(4, 1))
     pairs = [((0,), (2,)), ((1,), (3,))]
     parts = conflict_free_decompose(gp, pairs, 1)
-    assert sorted(len(cp.phi) for cp in parts) == [1, 1]
+    assert sorted(len(cp.phi) for cp, _ in parts) == [1, 1]
 
 
 def test_decompose_merges_conflicting_singletons():
     p = ExplicitPoset(6, [(0, 2), (1, 2), (2, 4), (2, 5)])
     parts = conflict_free_decompose(p, [(0, 4), (1, 5)], 2)
-    assert len(parts) == 1 and len(parts[0].phi) == 2
-    assert set(parts[0].S) == {0, 1} and set(parts[0].T) == {4, 5}
+    assert len(parts) == 1 and len(parts[0][0].phi) == 2
+    assert set(parts[0][0].S) == {0, 1} and set(parts[0][0].T) == {4, 5}
+
+
+def test_decompose_builds_each_group_cover_once(monkeypatch):
+    # 0 -> 2 -> 4 and 1 -> 2 -> 5 meet at 2 on level 1; 6 -> 7 -> 8 meets neither
+    p = ExplicitPoset(9, [(0, 2), (1, 2), (2, 4), (2, 5), (6, 7), (7, 8)])
+    built = []
+    real = structure.build_cover_graph
+    monkeypatch.setattr(structure, "build_cover_graph",
+                        lambda poset, S, T, ell: built.append((S, T)) or real(poset, S, T, ell))
+    parts = conflict_free_decompose(p, [(0, 4), (1, 5), (6, 8)], 2)
+    assert [cp.phi for cp, _ in parts] == [((0, 4), (1, 5)), ((6, 8),)]
+    assert all(cover == real(p, cp.S, cp.T, 2) for cp, cover in parts)
+    # the three singletons, then the merged group; the unchanged group keeps its cover
+    assert built == [([0], [4]), ([1], [5]), ([6], [8]), ([0, 1], [4, 5])]
 
 
 def test_decompose_partitions_endpoints(rng):
@@ -193,19 +206,29 @@ def test_decompose_partitions_endpoints(rng):
             by_dist.setdefault(directed_distance(GridShape(4, 2), x, y), []).append((x, y))
         for ell, pairs in by_dist.items():
             parts = conflict_free_decompose(gp, pairs, ell)
-            assert sorted(s for cp in parts for s in cp.S) == sorted(x for x, _ in pairs)
-            assert sorted(t for cp in parts for t in cp.T) == sorted(y for _, y in pairs)
+            assert sorted(s for cp, _ in parts for s in cp.S) == sorted(x for x, _ in pairs)
+            assert sorted(t for cp, _ in parts for t in cp.T) == sorted(y for _, y in pairs)
             for a in range(len(parts)):
                 for b in range(a + 1, len(parts)):
-                    assert are_independent(gp, parts[a], parts[b])
+                    assert covers_disjoint(parts[a][1], parts[b][1])
 
 
 def test_are_independent_examples():
+    # independent pairs: their cover graphs share no vertex
     gp = GridPoset(GridShape(4, 2))
-    p1 = consistent_pair(gp, [((0, 0), (1, 1))], 2)
-    p2 = consistent_pair(gp, [((2, 2), (3, 3))], 2)
-    assert are_independent(gp, p1, p2)
-    assert not are_independent(gp, p1, p1)
+    (_, c1), (_, c2) = conflict_free_decompose(gp, [((0, 0), (1, 1)), ((2, 2), (3, 3))], 2)
+    assert covers_disjoint(c1, c2)
+    assert not covers_disjoint(c1, c1)
+
+
+def test_decompose_rejects_pairs_sharing_an_endpoint():
+    gp = GridPoset(GridShape(4, 1))
+    for pairs in ([((0,), (1,)), ((0,), (2,))],    # a shared source
+                  [((0,), (2,)), ((1,), (2,))],    # a shared target
+                  [((0,), (1,)), ((1,), (2,))],    # one pair's target is another's source
+                  [((0,), (1,)), ((0,), (1,))]):   # the same pair twice
+        with pytest.raises(ValueError):
+            conflict_free_decompose(gp, pairs, 1)
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +237,7 @@ def test_are_independent_examples():
 def test_route_singleton():
     gp = GridPoset(GridShape(8, 1))
     cp = consistent_pair(gp, [((0,), (7,))], 3)
-    paths = route_disjoint_paths(gp, cp)
+    paths = route_disjoint_paths(build_cover_graph(gp, cp.S, cp.T, 3), cp)
     assert len(paths) == 1
     path = paths[0]
     assert path[0] == (0,) and path[-1] == (7,) and len(path) == 4
@@ -226,7 +249,7 @@ def test_route_hypercube_matching():
     gp = GridPoset(GridShape(2, 3))
     cp = consistent_pair(gp, [((1, 0, 0), (1, 1, 0)), ((0, 1, 0), (0, 1, 1)),
                               ((0, 0, 1), (1, 0, 1))], 1)
-    paths = route_disjoint_paths(gp, cp)
+    paths = route_disjoint_paths(build_cover_graph(gp, cp.S, cp.T, 1), cp)
     assert len(paths) == 3
     seen = set()
     for path in paths:
@@ -238,7 +261,7 @@ def test_route_rejects_non_good_pair():
     p = make_counterexample_dag()
     cp = ConsistentPair((0, 1), (5, 6), 3, ((0, 5), (1, 6)))
     with pytest.raises(NotGoodError):
-        route_disjoint_paths(p, cp)
+        route_disjoint_paths(build_cover_graph(p, cp.S, cp.T, 3), cp)
 
 
 def test_degree_monotonicity_and_dichotomy():
@@ -253,8 +276,7 @@ def test_degree_monotonicity_and_dichotomy():
         for x, y in rep.pairs:
             by_dist.setdefault(directed_distance(shape, x, y), []).append((x, y))
         for ell, pairs in by_dist.items():
-            for cp in conflict_free_decompose(gp, pairs, ell):
-                cover = build_cover_graph(gp, cp.S, cp.T, ell)
+            for cp, cover in conflict_free_decompose(gp, pairs, ell):
                 assert cover_is_layered(cover)
                 assert degree_monotonicity_check(cover)
                 assert layer_size_dichotomy(cover, len(cp.S))
@@ -430,12 +452,11 @@ def test_full_pipeline_on_larger_grid(rng):
             by_dist.setdefault(directed_distance(shape, x, y), []).append((x, y))
         for ell, pairs in by_dist.items():
             parts = conflict_free_decompose(poset, pairs, ell)
-            covers = [build_cover_graph(poset, cp.S, cp.T, ell) for cp in parts]
-            assert all(cover_is_layered(c) for c in covers)
+            assert all(cover_is_layered(cover) for _, cover in parts)
             seen = set()
             total = 0
-            for cp in parts:
-                for path in route_disjoint_paths(poset, cp):
+            for cp, cover in parts:
+                for path in route_disjoint_paths(cover, cp):
                     assert not seen.intersection(path)
                     seen.update(path)
                     assert any(f.eval(u) == 1 and f.eval(v) == 0

@@ -298,6 +298,11 @@ def directed_distance(shape: GridShape, x: Point, y: Point) -> Optional[int]:
     """
     check_point(shape, x)
     check_point(shape, y)
+    return _directed_distance(x, y)
+
+
+def _directed_distance(x: Point, y: Point) -> Optional[int]:
+    """directed_distance of two points already known to be on the grid."""
     total = 0
     for a, b in zip(x, y):
         if b < a:

@@ -36,29 +36,49 @@ _POPCOUNT16 = np.add.outer(_POPCOUNT8, _POPCOUNT8).ravel()
 
 @dataclass(frozen=True)
 class ShapeTables:
-    """The comparable pairs of a shape, shared by the matching oracles."""
+    """The comparable pairs of a shape, shared by the matching oracles.
+
+    One entry per strict pair x < y, in increasing lo, then hi, as three
+    columns: lo and hi are the linear indices of x and y (intp, which numpy
+    gathers fastest) and dist is their directed distance (uint8: it is at
+    most d log2 n).
+    """
 
     shape: GridShape
-    # (pairs, 3) int64 rows (lo_index, hi_index, directed distance) of the
-    # strict pairs, in increasing lo_index, then hi_index
-    comparable: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    dist: np.ndarray
+
+    @property
+    def comparable(self) -> np.ndarray:
+        """The pairs as (pairs, 3) int64 rows (lo, hi, dist), built on each access."""
+        return np.column_stack((self.lo, self.hi, self.dist)).astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=64)
 def shape_tables(shape: GridShape) -> ShapeTables:
     if shape.size > ORACLE_CAPACITY:
         raise CapacityError("exact-oracle shape tables", shape.size, ORACLE_CAPACITY)
-    return ShapeTables(shape, _comparable(shape))
+    return ShapeTables(shape, *_comparable(shape))
 
 
-def _comparable(shape: GridShape) -> np.ndarray:
-    """The rows of ShapeTables.comparable, as a product over the axes.
+@lru_cache(maxsize=64)
+def _lo_runs(shape: GridShape) -> np.ndarray:
+    """runs[i], the number of comparable pairs whose lo is point i: the lo
+    column is np.repeat(np.arange(n^d), runs)."""
+    runs = np.bincount(shape_tables(shape).lo, minlength=shape.size)
+    runs.setflags(write=False)
+    return runs
+
+
+def _comparable(shape: GridShape) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns (lo, hi, dist) of ShapeTables, as a product over the axes.
 
     x <= y iff a <= b on every axis, where a and b are their coordinates
     there, and the directed distance is the sum of popcount(b - a) over the
     axes.  Both are formed for a block of lo points at a time, against every
     hi point, from the per-axis gaps b - a: the block's nonzero cells, in
-    row-major order, are its rows in order, and each temporary stays near
+    row-major order, are its pairs in order, and each temporary stays near
     BATCH_CELLS cells.
     """
     n, d, size = shape.n, shape.d, shape.size
@@ -71,7 +91,8 @@ def _comparable(shape: GridShape) -> np.ndarray:
         view[d - dim] = n
         axes.append((n ** dim, view))
     # pairs x <= y in each coordinate, less the N pairs x = y
-    comparable = np.empty(((n * (n + 1) // 2) ** d - size, 3), dtype=np.int64)
+    pairs = (n * (n + 1) // 2) ** d - size
+    lo_col, hi_col, dist_col = (np.empty(pairs, dtype) for dtype in (np.intp, np.intp, np.uint8))
     end = 0
     step = max(1, BATCH_CELLS // size)
     for first in range(0, size, step):
@@ -85,13 +106,14 @@ def _comparable(shape: GridShape) -> np.ndarray:
         related = related.reshape(len(lo), size)
         related[np.arange(len(lo)), lo] = False
         cells = np.flatnonzero(related)
-        rows = comparable[end:end + len(cells)]
-        rows[:, 0], rows[:, 1] = np.divmod(cells, size)
-        rows[:, 0] += first
-        rows[:, 2] = dist.reshape(-1)[cells]
+        span = slice(end, end + len(cells))
+        np.divmod(cells, size, out=(lo_col[span], hi_col[span]))
+        lo_col[span] += first
+        dist_col[span] = dist.reshape(-1)[cells]
         end += len(cells)
-    comparable.setflags(write=False)
-    return comparable
+    for column in (lo_col, hi_col, dist_col):
+        column.setflags(write=False)
+    return lo_col, hi_col, dist_col
 
 
 def _point_tuples(shape: GridShape, idx) -> List[tuple]:
@@ -335,9 +357,13 @@ def _vertex_ids(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _csr(tails: np.ndarray, heads: np.ndarray, n_tails: int, n_heads: int) -> csr_matrix:
-    """Adjacency of the arcs tails[k] -> heads[k], tails nondecreasing."""
-    indptr = np.concatenate(([0], np.bincount(tails, minlength=n_tails).cumsum()))
-    return csr_matrix((np.ones(len(heads), np.int8), heads, indptr), shape=(n_tails, n_heads))
+    """Adjacency of the arcs tails[k] -> heads[k], tails nondecreasing, with
+    int32 indices and float64 weights: the form scipy's csgraph routines
+    work on (breadth_first_order first converts any other, in about ten
+    times the time of its search)."""
+    indptr = np.concatenate(([0], np.bincount(tails, minlength=n_tails).cumsum())).astype(np.int32)
+    return csr_matrix((np.ones(len(heads)), heads.astype(np.int32, copy=False), indptr),
+                      shape=(n_tails, n_heads))
 
 
 def _gamma_edges(shape: GridShape, block: np.ndarray,
@@ -384,12 +410,33 @@ def _check_maximum(u: np.ndarray, v: np.ndarray, kept_u: np.ndarray, kept_v: np.
         raise IntegrityError("two assignment pairs share an end")
     if not len(start) or len(taken) == n_right:   # a saturated side leaves no augmenting path
         return
-    n = 1 + n_left + n_right   # the source, then the left and the right vertices
-    graph = _csr(np.concatenate((np.zeros(len(start), np.int64), 1 + u, 1 + n_left + taken)),
-                 np.concatenate((1 + start, 1 + n_left + v, 1 + partner[taken])), n, n)
-    reached = breadth_first_order(graph, 0, return_predecessors=False)
-    if (partner[reached[reached > n_left] - n_left - 1] < 0).any():
+    source = n_left + n_right   # after the left and the right vertices
+    graph = _csr(np.concatenate((u, n_left + taken, np.full(len(start), source))),
+                 np.concatenate((n_left + v, partner[taken], start), dtype=np.int32),
+                 source + 1, source + 1)
+    reached = breadth_first_order(graph, source, return_predecessors=False)
+    if (partner[reached[(reached >= n_left) & (reached < source)] - n_left] < 0).any():
         raise IntegrityError(f"assignment kept {len(kept_u)} pairs, not a maximum matching")
+
+
+def _violated_pairs(shape: GridShape, block: np.ndarray) -> np.ndarray:
+    """Flat indices r * pairs + k, in increasing order, of the comparable
+    pairs k (see ShapeTables) that row r of a block of tables violates: 1 at
+    lo, 0 at hi.
+
+    numpy's 2-D gather copies one column of the block per index, fast for
+    many short rows; with at least BATCH_CELLS / 16 pairs, so at most 16 rows
+    per block (see _row_batches), the block is gathered one row at a time,
+    its lo side as runs of repeated points.
+    """
+    st = shape_tables(shape)
+    if 16 * len(st.lo) < BATCH_CELLS:
+        return (block[:, st.lo] > block[:, st.hi]).ravel().nonzero()[0]
+    runs = _lo_runs(shape)
+    mask = np.empty((len(block), len(st.lo)), dtype=bool)
+    for table, out in zip(block, mask):
+        np.greater(table.repeat(runs), table[st.hi], out=out)
+    return mask.ravel().nonzero()[0]
 
 
 def _optimal_assignment(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -404,26 +451,46 @@ def _optimal_assignment(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray
     linear term dominates any squared-term variation; pairs at the forbidden
     cost are dropped.  The block's pairs must be a maximum matching.
     """
+    st = shape_tables(shape)
+    size, n_rows, pairs = shape.size, len(block), len(st.lo)
+    k = _violated_pairs(shape, block)
+    if not len(k):
+        return k, k, k, k   # no arc: four empty columns
+    bounds = k.searchsorted(np.arange(n_rows + 1) * pairs)
+    arcs = bounds[1:] - bounds[:-1]
+    # from flat indices to each arc's pair; the per-arc arrays are the bulk of
+    # the work, so they are made in place where they can be
+    k -= (np.arange(n_rows) * pairs).repeat(arcs)
+    dist = st.dist[k]
     n_ones, left, right = _vertex_ids(block)
-    size, n_rows, n_zeros = shape.size, len(block), shape.size - n_ones
-    lo, hi, dist = shape_tables(shape).comparable.T
-    row, k = (block[:, lo] > block[:, hi]).nonzero()
-    u, v, dist = left[row, lo[k]], right[row, hi[k]], dist[k]
-    if not len(row):
-        return row, u, v, dist
-    arcs = np.bincount(row, minlength=n_rows)
+    n_zeros = size - n_ones
     busy = arcs.nonzero()[0]
     dmax = np.zeros(n_rows, np.int64)
-    dmax[busy] = np.maximum.reduceat(dist, (arcs.cumsum() - arcs)[busy])
+    dmax[busy] = np.maximum.reduceat(dist, bounds[busy])
     K = 1 + size * dmax * dmax
     forbid = (np.minimum(n_ones, n_zeros) * dmax * K + 1).astype(np.float64)
     # the cost matrices of the rows with arcs, row-major one after another
     cells = np.where(arcs > 0, n_ones * n_zeros, 0)
     at = cells.cumsum() - cells
     first_one, first_zero = n_ones.cumsum() - n_ones, n_zeros.cumsum() - n_zeros
-    cost = np.repeat(forbid, cells)
-    cost[at[row] + (u - first_one[row]) * n_zeros[row] + v - first_zero[row]] = (
-        dist * (K[row] - dist))
+    # per point of the block: its vertex id and, for a 1-point, the cell where
+    # its cost row starts less its row's first 0-point id, so that the arc
+    # x -> y has the cell start[x] + ids[y]; base[k] is arc k's row r times n^d,
+    # the offset of the row's points
+    ids = np.where(block, left, right).ravel()
+    start = (left * n_zeros[:, None] + (at - first_one * n_zeros - first_zero)[:, None]).ravel()
+    base = (np.arange(n_rows) * size).repeat(arcs)
+    one_at, zero_at = st.lo[k], st.hi[k]
+    one_at += base
+    zero_at += base
+    u, v = ids[one_at], ids[zero_at]
+    cell = start[one_at]
+    cell += v
+    value = K.repeat(arcs)
+    value -= dist
+    value *= dist
+    cost = forbid.repeat(cells)
+    cost[cell] = value
     solved = [linear_sum_assignment(cost[a:a + c].reshape(ones, zeros)) for a, c, ones, zeros
               in zip(*(x[busy].tolist() for x in (at, cells, n_ones, n_zeros)))]
     one, zero = (np.concatenate(x) for x in zip(*solved))
@@ -432,7 +499,8 @@ def _optimal_assignment(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray
     keep = kept_cost < forbid[kept_row]
     kept_row, kept_cost = kept_row[keep], kept_cost[keep]
     kept_u, kept_v = one[keep] + first_one[kept_row], zero[keep] + first_zero[kept_row]
-    del cost, solved, one, zero, row, k, dist, keep   # freed before the check builds its graph
+    # freed before the check builds its graph
+    del cost, solved, one, zero, k, dist, keep, ids, start, base, one_at, zero_at, cell, value
     _check_maximum(u, v, kept_u, kept_v, int(n_ones.sum()), int(n_zeros.sum()))
     # an arc's cost is (dist - 1) K + (K - dist^2), with 0 < K - dist^2 < K
     return kept_row, kept_u, kept_v, kept_cost.astype(np.int64) // K[kept_row] + 1
@@ -451,7 +519,7 @@ def optimal_matching_batch(shape: GridShape, tables: np.ndarray) -> List[Optimal
     block of rows per _optimal_assignment."""
     tables = _checked_tables(shape, tables)
     reports = []
-    for rows in _row_batches(len(tables), max(len(shape_tables(shape).comparable), shape.size)):
+    for rows in _row_batches(len(tables), max(len(shape_tables(shape).lo), shape.size)):
         block = tables[rows]
         kept_row, kept_u, kept_v, kept_dist = _optimal_assignment(shape, block)
         # vertex ids to linear indices: id k is the k-th 1-point (0-point) of the block
@@ -553,7 +621,7 @@ def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySwee
     checked assignment solve per row (see _optimal_assignment).
     """
     tables = _checked_tables(shape, tables)
-    width = max(len(shape_tables(shape).comparable), len(_aug_edges_by_lo(shape)[1]), shape.size)
+    width = max(len(shape_tables(shape).lo), len(_aug_edges_by_lo(shape)[1]), shape.size)
     counts = []   # per block: violated, upward, gamma, matched, total
     for rows in _row_batches(len(tables), width):
         block = tables[rows]

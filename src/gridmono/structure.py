@@ -20,9 +20,10 @@ from .grid import (
     UPPER,
     GridShape,
     MatchingId,
+    _directed_distance,
     aug_up_neighbors,
+    check_point,
     classify_in_matching,
-    directed_distance,
     matching_ids,
     points,
     side_in_matching,
@@ -62,12 +63,15 @@ class GridPoset(Poset):
         return points(self.shape)
 
     def dist(self, u, v):
-        return directed_distance(self.shape, u, v)
+        # unchecked: every cover starts from between(), which checks its ends
+        return _directed_distance(u, v)
 
     def up_neighbors(self, u):
         return aug_up_neighbors(self.shape, u)
 
     def between(self, lo, hi):
+        check_point(self.shape, lo)
+        check_point(self.shape, hi)
         if not all(a <= b for a, b in zip(lo, hi)):
             return
         for rev in itertools.product(*[range(a, b + 1) for a, b in zip(reversed(lo), reversed(hi))]):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from gridmono import func, oracle, reports
 from gridmono.errors import CapacityError, IntegrityError
@@ -231,13 +232,18 @@ def test_shape_tables_comparable_matches_scalar_definition():
         expected = tuple((i, j, directed_distance(shape, x, y))
                          for i, x in enumerate(pts) for j, y in enumerate(pts)
                          if i != j and dominates(y, x))
-        comparable = shape_tables(shape).comparable
+        pairs = shape_tables(shape)
+        columns = (pairs.lo, pairs.hi, pairs.dist)
+        assert tuple(zip(*(c.tolist() for c in columns))) == expected, shape
+        assert [c.dtype for c in columns] == [np.intp, np.intp, np.uint8]
+        assert all(c.flags.c_contiguous and not c.flags.writeable for c in columns)
+        assert np.array_equal(np.repeat(np.arange(shape.size), oracle._lo_runs(shape)), pairs.lo)
+        comparable = pairs.comparable   # the derived (pairs, 3) rows
         assert tuple(map(tuple, comparable.tolist())) == expected, shape
-        assert comparable.dtype == np.int64
-        assert len(comparable) == len(expected)
+        assert comparable.dtype == np.int64 and comparable.shape == (len(expected), 3)
     t = BoolFunc.from_mask(GridShape(4, 1), 0b0011).bits  # table (1,1,0,0)
-    comparable = shape_tables(GridShape(4, 1)).comparable
-    assert (t[comparable[:, 0]] > t[comparable[:, 1]]).sum() == 4
+    pairs = shape_tables(GridShape(4, 1))
+    assert (t[pairs.lo] > t[pairs.hi]).sum() == 4
 
 
 def test_witness_labels_match_the_scalar_definitions():
@@ -259,11 +265,14 @@ def test_witness_oracles_build_no_shape_tables():
 
 def test_shape_tables_rows_do_not_depend_on_blocks(monkeypatch):
     shapes = (GridShape(5, 2), GridShape(2, 3), GridShape(16, 1), GridShape(3, 3))
-    expected = [shape_tables(shape).comparable for shape in shapes]
+    expected = [shape_tables(shape) for shape in shapes]
     for cells in (1, 7, 64):   # one lo point per block, and blocks that split rows
         monkeypatch.setattr(oracle, "BATCH_CELLS", cells)
-        for shape, comparable in zip(shapes, expected):
-            assert np.array_equal(oracle._comparable(shape), comparable), (shape, cells)
+        for shape, pairs in zip(shapes, expected):
+            columns = oracle._comparable(shape)
+            assert [c.dtype for c in columns] == [np.intp, np.intp, np.uint8], (shape, cells)
+            for got, want in zip(columns, (pairs.lo, pairs.hi, pairs.dist)):
+                assert np.array_equal(got, want), (shape, cells)
 
 
 def test_optimal_matching_examples():
@@ -302,6 +311,50 @@ def test_optimal_matching_lexicographic_vs_enumeration(rng):
                 assert not arcs
             else:
                 assert got == best, (shape, mask)
+
+
+def reference_assignment(shape, table):
+    """(lower point, upper point, distance) of the optimal matching, from one
+    assignment solve on a cost matrix written out from the definitions.
+
+    Rows are the 1-points and columns the 0-points, both in increasing
+    linear index.  A violated pair x <= y costs dist * (K - dist), with
+    K = 1 + n^d dmax^2 and dmax the largest violated distance; every other
+    cell holds the forbidden cost min(ones, zeros) dmax K + 1, and pairs at
+    that cost are dropped.
+    """
+    pts = list(points(shape))
+    ones = [x for x, bit in zip(pts, table) if bit]
+    zeros = [y for y, bit in zip(pts, table) if not bit]
+    dist = {(i, j): directed_distance(shape, x, y) for i, x in enumerate(ones)
+            for j, y in enumerate(zeros) if dominates(y, x)}
+    if not dist:
+        return []
+    dmax = max(dist.values())
+    K = 1 + shape.size * dmax * dmax
+    forbid = float(min(len(ones), len(zeros)) * dmax * K + 1)
+    cost = np.full((len(ones), len(zeros)), forbid)
+    for (i, j), d in dist.items():
+        cost[i, j] = d * (K - d)
+    return [(ones[i], zeros[j], dist[i, j])
+            for i, j in zip(*linear_sum_assignment(cost)) if cost[i, j] < forbid]
+
+
+def test_optimal_matching_matches_a_reference_cost_matrix():
+    gen = np.random.default_rng(15)
+    cases = [(shape, _mask_bits(range(16), 4)) for shape in (GridShape(2, 2), GridShape(4, 1))]
+    for shape, count in ((GridShape(2, 3), 60), (GridShape(3, 2), 60), (GridShape(4, 2), 120)):
+        masks = gen.integers(1 << shape.size, size=count).tolist()
+        cases.append((shape, _mask_bits(masks, shape.size)))
+    for shape in (GridShape(32, 2), GridShape(8, 3), GridShape(4, 5)):
+        cases.append((shape, (gen.random((1, shape.size)) < 0.5).astype(np.uint8)))
+    for shape, tables in cases:
+        for k, (table, rep) in enumerate(zip(tables, optimal_matching_batch(shape, tables))):
+            expected = reference_assignment(shape, table.tolist())
+            dists = [d for _, _, d in expected]
+            assert rep.pairs == tuple((x, y) for x, y, _ in expected), (shape, k)
+            assert (rep.empty, rep.psi) == (not expected, sum(d * d for d in dists)), (shape, k)
+            assert rep.r == Fraction(sum(dists), max(len(dists), 1)), (shape, k)
 
 
 def test_isoperimetry_examples():

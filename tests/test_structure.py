@@ -70,6 +70,12 @@ def test_grid_poset_between():
     box = set(gp.between((0, 1), (2, 2)))
     assert box == {(x, y) for x in range(3) for y in (1, 2)}
     assert list(gp.between((2, 2), (0, 1))) == []
+    # dist does not check its points; between, where every cover starts, does
+    with pytest.raises(ValueError, match="out of range"):
+        list(gp.between((0, 1), (4, 2)))
+    assert gp.dist((0, 3), (1, 4)) == 2
+    with pytest.raises(ValueError, match="out of range"):
+        build_cover_graph(gp, [(0, 3)], [(1, 4)], 2)
 
 
 # ----------------------------------------------------------------------

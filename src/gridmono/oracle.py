@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -60,15 +60,6 @@ def shape_tables(shape: GridShape) -> ShapeTables:
     if shape.size > ORACLE_CAPACITY:
         raise CapacityError("exact-oracle shape tables", shape.size, ORACLE_CAPACITY)
     return ShapeTables(shape, *_comparable(shape))
-
-
-@lru_cache(maxsize=64)
-def _lo_runs(shape: GridShape) -> np.ndarray:
-    """runs[i], the number of comparable pairs whose lo is point i: the lo
-    column is np.repeat(np.arange(n^d), runs)."""
-    runs = np.bincount(shape_tables(shape).lo, minlength=shape.size)
-    runs.setflags(write=False)
-    return runs
 
 
 def _comparable(shape: GridShape) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -419,15 +410,27 @@ def _check_maximum(u: np.ndarray, v: np.ndarray, kept_u: np.ndarray, kept_v: np.
         raise IntegrityError(f"assignment kept {len(kept_u)} pairs, not a maximum matching")
 
 
+def _lo_runs(shape: GridShape) -> np.ndarray:
+    """runs[x], the number of comparable pairs whose lo is point x: the
+    points y >= x, a product over the axes of n - x_i, less x itself.  The
+    lo column of ShapeTables is np.repeat(np.arange(n^d), runs)."""
+    return reduce(np.multiply.outer, [shape.n - np.arange(shape.n)] * shape.d).ravel() - 1
+
+
 def _violated_pairs(shape: GridShape, block: np.ndarray) -> np.ndarray:
     """Flat indices r * pairs + k, in increasing order, of the comparable
     pairs k (see ShapeTables) that row r of a block of tables violates: 1 at
     lo, 0 at hi.
 
-    numpy's 2-D gather copies one column of the block per index, fast for
-    many short rows; with at least BATCH_CELLS / 16 pairs, so at most 16 rows
-    per block (see _row_batches), the block is gathered one row at a time,
-    its lo side as runs of repeated points.
+    numpy's 2-D gather copies one column of the block per index: fast for
+    many short rows, slow for a few long ones.  A shape with at least
+    BATCH_CELLS / 16 pairs, so at most 16 rows per block (see _row_batches),
+    is gathered one row at a time, its lo side as runs of repeated points.
+    On blocks of random tables (2-vCPU host), the 2-D gather was the slower
+    at up to 8 rows on every shape from 4^3 to 32^2, and at any count up to
+    128 rows from 4^4 (9,744 pairs) up; it was faster only at 32 or more
+    rows of shapes with about 1,000 pairs, as 4^3 and 8^2, whose blocks
+    hold about 100 rows.
     """
     st = shape_tables(shape)
     if 16 * len(st.lo) < BATCH_CELLS:

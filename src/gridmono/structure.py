@@ -50,6 +50,10 @@ class Poset:
             if self.dist(lo, z) is not None and self.dist(z, hi) is not None:
                 yield z
 
+    def _check_vertices(self, vertices: Iterable) -> None:
+        """ValueError unless each is a vertex of the poset; this default
+        checks nothing."""
+
 
 class GridPoset(Poset):
     """The augmented hypergrid as a poset."""
@@ -63,19 +67,23 @@ class GridPoset(Poset):
         return points(self.shape)
 
     def dist(self, u, v):
-        # unchecked: every cover starts from between(), which checks its ends
+        """Directed distance of two grid points, unchecked: the functions
+        below check their pairs' ends once, and every other point they ask
+        about comes from between()."""
         return _directed_distance(u, v)
 
     def up_neighbors(self, u):
         return aug_up_neighbors(self.shape, u)
 
     def between(self, lo, hi):
-        check_point(self.shape, lo)
-        check_point(self.shape, hi)
         if not all(a <= b for a, b in zip(lo, hi)):
             return
         for rev in itertools.product(*[range(a, b + 1) for a, b in zip(reversed(lo), reversed(hi))]):
             yield rev[::-1]
+
+    def _check_vertices(self, vertices):
+        for z in vertices:
+            check_point(self.shape, z)
 
 
 class ExplicitPoset(Poset):
@@ -132,6 +140,7 @@ def consistent_pair(poset: Poset, pairs: Sequence[Tuple], ell: Optional[int] = N
     """Validate a pair list into a ConsistentPair; distances must all equal ell."""
     if not pairs:
         raise ValueError("need at least one pair")
+    poset._check_vertices(z for pair in pairs for z in pair)
     if ell is None:
         ell = poset.dist(pairs[0][0], pairs[0][1])
     S = tuple(s for s, _ in pairs)
@@ -168,6 +177,7 @@ def build_cover_graph(poset: Poset, S: Sequence, T: Sequence, ell: int) -> Cover
     one (s, t) at consecutive levels."""
     if ell <= 0:
         raise ValueError("ell must be positive")
+    poset._check_vertices(itertools.chain(S, T))
     levels: Dict[object, set] = {}
     arcs = set()
     sets: List[set] = [set() for _ in range(ell + 1)]
@@ -236,6 +246,7 @@ def conflict_free_decompose(poset: Poset, pairs: Sequence[Tuple],
     outputs partition the input pairs, each with its cover graph; a round
     builds covers only for the sets it merged.
     """
+    poset._check_vertices(z for pair in pairs for z in pair)
     for s, t in pairs:
         if poset.dist(s, t) != ell:
             raise ValueError(f"pair ({s}, {t}) is not at distance {ell}")

@@ -70,12 +70,22 @@ def test_grid_poset_between():
     box = set(gp.between((0, 1), (2, 2)))
     assert box == {(x, y) for x in range(3) for y in (1, 2)}
     assert list(gp.between((2, 2), (0, 1))) == []
-    # dist does not check its points; between, where every cover starts, does
-    with pytest.raises(ValueError, match="out of range"):
-        list(gp.between((0, 1), (4, 2)))
-    assert gp.dist((0, 3), (1, 4)) == 2
-    with pytest.raises(ValueError, match="out of range"):
-        build_cover_graph(gp, [(0, 3)], [(1, 4)], 2)
+
+
+def test_grid_poset_functions_check_their_points():
+    # off the 4x2 grid, at distance 1 and at distance 2 from its partner, or
+    # with a coordinate too many
+    gp = GridPoset(GridShape(4, 2))
+    for s, t in [((0, 3), (1, 4)), ((0, 4), (1, 4)), ((0, 1), (1, 1, 0))]:
+        with pytest.raises(ValueError, match="out of range|coordinates"):
+            consistent_pair(gp, [(s, t)])
+        with pytest.raises(ValueError, match="out of range|coordinates"):
+            conflict_free_decompose(gp, [(s, t)], 1)
+        for ell in (1, 2):
+            with pytest.raises(ValueError, match="out of range|coordinates"):
+                build_cover_graph(gp, [s], [t], ell)
+            with pytest.raises(ValueError, match="out of range|coordinates"):
+                conflicts(gp, [((0, 0), (1, 0))], [(s, t)], ell)
 
 
 # ----------------------------------------------------------------------

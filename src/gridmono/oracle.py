@@ -1,21 +1,27 @@
 """Exact desk-scale oracles: distance, influences, matchings, ratios.
 
 Everything here enumerates the grid, so it is guarded by a point-count
-capacity: 2^16 points for the distance cut, 4096 for the rest.  Distances
-between matched violation pairs use the directed augmented-hypergrid metric.
+capacity: 2^16 points for the distance cut and the isoperimetry report,
+whose graphs have O(N d log n) arcs, 4096 for the rest.  Distances between
+matched violation pairs use the directed augmented-hypergrid metric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching, maximum_flow
+from scipy.sparse.csgraph import (
+    breadth_first_order,
+    dijkstra,
+    maximum_bipartite_matching,
+    maximum_flow,
+)
 
 from .errors import CapacityError, IntegrityError
 from .func import BoolFunc, _check_bits, _table_blocks
@@ -24,6 +30,13 @@ from .grid import AugEdge, GridShape, _aug_edges, unit_steps
 ORACLE_CAPACITY = 4096
 DISTANCE_CAPACITY = 1 << 16   # the cut graph has O(N d) arcs, not the N^2 comparable pairs
 BRUTE_FORCE_CAPACITY = 20
+
+# isoperimetry_sweep takes the optimal matching's counts from the assignment
+# on shapes of at most this many points, and from the min-cost flow above.  On
+# random tables (2-vCPU host) the flow was the faster on one row from 256
+# points and in blocks of rows from 512; the assignment was the faster on both
+# up to 128 points, and in blocks at 256.
+_ASSIGNMENT_POINTS = 256
 
 # Table cells per numpy call in the batch kernels: each temporary stays
 # near 1 MB however many functions one call covers.
@@ -113,8 +126,9 @@ def _point_tuples(shape: GridShape, idx) -> List[tuple]:
     return list(map(tuple, coords.tolist()))
 
 
-def _bits_of(f: BoolFunc) -> np.ndarray:
-    _check_capacity(f.shape)
+def _bits_of(f: BoolFunc, limit: int = ORACLE_CAPACITY,
+             operation: str = "exact oracle") -> np.ndarray:
+    _check_capacity(f.shape, limit, operation)
     return f.bits
 
 
@@ -136,25 +150,35 @@ def _unit_step_arrays(shape: GridShape) -> np.ndarray:
     return np.fromiter(unit_steps(shape), dtype=(np.int32, 2)).T
 
 
+def _terminal_arcs(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(tails, heads) of the unit arcs of a block of tables from the source to
+    each 1-point and from each 0-point to the sink, one per point in order.
+
+    Vertex r N + i is point i of row r, then come the source and the sink.
+    """
+    ones = block.reshape(-1).astype(bool)
+    point = np.arange(block.size, dtype=np.int32)
+    source, sink = block.size, block.size + 1
+    return np.where(ones, source, point), np.where(ones, point, sink)
+
+
 def _cut_flow(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray, csr_matrix]:
     """(count, flow) of a maximum flow on the cut graph of a block of tables.
 
-    Vertex r N + i is point i of row r, then come the source and the sink.
     Each unit step of a row is an arc of capacity N, above any minimum cut;
-    each 1-point has a unit arc from the source, each 0-point one to the
-    sink.  A cut crossing no step keeps an upward-closed set on the source
-    side: 1 there and 0 elsewhere is a monotone table differing from the row
-    at the cut's arcs (maximum closure, Picard 1976).  The rows share only
-    the terminals, so count[r], the flow into row r, is its own minimum cut.
+    the terminal arcs are those of _terminal_arcs.  A cut crossing no step
+    keeps an upward-closed set on the source side: 1 there and 0 elsewhere
+    is a monotone table differing from the row at the cut's arcs (maximum
+    closure, Picard 1976).  The rows share only the terminals, so count[r],
+    the flow into row r, is its own minimum cut.
     """
     size, n_rows = shape.size, len(block)
     lo, hi = _unit_step_arrays(shape)
     base = np.arange(n_rows, dtype=np.int32)[:, None] * size
-    ones = block.reshape(-1).astype(bool)
-    point = np.arange(n_rows * size, dtype=np.int32)
     source, sink = n_rows * size, n_rows * size + 1
-    tails = np.concatenate(((base + lo).ravel(), np.where(ones, source, point)))
-    heads = np.concatenate(((base + hi).ravel(), np.where(ones, point, sink)))
+    term_tails, term_heads = _terminal_arcs(block)
+    tails = np.concatenate(((base + lo).ravel(), term_tails))
+    heads = np.concatenate(((base + hi).ravel(), term_heads))
     capacity = np.repeat(np.array([size, 1], np.int32), [n_rows * len(lo), n_rows * size])
     graph = csr_matrix((capacity, (tails, heads)), shape=(sink + 1, sink + 1))
     flow = maximum_flow(graph, source, sink, method="dinic").flow
@@ -410,36 +434,138 @@ def _check_maximum(u: np.ndarray, v: np.ndarray, kept_u: np.ndarray, kept_v: np.
         raise IntegrityError(f"assignment kept {len(kept_u)} pairs, not a maximum matching")
 
 
-def _lo_runs(shape: GridShape) -> np.ndarray:
-    """runs[x], the number of comparable pairs whose lo is point x: the
-    points y >= x, a product over the axes of n - x_i, less x itself.  The
-    lo column of ShapeTables is np.repeat(np.arange(n^d), runs)."""
-    return reduce(np.multiply.outer, [shape.n - np.arange(shape.n)] * shape.d).ravel() - 1
+@lru_cache(maxsize=8)   # up to 15 MB each at 2^16 points
+def _edge_residuals(shape: GridShape) -> Tuple[np.ndarray, ...]:
+    """One table's rows of the residual graph of _matching_flow, without the
+    source's and the sink's: (heads, cost, degree, forward, back, slot).
+
+    Each augmented edge lo -> hi is an arc forward (cost 1) and one back
+    (cost -1), and each point v has one slot for its terminal arc, whose head
+    (the source or the sink) is above every point, so the slot ends v's row;
+    the arcs are sorted by tail, then head.  degree[v] is the number of arcs
+    leaving v, forward[k] and back[k] are the positions of edge k's two arcs
+    (k as in _aug_edges_by_lo), and slot[v] is the position of v's slot.
+    """
+    _, lo, hi = _aug_edges_by_lo(shape)
+    size, edges = shape.size, len(lo)
+    tails = np.concatenate((lo, hi, np.arange(size)))
+    heads = np.concatenate((hi, lo, np.full(size, size)))
+    order = np.lexsort((heads, tails))
+    at = np.empty(len(order), np.int32)
+    at[order] = np.arange(len(order))
+    cost = np.repeat(np.array([1, -1, 0], np.int8), [edges, edges, size])[order]
+    return (heads[order].astype(np.int32), cost, np.bincount(tails, minlength=size),
+            at[:edges], at[edges:2 * edges], at[2 * edges:])
+
+
+def _matching_flow(shape: GridShape, block: np.ndarray, gamma_row: np.ndarray,
+                   gamma_k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(matched, total) of each row of a block of tables: the size and the
+    summed directed distance of its optimal matching, from a min-cost flow.
+
+    The graph is that of _cut_flow with the augmented edges in place of the
+    unit steps, each an arc of cost 1 and capacity N.  A unit of flow from a
+    1-point x up to a 0-point y costs at least their directed distance, the
+    fewest augmented edges from x to y, and exactly that on a shortest path;
+    so a maximum flow is a largest violation matching, and its least cost
+    the least summed distance of one.
+
+    Primal-dual (Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 9).  The
+    flow starts as the block's Γ⁻ matching (gamma_row, gamma_k; see
+    _gamma_edges), with potential 0 at the source and the 1-points and 1
+    elsewhere: that matching is a maximum flow on the arcs of reduced cost 0,
+    which is what the first phase would find.  Each phase runs one dijkstra
+    on the reduced costs of the residual arcs from the source, raises the
+    potentials by min(dist, dist[sink]), and runs one maximum flow on the
+    residual arcs of reduced cost 0; the phases stop when the sink is
+    unreachable, so the flow is maximum.  The residual graph's csr structure
+    is built once; a phase rewrites only its data (inf: no capacity left).
+    IntegrityError unless the result respects capacity and conservation and
+    no residual arc has negative reduced cost, so its cost is the least.
+    """
+    heads_one, cost_one, degree_one, forward, back, slot = _edge_residuals(shape)
+    _, lo, hi = _aug_edges_by_lo(shape)
+    size, n_rows, width = shape.size, len(block), len(heads_one)
+    source, sink = block.size, block.size + 1
+    n_ones, left, right = _vertex_ids(block)
+    ones_total = int(n_ones.sum())
+    term_tails, term_heads = _terminal_arcs(block)
+    ones = term_tails == source
+    rows = np.arange(n_rows)[:, None]
+    # csr rows: each table's points, then the source (an arc to each 1-point)
+    # and the sink (an arc back to each 0-point)
+    slots = (slot + rows * width).ravel()
+    heads = (heads_one + rows * size).astype(np.int32).ravel()
+    heads[slots] = np.where(ones, term_tails, term_heads)   # back to the source, or on to the sink
+    heads = np.concatenate((heads, term_heads[ones], term_tails[~ones]))
+    degree = np.concatenate((np.tile(degree_one, n_rows), [ones_total, block.size - ones_total]))
+    indptr = np.concatenate(([0], degree.cumsum())).astype(np.int32)
+    keys = np.repeat(np.arange(sink + 1, dtype=np.int64) * (sink + 1), degree) + heads   # sorted
+    cost = np.concatenate((np.tile(cost_one, n_rows), np.zeros(block.size, np.int8)),
+                          dtype=np.float64)
+    forward_at, back_at = forward + rows * width, back + rows * width
+    from_source = n_rows * width + left.ravel()                  # source -> a 1-point
+    into_sink = n_rows * width + ones_total + right.ravel()      # sink -> a 0-point
+    resid = np.zeros(len(heads), np.int32)
+    resid[forward_at] = size
+    resid[slots[~ones]] = 1
+    resid[from_source[ones]] = 1
+    # one unit along source -> u -> w -> sink for each Γ⁻ edge u -> w
+    u, w = gamma_row * size + lo[gamma_k], gamma_row * size + hi[gamma_k]
+    resid[np.concatenate((from_source[u], gamma_row * width + forward[gamma_k], slots[w]))] -= 1
+    resid[np.concatenate((slots[u], gamma_row * width + back[gamma_k], into_sink[w]))] += 1
+    potential = np.ones(sink + 1)
+    potential[source] = 0
+    potential[:block.size][ones] = 0
+    graph = csr_matrix((np.zeros(len(heads)), heads, indptr), shape=(sink + 1, sink + 1))
+    admissible = csr_matrix((resid, heads, indptr), shape=(sink + 1, sink + 1))
+    reduced = cost + np.repeat(potential, degree) - potential[heads]
+    while True:
+        live = resid > 0
+        graph.data = np.where(live, reduced, np.inf)
+        dist = dijkstra(graph, indices=source)
+        if np.isinf(dist[sink]):
+            break
+        step = np.minimum(dist, dist[sink])
+        potential += step
+        reduced += np.repeat(step, degree)
+        reduced -= step[heads]
+        admissible.data = np.where(live & (reduced == 0), resid, 0)
+        flow = maximum_flow(admissible, source, sink, method="dinic").flow
+        if flow.data[flow.indptr[source]:flow.indptr[source + 1]].sum() < 1:
+            raise IntegrityError("a phase moved no flow along a shortest path")
+        # each arc's flow change, looked up by its key tail * V + head
+        moved = flow.data.nonzero()[0]
+        key = (flow.indptr.searchsorted(moved, side="right") - 1) * (sink + 1) + flow.indices[moved]
+        at = keys.searchsorted(key)
+        if not (keys[np.minimum(at, len(keys) - 1)] == key).all():
+            raise IntegrityError("flow on an arc outside the residual graph")
+        resid[at] -= flow.data[moved]
+        if resid[at].min() < 0:
+            raise IntegrityError("flow exceeds an arc's capacity")
+    edge_flow = resid[back_at]
+    # a 1-point's slot holds the flow from the source, a 0-point's the capacity left to the sink
+    in_slot = resid[slots]
+    paired = np.where(ones, from_source, into_sink)   # the other entry of each terminal arc
+    if ((resid < 0).any() or (resid[forward_at] + edge_flow != size).any()
+            or (in_slot + resid[paired] != 1).any()):
+        raise IntegrityError("flow exceeds an arc's capacity")
+    into = np.bincount((rows * size + hi).ravel(), edge_flow.ravel(), block.size)
+    out = np.bincount((rows * size + lo).ravel(), edge_flow.ravel(), block.size)
+    if (into - out + np.where(ones, in_slot, in_slot - 1)).any():
+        raise IntegrityError("flow is not conserved at a point")
+    if (cost + np.repeat(potential, degree) - potential[heads])[live].min(initial=0) < 0:
+        raise IntegrityError("a residual arc has negative reduced cost: the cost is not least")
+    matched = (in_slot.reshape(block.shape) * block).sum(axis=1, dtype=np.int64)
+    return matched, edge_flow.sum(axis=1, dtype=np.int64)
 
 
 def _violated_pairs(shape: GridShape, block: np.ndarray) -> np.ndarray:
     """Flat indices r * pairs + k, in increasing order, of the comparable
     pairs k (see ShapeTables) that row r of a block of tables violates: 1 at
-    lo, 0 at hi.
-
-    numpy's 2-D gather copies one column of the block per index: fast for
-    many short rows, slow for a few long ones.  A shape with at least
-    BATCH_CELLS / 16 pairs, so at most 16 rows per block (see _row_batches),
-    is gathered one row at a time, its lo side as runs of repeated points.
-    On blocks of random tables (2-vCPU host), the 2-D gather was the slower
-    at up to 8 rows on every shape from 4^3 to 32^2, and at any count up to
-    128 rows from 4^4 (9,744 pairs) up; it was faster only at 32 or more
-    rows of shapes with about 1,000 pairs, as 4^3 and 8^2, whose blocks
-    hold about 100 rows.
-    """
+    lo, 0 at hi."""
     st = shape_tables(shape)
-    if 16 * len(st.lo) < BATCH_CELLS:
-        return (block[:, st.lo] > block[:, st.hi]).ravel().nonzero()[0]
-    runs = _lo_runs(shape)
-    mask = np.empty((len(block), len(st.lo)), dtype=bool)
-    for table, out in zip(block, mask):
-        np.greater(table.repeat(runs), table[st.hi], out=out)
-    return mask.ravel().nonzero()[0]
+    return (block[:, st.lo] > block[:, st.hi]).ravel().nonzero()[0]
 
 
 def _optimal_assignment(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -615,26 +741,43 @@ class IsoperimetrySweep:
 
 
 def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySweep:
-    """Exact influence counts, Γ⁻ and the optimal matching of each row of a
-    (functions, n^d) bit array.
+    """Exact influence counts, Γ⁻ and the optimal matching's size and summed
+    distance for each row of a (functions, n^d) bit array.
 
     Each block of rows is one graph whose vertices are the points of all its
     rows (see _vertex_ids).  Γ⁻ is one maximum matching of the block's
-    violated augmented edges in scipy, and the optimal matching is one
-    checked assignment solve per row (see _optimal_assignment).
+    violated augmented edges in scipy.  The optimal matching's counts come
+    from one min-cost flow per block (_matching_flow) on shapes of more than
+    _ASSIGNMENT_POINTS points, and from one checked assignment solve per row
+    (_optimal_assignment) on smaller ones; a row with no violated edge is
+    monotone and needs neither.
     """
-    tables = _checked_tables(shape, tables)
-    width = max(len(shape_tables(shape).lo), len(_aug_edges_by_lo(shape)[1]), shape.size)
+    tables = _checked_tables(shape, tables, DISTANCE_CAPACITY, "isoperimetry sweep")
+    edges = len(_aug_edges_by_lo(shape)[1])
+    flow = shape.size > _ASSIGNMENT_POINTS
+    if flow:
+        # a flow's row has 2 (edges + points) residual arcs; at 16 cells per edge
+        # and point a block holds 2 rows at 8^3 and 1 at 32^2, and larger blocks
+        # were no faster, as every row of a block waits for its last phase
+        width = 16 * (edges + shape.size)
+    else:
+        width = max(len(shape_tables(shape).lo), edges, shape.size)
     counts = []   # per block: violated, upward, gamma, matched, total
     for rows in _row_batches(len(tables), width):
         block = tables[rows]
-        kept_row, _, _, kept_dist = _optimal_assignment(shape, block)
-        down, up = _edge_masks(shape, block)   # after the solves, so as not to hold two copies
-        gamma_row, _ = _gamma_edges(shape, block, down)
+        down, up = _edge_masks(shape, block)
+        gamma_row, gamma_k = _gamma_edges(shape, block, down)
+        busy = down.any(axis=1).nonzero()[0]
+        matched, total = np.zeros((2, len(block)), np.int64)
+        if flow and len(busy):
+            matched[busy], total[busy] = _matching_flow(shape, block[busy],
+                                                        busy.searchsorted(gamma_row), gamma_k)
+        elif len(busy):
+            kept_row, _, _, kept_dist = _optimal_assignment(shape, block[busy])
+            matched[busy] = np.bincount(kept_row, minlength=len(busy))
+            total[busy] = np.bincount(kept_row, kept_dist, minlength=len(busy))
         counts.append((down.sum(axis=1), up.sum(axis=1),
-                       np.bincount(gamma_row, minlength=len(block)),
-                       np.bincount(kept_row, minlength=len(block)),
-                       np.bincount(kept_row, kept_dist, minlength=len(block)).astype(np.int64)))
+                       np.bincount(gamma_row, minlength=len(block)), matched, total))
     columns = ([np.concatenate(c).astype(np.int64, copy=False) for c in zip(*counts)]
                or [np.zeros(0, np.int64) for _ in range(5)])
     return IsoperimetrySweep(shape.size, *columns)
@@ -650,7 +793,8 @@ def isoperimetry_report(f: BoolFunc) -> IsoperimetryReport:
 
     Ratios are omitted (None) for monotone inputs, where eps = 0.
     """
-    return isoperimetry_sweep(f.shape, _bits_of(f)[None]).report(0)
+    bits = _bits_of(f, DISTANCE_CAPACITY, "isoperimetry sweep")
+    return isoperimetry_sweep(f.shape, bits[None]).report(0)
 
 
 @dataclass(frozen=True)

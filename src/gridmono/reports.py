@@ -9,6 +9,7 @@ so the bytes do not depend on how the walks are batched.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -17,7 +18,7 @@ from .errors import CapacityError
 from .func import BoolFunc, _mask_blocks, generate
 from .grid import GridShape
 from .oracle import (
-    ORACLE_CAPACITY,
+    DISTANCE_CAPACITY,
     distance_to_monotonicity,
     isoperimetry_sweep,
     violated_aug_edges,
@@ -69,8 +70,8 @@ def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
     for n, d in shapes:
         shape = GridShape(n, d)
         size = shape.size
-        if size > ORACLE_CAPACITY:
-            raise CapacityError("isoperimetry sweep", size, ORACLE_CAPACITY)
+        if size > DISTANCE_CAPACITY:
+            raise CapacityError("isoperimetry sweep", size, DISTANCE_CAPACITY)
         if size <= 16:
             masks = range(1 << size)
         else:
@@ -84,7 +85,9 @@ def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
             # exact below 2^53, so each division rounds once, as float(Fraction) does
             values = np.stack([m / size, (neg + pos) / size, neg / size, g / size, total / m,
                                *(num / den for num, den in ratio_terms(neg, g, m, total))], axis=1)
-            rows.extend(",".join([str(n), str(d), str(masks[first + k]), *map(repr, row)])
+            # Decimal, because str(int) refuses more than 4300 digits (see
+            # sys.get_int_max_str_digits), and a mask of 2^14 points has 4933
+            rows.extend(",".join([str(n), str(d), str(Decimal(masks[first + k])), *map(repr, row)])
                         for k, row in zip(far.tolist(), values.tolist()))
     return rows
 

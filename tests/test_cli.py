@@ -98,7 +98,7 @@ def test_isoperimetry_report(tmp_path, capsys):
 
 def test_isoperimetry_capacity_exit(tmp_path, capsys):
     out = tmp_path / "iso.csv"
-    code = run(["isoperimetry", "--shapes", "32x3", "--out", str(out)])
+    code = run(["isoperimetry", "--shapes", "2x17", "--out", str(out)])   # twice the 2^16 cap
     assert code == EXIT_CAPACITY
     capsys.readouterr()
 

@@ -1,13 +1,17 @@
 """Exact-oracle tests: distances, matchings, influences, and their cross-checks."""
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra, maximum_flow
 
 from gridmono import func, oracle, reports
 from gridmono.errors import CapacityError, IntegrityError
@@ -237,7 +241,6 @@ def test_shape_tables_comparable_matches_scalar_definition():
         assert tuple(zip(*(c.tolist() for c in columns))) == expected, shape
         assert [c.dtype for c in columns] == [np.intp, np.intp, np.uint8]
         assert all(c.flags.c_contiguous and not c.flags.writeable for c in columns)
-        assert np.array_equal(np.repeat(np.arange(shape.size), oracle._lo_runs(shape)), pairs.lo)
         comparable = pairs.comparable   # the derived (pairs, 3) rows
         assert tuple(map(tuple, comparable.tolist())) == expected, shape
         assert comparable.dtype == np.int64 and comparable.shape == (len(expected), 3)
@@ -260,6 +263,7 @@ def test_witness_oracles_build_no_shape_tables():
     f = BoolFunc.from_mask(GridShape(4, 2), 0x0F0F)
     violated_aug_edges(f)
     gamma_minus(f)
+    isoperimetry_report(generate("uniform_random", GridShape(8, 3), seed=2))   # on the flow
     assert shape_tables.cache_info().currsize == 0
 
 
@@ -429,20 +433,28 @@ def same_sweep(a, b) -> bool:
 
 
 def test_isoperimetry_sweep_rows_do_not_depend_on_blocks(monkeypatch):
+    # 8^3 and 32^2 take the min-cost flow, 4^2 the assignment and then, with
+    # the threshold at 0, the flow in blocks of many rows (40 in `expected`)
     gen = np.random.default_rng(3)
     for shape, count in ((GridShape(4, 2), 40), (GridShape(8, 3), 8), (GridShape(32, 2), 4)):
         tables = (gen.random((count, shape.size)) < gen.random(count)[:, None]).astype(np.uint8)
         tables[1], tables[2] = 0, 1   # constant rows and a monotone one: no violated edge
         tables[3] = generate("random_monotone", shape, seed=4).bits
-        expected = isoperimetry_sweep(shape, tables)
-        for column in ("violated", "matched", "gamma"):
-            assert np.array_equal(getattr(expected, column)[1:4], [0, 0, 0]), column
-        empty = oracle.IsoperimetrySweep(shape.size, *(np.zeros(0, np.int64) for _ in range(5)))
-        for cells in (1, 7, 64):
-            with monkeypatch.context() as patch:
-                patch.setattr(oracle, "BATCH_CELLS", cells)
-                assert same_sweep(isoperimetry_sweep(shape, tables), expected), (shape, cells)
-                assert same_sweep(isoperimetry_sweep(shape, tables[:0]), empty), (shape, cells)
+        thresholds = [oracle._ASSIGNMENT_POINTS]
+        if shape.size <= oracle._ASSIGNMENT_POINTS:
+            thresholds.append(0)
+        for assignment_points in thresholds:
+            monkeypatch.setattr(oracle, "_ASSIGNMENT_POINTS", assignment_points)
+            expected = isoperimetry_sweep(shape, tables)
+            for column in ("violated", "matched", "gamma"):
+                assert np.array_equal(getattr(expected, column)[1:4], [0, 0, 0]), column
+            empty = oracle.IsoperimetrySweep(shape.size, *(np.zeros(0, np.int64) for _ in range(5)))
+            for cells in (1, 7, 64):
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "BATCH_CELLS", cells)
+                    assert same_sweep(isoperimetry_sweep(shape, tables), expected), (shape, cells)
+                    assert same_sweep(isoperimetry_sweep(shape, tables[:0]), empty), (shape, cells)
+            monkeypatch.undo()
 
 
 def test_isoperimetry_sweep_rows_match_per_function_oracles(monkeypatch):
@@ -465,6 +477,156 @@ def test_isoperimetry_sweep_rows_match_per_function_oracles(monkeypatch):
             assert (sweep.report(k).influence.r, sweep.total[k]) == (
                 mstar.r, sum(directed_distance(shape, x, y) for x, y in mstar.pairs))
             assert sweep.report(k) == isoperimetry_report(f), (shape, k)
+
+
+def matching_counts(shape, tables, assignment_points, monkeypatch):
+    """(matched, total) columns of isoperimetry_sweep with the given threshold."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_ASSIGNMENT_POINTS", assignment_points)
+        sweep = isoperimetry_sweep(shape, tables)
+    return sweep.matched, sweep.total
+
+
+def test_flow_matches_the_assignment(monkeypatch):
+    # the flow on every shape (threshold 0) against the assignment on every
+    # shape (threshold at the shape tables' cap)
+    gen = np.random.default_rng(16)
+    cases = [(GridShape(n, d), _mask_bits(range(1 << n ** d), n ** d))
+             for n, d in ((2, 2), (2, 3), (3, 2))]
+    cases.append((GridShape(4, 2), _mask_bits(gen.integers(0, 1 << 16, 8192).tolist(), 16)))
+    for (n, d), count in (((4, 3), 40), ((8, 2), 40), ((2, 8), 12), ((8, 3), 8), ((32, 2), 4),
+                          ((4, 5), 4), ((16, 3), 2)):
+        shape = GridShape(n, d)
+        densities = gen.random(count)
+        cases.append((shape, (gen.random((count, shape.size)) < densities[:, None]).astype(np.uint8)))
+    for shape, tables in cases:
+        flow = matching_counts(shape, tables, 0, monkeypatch)
+        assignment = matching_counts(shape, tables, oracle.ORACLE_CAPACITY, monkeypatch)
+        for got, want in zip(flow, assignment):
+            assert got.dtype == np.int64 and np.array_equal(got, want), shape
+        assert flow[0].any(), shape
+
+
+def far_past_gamma(count):
+    """Tables of the first `count` masks on 4^2 whose optimal matching has at
+    least two pairs more than their Γ⁻, so the flow needs a phase past its
+    start from the Γ⁻ matching."""
+    sweep = full_sweep(4, 2)
+    return _mask_bits((sweep.matched - sweep.gamma >= 2).nonzero()[0][:count].tolist(), 16)
+
+
+def patched_flow(monkeypatch, change):
+    """Patch oracle.maximum_flow so that change(flow, source) edits each
+    phase's flow before the min-cost flow reads it; returns the call log."""
+    solve, calls = oracle.maximum_flow, []
+
+    def patched(graph, source, sink, method):
+        flow = solve(graph, source, sink, method=method).flow
+        calls.append(change(flow, source))
+        return SimpleNamespace(flow=flow)
+
+    monkeypatch.setattr(oracle, "maximum_flow", patched)
+    monkeypatch.setattr(oracle, "_ASSIGNMENT_POINTS", 0)
+    return calls
+
+
+def drop_unit(flow, source, row=None, size=None):
+    """Take one unit off an arc from the source (into row `row` if given) and
+    off its reverse, without the rest of its path; True if one was found."""
+    heads = flow.indices[flow.indptr[source]:flow.indptr[source + 1]]
+    used = flow.data[flow.indptr[source]:flow.indptr[source + 1]] > 0
+    if row is not None:
+        used &= heads // size == row
+    if not used.any():
+        return False
+    v = heads[used.nonzero()[0][0]]
+    flow[source, v] -= 1
+    flow[v, source] += 1
+    return True
+
+
+def test_dropped_flow_unit_is_caught(monkeypatch):
+    # rows 1 and 2 of mask 831 are (1, 1, 0, 0): Γ⁻ is 6 of its 8 pairs, and
+    # the one phase past it moves two units, so one of them can be dropped
+    f = BoolFunc.from_mask(GridShape(4, 2), 831)
+    calls = patched_flow(monkeypatch, drop_unit)
+    with pytest.raises(IntegrityError, match="not conserved"):
+        isoperimetry_sweep(f.shape, f.bits[None])
+    with pytest.raises(IntegrityError, match="not conserved"):
+        isoperimetry_report(f)
+    assert calls == [True, True]
+
+
+def test_dropped_flow_unit_in_one_row_of_a_block_is_caught(monkeypatch):
+    shape = GridShape(4, 2)
+    tables = far_past_gamma(12)
+    expected = isoperimetry_sweep(shape, tables)   # one block of rows
+    calls = patched_flow(monkeypatch, lambda flow, source: drop_unit(flow, source, 5, shape.size))
+    with pytest.raises(IntegrityError, match="not conserved"):
+        isoperimetry_sweep(shape, tables)
+    assert len(tables) == len(expected.matched) == 12 and any(calls)
+
+
+def test_flow_that_moves_nothing_is_caught(monkeypatch):
+    shape = GridShape(4, 2)
+    tables = far_past_gamma(12)
+
+    def clear(flow, source):
+        flow.data[:] = 0
+        return True
+
+    calls = patched_flow(monkeypatch, clear)
+    for block in (tables[:1], tables):   # one row, and a block of rows
+        with pytest.raises(IntegrityError, match="moved no flow"):
+            isoperimetry_sweep(shape, block)
+    assert len(calls) == 2
+
+
+def test_scipy_csgraph_behaviour_the_flow_relies_on():
+    # 0 -> 1 weight 0 (stored), 1 -> 2 weight 1, 0 -> 3 inf (stored): no arc
+    graph = csr_matrix((np.array([0.0, np.inf, 1.0]), np.array([1, 3, 2], np.int32),
+                        np.array([0, 2, 3, 3, 3], np.int32)), shape=(4, 4))
+    assert graph.nnz == 3
+    assert dijkstra(graph, indices=0).tolist() == [0.0, 0.0, 1.0, np.inf]
+    # capacities 0 -> 1: 2, 0 -> 2: 0 (stored), 1 -> 3: 1, 2 -> 3: 5
+    caps = csr_matrix((np.array([2, 0, 1, 5], np.int32), np.array([1, 2, 3, 3], np.int32),
+                       np.array([0, 2, 3, 4, 4], np.int32)), shape=(4, 4))
+    result = maximum_flow(caps, 0, 3, method="dinic")
+    assert result.flow_value == 1
+    assert result.flow[0, 1] == 1 and result.flow[1, 3] == 1 and result.flow[0, 2] == 0
+
+
+def test_isoperimetry_past_the_comparable_pairs_cap():
+    shape = GridShape(2, 13)   # 8192 points, twice the shape tables' cap
+    rep = isoperimetry_report(generate("anti_slab", shape))
+    assert rep.influence.eps == Fraction(1, 2)
+    assert all(r is not None and r > 0 for r in (rep.margulis_ratio, rep.edge_ratio,
+                                                 rep.vertex_ratio))
+
+
+def test_isoperimetry_rows_past_the_comparable_pairs_cap():
+    # the sampled mask of 2^14 points has 4933 digits, past str(int)'s default limit
+    (row,) = reports.isoperimetry_rows([(2, 14)], 5, samples=1)
+    mask = derive_rng(5, "iso:2:14").randrange(1 << (1 << 14))
+    n, d, function_id, eps = row.split(",")[:4]
+    assert (n, d) == ("2", "14") and int(Decimal(function_id)) == mask
+    assert 0 < float(eps) <= 0.5
+
+
+def test_isoperimetry_capacity_is_checked_before_any_graph(monkeypatch):
+    calls = []
+    for name in ("_edge_masks", "_matching_flow", "_optimal_assignment"):
+        monkeypatch.setattr(oracle, name, lambda *args: calls.append(args))
+    shape = GridShape(2, 17)
+    assert shape.size == 2 * DISTANCE_CAPACITY
+    f = BoolFunc.from_predicate(shape, lambda x: calls.append(x) or 0)
+    with pytest.raises(CapacityError, match="isoperimetry sweep"):
+        isoperimetry_report(f)
+    with pytest.raises(CapacityError, match="isoperimetry sweep"):
+        isoperimetry_sweep(shape, np.zeros((1, shape.size), np.uint8))
+    with pytest.raises(CapacityError, match="isoperimetry sweep"):
+        reports.isoperimetry_rows([(2, 17)], 0, samples=1)
+    assert calls == [] and f.queries == 0
 
 
 def test_isoperimetry_report_reads_the_table_once():
@@ -497,10 +659,11 @@ def test_influence_identities(rng):
             assert rep.I_minus == 0
 
 
-# Every grid of at most 256 points.  The per-report cost sets this bound, not
-# the shape tables (2.2 s cold at the 4096-point cap): on a 2-vCPU host one
-# influence_report takes about 0.1 s at 1024 points and 2 s at 4096, and
-# hypothesis draws sixty examples.
+# Every grid of at most 256 points: the shapes whose reports take the
+# assignment (oracle._ASSIGNMENT_POINTS); test_flow_matches_the_assignment
+# checks the flow above.  On a 2-vCPU host each of these shapes' tables
+# builds in under 2 ms cold and one influence_report takes under 2 ms, so
+# the bound is not set by cost.
 SMALL_SHAPES = [GridShape(n, d) for n in range(2, 257) for d in range(1, 9) if n ** d <= 256]
 
 
@@ -549,11 +712,29 @@ def test_influence_bound_sampled(rng):
 # ----------------------------------------------------------------------
 # batch kernels against the per-function oracles
 
+def reference_aug_edges(shape):
+    """(lo, hi) linear indices of every augmented edge, from the definition:
+    x -> x + s e_i for each axis i and each power of two s < n."""
+    pairs = []
+    for x in points(shape):
+        for i in range(shape.d):
+            s = 1
+            while x[i] + s < shape.n:
+                y = x[:i] + (x[i] + s,) + x[i + 1:]
+                pairs.append((linear_index(shape, x), linear_index(shape, y)))
+                s *= 2
+    return np.array(pairs).T
+
+
 @pytest.mark.parametrize("shape", [GridShape(4, 2), GridShape(2, 3)])
-def test_edge_counts_batch_exhaustive(shape):
+def test_edge_counts_batch_exhaustive(shape, rng):
     masks = range(1 << shape.size)
-    violated, upward = edge_counts_batch(shape, _mask_bits(masks, shape.size))
-    for mask in masks:
+    tables = _mask_bits(masks, shape.size)
+    violated, upward = edge_counts_batch(shape, tables)
+    lo, hi = reference_aug_edges(shape)   # one column per edge, one row per mask
+    assert np.array_equal(violated, (tables[:, lo] > tables[:, hi]).sum(axis=1))
+    assert np.array_equal(upward, (tables[:, lo] < tables[:, hi]).sum(axis=1))
+    for mask in rng.sample(masks, 200):   # the one-row witness view
         s_minus, s_plus = violated_aug_edges(BoolFunc.from_mask(shape, mask))
         assert (violated[mask], upward[mask]) == (len(s_minus), len(s_plus)), mask
 

@@ -134,15 +134,15 @@ def _coefficient_weights(shape: GridShape, dim: int, bit: int) -> np.ndarray:
     """(n^d, 2) int64 weights of the two coefficient routes.
 
     Column 0 is the single-bit character, read off each point's coordinate
-    bit.  Column 1 is +1 on the lower and -1 on the upper endpoints of the
-    even matching with step 2^bit along dim, read off the grid's matching.
+    bit.  Column 1 adds +1 at the lower and -1 at the upper endpoint of each
+    edge of the even matching with step 2^bit along dim.
     """
     weights = np.zeros((shape.size, 2), dtype=np.int64)
     coord = np.arange(shape.size) // shape.n ** dim % shape.n
     weights[:, 0] = np.where(coord & (1 << bit), -1, 1)
-    for lo, hi in _matching_edges(shape, MatchingId(dim, bit, 0)):
-        weights[lo, 1] += 1
-        weights[hi, 1] -= 1
+    lo, hi = _matching_edges(shape, MatchingId(dim, bit, 0))
+    np.add.at(weights[:, 1], lo, 1)
+    np.subtract.at(weights[:, 1], hi, 1)
     return weights
 
 

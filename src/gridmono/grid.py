@@ -11,7 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
+
+from .errors import CapacityError
 
 # compare() outcomes
 LESS = "less"
@@ -26,6 +30,8 @@ UNMATCHED = "unmatched"
 
 # Construction guard: n^d must stay addressable as a platform index.
 MAX_POINTS = 1 << 62
+_MAX_DIMENSIONS = 1 << 16      # d's entries fit one call of the walk kernel
+_EDGE_TABLE_POINTS = 1 << 16   # the augmented edge table's O(N d log n) rows
 
 Point = tuple
 
@@ -40,8 +46,10 @@ class GridShape:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
-        # Avoid computing an astronomically large n**d just to reject it.
-        if self.d * max(self.n - 1, 1).bit_length() > 70 or self.n ** self.d > MAX_POINTS:
+        if self.d > _MAX_DIMENSIONS:
+            raise CapacityError("grid", self.d, _MAX_DIMENSIONS, "dimensions")
+        # n^d >= 2^(d floor(log2 n)), so no astronomically large power is computed
+        if self.d * (self.n.bit_length() - 1) > 62 or self.n ** self.d > MAX_POINTS:
             raise ValueError(f"grid {self.n}^{self.d} exceeds the index range")
 
     @property
@@ -63,7 +71,8 @@ class GridShape:
 class MatchingId:
     """Identifier of the edge matching with step 2**exp along `dim`.
 
-    parity 0 matchings are perfect; parity 1 matchings leave the boundary
+    A step edge from v along dim is in the matching of parity (v >> exp) & 1;
+    parity 0 matchings are perfect, parity 1 matchings leave the boundary
     blocks unmatched and are empty at the largest exponent.
     """
 
@@ -122,6 +131,12 @@ def point_of(shape: GridShape, idx: int) -> Point:
     return tuple(coords)
 
 
+def _point_tuples(shape: GridShape, idx) -> List[tuple]:
+    """point_of of every linear index in `idx`, in row-major order."""
+    coords = np.asarray(idx, dtype=np.int64).reshape(-1, 1) // shape.n ** np.arange(shape.d) % shape.n
+    return list(map(tuple, coords.tolist()))
+
+
 def points(shape: GridShape) -> Iterator[Point]:
     """All grid points in linear-index order."""
     for rev in itertools.product(range(shape.n), repeat=shape.d):
@@ -134,7 +149,8 @@ def unit_steps(shape: GridShape) -> Iterator[tuple]:
     Dimension by dimension, and within a dimension in increasing lo, so one
     in-order pass of "if table[lo]: table[hi] = 1" closes a table upward.
     """
-    return itertools.chain.from_iterable(_step_edges(shape, dim, 1) for dim in range(shape.d))
+    lo, hi, _, exp, _ = _edge_table(shape)
+    return zip(lo[exp == 0].tolist(), hi[exp == 0].tolist())
 
 
 def compare(x: Point, y: Point) -> str:
@@ -190,7 +206,7 @@ def side_in_matching(shape: GridShape, x: Point, m: MatchingId) -> str:
     reports as unmatched.  This is the side notion used for pair
     classification and the pair potential.
     """
-    return LOWER if _parity(x[m.dim], m.step) == m.parity else UPPER
+    return LOWER if x[m.dim] >> m.exp & 1 == m.parity else UPPER
 
 
 def _with_coord(x: Point, dim: int, v: int) -> Point:
@@ -207,15 +223,15 @@ def matching_ids(shape: GridShape) -> Iterator[MatchingId]:
 
 def enumerate_matching(shape: GridShape, m: MatchingId) -> list:
     """All edges of the matching m, lower endpoint first."""
-    return [AugEdge(point_of(shape, lo), point_of(shape, hi), m)
-            for lo, hi in _matching_edges(shape, m)]
+    lo, hi = _matching_edges(shape, m)
+    return [AugEdge(x, y, m) for x, y in zip(_point_tuples(shape, lo), _point_tuples(shape, hi))]
 
 
-def _matching_edges(shape: GridShape, m: MatchingId) -> list:
+def _matching_edges(shape: GridShape, m: MatchingId) -> Tuple[np.ndarray, np.ndarray]:
     """(lo, hi) linear indices of the edges of the matching m, in increasing lo."""
     check_matching_id(shape, m)
-    return [(lo, hi) for lo, hi, owner in _tagged_edges(shape, m.dim, m.exp)
-            if owner.parity == m.parity]
+    lo, hi, parity = _step_slice(shape, m.dim, m.exp)   # only m's slice of the edge table
+    return lo[parity == m.parity], hi[parity == m.parity]
 
 
 def steps(shape: GridShape) -> list:
@@ -223,38 +239,36 @@ def steps(shape: GridShape) -> list:
     return [1 << exp for exp in range((shape.n - 1).bit_length())]
 
 
-def _step_edges(shape: GridShape, dim: int, s: int) -> Iterator[tuple]:
-    """(lo, hi) linear indices of every step-s edge along dim, in increasing lo:
-    each block of n^(dim+1) indices joins its first (n - s) n^dim to s n^dim above."""
-    stride = shape.n ** dim
-    span, jump = (shape.n - s) * stride, s * stride
-    return itertools.chain.from_iterable(
-        zip(range(base, base + span), range(base + jump, base + jump + span))
-        for base in range(0, shape.size, stride * shape.n))
+def _step_slice(shape: GridShape, dim: int, exp: int) -> Tuple[np.ndarray, ...]:
+    """(lo, hi, parity) of every step-s edge along dim, s = 2^exp, in increasing lo: each
+    block of n^(dim+1) indices joins its first (n - s) n^dim to s n^dim above."""
+    n, stride = shape.n, shape.n ** dim
+    lo = np.arange(shape.size).reshape(-1, n, stride)[:, :n - (1 << exp)].ravel()
+    return lo, lo + (stride << exp), lo // stride % n >> exp & 1
 
 
-def _parity(v: int, s: int) -> int:
-    """Parity of the matching owning a step-s edge whose lower end has v along its axis."""
-    return int(v % (2 * s) >= s)
-
-
-def _tagged_edges(shape: GridShape, dim: int, exp: int) -> Iterator[tuple]:
-    """(lo, hi, owning MatchingId) of every step-2^exp edge along dim."""
-    s, stride = 1 << exp, shape.n ** dim
-    ids = (MatchingId(dim, exp, 0), MatchingId(dim, exp, 1))
-    return ((lo, hi, ids[_parity(lo // stride % shape.n, s)])
-            for lo, hi in _step_edges(shape, dim, s))
-
-
-def _aug_edges(shape: GridShape) -> Iterator[tuple]:
-    """(lo, hi, MatchingId) of every augmented edge, by dimension, then step, then lo."""
-    exps = range(len(steps(shape)))
-    return itertools.chain.from_iterable(
-        _tagged_edges(shape, dim, exp) for dim in range(shape.d) for exp in exps)
+@lru_cache(maxsize=16)   # 11 bytes an edge: 10 MB at 256^2
+def _edge_table(shape: GridShape) -> Tuple[np.ndarray, ...]:
+    """Every augmented edge as read-only columns (lo, hi, dim, exp, parity): its
+    ends' linear indices (int32) and its owning MatchingId (uint8), by dimension,
+    then step, then lo, so row r is _aug_edge_at(shape, r); filled one (dimension,
+    step) slice at a time.  CapacityError above 2^16 points, before any allocation."""
+    if shape.size > _EDGE_TABLE_POINTS:
+        raise CapacityError("augmented edge table", shape.size, _EDGE_TABLE_POINTS)
+    rows, end = num_augmented_edges(shape), 0
+    dtypes = 2 * [np.int32] + 3 * [np.uint8]
+    columns = lo, hi, dim, exp, parity = tuple(np.empty(rows, t) for t in dtypes)
+    for i, e in itertools.product(range(shape.d), range(len(steps(shape)))):
+        span = slice(end, end + _edges_per_step(shape)[e])
+        lo[span], hi[span], parity[span] = _step_slice(shape, i, e)
+        dim[span], exp[span], end = i, e, span.stop
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
 
 def _aug_edge_at(shape: GridShape, r: int) -> tuple:
-    """Edge r of _aug_edges(shape), by arithmetic instead of enumeration."""
+    """Row r of _edge_table(shape), by arithmetic instead of enumeration."""
     counts = _edges_per_step(shape)
     dim, r = divmod(r, sum(counts))
     if not 0 <= dim < shape.d:
@@ -266,17 +280,25 @@ def _aug_edge_at(shape: GridShape, r: int) -> tuple:
     s, stride = 1 << exp, shape.n ** dim
     block, offset = divmod(r, (shape.n - s) * stride)
     lo = block * stride * shape.n + offset
-    return lo, lo + s * stride, MatchingId(dim, exp, _parity(offset // stride, s))
+    return lo, lo + s * stride, MatchingId(dim, exp, offset // stride >> exp & 1)
 
 
 def enumerate_augmented_edges(shape: GridShape) -> Iterator[AugEdge]:
-    """Every augmented edge, each tagged with the matching that owns it.
+    """Every augmented edge in _edge_table's order (so at most 2^16 points),
+    each tagged with the matching that owns it.
 
     Works for any n (steps are the powers of two at most n-1); for
     power-of-two n the tags partition the edge set into the matching family.
     """
-    for lo, hi, m in _aug_edges(shape):
-        yield AugEdge(point_of(shape, lo), point_of(shape, hi), m)
+    return _edge_labels(shape, *_edge_table(shape))
+
+
+def _edge_labels(shape: GridShape, lo, hi, dim, exp, parity) -> Iterator[AugEdge]:
+    """The AugEdge of each row of edge-table columns, made as it is read."""
+    pts, ids = _point_tuples(shape, np.arange(shape.size)), {}
+    rows = zip(lo.tolist(), hi.tolist(), zip(dim.tolist(), exp.tolist(), parity.tolist()))
+    return (AugEdge(pts[x], pts[y], ids.get(m) or ids.setdefault(m, MatchingId(*m)))
+            for x, y, m in rows)
 
 
 @lru_cache(maxsize=64)

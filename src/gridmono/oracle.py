@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import (
 
 from .errors import CapacityError, IntegrityError
 from .func import BoolFunc, _check_bits, _table_blocks
-from .grid import AugEdge, GridShape, _aug_edges, unit_steps
+from .grid import AugEdge, GridShape, _edge_labels, _edge_table, _point_tuples
 
 ORACLE_CAPACITY = 4096
 DISTANCE_CAPACITY = 1 << 16   # the cut graph has O(N d) arcs, not the N^2 comparable pairs
@@ -70,8 +70,7 @@ class ShapeTables:
 
 @lru_cache(maxsize=64)
 def shape_tables(shape: GridShape) -> ShapeTables:
-    if shape.size > ORACLE_CAPACITY:
-        raise CapacityError("exact-oracle shape tables", shape.size, ORACLE_CAPACITY)
+    _check_capacity(shape, ORACLE_CAPACITY, "exact-oracle shape tables")
     return ShapeTables(shape, *_comparable(shape))
 
 
@@ -120,12 +119,6 @@ def _comparable(shape: GridShape) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lo_col, hi_col, dist_col
 
 
-def _point_tuples(shape: GridShape, idx) -> List[tuple]:
-    """grid.point_of of every linear index in `idx`, in row-major order."""
-    coords = np.asarray(idx, dtype=np.int64).reshape(-1, 1) // shape.n ** np.arange(shape.d) % shape.n
-    return list(map(tuple, coords.tolist()))
-
-
 def _bits_of(f: BoolFunc, limit: int = ORACLE_CAPACITY,
              operation: str = "exact oracle") -> np.ndarray:
     _check_capacity(f.shape, limit, operation)
@@ -146,8 +139,9 @@ def _row_batches(rows: int, width: int) -> Iterator[slice]:
 
 @lru_cache(maxsize=16)   # up to 4 MB each at 2^16 points
 def _unit_step_arrays(shape: GridShape) -> np.ndarray:
-    """(2, steps) int32 lo and hi linear indices of grid.unit_steps."""
-    return np.fromiter(unit_steps(shape), dtype=(np.int32, 2)).T
+    """(2, steps) int32 lo and hi linear indices of grid.unit_steps, in its order."""
+    lo, hi, _, exp, _ = _edge_table(shape)
+    return np.stack((lo[exp == 0], hi[exp == 0]))
 
 
 def _terminal_arcs(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -246,8 +240,7 @@ def distance_to_monotonicity(f: BoolFunc) -> DistanceReport:
 def monotone_masks(shape: GridShape) -> tuple:
     """Bitmasks of every monotone function on a tiny grid: those with no
     violated augmented edge."""
-    if shape.size > BRUTE_FORCE_CAPACITY:
-        raise CapacityError("brute-force distance", shape.size, BRUTE_FORCE_CAPACITY)
+    _check_capacity(shape, BRUTE_FORCE_CAPACITY, "brute-force distance")
     out = []
     for first, tables in _table_blocks(shape):
         violated, _ = edge_counts_batch(shape, tables)
@@ -280,24 +273,17 @@ def brute_force_distance(f: BoolFunc) -> Fraction:
 
 
 @lru_cache(maxsize=64)
-def _aug_edges_by_lo(shape: GridShape) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, lo, hi): the lo and hi linear indices of every augmented
-    edge, stably sorted by lo, where order[k] is the position in _aug_edges
-    of sorted edge k."""
-    pairs = np.array([(lo, hi) for lo, hi, _ in _aug_edges(shape)], dtype=np.intp).reshape(-1, 2)
-    order = pairs[:, 0].argsort(kind="stable")
-    lo, hi = pairs[order].T.copy()
-    return order, lo, hi
+def _aug_edges_by_lo(shape: GridShape) -> Tuple[np.ndarray, ...]:
+    """The columns (lo, hi, dim, exp, parity) of grid._edge_table, stably
+    sorted by lo, with lo and hi as intp, the index type numpy gathers fastest."""
+    order = _edge_table(shape)[0].argsort(kind="stable")
+    lo, hi, *ids = (column[order] for column in _edge_table(shape))
+    return (lo.astype(np.intp), hi.astype(np.intp), *ids)
 
 
-@lru_cache(maxsize=16)   # under 10 MB each at 4096 points
-def _aug_edge_labels(shape: GridShape) -> tuple:
-    """AugEdge k of _aug_edges_by_lo(shape): the labels of the violated_aug_edges
-    and gamma_minus witnesses, O(n^d d log n) objects against the comparable
-    pairs' O(n^2d)."""
-    pts = _point_tuples(shape, np.arange(shape.size))
-    edges = [AugEdge(pts[lo], pts[hi], m) for lo, hi, m in _aug_edges(shape)]
-    return tuple(edges[r] for r in _aug_edges_by_lo(shape)[0].tolist())
+def _witness_labels(shape: GridShape, k: np.ndarray) -> list:
+    """The AugEdge of each edge k of _aug_edges_by_lo(shape)."""
+    return list(_edge_labels(shape, *(column[k] for column in _aug_edges_by_lo(shape))))
 
 
 def _checked_tables(shape: GridShape, tables, limit: int = ORACLE_CAPACITY,
@@ -314,32 +300,25 @@ def _checked_tables(shape: GridShape, tables, limit: int = ORACLE_CAPACITY,
 def _edge_masks(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(violated, upward) masks of the augmented edges, in _aug_edges_by_lo
     order, for each row of a block of tables; both ends are gathered once."""
-    _, lo, hi = _aug_edges_by_lo(shape)
+    lo, hi = _aug_edges_by_lo(shape)[:2]
     below, above = block[:, lo], block[:, hi]
     return below > above, below < above
 
 
 def edge_counts_batch(shape: GridShape, tables: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(|S_minus|, |S_plus|) of violated_aug_edges for each row of `tables`.
-
-    `tables` is a (functions, n^d) array of bits; row k is the table of
-    function k.
-    """
+    """(|S_minus|, |S_plus|) of violated_aug_edges for each row of a
+    (functions, n^d) bit array."""
     tables = _checked_tables(shape, tables)
-    violated = np.empty(len(tables), dtype=np.int64)
-    upward = np.empty(len(tables), dtype=np.int64)
-    for rows in _row_batches(len(tables), len(_aug_edges_by_lo(shape)[1])):
-        down, up = _edge_masks(shape, tables[rows])
-        violated[rows] = down.sum(axis=1)
-        upward[rows] = up.sum(axis=1)
-    return violated, upward
+    counts = np.empty((2, len(tables)), dtype=np.int64)
+    for rows in _row_batches(len(tables), len(_aug_edges_by_lo(shape)[0])):
+        counts[:, rows] = [mask.sum(axis=1) for mask in _edge_masks(shape, tables[rows])]
+    return counts[0], counts[1]
 
 
 def violated_aug_edges(f: BoolFunc) -> Tuple[List[AugEdge], List[AugEdge]]:
     """(S_minus, S_plus): violated and upward-sensitive augmented edges, by lower endpoint."""
-    edges = _aug_edge_labels(f.shape)
-    down, up = (mask[0].nonzero()[0].tolist() for mask in _edge_masks(f.shape, _bits_of(f)[None]))
-    return [edges[k] for k in down], [edges[k] for k in up]
+    down, up = (mask[0].nonzero()[0] for mask in _edge_masks(f.shape, _bits_of(f)[None]))
+    return _witness_labels(f.shape, down), _witness_labels(f.shape, up)
 
 
 @dataclass(frozen=True)
@@ -357,8 +336,7 @@ def gamma_minus(f: BoolFunc) -> GammaReport:
     """
     block = _bits_of(f)[None]
     _, picked = _gamma_edges(f.shape, block, _edge_masks(f.shape, block)[0])
-    edges = _aug_edge_labels(f.shape)
-    witness = tuple(edges[k] for k in picked.tolist())
+    witness = tuple(_witness_labels(f.shape, picked))
     return GammaReport(Fraction(len(witness), f.shape.size), witness)
 
 
@@ -390,7 +368,7 @@ def _gamma_edges(shape: GridShape, block: np.ndarray,
     arcs of one scipy matching over the points of all rows (see _vertex_ids).
     No two edges join the same two points, so partner[u] == v picks one arc.
     """
-    _, lo, hi = _aug_edges_by_lo(shape)
+    lo, hi = _aug_edges_by_lo(shape)[:2]
     n_ones, left, right = _vertex_ids(block)
     row, k = down.nonzero()
     u, v = left[row, lo[k]], right[row, hi[k]]
@@ -446,7 +424,7 @@ def _edge_residuals(shape: GridShape) -> Tuple[np.ndarray, ...]:
     leaving v, forward[k] and back[k] are the positions of edge k's two arcs
     (k as in _aug_edges_by_lo), and slot[v] is the position of v's slot.
     """
-    _, lo, hi = _aug_edges_by_lo(shape)
+    lo, hi = _aug_edges_by_lo(shape)[:2]
     size, edges = shape.size, len(lo)
     tails = np.concatenate((lo, hi, np.arange(size)))
     heads = np.concatenate((hi, lo, np.full(size, size)))
@@ -484,7 +462,7 @@ def _matching_flow(shape: GridShape, block: np.ndarray, gamma_row: np.ndarray,
     no residual arc has negative reduced cost, so its cost is the least.
     """
     heads_one, cost_one, degree_one, forward, back, slot = _edge_residuals(shape)
-    _, lo, hi = _aug_edges_by_lo(shape)
+    lo, hi = _aug_edges_by_lo(shape)[:2]
     size, n_rows, width = shape.size, len(block), len(heads_one)
     source, sink = block.size, block.size + 1
     n_ones, left, right = _vertex_ids(block)
@@ -692,6 +670,16 @@ class IsoperimetryReport:
     vertex_ratio: Optional[Fraction]
 
 
+def ratio_terms(violated, gamma, matched, total) -> Tuple[tuple, ...]:
+    """(numerator, denominator) of the margulis, edge and vertex ratios from
+    integer counts (Python ints or int64 columns): with m matched pairs, summed
+    distance `total`, g = gamma and neg = violated, margulis = I_minus gamma /
+    eps^2 = neg g / m^2, edge = I_minus / (r eps) = neg / total and vertex =
+    gamma r / eps = g total / m^2."""
+    square = matched * matched
+    return (violated * gamma, square), (violated, total), (gamma * total, square)
+
+
 @dataclass(frozen=True)
 class IsoperimetrySweep:
     """Isoperimetry reports of many functions on one grid, one row per function.
@@ -709,17 +697,12 @@ class IsoperimetrySweep:
     total: np.ndarray
 
     def ratios(self, k: int) -> Tuple[Optional[Fraction], ...]:
-        """Row k's (margulis, edge, vertex) ratios; all None when eps = 0.
-
-        With m pairs, summed distance `total`, Γ⁻ count g and `neg` violated
-        edges: margulis = I_minus gamma / eps^2 = neg g / m^2, edge =
-        I_minus / (r eps) = neg / total, vertex = gamma r / eps = g total / m^2.
-        """
-        m = int(self.matched[k])
-        if not m:
+        """Row k's (margulis, edge, vertex) ratios (see ratio_terms); all None
+        when eps = 0."""
+        if not self.matched[k]:
             return None, None, None
-        neg, g, total = int(self.violated[k]), int(self.gamma[k]), int(self.total[k])
-        return Fraction(neg * g, m * m), Fraction(neg, total), Fraction(g * total, m * m)
+        counts = (int(c[k]) for c in (self.violated, self.gamma, self.matched, self.total))
+        return tuple(Fraction(num, den) for num, den in ratio_terms(*counts))
 
     def report(self, k: int) -> IsoperimetryReport:
         size, neg, pos = self.size, int(self.violated[k]), int(self.upward[k])
@@ -753,7 +736,7 @@ def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySwee
     monotone and needs neither.
     """
     tables = _checked_tables(shape, tables, DISTANCE_CAPACITY, "isoperimetry sweep")
-    edges = len(_aug_edges_by_lo(shape)[1])
+    edges = len(_aug_edges_by_lo(shape)[0])
     flow = shape.size > _ASSIGNMENT_POINTS
     if flow:
         # a flow's row has 2 (edges + points) residual arcs; at 16 cells per edge

@@ -20,8 +20,9 @@ from .grid import GridShape
 from .oracle import (
     DISTANCE_CAPACITY,
     distance_to_monotonicity,
+    edge_counts_batch,
     isoperimetry_sweep,
-    violated_aug_edges,
+    ratio_terms,
 )
 from .streams import derive_rng, derive_seed
 from .tester import detection_rate, persistence_fraction
@@ -52,13 +53,6 @@ def rate_rows(shapes: Sequence[Tuple[int, int]], families: Sequence[str], trials
                 str(n), str(d), family, _fmt(eps_true), str(trials), str(rate.rejections),
                 _fmt(rate.estimate), _fmt(rate.wilson_low), _fmt(rate.wilson_high)]))
     return rows
-
-
-def ratio_terms(violated, gamma, matched, total) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-    """(numerators, denominators) of the margulis, edge and vertex ratios from
-    integer count columns, as IsoperimetrySweep.ratios forms them."""
-    square = matched * matched
-    return (violated * gamma, square), (violated, total), (gamma * total, square)
 
 
 def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
@@ -100,8 +94,8 @@ def persistence_rows(shapes: Sequence[Tuple[int, int]], families: Sequence[str],
         shape = GridShape(n, d)
         for family in families:
             f = make_function(family, shape, master_seed, "persistence")
-            s_minus, s_plus = violated_aug_edges(f)
-            total_influence = (len(s_minus) + len(s_plus)) / shape.size
+            violated, upward = edge_counts_batch(shape, f.bits[None])
+            total_influence = int(violated[0] + upward[0]) / shape.size
             for tau in taus:
                 rng = derive_rng(master_seed, f"persistence:{family}:{n}:{d}:{tau}")
                 fraction = persistence_fraction(f, tau, outer_samples, inner_samples, rng)

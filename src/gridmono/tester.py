@@ -33,6 +33,7 @@ from .grid import (
     GridShape,
     MatchingId,
     _aug_edge_at,
+    _edge_table,
     classify_in_matching,
     linear_index,
     num_augmented_edges,
@@ -450,6 +451,5 @@ def exact_rejection_probability(f: BoolFunc) -> Fraction:
 
 def exact_edge_rejection_probability(f: BoolFunc) -> Fraction:
     """Violated fraction of the augmented edge set (edge_test's reject rate)."""
-    from .oracle import violated_aug_edges  # not at import: oracle loads scipy
-
-    return Fraction(len(violated_aug_edges(f)[0]), num_augmented_edges(f.shape))
+    ends = f.bits[np.stack(_edge_table(f.shape)[:2])]   # f at (lo, hi) of every edge
+    return Fraction(int(np.count_nonzero(ends[0] > ends[1])), ends.shape[1])

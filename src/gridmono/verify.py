@@ -32,6 +32,7 @@ from .oracle import (
     monotone_masks,
     optimal_matching,
     optimal_matching_batch,
+    ratio_terms,
 )
 from .reduce import lift, plan
 from .streams import derive_rng, derive_seed
@@ -211,7 +212,7 @@ def sweep_minima(n: int, d: int) -> Tuple[Fraction, Fraction, Fraction]:
     taken over the distinct (numerator, denominator) pairs."""
     sweep = full_sweep(n, d)
     far = sweep.matched > 0
-    terms = reports.ratio_terms(sweep.violated, sweep.gamma, sweep.matched, sweep.total)
+    terms = ratio_terms(sweep.violated, sweep.gamma, sweep.matched, sweep.total)
     return tuple(min(Fraction(a, b) for a, b in
                      np.unique(np.stack([num[far], den[far]], axis=1), axis=0).tolist())
                  for num, den in terms)
@@ -223,7 +224,7 @@ def check_isoperimetry_regression() -> CheckResult:
     for n, d in DISTANCE_SHAPES:
         sweep = full_sweep(n, d)
         swept += len(sweep)
-        terms = reports.ratio_terms(sweep.violated, sweep.gamma, sweep.matched, sweep.total)
+        terms = ratio_terms(sweep.violated, sweep.gamma, sweep.matched, sweep.total)
         nonpositive = np.any([(num <= 0) | (den <= 0) for num, den in terms], axis=0)
         # only the eps-far functions (matched > 0) have ratios
         wrong = np.flatnonzero(nonpositive & (sweep.matched > 0))

@@ -70,6 +70,12 @@ def test_test_subcommand_lift_past_the_index_range(capsys):
     assert "exceeds the index range" in capsys.readouterr().err
 
 
+def test_test_subcommand_dimension_cap(capsys):
+    # refused by the dimension cap, before any power of n is computed
+    assert run(["test", "--family", "anti_slab", "--n", "2", "--d", "1000000000"]) == EXIT_CAPACITY
+    assert "65536" in capsys.readouterr().err
+
+
 def test_rate_report_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -35,6 +35,16 @@ def naive_transform(shape, values):
     return out
 
 
+def character_matrix(shape):
+    """Oracle: the (masks, points) matrix of characters, row k for the mask
+    point_of(k), from the per-coordinate definition: the parity of the summed
+    popcount(mask_i & x_i) over the axes i."""
+    coords = np.array(list(points(shape)))
+    popcount = np.array([v.bit_count() for v in range(shape.n)])
+    parity = sum(popcount[coords[:, None, i] & coords[None, :, i]] for i in range(shape.d))
+    return np.where(parity % 2, -1, 1)
+
+
 def test_walsh_value_examples():
     shape = GridShape(2, 1)
     empty = WalshIndex.empty(1)
@@ -83,8 +93,13 @@ def test_transform_matches_naive_oracle():
     rng = random.Random(31)
     values = [1.0 if rng.getrandbits(1) else -1.0 for _ in range(shape.size)]
     fast = transform(shape, values).coeffs
-    naive = naive_transform(shape, values)
-    assert np.max(np.abs(fast - np.array(naive))) <= 1e-12
+    chars = character_matrix(shape)
+    naive = chars @ np.array(values) / shape.size
+    assert np.max(np.abs(fast - naive)) <= 1e-12
+    for _ in range(2000):   # the matrix is walsh_value's characters
+        mask, x = (point_of(shape, rng.randrange(shape.size)) for _ in range(2))
+        idx = WalshIndex.from_mask_point(shape, mask)
+        assert walsh_value(shape, idx, x) == chars[linear_index(shape, mask), linear_index(shape, x)]
 
 
 def test_parseval(rng):
@@ -134,6 +149,11 @@ def test_edge_coefficient_examples():
     assert edge_coefficient(f, 0, 1) == Fraction(1, 2)
     comp = BoolFunc.from_table(shape, [0, 0, 1, 1])
     assert edge_coefficient(comp, 0, 1) == -Fraction(1, 2)
+    # past the augmented edge table's 2^16 points: a dictator x_5 on 2^17
+    big = GridShape(2, 17)
+    dictator = BoolFunc.from_table(big, np.arange(big.size) >> 5 & 1)
+    assert edge_coefficient(dictator, 5, 0) == -Fraction(1, 2)
+    assert edge_coefficient(dictator, 4, 0) == 0
 
 
 def test_edge_coefficient_antisymmetry(rng):

@@ -451,6 +451,10 @@ def test_load_checks_capacity_from_header():
     with pytest.raises(CapacityError) as exc:
         load(io.BytesIO(blob))
     assert "loading a function file" in str(exc.value) and str(1 << 25) in str(exc.value)
+    # past the dimension cap the header is refused before n^d is formed
+    blob = b"AGF1" + (2).to_bytes(8, "little") + ((1 << 16) + 1).to_bytes(8, "little")
+    with pytest.raises(CapacityError, match="dimensions"):
+        load(io.BytesIO(blob))
 
 
 def test_from_mask():

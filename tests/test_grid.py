@@ -2,10 +2,12 @@
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridmono.errors import CapacityError
 from gridmono.grid import (
     EQUAL,
     GREATER,
@@ -31,7 +33,7 @@ from gridmono.grid import (
     side_in_matching,
     unit_steps,
 )
-from gridmono.grid import _aug_edge_at
+from gridmono.grid import _aug_edge_at, _edge_table, _matching_edges
 
 SMALL_SHAPES = [GridShape(2, 1), GridShape(2, 3), GridShape(4, 1),
                 GridShape(4, 2), GridShape(8, 1), GridShape(8, 2)]
@@ -113,6 +115,45 @@ def test_classify_validation():
         classify_in_matching(shape, (0, 0), MatchingId(0, 3, 0))
     with pytest.raises(ValueError):
         MatchingId(0, 0, 2)
+
+
+def test_grid_shape_index_range():
+    # the shortcut never overestimates log2(n^d), so every grid up to 2^62 fits
+    for n, d in [(3, 39), (5, 26), (1, 71), (2, 62), (1, 1 << 16)]:
+        assert GridShape(n, d).size == n ** d
+    for n, d in [(3, 40), (2, 63)]:
+        with pytest.raises(ValueError, match="exceeds the index range"):
+            GridShape(n, d)
+    # the dimension cap comes before any power of n is computed
+    for n, d in [(2, 10 ** 9), (1, (1 << 16) + 1)]:
+        with pytest.raises(CapacityError, match="dimensions"):
+            GridShape(n, d)
+
+
+def test_edge_table_capacity():
+    # refused at the call, before a single edge of 2^40 points is enumerated
+    shape = GridShape(2, 40)
+    for build in (enumerate_augmented_edges, unit_steps, _edge_table):
+        with pytest.raises(CapacityError, match="augmented edge table"):
+            build(shape)
+    # the arithmetic decode needs no table, up to 2^62 points
+    big = GridShape(2, 62)
+    assert _aug_edge_at(big, num_augmented_edges(big) - 1) == (
+        (1 << 61) - 1, (1 << 62) - 1, MatchingId(61, 0, 0))
+    # a matching builds only its own slice, so it has no such cap
+    lo, hi = _matching_edges(GridShape(2, 17), MatchingId(16, 0, 0))
+    assert np.array_equal(lo, np.arange(1 << 16)) and np.array_equal(hi, lo + (1 << 16))
+
+
+def test_edge_table_columns():
+    for shape in [GridShape(2, 3), GridShape(5, 3), GridShape(6, 2), GridShape(1, 4)]:
+        columns = _edge_table(shape)
+        assert [c.dtype for c in columns] == [np.int32, np.int32, np.uint8, np.uint8, np.uint8]
+        assert all(len(c) == num_augmented_edges(shape) and not c.flags.writeable for c in columns)
+        assert list(zip(*(c.tolist() for c in columns))) == [
+            (lo, hi, m.dim, m.exp, m.parity)
+            for lo, hi, m in map(_aug_edge_at, [shape] * num_augmented_edges(shape),
+                                 range(num_augmented_edges(shape)))]
 
 
 def test_enumerate_matching_examples():

@@ -255,7 +255,8 @@ def test_witness_labels_match_the_scalar_definitions():
         assert oracle._point_tuples(shape, np.arange(shape.size)) == list(points(shape))
         if shape.size <= 4096:
             by_lo = sorted(enumerate_augmented_edges(shape), key=lambda e: linear_index(shape, e.lower))
-            assert oracle._aug_edge_labels(shape) == tuple(by_lo)
+            every = np.arange(len(by_lo))
+            assert oracle._witness_labels(shape, every) == by_lo
 
 
 def test_witness_oracles_build_no_shape_tables():

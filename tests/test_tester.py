@@ -340,19 +340,26 @@ def test_tau_two_subset_uniform_through_persistence():
     checked = 0
     for seed in range(8):
         seen = []
-        f = BoolFunc.from_predicate(shape, lambda p: seen.append(p) or 0)
+        f = BoolFunc.from_predicate(shape, lambda p: 0)
+        # the vectorised predicate records every queried point, batch by batch
+        f._batch = lambda pts: seen.append(pts.copy()) or np.zeros(len(pts), np.uint8)
         persistence_fraction(f, 2, 1, inner, random.Random(seed))
-        x, ys = seen[0], seen[1:]
+        queried = np.concatenate(seen)
+        x, ys = queried[0], queried[1:]
         assert len(ys) == inner
-        zeros = [i for i, v in enumerate(x) if v == 0]
+        zeros = np.flatnonzero(x == 0)
         if len(zeros) < 3:
             continue
-        pairs = {pair: k for k, pair in enumerate(combinations(zeros, 2))}
-        counts = np.zeros(len(pairs), dtype=np.int64)
-        for y in ys:
-            changed = tuple(i for i in range(shape.d) if y[i] != x[i])
-            if changed:
-                counts[pairs[changed]] += 1
+        changed = ys != x
+        moved = changed.any(axis=1)
+        # a walk that moves changes exactly one pair of zero coordinates of x
+        assert (changed[moved].sum(axis=1) == 2).all() and not changed[:, x != 0].any()
+        first = changed.argmax(axis=1)[moved]
+        last = shape.d - 1 - changed[:, ::-1].argmax(axis=1)[moved]
+        pair_of = np.full((shape.d, shape.d), -1)
+        for k, (i, j) in enumerate(combinations(zeros.tolist(), 2)):
+            pair_of[i, j] = k
+        counts = np.bincount(pair_of[first, last], minlength=len(zeros) * (len(zeros) - 1) // 2)
         assert chisquare(counts).pvalue > CHI_SQUARE_ALPHA
         checked += 1
     assert checked >= 3

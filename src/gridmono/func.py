@@ -89,9 +89,10 @@ class BoolFunc:
         if points.ndim != 2 or points.shape[1] != shape.d or points.dtype.kind not in "iu":
             raise ValueError(f"points must be an integer array of shape (B, {shape.d}), "
                              f"got {points.dtype} {points.shape}")
-        if points.size and (points.min() < 0 or points.max() >= shape.n):
-            raise ValueError(f"coordinate out of range [0, {shape.n})")
         points = points.astype(np.int64, copy=False)
+        # one pass for both bounds: viewed unsigned, a negative value is >= 2^63
+        if points.size and points.view(np.uint64).max() >= np.uint64(shape.n):
+            raise ValueError(f"coordinate out of range [0, {shape.n})")
         with self._lock:
             self.queries += len(points)
         if self._bits is not None:

@@ -521,6 +521,8 @@ def _matching_flow(shape: GridShape, block: np.ndarray, gamma_row: np.ndarray,
         resid[at] -= flow.data[moved]
         if resid[at].min() < 0:
             raise IntegrityError("flow exceeds an arc's capacity")
+        # not kept through the next phase's dijkstra and maximum flow
+        del flow, moved, key, at
     edge_flow = resid[back_at]
     # a 1-point's slot holds the flow from the source, a 0-point's the capacity left to the sink
     in_slot = resid[slots]

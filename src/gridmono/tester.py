@@ -165,10 +165,9 @@ def _below(words: np.ndarray, k) -> np.ndarray:
     """floor(u * k), u uniform on the 53-bit dyadics in [0, 1) from each word.
 
     Exact for k a power of two; otherwise each value's probability is off by
-    at most 2^-53.
+    at most 2^-53.  u = m * 2^-53 exactly, so m * (k * 2^-53) rounds as u * k.
     """
-    u = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-    return (u * k).astype(np.int64)
+    return ((words >> np.uint64(11)) * (k * 2.0 ** -53)).astype(np.int64)
 
 
 def _taus(words: np.ndarray, d: int) -> np.ndarray:
@@ -192,23 +191,30 @@ def _draw_walks(shape: GridShape, key: np.ndarray, start: int, count: int,
     taus = _taus(w[:, 0], d) if tau is None else np.full(count, tau, dtype=np.int64)
     coord = w[:, 1 + picks:1 + picks + d]
     if x is None:
-        x = (coord & np.uint64(n - 1)).astype(np.int64)
-    parity = (coord >> np.uint64(63)).astype(np.int64)
+        x = (coord & np.uint64(n - 1)).view(np.int64)
+    parity = (coord >> np.uint64(63)).view(np.int64)
     exp = _below(w[:, 1 + picks + d:1 + picks + 2 * d], bits)
-    step = np.left_shift(1, exp)
-    r = x & (2 * step - 1)
-    lower = np.where(parity == 0, r < step, (r >= step) & (x + step < n))
-    size = lower.sum(axis=1)
-    moved = size >= taus
-    # tau picks without replacement, each uniform over the unpicked part of S
-    stepped = np.zeros_like(lower)
+    # above = (n - 1 - x) >> exp counts the 2^exp-blocks above x's; x is a
+    # lower endpoint iff above - parity is odd (x's block pairs with the next
+    # one up) and positive (that block is on the grid): bit 0 set, sign clear
+    above = x ^ (n - 1)
+    above >>= exp
+    above -= parity
+    lower = (above & np.int64(1 - (1 << 63))) == 1
+    free = np.flatnonzero(lower)   # the entries of S, row by row
+    left = size = np.bincount(free // d, minlength=count)
+    live = moved = size >= taus
+    # tau picks without replacement, each uniform over the unpicked part of S;
+    # free holds those entries, left[k] in row k, and a pick indexes its row's run
+    stepped, y = np.zeros(lower.size, dtype=bool), x.copy()
     for j in range(int(taus[moved].max(initial=0))):
-        free = lower & ~stepped
-        pick = _below(w[:, 1 + j], size - j) + 1
-        hit = free & (np.cumsum(free, axis=1) == pick[:, None])
-        stepped |= hit & (moved & (taus > j))[:, None]
-    y = x + np.where(stepped, step, 0)
-    return _Walks(taus, x, exp, parity, lower, stepped, y, moved)
+        if j:
+            free, left, live = np.delete(free, at), left - live, live & (taus > j)
+        at = (np.cumsum(left) - left + _below(w[:, 1 + j], left))[live]
+        hit = free[at]
+        stepped[hit] = True
+        y.reshape(-1)[hit] += np.left_shift(1, exp.reshape(-1)[hit])
+    return _Walks(taus, x, exp, parity, lower, stepped.reshape(lower.shape), y, moved)
 
 
 @contextmanager
@@ -260,14 +266,14 @@ class _Tally:
     """Walk statistics summed over the counted walks of a run."""
 
     def __init__(self, d: int):
-        self.taus = np.zeros(tau_ceiling(d) + 1, dtype=np.int64)
+        self.lengths = np.left_shift(1, np.arange(tau_ceiling(d) + 1, dtype=np.int64))
+        self.taus = np.zeros_like(self.lengths)
         self.walks = 0
         self.degenerate = 0
         self.lower = 0
 
     def add(self, w: _Walks, end: int) -> None:
-        taus = w.tau[:end]
-        self.taus += np.bincount(np.log2(taus).astype(np.int64), minlength=len(self.taus))
+        self.taus += np.bincount(w.tau[:end], minlength=self.lengths[-1] + 1)[self.lengths]
         self.walks += end
         self.degenerate += end - int(np.count_nonzero(w.moved[:end]))
         self.lower += int(np.count_nonzero(w.lower[:end]))

@@ -97,7 +97,13 @@ def test_eval_batch_validation():
     bad = BoolFunc.from_predicate(GridShape(4, 1), lambda x: 2)
     with pytest.raises(ValueError):
         bad.eval_batch(np.array([[1]]))
+    # both bounds at the ends of each integer dtype
+    for dtype, value in ((np.int8, -1), (np.int64, -1 << 63), (np.int64, (1 << 63) - 1),
+                         (np.uint64, 1 << 63), (np.uint64, (1 << 64) - 1), (np.uint8, 4)):
+        with pytest.raises(ValueError):
+            f.eval_batch(np.array([[value]], dtype=dtype))
     assert f.queries == 0
+    assert f.eval_batch(np.array([[3], [0]], dtype=np.uint64)).tolist() == [0, 1]
 
 
 # Grids above the tabulation threshold, so generate() keeps the predicates.
@@ -283,20 +289,35 @@ def test_is_monotone_matches_unit_step_loop(rng):
             assert is_monotone(BoolFunc.from_table(shape, table)) == expected, (shape, table)
 
 
+def family_reference(kind: str, shape: GridShape, index: np.ndarray, weights: list) -> np.ndarray:
+    """The family's definition at the given linear indices, in numpy, with
+    the points decoded by unravel_index (dimension 0 varies fastest)."""
+    X = np.stack(np.unravel_index(index, (shape.n,) * shape.d, order="F"), axis=1)
+    if kind == "monotone_threshold":
+        return X @ np.array(weights) >= sum(w * (shape.n - 1) for w in weights) / 2
+    if kind == "anti_slab":
+        return 2 * X[:, 0] < shape.n
+    return (2 * X // shape.n).sum(axis=1) % 2 == 0
+
+
 @pytest.mark.parametrize("kind", ["monotone_threshold", "anti_slab", "block_parity"])
 def test_bits_through_vectorised_predicate(kind, monkeypatch):
     # with no tabulation, generate keeps the predicate and its vectorised form
     monkeypatch.setattr(func, "TABULATE_THRESHOLD", 0)
     gen = np.random.default_rng(4)
     for shape in (GridShape(2, 20), GridShape(8, 6), GridShape(3, 5)):
-        f = generate(kind, shape, seed=3)
+        weights = [1 + k % 4 for k in range(shape.d)]
+        params = {"weights": weights} if kind == "monotone_threshold" else {}
+        f = generate(kind, shape, seed=3, **params)
         assert not f.is_table_backed() and f._batch is not None
         bits = f.bits
         assert not bits.flags.writeable and f.queries == 0
         # every point below 2^20; at 2^20, 20,000 points across the blocks
-        index = range(shape.size) if shape.size < 1 << 20 else gen.integers(0, shape.size, 20_000)
-        scalar = [f._predicate(point_of(shape, k)) for k in index]
-        assert bits[index].tolist() == scalar, (kind, shape)
+        index = np.arange(shape.size) if shape.size < 1 << 20 else gen.integers(0, shape.size, 20_000)
+        assert (bits[index] == family_reference(kind, shape, index, weights)).all(), (kind, shape)
+        # the scalar predicate agrees point by point on the small grid
+        if shape.size < 1000:
+            assert bits.tolist() == [f._predicate(point_of(shape, k)) for k in index]
         if kind == "monotone_threshold":
             assert is_monotone(f)
 

@@ -1,5 +1,6 @@
 """Tester behavior: transcripts, exact enumeration, and draw distributions."""
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -11,7 +12,15 @@ import pytest
 from scipy.stats import chisquare
 
 from gridmono.func import BoolFunc, generate
-from gridmono.grid import LOWER, GridShape, MatchingId, classify_in_matching, points
+from gridmono.grid import (
+    LOWER,
+    GridShape,
+    MatchingId,
+    _edge_table,
+    classify_in_matching,
+    num_augmented_edges,
+    points,
+)
 from gridmono.tester import (
     DEFAULT_CALIBRATION,
     _call_entries,
@@ -64,22 +73,31 @@ def test_single_test_monotone_never_rejects(rng):
 
 
 def test_single_test_transcript_soundness(rng):
-    f = generate("uniform_random", GridShape(8, 3), seed=4)
-    for _ in range(4000):
-        t = single_test(f, rng)
-        assert all(a <= b for a, b in zip(t.x, t.y))
-        assert (t.y == t.x) == (len(t.S) < t.tau)
-        assert (t.verdict == "reject") == (t.fx == 1 and t.fy == 0)
-        assert t.queries_used == (1 if t.y == t.x else 2)
-        assert set(t.T) <= set(t.S)
-        for i in range(f.shape.d):
-            step = t.y[i] - t.x[i]
-            if i in t.T:
-                assert step == t.matchings[i].step
-                role, partner = classify_in_matching(f.shape, t.x, t.matchings[i])
-                assert role == LOWER and partner[i] == t.y[i]
-            else:
-                assert step == 0
+    # on 2^20 x 3 the coordinates have 20 bits and most steps are long
+    for f, walks in ((generate("uniform_random", GridShape(8, 3), seed=4), 4000),
+                     (BoolFunc.from_predicate(GridShape(1 << 20, 3), lambda p: sum(p) % 2), 2000)):
+        shape = f.shape
+        off_grid = 0
+        for _ in range(walks):
+            t = single_test(f, rng)
+            assert all(a <= b for a, b in zip(t.x, t.y))
+            assert (t.y == t.x) == (len(t.S) < t.tau)
+            assert (t.verdict == "reject") == (t.fx == 1 and t.fy == 0)
+            assert t.queries_used == (1 if t.y == t.x else 2)
+            # S is exactly the set of dimensions where x is a lower endpoint
+            roles = [classify_in_matching(shape, t.x, m) for m in t.matchings]
+            assert t.S == tuple(i for i, (role, _) in enumerate(roles) if role == LOWER)
+            off_grid += sum(m.parity == 1 and t.x[m.dim] >> m.exp & 1 and role != LOWER
+                            for m, (role, _) in zip(t.matchings, roles))
+            assert set(t.T) <= set(t.S)
+            for i in range(shape.d):
+                step = t.y[i] - t.x[i]
+                if i in t.T:
+                    assert step == t.matchings[i].step and roles[i][1][i] == t.y[i]
+                else:
+                    assert step == 0
+        # the walks met parity-1 pairs whose upper partner is off the grid
+        assert off_grid > 0, shape
 
 
 def assert_close_to_probability(hits, trials, p, z=5.0):
@@ -118,16 +136,24 @@ def test_edge_test_examples(rng):
 
 
 def test_edge_test_uniform_over_edges(rng):
+    """Each call draws one uniform row of the edge table, which holds every
+    edge once, so edge_test is exactly uniform over the edges."""
     shape = GridShape(4, 2)
     f = BoolFunc.from_predicate(shape, lambda x: 0)
-    counts = Counter()
-    trials = 120_000
-    for _ in range(trials):
-        t = edge_test(f, rng)
-        counts[(t.x, t.y)] = counts[(t.x, t.y)] + 1
-    assert len(counts) == 40
-    stat = chisquare(list(counts.values()))
-    assert stat.pvalue > CHI_SQUARE_ALPHA
+    # the table's ends decoded by unravel_index, dimension 0 fastest
+    lo, hi = (np.stack(np.unravel_index(v, (shape.n,) * shape.d, order="F"), axis=1).tolist()
+              for v in _edge_table(shape)[:2])
+    row = {(tuple(a), tuple(b)): k for k, (a, b) in enumerate(zip(lo, hi))}
+    assert len(row) == num_augmented_edges(shape) == 40
+    seed = rng.randrange(1 << 30)
+    draws, replay = random.Random(seed), random.Random(seed)
+    counts = np.zeros(len(row), dtype=np.int64)
+    for _ in range(12_000):
+        t = edge_test(f, draws)
+        k = row[(t.x, t.y)]
+        assert k == replay.randrange(len(row))
+        counts[k] += 1
+    assert counts.all() and chisquare(counts).pvalue > CHI_SQUARE_ALPHA
 
 
 def test_repetitions_formula():
@@ -257,15 +283,58 @@ def test_step_marginal_matches_enumeration(rng):
     assert stat.pvalue > CHI_SQUARE_ALPHA
 
 
+WALK_FIELDS = ("tau", "x", "exp", "parity", "lower", "stepped", "y", "moved")
+
+
 def test_walk_rows_do_not_depend_on_grouping():
     shape = GridShape(8, 3)
     key = _key(random.Random(5))
     whole = _draw_walks(shape, key, 0, 100)
     for cuts in ((0, 1, 100), (0, 37, 38, 100), (0, 64, 100)):
         parts = [_draw_walks(shape, key, a, b - a) for a, b in zip(cuts, cuts[1:])]
-        for field in ("tau", "x", "exp", "parity", "lower", "stepped", "y", "moved"):
+        for field in WALK_FIELDS:
             joined = np.concatenate([getattr(p, field) for p in parts])
             assert np.array_equal(joined, getattr(whole, field)), field
+
+
+# SHA-256 over every _Walks field (shape, then values as little-endian int64)
+# of walks 3 .. 502 under a fixed key: the Philox word layout and every
+# derived field are pinned, at any numpy version.  Keys are (n, d, tau); a
+# given tau runs the persistence walk from start points drawn by random.Random,
+# whose stream, unlike numpy's Generator methods, is fixed across versions.
+KERNEL_DIGESTS = {
+    (8, 3, None): "cbb46e869f3533d769c5fcabd9431a7434d002f4adbb9f6cef9f5ead0a50b560",
+    (8, 16, None): "bc7da07a14ffce2101fc06a30db22a3988590bf85d53a6def79f005eb9bf555a",
+    (4, 20, None): "7b373b7f031345dd41c55c06f3b98b6ba6ad1ad09b44ad3bf687069263e906a9",
+    (2, 62, None): "f8de32cde0394559cba3e5e4fa541bdf68023c11e57c8aec6dcdf2220c937d41",
+    (1 << 31, 2, None): "eea1f4afa106238e5b3e57967b46e544894536d735b3b9d35b3c141b55a470dd",
+    (16, 5, None): "97e11847e1f354f91eaffbfb7e028f29aea2e5f41a75f1189856af94c6e4b9b1",
+    (8, 3, 2): "fe21698f0a98408e2f59dfe58fc29605091b4765c5a727a638777fb7695fe631",
+    (8, 3, 4): "63c0d91eec4cbc08a98fcfab910af08b638b4e5e53209439ecf06eea8fcac8d2",
+    (8, 16, 2): "d28dbed1fbb41a59914caf826a1b8bcf7bdf1a5d57f5dfca863b12c5fb9f0367",
+    (8, 16, 4): "2bb9cd02ab4d27a40ac80510246c0a056e144df4b6b4b1fd140b12a09b6791c7",
+    (2, 62, 2): "9fad3bfcfa3c40a1497527e1c058716504de130b97dd0a7f76ca94c464d52a73",
+    (2, 62, 4): "e1edf473b4be1e2e1add2159bac6394b997548f0c4b88e1ec9258dbcaa6c4dcf",
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_DIGESTS, ids=lambda c: "%d^%d-tau%s" % c)
+def test_walk_kernel_fixture(case):
+    n, d, tau = case
+    shape = GridShape(n, d)
+    if tau is None:
+        w = _draw_walks(shape, _key(random.Random(f"kernel {n}^{d}")), 3, 500)
+    else:
+        starts = random.Random(f"starts {n}^{d} {tau}")
+        x = np.array([[starts.randrange(n) for _ in range(d)] for _ in range(500)], np.int64)
+        w = _draw_walks(shape, _key(random.Random(f"persistence {n}^{d}")), 3, 500,
+                        tau=tau, x=x)
+    h = hashlib.sha256()
+    for field in WALK_FIELDS:
+        a = np.asarray(getattr(w, field))
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    assert h.hexdigest() == KERNEL_DIGESTS[case]
 
 
 @pytest.mark.parametrize("entries", [1, 7, 100])

@@ -412,34 +412,45 @@ def _check_maximum(u: np.ndarray, v: np.ndarray, kept_u: np.ndarray, kept_v: np.
         raise IntegrityError(f"assignment kept {len(kept_u)} pairs, not a maximum matching")
 
 
-@lru_cache(maxsize=8)   # up to 15 MB each at 2^16 points
-def _edge_residuals(shape: GridShape) -> Tuple[np.ndarray, ...]:
-    """One table's rows of the residual graph of _matching_flow, without the
-    source's and the sink's: (heads, cost, degree, forward, back, slot).
+@lru_cache(maxsize=4)   # up to 35 MB each at 2^16 points
+def _flow_graph(shape: GridShape) -> Tuple[np.ndarray, ...]:
+    """The residual graph of _matching_flow on one table, whose structure
+    does not depend on the table: (tails, heads, indptr, cost, reverse,
+    forward, back, terminal), read-only.
 
-    Each augmented edge lo -> hi is an arc forward (cost 1) and one back
-    (cost -1), and each point v has one slot for its terminal arc, whose head
-    (the source or the sink) is above every point, so the slot ends v's row;
-    the arcs are sorted by tail, then head.  degree[v] is the number of arcs
-    leaving v, forward[k] and back[k] are the positions of edge k's two arcs
-    (k as in _aug_edges_by_lo), and slot[v] is the position of v's slot.
+    Vertices are the points, then the source and the sink.  Each augmented
+    edge k (as in _aug_edges_by_lo) is an arc lo -> hi of cost 1 at position
+    forward[k] and one back of cost -1 at back[k]; each point v has four arcs
+    of cost 0, at terminal[:, v]: source -> v, v -> source, v -> sink and
+    sink -> v.  The arcs are sorted by tail, then head, with the arcs leaving
+    vertex v at indptr[v]:indptr[v + 1], and reverse[p] is the position of
+    arc p's reverse.
     """
     lo, hi = _aug_edges_by_lo(shape)[:2]
     size, edges = shape.size, len(lo)
-    tails = np.concatenate((lo, hi, np.arange(size)))
-    heads = np.concatenate((hi, lo, np.full(size, size)))
+    point = np.arange(size)
+    # row i of `ends` is arc 2 i, tail then head, and arc 2 i + 1 is its reverse,
+    # so arc j's reverse is j ^ 1: the edges' rows (lo, hi) come first, then
+    # each point v's rows (source, v) and (v, sink)
+    terminals = np.column_stack((np.full(size, size), point, point, np.full(size, size + 1)))
+    ends = np.concatenate((np.column_stack((lo, hi)), terminals.reshape(-1, 2))).astype(np.int32)
+    tails, heads = ends.ravel(), ends[:, ::-1].ravel()
     order = np.lexsort((heads, tails))
     at = np.empty(len(order), np.int32)
     at[order] = np.arange(len(order))
-    cost = np.repeat(np.array([1, -1, 0], np.int8), [edges, edges, size])[order]
-    return (heads[order].astype(np.int32), cost, np.bincount(tails, minlength=size),
-            at[:edges], at[edges:2 * edges], at[2 * edges:])
+    cost = np.zeros(len(order), np.int8)
+    cost[:2 * edges:2], cost[1:2 * edges:2] = 1, -1
+    indptr = np.concatenate(([0], np.bincount(tails, minlength=size + 2).cumsum())).astype(np.int32)
+    graph = (tails[order], heads[order], indptr, cost[order], at[order ^ 1],
+             at[:2 * edges:2], at[1:2 * edges:2], at[2 * edges:].reshape(size, 4).T)
+    for column in graph:
+        column.setflags(write=False)
+    return graph
 
 
-def _matching_flow(shape: GridShape, block: np.ndarray, gamma_row: np.ndarray,
-                   gamma_k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(matched, total) of each row of a block of tables: the size and the
-    summed directed distance of its optimal matching, from a min-cost flow.
+def _matching_flow(shape: GridShape, table: np.ndarray, gamma_k: np.ndarray) -> Tuple[int, int]:
+    """(matched, total) of a table: the size and the summed directed distance
+    of its optimal matching, from a min-cost flow on _flow_graph(shape).
 
     The graph is that of _cut_flow with the augmented edges in place of the
     unit steps, each an arc of cost 1 and capacity N.  A unit of flow from a
@@ -449,95 +460,72 @@ def _matching_flow(shape: GridShape, block: np.ndarray, gamma_row: np.ndarray,
     the least summed distance of one.
 
     Primal-dual (Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 9).  The
-    flow starts as the block's Γ⁻ matching (gamma_row, gamma_k; see
+    flow starts as the table's Γ⁻ matching (its edges gamma_k; see
     _gamma_edges), with potential 0 at the source and the 1-points and 1
     elsewhere: that matching is a maximum flow on the arcs of reduced cost 0,
-    which is what the first phase would find.  Each phase runs one dijkstra
-    on the reduced costs of the residual arcs from the source, raises the
-    potentials by min(dist, dist[sink]), and runs one maximum flow on the
-    residual arcs of reduced cost 0; the phases stop when the sink is
-    unreachable, so the flow is maximum.  The residual graph's csr structure
-    is built once; a phase rewrites only its data (inf: no capacity left).
-    IntegrityError unless the result respects capacity and conservation and
-    no residual arc has negative reduced cost, so its cost is the least.
+    which is what the first phase would find.  Each phase keeps the arcs
+    with capacity left, and stops when a breadth-first search from the
+    source on them misses the sink, so the flow is maximum.  Otherwise it
+    runs one dijkstra on their reduced costs, raises the potentials by
+    min(dist, dist[sink]), and runs one maximum flow on those of reduced
+    cost 0.  IntegrityError unless every phase moves flow, only on arcs
+    with capacity left, no such arc has negative reduced cost (so the cost
+    is the least), and the result respects capacity and conservation.
     """
-    heads_one, cost_one, degree_one, forward, back, slot = _edge_residuals(shape)
+    tails, heads, indptr, cost, reverse, forward, back, terminal = _flow_graph(shape)
     lo, hi = _aug_edges_by_lo(shape)[:2]
-    size, n_rows, width = shape.size, len(block), len(heads_one)
-    source, sink = block.size, block.size + 1
-    n_ones, left, right = _vertex_ids(block)
-    ones_total = int(n_ones.sum())
-    term_tails, term_heads = _terminal_arcs(block)
-    ones = term_tails == source
-    rows = np.arange(n_rows)[:, None]
-    # csr rows: each table's points, then the source (an arc to each 1-point)
-    # and the sink (an arc back to each 0-point)
-    slots = (slot + rows * width).ravel()
-    heads = (heads_one + rows * size).astype(np.int32).ravel()
-    heads[slots] = np.where(ones, term_tails, term_heads)   # back to the source, or on to the sink
-    heads = np.concatenate((heads, term_heads[ones], term_tails[~ones]))
-    degree = np.concatenate((np.tile(degree_one, n_rows), [ones_total, block.size - ones_total]))
-    indptr = np.concatenate(([0], degree.cumsum())).astype(np.int32)
-    keys = np.repeat(np.arange(sink + 1, dtype=np.int64) * (sink + 1), degree) + heads   # sorted
-    cost = np.concatenate((np.tile(cost_one, n_rows), np.zeros(block.size, np.int8)),
-                          dtype=np.float64)
-    forward_at, back_at = forward + rows * width, back + rows * width
-    from_source = n_rows * width + left.ravel()                  # source -> a 1-point
-    into_sink = n_rows * width + ones_total + right.ravel()      # sink -> a 0-point
-    resid = np.zeros(len(heads), np.int32)
-    resid[forward_at] = size
-    resid[slots[~ones]] = 1
-    resid[from_source[ones]] = 1
+    size = shape.size
+    source, sink = size, size + 1
+    from_source, to_source, to_sink, from_sink = terminal
+    capacity = np.zeros(len(heads), np.int32)
+    capacity[forward] = size
+    capacity[from_source] = table
+    capacity[to_sink] = 1 - table
     # one unit along source -> u -> w -> sink for each Γ⁻ edge u -> w
-    u, w = gamma_row * size + lo[gamma_k], gamma_row * size + hi[gamma_k]
-    resid[np.concatenate((from_source[u], gamma_row * width + forward[gamma_k], slots[w]))] -= 1
-    resid[np.concatenate((slots[u], gamma_row * width + back[gamma_k], into_sink[w]))] += 1
-    potential = np.ones(sink + 1)
-    potential[source] = 0
-    potential[:block.size][ones] = 0
-    graph = csr_matrix((np.zeros(len(heads)), heads, indptr), shape=(sink + 1, sink + 1))
-    admissible = csr_matrix((resid, heads, indptr), shape=(sink + 1, sink + 1))
-    reduced = cost + np.repeat(potential, degree) - potential[heads]
+    resid = capacity.copy()
+    u, w = lo[gamma_k], hi[gamma_k]
+    resid[np.concatenate((from_source[u], forward[gamma_k], to_sink[w]))] -= 1
+    resid[np.concatenate((to_source[u], back[gamma_k], from_sink[w]))] += 1
+    potential = np.concatenate((1 - table, [0, 1])).astype(np.int32)
     while True:
-        live = resid > 0
-        graph.data = np.where(live, reduced, np.inf)
-        dist = dijkstra(graph, indices=source)
-        if np.isinf(dist[sink]):
+        live = (resid > 0).nonzero()[0]
+        live_tails, live_heads = tails[live], heads[live]
+        # take gathers through int32 positions about twice as fast as indexing
+        reduced = cost[live] + potential.take(live_tails) - potential.take(live_heads)
+        if reduced.min(initial=0) < 0:
+            raise IntegrityError("a residual arc has negative reduced cost: the cost is not least")
+        live_indptr = live.searchsorted(indptr).astype(np.int32)
+        graph = csr_matrix((reduced.astype(np.float64), live_heads, live_indptr),
+                           shape=(sink + 1, sink + 1))
+        if not (breadth_first_order(graph, source, return_predecessors=False) == sink).any():
             break
-        step = np.minimum(dist, dist[sink])
+        dist = dijkstra(graph, indices=source)
+        step = np.minimum(dist, dist[sink]).astype(np.int32)
         potential += step
-        reduced += np.repeat(step, degree)
-        reduced -= step[heads]
-        admissible.data = np.where(live & (reduced == 0), resid, 0)
+        reduced += step.take(live_tails) - step.take(live_heads)
+        admissible = csr_matrix((np.where(reduced == 0, resid[live], 0), live_heads, live_indptr),
+                                shape=(sink + 1, sink + 1))
         flow = maximum_flow(admissible, source, sink, method="dinic").flow
         if flow.data[flow.indptr[source]:flow.indptr[source + 1]].sum() < 1:
             raise IntegrityError("a phase moved no flow along a shortest path")
-        # each arc's flow change, looked up by its key tail * V + head
-        moved = flow.data.nonzero()[0]
+        # each arc's flow, looked up by its key tail * V + head among the live arcs'
+        moved = (flow.data > 0).nonzero()[0]
         key = (flow.indptr.searchsorted(moved, side="right") - 1) * (sink + 1) + flow.indices[moved]
+        keys = live_tails.astype(np.int64) * (sink + 1) + live_heads   # sorted
         at = keys.searchsorted(key)
         if not (keys[np.minimum(at, len(keys) - 1)] == key).all():
             raise IntegrityError("flow on an arc outside the residual graph")
-        resid[at] -= flow.data[moved]
-        if resid[at].min() < 0:
-            raise IntegrityError("flow exceeds an arc's capacity")
-        # not kept through the next phase's dijkstra and maximum flow
-        del flow, moved, key, at
-    edge_flow = resid[back_at]
-    # a 1-point's slot holds the flow from the source, a 0-point's the capacity left to the sink
-    in_slot = resid[slots]
-    paired = np.where(ones, from_source, into_sink)   # the other entry of each terminal arc
-    if ((resid < 0).any() or (resid[forward_at] + edge_flow != size).any()
-            or (in_slot + resid[paired] != 1).any()):
+        resid[live[at]] -= flow.data[moved]
+        resid[reverse.take(live[at])] += flow.data[moved]
+        # not kept through the next phase's search, dijkstra and maximum flow
+        del graph, admissible, flow, moved, key, keys, at
+    sent = capacity - resid   # each arc's flow, and its negation on the reverse
+    if (resid < 0).any() or (sent + sent.take(reverse)).any():
         raise IntegrityError("flow exceeds an arc's capacity")
-    into = np.bincount((rows * size + hi).ravel(), edge_flow.ravel(), block.size)
-    out = np.bincount((rows * size + lo).ravel(), edge_flow.ravel(), block.size)
-    if (into - out + np.where(ones, in_slot, in_slot - 1)).any():
+    out = np.add.reduceat(sent, indptr[:-1])   # net outflow of each vertex
+    if out[:size].any():
         raise IntegrityError("flow is not conserved at a point")
-    if (cost + np.repeat(potential, degree) - potential[heads])[live].min(initial=0) < 0:
-        raise IntegrityError("a residual arc has negative reduced cost: the cost is not least")
-    matched = (in_slot.reshape(block.shape) * block).sum(axis=1, dtype=np.int64)
-    return matched, edge_flow.sum(axis=1, dtype=np.int64)
+    return int(out[source]), int(sent[forward].sum())
 
 
 def _violated_pairs(shape: GridShape, block: np.ndarray) -> np.ndarray:
@@ -732,7 +720,7 @@ def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySwee
     Each block of rows is one graph whose vertices are the points of all its
     rows (see _vertex_ids).  Γ⁻ is one maximum matching of the block's
     violated augmented edges in scipy.  The optimal matching's counts come
-    from one min-cost flow per block (_matching_flow) on shapes of more than
+    from one min-cost flow per row (_matching_flow) on shapes of more than
     _ASSIGNMENT_POINTS points, and from one checked assignment solve per row
     (_optimal_assignment) on smaller ones; a row with no violated edge is
     monotone and needs neither.
@@ -740,13 +728,7 @@ def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySwee
     tables = _checked_tables(shape, tables, DISTANCE_CAPACITY, "isoperimetry sweep")
     edges = len(_aug_edges_by_lo(shape)[0])
     flow = shape.size > _ASSIGNMENT_POINTS
-    if flow:
-        # a flow's row has 2 (edges + points) residual arcs; at 16 cells per edge
-        # and point a block holds 2 rows at 8^3 and 1 at 32^2, and larger blocks
-        # were no faster, as every row of a block waits for its last phase
-        width = 16 * (edges + shape.size)
-    else:
-        width = max(len(shape_tables(shape).lo), edges, shape.size)
+    width = max(edges, shape.size, 0 if flow else len(shape_tables(shape).lo))
     counts = []   # per block: violated, upward, gamma, matched, total
     for rows in _row_batches(len(tables), width):
         block = tables[rows]
@@ -754,9 +736,11 @@ def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySwee
         gamma_row, gamma_k = _gamma_edges(shape, block, down)
         busy = down.any(axis=1).nonzero()[0]
         matched, total = np.zeros((2, len(block)), np.int64)
-        if flow and len(busy):
-            matched[busy], total[busy] = _matching_flow(shape, block[busy],
-                                                        busy.searchsorted(gamma_row), gamma_k)
+        if flow:
+            bounds = gamma_row.searchsorted(np.arange(len(block) + 1))
+            for r in busy.tolist():
+                matched[r], total[r] = _matching_flow(shape, block[r],
+                                                      gamma_k[bounds[r]:bounds[r + 1]])
         elif len(busy):
             kept_row, _, _, kept_dist = _optimal_assignment(shape, block[busy])
             matched[busy] = np.bincount(kept_row, minlength=len(busy))

@@ -1,5 +1,6 @@
 """Exact-oracle tests: distances, matchings, influences, and their cross-checks."""
 
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra, maximum_flow
+from scipy.sparse import SparseEfficiencyWarning, csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, dijkstra, maximum_flow
 
 from gridmono import func, oracle, reports
 from gridmono.errors import CapacityError, IntegrityError
@@ -531,13 +532,11 @@ def patched_flow(monkeypatch, change):
     return calls
 
 
-def drop_unit(flow, source, row=None, size=None):
-    """Take one unit off an arc from the source (into row `row` if given) and
-    off its reverse, without the rest of its path; True if one was found."""
+def drop_unit(flow, source):
+    """Take one unit off an arc from the source and off its reverse, without
+    the rest of its path; True if one was found."""
     heads = flow.indices[flow.indptr[source]:flow.indptr[source + 1]]
     used = flow.data[flow.indptr[source]:flow.indptr[source + 1]] > 0
-    if row is not None:
-        used &= heads // size == row
     if not used.any():
         return False
     v = heads[used.nonzero()[0][0]]
@@ -559,13 +558,23 @@ def test_dropped_flow_unit_is_caught(monkeypatch):
 
 
 def test_dropped_flow_unit_in_one_row_of_a_block_is_caught(monkeypatch):
+    # the sweep solves a block's tables one flow each; a unit dropped in the
+    # sixth table's flow is caught there, after five tables whose flows pass
     shape = GridShape(4, 2)
     tables = far_past_gamma(12)
-    expected = isoperimetry_sweep(shape, tables)   # one block of rows
-    calls = patched_flow(monkeypatch, lambda flow, source: drop_unit(flow, source, 5, shape.size))
+    solve, solved = oracle._matching_flow, []
+
+    def counted(shape, table, gamma_k):
+        solved.append(table)
+        return solve(shape, table, gamma_k)
+
+    monkeypatch.setattr(oracle, "_matching_flow", counted)
+    calls = patched_flow(monkeypatch, lambda flow, source: len(solved) == 6
+                         and drop_unit(flow, source))
     with pytest.raises(IntegrityError, match="not conserved"):
         isoperimetry_sweep(shape, tables)
-    assert len(tables) == len(expected.matched) == 12 and any(calls)
+    assert len(tables) == 12 and len(solved) == 6 and np.array_equal(solved[5], tables[5])
+    assert any(calls)
 
 
 def test_flow_that_moves_nothing_is_caught(monkeypatch):
@@ -583,18 +592,97 @@ def test_flow_that_moves_nothing_is_caught(monkeypatch):
     assert len(calls) == 2
 
 
+def test_flow_on_an_arc_outside_the_residual_graph_is_caught(monkeypatch):
+    f = BoolFunc.from_mask(GridShape(4, 2), 831)
+
+    def unit_from_sink(flow, source):
+        with warnings.catch_warnings():   # a new entry in the csr structure
+            warnings.simplefilter("ignore", SparseEfficiencyWarning)
+            flow[source + 1, source] = 1   # sink -> source: no such arc
+        return True
+
+    calls = patched_flow(monkeypatch, unit_from_sink)
+    with pytest.raises(IntegrityError, match="outside the residual graph"):
+        isoperimetry_report(f)
+    assert calls == [True]
+
+
+def count_phases(monkeypatch):
+    """Patch oracle.dijkstra and oracle.maximum_flow to count their calls,
+    with every shape on the flow; returns the {name: calls} log."""
+    counts = {"dijkstra": 0, "maximum_flow": 0}
+
+    def counter(name, solve):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return solve(*args, **kwargs)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(oracle, name, counter(name, getattr(oracle, name)))
+    monkeypatch.setattr(oracle, "_ASSIGNMENT_POINTS", 0)
+    return counts
+
+
+def test_flow_runs_a_phase_only_past_the_gamma_matching(monkeypatch):
+    # where Γ⁻ already is a largest violation matching the breadth-first
+    # search ends the flow before any dijkstra or maximum flow
+    sweep = full_sweep(4, 2)
+    masks = ((sweep.gamma > 0) & (sweep.gamma == sweep.matched)).nonzero()[0][:200]
+    slab = generate("anti_slab", GridShape(8, 3))
+    counts = count_phases(monkeypatch)
+    for f in [BoolFunc.from_mask(GridShape(4, 2), int(m)) for m in masks] + [slab]:
+        influence = isoperimetry_report(f).influence
+        assert 0 < influence.gamma_minus == influence.eps
+    assert len(masks) == 200 and counts == {"dijkstra": 0, "maximum_flow": 0}
+    for table in far_past_gamma(12):
+        before = dict(counts)
+        isoperimetry_sweep(GridShape(4, 2), table[None])
+        assert all(counts[name] > before[name] for name in counts), before
+
+
 def test_scipy_csgraph_behaviour_the_flow_relies_on():
     # 0 -> 1 weight 0 (stored), 1 -> 2 weight 1, 0 -> 3 inf (stored): no arc
     graph = csr_matrix((np.array([0.0, np.inf, 1.0]), np.array([1, 3, 2], np.int32),
                         np.array([0, 2, 3, 3, 3], np.int32)), shape=(4, 4))
     assert graph.nnz == 3
     assert dijkstra(graph, indices=0).tolist() == [0.0, 0.0, 1.0, np.inf]
+    # the breadth-first search reads only the structure: every stored entry,
+    # 0 and inf too, is an arc, so the flow stores only arcs with capacity left
+    reached = breadth_first_order(graph, 0, return_predecessors=False)
+    assert sorted(reached.tolist()) == [0, 1, 2, 3]
+    zeros = csr_matrix((np.zeros(2), np.array([1, 2], np.int32), np.array([0, 1, 2, 2], np.int32)),
+                       shape=(3, 3))
+    assert sorted(breadth_first_order(zeros, 0, return_predecessors=False).tolist()) == [0, 1, 2]
     # capacities 0 -> 1: 2, 0 -> 2: 0 (stored), 1 -> 3: 1, 2 -> 3: 5
     caps = csr_matrix((np.array([2, 0, 1, 5], np.int32), np.array([1, 2, 3, 3], np.int32),
                        np.array([0, 2, 3, 4, 4], np.int32)), shape=(4, 4))
     result = maximum_flow(caps, 0, 3, method="dinic")
     assert result.flow_value == 1
     assert result.flow[0, 1] == 1 and result.flow[1, 3] == 1 and result.flow[0, 2] == 0
+
+
+@pytest.mark.parametrize("shape", [GridShape(4, 2), GridShape(8, 3), GridShape(2, 9)])
+def test_flow_graph_structure(shape):
+    tails, heads, indptr, cost, reverse, forward, back, terminal = oracle._flow_graph(shape)
+    lo, hi = oracle._aug_edges_by_lo(shape)[:2]
+    size, vertices = shape.size, shape.size + 2
+    keys = tails.astype(np.int64) * vertices + heads
+    assert (np.diff(keys) > 0).all()   # sorted by (tail, head), no arc twice
+    assert np.array_equal(indptr, np.concatenate(([0], np.bincount(tails, minlength=vertices).cumsum())))
+    assert len(heads) == 2 * len(lo) + 4 * size
+    for at, ends, c in ((forward, (lo, hi), 1), (back, (hi, lo), -1)):
+        assert np.array_equal(tails[at], ends[0]) and np.array_equal(heads[at], ends[1])
+        assert (cost[at] == c).all()
+    point, source, sink = np.arange(size), np.full(size, size), np.full(size, size + 1)
+    for at, (tail, head) in zip(terminal, ((source, point), (point, source),
+                                           (point, sink), (sink, point))):
+        assert np.array_equal(tails[at], tail) and np.array_equal(heads[at], head)
+        assert (cost[at] == 0).all()
+    assert np.array_equal(tails[reverse], heads) and np.array_equal(heads[reverse], tails)
+    assert sorted(np.concatenate((forward, back, terminal.ravel())).tolist()) == list(range(len(heads)))
+    for column in (tails, heads, indptr, cost, reverse, forward, back, terminal):
+        assert not column.flags.writeable
 
 
 def test_isoperimetry_past_the_comparable_pairs_cap():
@@ -701,13 +789,24 @@ def test_influence_bound_examples():
 
 
 def test_influence_bound_sampled(rng):
-    shape = GridShape(8, 3)
-    for _ in range(10_000):
-        f = BoolFunc.from_table(
-            shape, [rng.getrandbits(1) for _ in range(shape.size)])
-        chk = influence_bound_check(f)
-        if chk.applicable:
-            assert chk.holds
+    shape, count = GridShape(8, 3), 10_000
+    # getrandbits(32 m) is the generator's next m words, word i at bit 32 i,
+    # and getrandbits(1) is one word's top bit, bit 7 of the word's last byte
+    # in little-endian order: so these are the tables of count * 512 calls of
+    # getrandbits(1)
+    state = rng.getstate()
+    words = b"".join(rng.getrandbits(32 * shape.size).to_bytes(4 * shape.size, "little")
+                     for _ in range(count))
+    tables = (np.frombuffer(words, np.uint8)[3::4] >> 7).reshape(count, shape.size)
+    rng.setstate(state)
+    assert tables[0].tolist() == [rng.getrandbits(1) for _ in range(shape.size)]
+    applicable, holds, sensitive, violated = influence_bound_batch(shape, tables)
+    assert holds[applicable].all()
+    for k in range(200):
+        chk = influence_bound_check(BoolFunc.from_table(shape, tables[k]))
+        assert chk == oracle.InfluenceBoundCheck(
+            bool(applicable[k]), bool(holds[k]), Fraction(int(sensitive[k]), shape.size),
+            Fraction(int(violated[k]), shape.size)), k
 
 
 # ----------------------------------------------------------------------

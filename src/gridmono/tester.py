@@ -10,7 +10,8 @@ a batch of walks as (B, d) arrays.  Each entry point takes one 128-bit key
 from the caller's `random.Random` and numbers its walks 0, 1, 2, ...; walk
 k reads its own fixed block of words from the counter-based Philox
 generator under that key, so its draws depend only on the key and k, never
-on how walks are grouped into numpy calls.  `exact_rejection_probability`
+on how walks are grouped into numpy calls.  A run reads its walks in order
+through one generator per key (`_Stream`).  `exact_rejection_probability`
 enumerates the same randomness independently and is the reference the
 sampled paths are checked against.
 """
@@ -48,9 +49,12 @@ REJECT = "reject"
 # rejection, maximized over the pilot grid, with 25% headroom.
 DEFAULT_CALIBRATION = 1.0537
 
-# Coordinate entries (walks x d) per numpy call of the kernel; bounds the
-# memory a long run holds at once.
-_CALL_ENTRIES = 1 << 16
+# Philox words (walks x words per walk) per numpy call of the kernel.  The
+# word block is a call's largest array; at 2^13 words (64 KiB) it and every
+# other temporary stay under glibc's default 128 KiB mmap threshold, so they
+# reuse heap memory instead of being mapped afresh, and page-faulted in, on
+# every call.
+_CALL_ENTRIES = 1 << 13
 # amplified_test's first call draws this many walks and each later call
 # twice as many, so a far input stops after about twice the walks it needed.
 _FIRST_CALL_WALKS = 64
@@ -145,20 +149,38 @@ class _Walks:
     moved: np.ndarray     # (B,) |S| >= tau, so y != x
 
 
-def _key(rng: random.Random) -> np.ndarray:
+class _Stream:
+    """The Philox words under one key, read by one run."""
+
+    __slots__ = ("key", "gen", "block")
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+        self.gen: Optional[np.random.Philox] = None
+        self.block = -1   # the block gen's next read begins at
+
+
+def _stream(rng: random.Random) -> _Stream:
     k = rng.getrandbits(128)
-    return np.array([k & 0xFFFFFFFFFFFFFFFF, k >> 64], dtype=np.uint64)
+    return _Stream(np.array([k & 0xFFFFFFFFFFFFFFFF, k >> 64], dtype=np.uint64))
 
 
-def _words(key: np.ndarray, start: int, count: int, width: int) -> np.ndarray:
+def _words(stream: _Stream, start: int, count: int, width: int) -> np.ndarray:
     """Rows start .. start+count-1 of the keyed stream, `width` words each.
 
     width is a multiple of 4, the words of one Philox block, so row k
-    begins at block k * width / 4 whichever call reads it.
+    begins at block k * width / 4 whichever call reads it.  A read whose
+    first block is where the previous read ended (a run reading its walks
+    in order) continues the stream's generator, whose counter stands there;
+    any other read starts a fresh Philox(key, counter) at its first block.
+    Both give the same words.
     """
-    counter = np.array([start * width // 4, 0, 0, 0], dtype=np.uint64)
-    gen = np.random.Philox(key=key, counter=counter)
-    return gen.random_raw(count * width).reshape(count, width)
+    block = start * width // 4
+    if block != stream.block:
+        counter = np.array([block, 0, 0, 0], dtype=np.uint64)
+        stream.gen = np.random.Philox(key=stream.key, counter=counter)
+    stream.block = block + count * width // 4
+    return stream.gen.random_raw(count * width).reshape(count, width)
 
 
 def _below(words: np.ndarray, k) -> np.ndarray:
@@ -174,9 +196,15 @@ def _taus(words: np.ndarray, d: int) -> np.ndarray:
     return np.left_shift(1, _below(words, tau_ceiling(d) + 1))
 
 
-def _draw_walks(shape: GridShape, key: np.ndarray, start: int, count: int,
+def _layout(d: int, tau: Optional[int] = None) -> Tuple[int, int]:
+    """(subset picks, words) of one walk, words rounded up to whole Philox blocks."""
+    picks = 1 << tau_ceiling(d) if tau is None else min(tau, d)
+    return picks, -(-(1 + picks + 2 * d) // 4) * 4
+
+
+def _draw_walks(shape: GridShape, stream: _Stream, start: int, count: int,
                 tau: Optional[int] = None, x: Optional[np.ndarray] = None) -> _Walks:
-    """Walks start .. start+count-1 of the stream under `key`.
+    """Walks start .. start+count-1 of `stream`.
 
     With tau given every walk has that length, and with x given (one row
     per walk) the walks start there: the persistence walk.  Each walk's
@@ -185,9 +213,8 @@ def _draw_walks(shape: GridShape, key: np.ndarray, start: int, count: int,
     the step exponent.
     """
     d, n, bits = shape.d, shape.n, shape.bits
-    picks = 1 << tau_ceiling(d) if tau is None else min(tau, d)
-    width = -(-(1 + picks + 2 * d) // 4) * 4
-    w = _words(key, start, count, width)
+    picks, width = _layout(d, tau)
+    w = _words(stream, start, count, width)
     taus = _taus(w[:, 0], d) if tau is None else np.full(count, tau, dtype=np.int64)
     coord = w[:, 1 + picks:1 + picks + d]
     if x is None:
@@ -219,7 +246,7 @@ def _draw_walks(shape: GridShape, key: np.ndarray, start: int, count: int,
 
 @contextmanager
 def _call_entries(entries: int) -> Iterator[None]:
-    """Run the enclosed calls with at most `entries` coordinates per numpy call.
+    """Run the enclosed calls with at most `entries` words per numpy call.
 
     No result may depend on this grouping; verify's criterion 9 and the
     tests run the same work under two groupings to show it.
@@ -235,7 +262,8 @@ def _call_entries(entries: int) -> Iterator[None]:
 def _calls(total: int, width: int, first: Optional[int] = None) -> Iterator[Tuple[int, int]]:
     """(start, count) groups covering range(total), count * width <= _CALL_ENTRIES.
 
-    With `first`, the groups start at that many and double.
+    A group is one walk when width alone is over the budget.  With `first`,
+    the groups start at that many and double.
     """
     most = max(1, _CALL_ENTRIES // max(width, 1))
     size = most if first is None else min(first, most)
@@ -247,11 +275,11 @@ def _calls(total: int, width: int, first: Optional[int] = None) -> Iterator[Tupl
         size = min(2 * size, most)
 
 
-def _walk_batches(shape: GridShape, key: np.ndarray, total: int,
+def _walk_batches(shape: GridShape, stream: _Stream, total: int,
                   first: Optional[int] = None) -> Iterator[Tuple[int, _Walks]]:
-    """Walks 0 .. total-1 of the stream under `key`, as (start, batch) pairs."""
-    for start, count in _calls(total, shape.d, first):
-        yield start, _draw_walks(shape, key, start, count)
+    """Walks 0 .. total-1 of `stream`, as (start, batch) pairs."""
+    for start, count in _calls(total, _layout(shape.d)[1], first):
+        yield start, _draw_walks(shape, stream, start, count)
 
 
 def _evaluate(f: BoolFunc, w: _Walks) -> Tuple[np.ndarray, np.ndarray]:
@@ -290,7 +318,7 @@ def single_test(f: BoolFunc, rng: random.Random) -> TestTranscript:
     """One walk of the tester, as a transcript; at most two queries to f."""
     shape = f.shape
     _require_testable(shape)
-    w = _draw_walks(shape, _key(rng), 0, 1)
+    w = _draw_walks(shape, _stream(rng), 0, 1)
     fx, fy = (int(v[0]) for v in _evaluate(f, w))
     ids = tuple(MatchingId(i, e, c)
                 for i, (e, c) in enumerate(zip(w.exp[0].tolist(), w.parity[0].tolist())))
@@ -339,10 +367,10 @@ def amplified_test(f: BoolFunc, eps: float, calibration: float = DEFAULT_CALIBRA
     shape = f.shape
     _require_testable(shape)
     rounds = repetitions(shape.n, shape.d, eps, calibration)
-    key = _key(rng)
+    stream = _stream(rng)
     tally = _Tally(shape.d)
     total_queries = 0
-    for start, w in _walk_batches(shape, key, rounds, _FIRST_CALL_WALKS):
+    for start, w in _walk_batches(shape, stream, rounds, _FIRST_CALL_WALKS):
         fx, fy = _evaluate(f, w)
         hits = np.flatnonzero(fx > fy)
         end = int(hits[0]) + 1 if hits.size else len(fx)
@@ -371,10 +399,10 @@ def detection_rate(f: BoolFunc, trials: int, rng: random.Random) -> RateEstimate
         raise ValueError("trials must be >= 1")
     shape = f.shape
     _require_testable(shape)
-    key = _key(rng)
+    stream = _stream(rng)
     tally = _Tally(shape.d)
     rejections = 0
-    for _, w in _walk_batches(shape, key, trials):
+    for _, w in _walk_batches(shape, stream, trials):
         fx, fy = _evaluate(f, w)
         rejections += int(np.count_nonzero(fx > fy))
         tally.add(w, len(fx))
@@ -397,15 +425,16 @@ def persistence_fraction(f: BoolFunc, tau: int, outer_samples: int,
     shape = f.shape
     _require_testable(shape)
     d = shape.d
-    x_key, walk_key = _key(rng), _key(rng)
+    x_stream, walk_stream = _stream(rng), _stream(rng)
     non_persistent = 0
-    for o_start, o_count in _calls(outer_samples, d * inner_samples):
-        xs = _draw_walks(shape, x_key, o_start, o_count).x
+    width = _layout(d, tau)[1]
+    for o_start, o_count in _calls(outer_samples, width * inner_samples):
+        xs = _draw_walks(shape, x_stream, o_start, o_count).x
         fx = f.eval_batch(xs)
         flips = np.zeros(o_count, dtype=np.int64)
-        for start, count in _calls(o_count * inner_samples, d):
+        for start, count in _calls(o_count * inner_samples, width):
             rows = (start + np.arange(count)) // inner_samples
-            w = _draw_walks(shape, walk_key, o_start * inner_samples + start, count,
+            w = _draw_walks(shape, walk_stream, o_start * inner_samples + start, count,
                             tau=tau, x=xs[rows])
             flipped = f.eval_batch(w.y) != fx[rows]
             flips += np.bincount(rows[flipped], minlength=o_count)

@@ -213,9 +213,17 @@ def sweep_minima(n: int, d: int) -> Tuple[Fraction, Fraction, Fraction]:
     sweep = full_sweep(n, d)
     far = sweep.matched > 0
     terms = ratio_terms(sweep.violated, sweep.gamma, sweep.matched, sweep.total)
-    return tuple(min(Fraction(a, b) for a, b in
-                     np.unique(np.stack([num[far], den[far]], axis=1), axis=0).tolist())
+    return tuple(min(Fraction(a, b) for a, b in zip(*_distinct_pairs(num[far], den[far])))
                  for num, den in terms)
+
+
+def _distinct_pairs(num: np.ndarray, den: np.ndarray) -> Tuple[list, list]:
+    """The distinct (num, den) pairs, as two lists: sorted, then each run's first."""
+    order = np.lexsort((den, num))
+    num, den = num[order], den[order]
+    first = np.ones(len(num), dtype=bool)
+    first[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
+    return num[first].tolist(), den[first].tolist()
 
 
 def check_isoperimetry_regression() -> CheckResult:
@@ -545,7 +553,7 @@ def check_calibrated_detection(master_seed: int = DEFAULT_MASTER_SEED) -> CheckR
 # ----------------------------------------------------------------------
 # criterion 9: determinism
 
-# Coordinates per numpy call for criterion 9's second grouping: small and
+# Philox words per numpy call for criterion 9's second grouping: small and
 # prime, so its walk batches split every sweep row differently from the default.
 REGROUPED_CALL_ENTRIES = 37
 

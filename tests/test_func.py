@@ -154,6 +154,19 @@ def test_table_capacity_guard():
         assert kind in str(exc.value) and str(big.size) in str(exc.value)
 
 
+def test_capacity_message_of_huge_sizes():
+    # str() of an int past 4300 digits raises; the message never forms it
+    assert (str(CapacityError("rate", 2 ** 20000, 1 << 24))
+            == "rate needs 2^20000 points, above the limit of 16777216")
+    assert (str(CapacityError("rate", 3 ** 20000, 1 << 24))
+            == "rate needs about 2^31699.3 points, above the limit of 16777216")
+    err = CapacityError("rate", 3 ** 20000, 1 << 24)
+    assert err.requested == 3 ** 20000 and err.limit == 1 << 24
+    # ordinary sizes keep their decimal digits
+    assert (str(CapacityError("grid", 3 ** 40, 1 << 62))
+            == f"grid needs {3 ** 40} points, above the limit of {1 << 62}")
+
+
 def test_table_checks_predicate_bits():
     f = BoolFunc.from_predicate(GridShape(2, 2), lambda x: 2)
     with pytest.raises(ValueError):

@@ -22,10 +22,13 @@ from gridmono.grid import (
     points,
 )
 from gridmono.tester import (
+    _CALL_ENTRIES,
     DEFAULT_CALIBRATION,
     _call_entries,
+    _calls,
     _draw_walks,
-    _key,
+    _layout,
+    _stream,
     _taus,
     _walk_batches,
     _words,
@@ -213,7 +216,7 @@ def test_persistence_examples(rng):
 
 
 def test_tau_distribution_uniform(rng):
-    words = _words(_key(rng), 0, CHI_SQUARE_SAMPLES // 4, 4).ravel()
+    words = _words(_stream(rng), 0, CHI_SQUARE_SAMPLES // 4, 4).ravel()
     values, counts = np.unique(_taus(words, 4096), return_counts=True)
     assert values.tolist() == [1, 2, 4]
     stat = chisquare(counts)
@@ -225,7 +228,7 @@ def test_draw_distributions_chi_square(rng):
     shape = GridShape(4, 2)
     x_counts = np.zeros(shape.size, dtype=np.int64)
     a_counts = np.zeros((shape.d, 2 * shape.bits), dtype=np.int64)
-    for _, w in _walk_batches(shape, _key(rng), CHI_SQUARE_SAMPLES):
+    for _, w in _walk_batches(shape, _stream(rng), CHI_SQUARE_SAMPLES):
         x_counts += np.bincount(w.x[:, 0] + shape.n * w.x[:, 1], minlength=shape.size)
         for i in range(shape.d):
             codes = 2 * w.exp[:, i] + w.parity[:, i]
@@ -270,7 +273,7 @@ def test_step_marginal_matches_enumeration(rng):
     counts = Counter()
     moved = 0
     trials = 400_000
-    for _, w in _walk_batches(shape, _key(rng), trials):
+    for _, w in _walk_batches(shape, _stream(rng), trials):
         for x, y in zip(w.x[w.moved].tolist(), w.y[w.moved].tolist()):
             counts[(tuple(x), tuple(y))] += 1
         moved += int(w.moved.sum())
@@ -288,10 +291,10 @@ WALK_FIELDS = ("tau", "x", "exp", "parity", "lower", "stepped", "y", "moved")
 
 def test_walk_rows_do_not_depend_on_grouping():
     shape = GridShape(8, 3)
-    key = _key(random.Random(5))
-    whole = _draw_walks(shape, key, 0, 100)
+    stream = _stream(random.Random(5))
+    whole = _draw_walks(shape, stream, 0, 100)
     for cuts in ((0, 1, 100), (0, 37, 38, 100), (0, 64, 100)):
-        parts = [_draw_walks(shape, key, a, b - a) for a, b in zip(cuts, cuts[1:])]
+        parts = [_draw_walks(shape, stream, a, b - a) for a, b in zip(cuts, cuts[1:])]
         for field in WALK_FIELDS:
             joined = np.concatenate([getattr(p, field) for p in parts])
             assert np.array_equal(joined, getattr(whole, field)), field
@@ -323,11 +326,11 @@ def test_walk_kernel_fixture(case):
     n, d, tau = case
     shape = GridShape(n, d)
     if tau is None:
-        w = _draw_walks(shape, _key(random.Random(f"kernel {n}^{d}")), 3, 500)
+        w = _draw_walks(shape, _stream(random.Random(f"kernel {n}^{d}")), 3, 500)
     else:
         starts = random.Random(f"starts {n}^{d} {tau}")
         x = np.array([[starts.randrange(n) for _ in range(d)] for _ in range(500)], np.int64)
-        w = _draw_walks(shape, _key(random.Random(f"persistence {n}^{d}")), 3, 500,
+        w = _draw_walks(shape, _stream(random.Random(f"persistence {n}^{d}")), 3, 500,
                         tau=tau, x=x)
     h = hashlib.sha256()
     for field in WALK_FIELDS:
@@ -337,7 +340,51 @@ def test_walk_kernel_fixture(case):
     assert h.hexdigest() == KERNEL_DIGESTS[case]
 
 
-@pytest.mark.parametrize("entries", [1, 7, 100])
+def test_words_continue_or_restart_the_generator():
+    stream = _stream(random.Random(11))
+
+    def fresh(start, count, width):
+        counter = np.array([start * width // 4, 0, 0, 0], dtype=np.uint64)
+        gen = np.random.Philox(key=stream.key, counter=counter)
+        return gen.random_raw(count * width).reshape(count, width)
+
+    # (start, count, width, continues the previous read)
+    reads = ((0, 5, 8, False), (5, 3, 8, True), (2, 4, 8, False), (6, 1, 8, True),
+             (100, 1, 12, False), (101, 2, 12, True), (3, 7, 4, False), (0, 2, 4, False),
+             (1, 1, 8, True))
+    for start, count, width, continues in reads:
+        gen = stream.gen
+        assert np.array_equal(_words(stream, start, count, width), fresh(start, count, width))
+        assert (stream.gen is gen) == continues
+
+
+@pytest.mark.parametrize("d", [1, 4, 16, 20, 62])
+def test_calls_stay_within_the_budget(d):
+    # the word block, a call's largest array, stays under glibc's default
+    # 128 KiB mmap threshold
+    assert _CALL_ENTRIES * 8 < 128 * 1024
+    width = _layout(d)[1]
+    for first in (None, 64):
+        groups = list(_calls(50_000, width, first))
+        assert all(count * width <= _CALL_ENTRIES for _, count in groups)
+        assert [s for s, _ in groups] == np.cumsum([0] + [c for _, c in groups[:-1]]).tolist()
+        assert sum(c for _, c in groups) == 50_000
+
+
+@pytest.mark.parametrize("entries", [37, _CALL_ENTRIES, 1 << 16])
+def test_walk_batches_do_not_depend_on_call_size(entries):
+    for n, d in ((8, 3), (8, 16), (2, 62)):
+        shape = GridShape(n, d)
+        whole = _draw_walks(shape, _stream(random.Random(f"{n}^{d}")), 0, 3000)
+        with _call_entries(entries):
+            batches = list(_walk_batches(shape, _stream(random.Random(f"{n}^{d}")), 3000, 64))
+        assert len(batches) > 1
+        for field in WALK_FIELDS:
+            joined = np.concatenate([getattr(w, field) for _, w in batches])
+            assert np.array_equal(joined, getattr(whole, field)), field
+
+
+@pytest.mark.parametrize("entries", [1, 7, 37, 100, 1 << 16])
 def test_results_do_not_depend_on_grouping(entries):
     far = generate("anti_slab", GridShape(4, 3))
     mono = generate("random_monotone", GridShape(4, 3), seed=2)
@@ -360,11 +407,11 @@ def test_amplified_matches_walk_by_walk_replay():
         f = generate(family, shape, seed=9)
         for seed in range(4):
             verdict = amplified_test(f, 0.5, 1.0, random.Random(seed))
-            key = _key(random.Random(seed))
+            stream = _stream(random.Random(seed))
             queries = 0
             invocations = rounds
             for k in range(rounds):
-                w = _draw_walks(shape, key, k, 1)
+                w = _draw_walks(shape, stream, k, 1)
                 fx = f.eval(tuple(w.x[0].tolist()))
                 fy = f.eval(tuple(w.y[0].tolist())) if w.moved[0] else fx
                 queries += 1 + int(w.moved[0])

@@ -217,9 +217,7 @@ def cmd_persistence(args) -> int:
 def cmd_structure(args) -> int:
     from .verify import structural_summary
 
-    f = _load_function(args)
-    lines = structural_summary(f)
-    for line in lines:
+    for line in structural_summary(_load_function(args)):
         print(line)
     return EXIT_OK
 

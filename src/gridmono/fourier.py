@@ -259,9 +259,3 @@ def line_sweep(shape: GridShape, tables: np.ndarray) -> LineSweep:
 def line_delta_report(g: BoolFunc) -> LineDeltaReport:
     """The line report of one line: the one-row view of line_sweep."""
     return line_sweep(g.shape, g.bits[None]).report(0)
-
-
-def unit_coefficients(f: BoolFunc) -> list:
-    """The longest-matching coefficient for every dimension."""
-    bits = f.shape.bits
-    return [edge_coefficient(f, i, bits - 1) for i in range(f.shape.d)]

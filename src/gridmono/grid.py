@@ -28,10 +28,10 @@ LOWER = "lower"
 UPPER = "upper"
 UNMATCHED = "unmatched"
 
-# Construction guard: n^d must stay addressable as a platform index.
-MAX_POINTS = 1 << 62
+_MAX_SIDE = 1 << 62            # every coordinate, and twice it, fits int64
 _MAX_DIMENSIONS = 1 << 16      # d's entries fit one call of the walk kernel
 _EDGE_TABLE_POINTS = 1 << 16   # the augmented edge table's O(N d log n) rows
+_MATCHING_POINTS = 1 << 24     # one matching's O(N) rows, as large as a dense table
 
 Point = tuple
 
@@ -48,9 +48,8 @@ class GridShape:
             raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
         if self.d > _MAX_DIMENSIONS:
             raise CapacityError("grid", self.d, _MAX_DIMENSIONS, "dimensions")
-        # n^d >= 2^(d floor(log2 n)), so no astronomically large power is computed
-        if self.d * (self.n.bit_length() - 1) > 62 or self.n ** self.d > MAX_POINTS:
-            raise ValueError(f"grid {self.n}^{self.d} exceeds the index range")
+        if self.n > _MAX_SIDE:
+            raise CapacityError("grid", self.n, _MAX_SIDE, "points per axis")
 
     @property
     def size(self) -> int:
@@ -156,19 +155,10 @@ def unit_steps(shape: GridShape) -> Iterator[tuple]:
 def compare(x: Point, y: Point) -> str:
     if len(x) != len(y):
         raise ValueError(f"points {x} and {y} have different dimensions")
-    some_less = some_greater = False
-    for a, b in zip(x, y):
-        if a < b:
-            some_less = True
-        elif a > b:
-            some_greater = True
-    if some_less and some_greater:
+    less, greater = any(a < b for a, b in zip(x, y)), any(a > b for a, b in zip(x, y))
+    if less and greater:
         return INCOMPARABLE
-    if some_less:
-        return LESS
-    if some_greater:
-        return GREATER
-    return EQUAL
+    return LESS if less else GREATER if greater else EQUAL
 
 
 def dominates(y: Point, x: Point) -> bool:
@@ -204,7 +194,7 @@ def side_in_matching(shape: GridShape, x: Point, m: MatchingId) -> str:
 
     Every point is on exactly one side, even points that classify_in_matching
     reports as unmatched.  This is the side notion used for pair
-    classification and the pair potential.
+    classification.
     """
     return LOWER if x[m.dim] >> m.exp & 1 == m.parity else UPPER
 
@@ -228,8 +218,11 @@ def enumerate_matching(shape: GridShape, m: MatchingId) -> list:
 
 
 def _matching_edges(shape: GridShape, m: MatchingId) -> Tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) linear indices of the edges of the matching m, in increasing lo."""
+    """(lo, hi) linear indices of the edges of the matching m, in increasing lo.
+    CapacityError above 2^24 points, before any allocation."""
     check_matching_id(shape, m)
+    if shape.size > _MATCHING_POINTS:
+        raise CapacityError("edge matching", shape.size, _MATCHING_POINTS)
     lo, hi, parity = _step_slice(shape, m.dim, m.exp)   # only m's slice of the edge table
     return lo[parity == m.parity], hi[parity == m.parity]
 

@@ -752,10 +752,6 @@ def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySwee
     return IsoperimetrySweep(shape.size, *columns)
 
 
-def influence_report(f: BoolFunc) -> InfluenceReport:
-    return isoperimetry_report(f).influence
-
-
 def isoperimetry_report(f: BoolFunc) -> IsoperimetryReport:
     """Exact influence quantities plus the three isoperimetry ratios: the
     one-row view of isoperimetry_sweep.

@@ -74,7 +74,8 @@ def lift(p: ReductionPlan, f: BoolFunc) -> BoolFunc:
     def g(y) -> int:
         return f.eval(tuple(phi(p, v) for v in y))
 
-    block_of = np.searchsorted(p.boundaries, np.arange(p.N), side="right")
+    # searched per batch: a table of block indices would hold N entries
+    boundaries = np.array(p.boundaries)
     lifted = BoolFunc.from_predicate(GridShape(p.N, p.d), g)
-    lifted._batch = lambda X: f.eval_batch(block_of[X])
+    lifted._batch = lambda X: f.eval_batch(np.searchsorted(boundaries, X, side="right"))
     return lifted

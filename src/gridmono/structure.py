@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, IntegrityError, NotGoodError
@@ -24,7 +23,6 @@ from .grid import (
     aug_up_neighbors,
     check_point,
     classify_in_matching,
-    matching_ids,
     points,
     side_in_matching,
 )
@@ -202,13 +200,8 @@ def build_cover_graph(poset: Poset, S: Sequence, T: Sequence, ell: int) -> Cover
 
 
 def cover_is_layered(cover: CoverGraph) -> bool:
-    for ls in cover.levels.values():
-        if len(ls) != 1:
-            return False
-    for u, v in cover.arcs:
-        if cover.levels[v][0] != cover.levels[u][0] + 1:
-            return False
-    return True
+    return (all(len(ls) == 1 for ls in cover.levels.values())
+            and all(cover.levels[v][0] == cover.levels[u][0] + 1 for u, v in cover.arcs))
 
 
 def _check_disjoint_ends(pairs: Sequence[Tuple]) -> None:
@@ -369,11 +362,9 @@ def route_disjoint_paths(cover: CoverGraph, pair: ConsistentPair) -> List[tuple]
 
 def degree_monotonicity_check(cover: CoverGraph) -> bool:
     """Out-degrees never grow and in-degrees never shrink along reachability."""
-    out_deg: Dict[object, int] = {v: 0 for v in cover.levels}
     in_deg: Dict[object, int] = {v: 0 for v in cover.levels}
     succ: Dict[object, list] = {v: [] for v in cover.levels}
     for u, v in cover.arcs:
-        out_deg[u] += 1
         in_deg[v] += 1
         succ[u].append(v)
     for u in cover.levels:
@@ -386,7 +377,7 @@ def degree_monotonicity_check(cover: CoverGraph) -> bool:
             reach.add(w)
             stack.extend(succ[w])
         for v in reach:
-            if out_deg[u] < out_deg[v] or in_deg[u] > in_deg[v]:
+            if len(succ[u]) < len(succ[v]) or in_deg[u] > in_deg[v]:
                 return False
     return True
 
@@ -434,19 +425,6 @@ def classify_pairs(pairs: Sequence[Tuple], m: MatchingId, f: BoolFunc) -> PairCl
     return PairClasses(tuple(cross), tuple(straight), tuple(skew))
 
 
-def potential_phi(shape: GridShape, pairs: Sequence[Tuple]) -> Fraction:
-    """Sum over pairs and matchings of 1/2^a when both endpoints share a side.
-
-    Exact dyadic arithmetic; opposite-side pairs contribute nothing.
-    """
-    total = Fraction(0)
-    for x, y in pairs:
-        for m in matching_ids(shape):
-            if side_in_matching(shape, x, m) == side_in_matching(shape, y, m):
-                total += Fraction(1, m.step)
-    return total
-
-
 H_VIOLATION = "h_violation"
 STRAIGHT_UNMATCHED = "straight_unmatched"
 
@@ -475,9 +453,6 @@ def alternating_sequence(x, m: MatchingId, pairs: Sequence[Tuple], f: BoolFunc) 
         partner_of[a] = b
         partner_of[b] = a
 
-    def matched_role(p):
-        return classify_in_matching(shape, p, m)
-
     if f.eval(x) != 1:
         raise IntegrityError(f"walk must start at a 1-point, got f({x}) = 0")
     seq = [x]
@@ -486,7 +461,7 @@ def alternating_sequence(x, m: MatchingId, pairs: Sequence[Tuple], f: BoolFunc) 
     current = x
     while True:
         if j % 2 == 0:
-            role, partner = matched_role(current)
+            role, partner = classify_in_matching(shape, current, m)
             expected_role = LOWER if j % 4 == 0 else UPPER
             if role != expected_role:
                 raise IntegrityError(
@@ -504,9 +479,8 @@ def alternating_sequence(x, m: MatchingId, pairs: Sequence[Tuple], f: BoolFunc) 
             nxt = partner_of.get(current)
             if nxt is None:
                 return AltSequence(tuple(seq), STRAIGHT_UNMATCHED, None)
-            role_cur, _ = matched_role(current)
-            role_nxt, _ = matched_role(nxt)
-            if role_cur not in (LOWER, UPPER) or role_cur != role_nxt:
+            role_cur = classify_in_matching(shape, current, m)[0]
+            if role_cur not in (LOWER, UPPER) or role_cur != classify_in_matching(shape, nxt, m)[0]:
                 # the pair leaves the matched side: not a straight step
                 return AltSequence(tuple(seq), STRAIGHT_UNMATCHED, None)
         expected_val = 1 if (j + 1) % 4 in (0, 1) else 0

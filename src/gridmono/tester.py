@@ -448,40 +448,30 @@ def exact_rejection_probability(f: BoolFunc) -> Fraction:
     Enumerates tau, the start point, every per-dimension matching draw, and
     every stepped subset, so it is only usable on tiny grids.
     """
-    shape = f.shape
-    bits = shape.bits
-    p = tau_ceiling(shape.d)
+    shape, bits = f.shape, f.shape.bits
+    taus = [1 << t for t in range(tau_ceiling(shape.d) + 1)]
     table = f.table()
-    total = Fraction(0)
-    draw_prob = Fraction(1, (2 * bits) ** shape.d)
-    for t in range(p + 1):
-        tau = 1 << t
-        tau_prob = Fraction(1, p + 1)
-        for idx in range(shape.size):
-            x = point_of(shape, idx)
-            x_prob = Fraction(1, shape.size)
-            if not table[idx]:
-                continue  # f(x)=0 can never reject
-            for combo in product(range(2 * bits), repeat=shape.d):
-                S = []
-                partners = {}
-                for i, code in enumerate(combo):
-                    mid = MatchingId(i, code % bits, code // bits)
-                    role, partner = classify_in_matching(shape, x, mid)
-                    if role == LOWER:
-                        S.append(i)
-                        partners[i] = partner[i]
-                if len(S) < tau:
-                    continue  # y = x, never a violation
-                subsets = list(combinations(S, tau))
-                sub_prob = Fraction(1, len(subsets))
-                for T in subsets:
-                    coords = list(x)
-                    for i in T:
-                        coords[i] = partners[i]
-                    if not table[linear_index(shape, tuple(coords))]:
-                        total += tau_prob * x_prob * draw_prob * sub_prob
-    return total
+    total = Fraction(0)   # summed over equally likely (tau, x, draws), then normalised
+    for tau, idx in product(taus, range(shape.size)):
+        if not table[idx]:
+            continue  # f(x)=0 can never reject
+        x = point_of(shape, idx)
+        for combo in product(range(2 * bits), repeat=shape.d):
+            # S, each of its dimensions mapped to the partner's coordinate there
+            partners = {}
+            for i, code in enumerate(combo):
+                mid = MatchingId(i, code % bits, code // bits)
+                role, partner = classify_in_matching(shape, x, mid)
+                if role == LOWER:
+                    partners[i] = partner[i]
+            if len(partners) < tau:
+                continue  # y = x, never a violation
+            subsets = list(combinations(partners, tau))
+            for T in subsets:
+                y = tuple(partners[i] if i in T else v for i, v in enumerate(x))
+                if not table[linear_index(shape, y)]:
+                    total += Fraction(1, len(subsets))
+    return total / (len(taus) * shape.size * (2 * bits) ** shape.d)
 
 
 def exact_edge_rejection_probability(f: BoolFunc) -> Fraction:

@@ -290,6 +290,9 @@ def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> Check
         route_disjoint_paths,
     )
 
+    def fail(detail: str) -> CheckResult:
+        return CheckResult(4, "decomposition-routing", False, detail)
+
     posets: Dict[GridShape, GridPoset] = {}
     classes_checked = 0
     instances = decomposition_instances(master_seed)
@@ -299,46 +302,37 @@ def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> Check
             for ell, pairs in _pairs_by_distance(shape, mstar.pairs):
                 parts = conflict_free_decompose(poset, pairs, ell)
                 if sorted(p for cp, _ in parts for p in cp.phi) != sorted(pairs):
-                    return CheckResult(4, "decomposition-routing", False,
-                                       f"mask {mask} on {shape.n}^{shape.d}: endpoints not partitioned")
+                    return fail(f"mask {mask} on {shape.n}^{shape.d}: endpoints not partitioned")
                 for cp, cover in parts:
                     if not cover_is_layered(cover):
-                        return CheckResult(4, "decomposition-routing", False,
-                                           f"mask {mask}: pair of size {len(cp.S)} not {ell}-good")
+                        return fail(f"mask {mask}: pair of size {len(cp.S)} not {ell}-good")
                     if not degree_monotonicity_check(cover):
-                        return CheckResult(4, "decomposition-routing", False,
-                                           f"mask {mask}: degree monotonicity broken")
+                        return fail(f"mask {mask}: degree monotonicity broken")
                     if not layer_size_dichotomy(cover, len(cp.S)):
-                        return CheckResult(4, "decomposition-routing", False,
-                                           f"mask {mask}: no wide boundary layer")
+                        return fail(f"mask {mask}: no wide boundary layer")
                 for a in range(len(parts)):
                     for b in range(a + 1, len(parts)):
                         if not covers_disjoint(parts[a][1], parts[b][1]):
-                            return CheckResult(4, "decomposition-routing", False,
-                                               f"mask {mask}: cover graphs intersect")
+                            return fail(f"mask {mask}: cover graphs intersect")
                 seen_vertices: set = set()
                 total_paths = 0
                 for cp, cover in parts:
                     paths = route_disjoint_paths(cover, cp)
                     if len(paths) != len(cp.S):
-                        return CheckResult(4, "decomposition-routing", False,
-                                           f"mask {mask}: {len(paths)} paths for {len(cp.S)} sources")
+                        return fail(f"mask {mask}: {len(paths)} paths for {len(cp.S)} sources")
                     for path in paths:
                         if seen_vertices.intersection(path):
-                            return CheckResult(4, "decomposition-routing", False,
-                                               f"mask {mask}: routed paths share a vertex")
+                            return fail(f"mask {mask}: routed paths share a vertex")
                         seen_vertices.update(path)
                         if not _violated_edge_on(f, path):
-                            return CheckResult(4, "decomposition-routing", False,
-                                               f"mask {mask}: a routed path avoids every violated edge")
+                            return fail(f"mask {mask}: a routed path avoids every violated edge")
                     total_paths += len(paths)
                 if total_paths != len(pairs) or total_paths > gamma_count:
-                    return CheckResult(4, "decomposition-routing", False,
-                                       f"mask {mask}: {total_paths} paths vs |M*_i|={len(pairs)}, "
-                                       f"gamma count {gamma_count}")
+                    return fail(f"mask {mask}: {total_paths} paths vs |M*_i|={len(pairs)}, "
+                                f"gamma count {gamma_count}")
                 classes_checked += 1
     except (IntegrityError, NotGoodError) as exc:
-        return CheckResult(4, "decomposition-routing", False, f"integrity failure: {exc}")
+        return fail(f"integrity failure: {exc}")
     return CheckResult(4, "decomposition-routing", True,
                        f"{len(instances)} eps-far instances, {classes_checked} distance classes verified",
                        classes_checked, "distance classes")

@@ -65,9 +65,30 @@ def test_test_subcommand_power_of_two_prints_no_plan(capsys):
 
 
 def test_test_subcommand_lift_past_the_index_range(capsys):
-    # 3^30 fits, but its lift 128^30 does not
-    assert run(["test", "--family", "anti_slab", "--n", "3", "--d", "30"]) == EXIT_USAGE
-    assert "exceeds the index range" in capsys.readouterr().err
+    # the lift of 3^30 is 128^30 = 2^210 points, which the walks reach as any other grid
+    assert run(["test", "--family", "anti_slab", "--n", "3", "--d", "30"]) == EXIT_REJECT
+    assert capsys.readouterr().out.splitlines()[0] == "plan: i=12 N=128 m=1 blocks=(42, 43, 43)"
+
+
+def test_test_subcommand_past_2_62_points(capsys):
+    # 2^400 points: tau_ceiling(400) = 1, so the walks take one or two steps
+    assert run(["test", "--family", "anti_slab", "--n", "2", "--d", "400"]) == EXIT_REJECT
+    assert "REJECT" in capsys.readouterr().out
+
+
+def test_rate_capacity_exit_past_2_62_points(tmp_path, capsys):
+    # the grid builds; the exact distance refuses it, naming its size as a power of two
+    out = tmp_path / "r.csv"
+    assert run(["rate", "--shapes", "2x20000", "--families", "anti_slab",
+                "--out", str(out)]) == EXIT_CAPACITY
+    assert "2^20000" in capsys.readouterr().err and not out.exists()
+
+
+def test_test_subcommand_side_cap(capsys):
+    # a side of 2^64 would overflow the walk kernel's int64 coordinates
+    assert run(["test", "--family", "anti_slab", "--n", str(1 << 64), "--d", "1"]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: grid needs 2^64") and "Traceback" not in err
 
 
 def test_test_subcommand_dimension_cap(capsys):

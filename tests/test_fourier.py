@@ -17,7 +17,6 @@ from gridmono.fourier import (
     line_sweep,
     transform,
     transform_exact,
-    unit_coefficients,
     walsh_value,
 )
 from gridmono.grid import GridShape, linear_index, point_of, points
@@ -224,7 +223,7 @@ def aggregation_gap(f):
     s_minus, s_plus = violated_aug_edges(f)
     I = Fraction(len(s_minus) + len(s_plus), shape.size)
     I_minus = Fraction(len(s_minus), shape.size)
-    lhs = sum(abs(c) for c in unit_coefficients(f))
+    lhs = sum(abs(edge_coefficient(f, i, shape.bits - 1)) for i in range(shape.d))
     return lhs - (I / shape.bits - 6 * I_minus)
 
 

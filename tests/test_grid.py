@@ -93,8 +93,7 @@ def test_shape_validation():
         GridShape(0, 1)
     with pytest.raises(ValueError):
         GridShape(2, 0)
-    with pytest.raises(ValueError):
-        GridShape(2, 80)
+    assert GridShape(2, 80).size == 1 << 80
     with pytest.raises(ValueError):
         GridShape(6, 1).bits
     assert GridShape(8, 2).bits == 3
@@ -118,15 +117,16 @@ def test_classify_validation():
 
 
 def test_grid_shape_index_range():
-    # the shortcut never overestimates log2(n^d), so every grid up to 2^62 fits
-    for n, d in [(3, 39), (5, 26), (1, 71), (2, 62), (1, 1 << 16)]:
+    # n^d has no bound of its own: each exact operation caps the size it needs
+    for n, d in [(3, 39), (5, 26), (1, 71), (2, 62), (1, 1 << 16), (2, 80), (3, 40),
+                 (2, 63), (2, 20000), (1 << 62, 1), (1 << 62, 1 << 16)]:
         assert GridShape(n, d).size == n ** d
-    for n, d in [(3, 40), (2, 63)]:
-        with pytest.raises(ValueError, match="exceeds the index range"):
-            GridShape(n, d)
-    # the dimension cap comes before any power of n is computed
-    for n, d in [(2, 10 ** 9), (1, (1 << 16) + 1)]:
+    # both caps come before any power of n is computed
+    for n, d in [(2, 10 ** 9), (1, (1 << 16) + 1), ((1 << 62) + 1, 10 ** 9)]:
         with pytest.raises(CapacityError, match="dimensions"):
+            GridShape(n, d)
+    for n, d in [((1 << 62) + 1, 1), (1 << 64, 1 << 16), (3 ** 4000, 2)]:
+        with pytest.raises(CapacityError, match="points per axis"):
             GridShape(n, d)
 
 
@@ -136,13 +136,17 @@ def test_edge_table_capacity():
     for build in (enumerate_augmented_edges, unit_steps, _edge_table):
         with pytest.raises(CapacityError, match="augmented edge table"):
             build(shape)
-    # the arithmetic decode needs no table, up to 2^62 points
-    big = GridShape(2, 62)
-    assert _aug_edge_at(big, num_augmented_edges(big) - 1) == (
-        (1 << 61) - 1, (1 << 62) - 1, MatchingId(61, 0, 0))
-    # a matching builds only its own slice, so it has no such cap
+    # the arithmetic decode needs no table, at any size
+    for d in (62, 400):
+        big = GridShape(2, d)
+        assert _aug_edge_at(big, num_augmented_edges(big) - 1) == (
+            (1 << d - 1) - 1, (1 << d) - 1, MatchingId(d - 1, 0, 0))
+    # a matching builds only its own slice, so its cap is a dense table's 2^24 points
     lo, hi = _matching_edges(GridShape(2, 17), MatchingId(16, 0, 0))
     assert np.array_equal(lo, np.arange(1 << 16)) and np.array_equal(hi, lo + (1 << 16))
+    for d, size in ((30, "1073741824"), (400, r"2\^400")):
+        with pytest.raises(CapacityError, match=f"edge matching needs {size} points"):
+            enumerate_matching(GridShape(2, d), MatchingId(0, 0, 0))
 
 
 def test_edge_table_columns():

@@ -36,7 +36,6 @@ from gridmono.oracle import (
     gamma_minus,
     influence_bound_batch,
     influence_bound_check,
-    influence_report,
     isoperimetry_report,
     isoperimetry_sweep,
     monotone_masks,
@@ -736,7 +735,7 @@ def test_influence_identities(rng):
     bound = shape.d * shape.bits
     for _ in range(200):
         f = BoolFunc.from_mask(shape, rng.randrange(1 << shape.size))
-        rep = influence_report(f)
+        rep = isoperimetry_report(f).influence
         assert rep.I == rep.I_plus + rep.I_minus
         assert 0 <= rep.I <= bound
         assert 0 <= rep.eps <= 1
@@ -751,7 +750,7 @@ def test_influence_identities(rng):
 # Every grid of at most 256 points: the shapes whose reports take the
 # assignment (oracle._ASSIGNMENT_POINTS); test_flow_matches_the_assignment
 # checks the flow above.  On a 2-vCPU host each of these shapes' tables
-# builds in under 2 ms cold and one influence_report takes under 2 ms, so
+# builds in under 2 ms cold and one isoperimetry_report takes under 2 ms, so
 # the bound is not set by cost.
 SMALL_SHAPES = [GridShape(n, d) for n in range(2, 257) for d in range(1, 9) if n ** d <= 256]
 
@@ -760,7 +759,7 @@ SMALL_SHAPES = [GridShape(n, d) for n in range(2, 257) for d in range(1, 9) if n
 def test_influence_report_matches_distance_oracle(shape, data):
     table = data.draw(st.lists(st.integers(0, 1), min_size=shape.size, max_size=shape.size))
     f = BoolFunc.from_table(shape, table)
-    rep = influence_report(f)
+    rep = isoperimetry_report(f).influence
     dist = distance_to_monotonicity(f)
     assert rep.eps == dist.eps
     assert rep.matching_size == len(dist.matching)

@@ -111,6 +111,17 @@ def test_lift_batch_query_forwarding(rng):
     assert values.tolist() == [f.table()[phi(p, a) + 3 * phi(p, b)] for a, b in pts.tolist()]
 
 
+def test_lift_past_2_62_points(rng):
+    # N = 2^31 on each of 2^14 axes: the lift's cost is set by its queries, not by N
+    p = plan((1 << 16) + 1, 1 << 14)
+    assert p.N == 1 << 31
+    f = generate("block_parity", GridShape(p.n, p.d))
+    g = lift(p, f)
+    pts = np.array([[rng.randrange(p.N) for _ in range(p.d)] for _ in range(3)])
+    expected = [f.eval(tuple(phi(p, v) for v in x)) for x in pts.tolist()]
+    assert g.eval_batch(pts).tolist() == expected
+
+
 @pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (5, 1), (5, 2), (6, 2)])
 def test_lift_bits_match_phi(n, d, rng):
     shape = GridShape(n, d)

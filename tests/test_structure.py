@@ -35,7 +35,6 @@ from gridmono.structure import (
     degree_monotonicity_check,
     layer_size_dichotomy,
     pair_crosses,
-    potential_phi,
     route_disjoint_paths,
 )
 
@@ -382,16 +381,7 @@ def test_crossing_count_equals_distance():
 
 
 # ----------------------------------------------------------------------
-# potential and alternating sequences
-
-def test_potential_phi_examples():
-    shape = GridShape(4, 1)
-    assert potential_phi(shape, []) == 0
-    assert potential_phi(shape, [((0,), (2,))]) == 2
-    # set semantics: order of pairs is irrelevant
-    pairs = [((0,), (2,)), ((1,), (3,))]
-    assert potential_phi(shape, pairs) == potential_phi(shape, list(reversed(pairs)))
-
+# alternating sequences
 
 def test_alternating_sequence_immediate_violation():
     shape = GridShape(4, 1)

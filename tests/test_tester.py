@@ -76,15 +76,20 @@ def test_single_test_monotone_never_rejects(rng):
 
 
 def test_single_test_transcript_soundness(rng):
-    # on 2^20 x 3 the coordinates have 20 bits and most steps are long
+    # on 2^20 x 3 the coordinates have 20 bits and most steps are long; on
+    # 2^400, past 2^62 points, tau is 1 or 2
     for f, walks in ((generate("uniform_random", GridShape(8, 3), seed=4), 4000),
-                     (BoolFunc.from_predicate(GridShape(1 << 20, 3), lambda p: sum(p) % 2), 2000)):
+                     (BoolFunc.from_predicate(GridShape(1 << 20, 3), lambda p: sum(p) % 2), 2000),
+                     (generate("anti_slab", GridShape(2, 400)), 20)):
         shape = f.shape
         off_grid = 0
+        taus = set()
         for _ in range(walks):
             t = single_test(f, rng)
+            taus.add(t.tau)
             assert all(a <= b for a, b in zip(t.x, t.y))
             assert (t.y == t.x) == (len(t.S) < t.tau)
+            assert len(t.T) == (0 if t.y == t.x else t.tau)
             assert (t.verdict == "reject") == (t.fx == 1 and t.fy == 0)
             assert t.queries_used == (1 if t.y == t.x else 2)
             # S is exactly the set of dimensions where x is a lower endpoint
@@ -101,6 +106,7 @@ def test_single_test_transcript_soundness(rng):
                     assert step == 0
         # the walks met parity-1 pairs whose upper partner is off the grid
         assert off_grid > 0, shape
+        assert taus == {1 << t for t in range(tau_ceiling(shape.d) + 1)}, shape
 
 
 def assert_close_to_probability(hits, trials, p, z=5.0):
@@ -136,6 +142,20 @@ def test_edge_test_examples(rng):
     assert all(edge_test(mono, rng).verdict == "accept" for _ in range(3000))
     const = BoolFunc.from_predicate(GridShape(8, 2), lambda x: 1)
     assert all(edge_test(const, rng).verdict == "accept" for _ in range(300))
+
+
+def test_edge_test_past_2_62_points(rng):
+    shape = GridShape(2, 400)
+    f = generate("anti_slab", shape)
+    for _ in range(200):
+        t = edge_test(f, rng)
+        (i,) = t.S
+        m = t.matchings[i]
+        assert t.T == (i,) and t.matchings == (None,) * i + (m,) + (None,) * (shape.d - 1 - i)
+        assert classify_in_matching(shape, t.x, m) == (LOWER, t.y)
+        assert (t.fx, t.fy) == (f.eval(t.x), f.eval(t.y))
+        # only an axis-0 edge crosses the slab
+        assert t.verdict == ("reject" if i == 0 else "accept") and t.queries_used == 2
 
 
 def test_edge_test_uniform_over_edges(rng):
@@ -223,6 +243,18 @@ def test_tau_distribution_uniform(rng):
     assert stat.pvalue > CHI_SQUARE_ALPHA
 
 
+@pytest.mark.parametrize("d", [400, 2048])
+def test_multi_step_walks_past_2_62_points(d):
+    # tau_ceiling reaches 1 at d = 336 and 2 at d = 1720: tau is drawn from
+    # {1, 2} at 2^400 and from {1, 2, 4} at 2^2048, each with equal weight
+    f = generate("monotone_threshold", GridShape(2, d), seed=d)
+    est = detection_rate(f, 4000, random.Random(d))
+    assert est.rejections == 0
+    taus, counts = zip(*est.stats.tau_histogram)
+    assert taus == {400: (1, 2), 2048: (1, 2, 4)}[d]
+    assert chisquare(counts).pvalue > CHI_SQUARE_ALPHA
+
+
 def test_draw_distributions_chi_square(rng):
     """x uniform and each a_i uniform, over a million kernel walks."""
     shape = GridShape(4, 2)
@@ -305,11 +337,13 @@ def test_walk_rows_do_not_depend_on_grouping():
 # derived field are pinned, at any numpy version.  Keys are (n, d, tau); a
 # given tau runs the persistence walk from start points drawn by random.Random,
 # whose stream, unlike numpy's Generator methods, is fixed across versions.
+# At 2^400 the walks draw tau from {1, 2}.
 KERNEL_DIGESTS = {
     (8, 3, None): "cbb46e869f3533d769c5fcabd9431a7434d002f4adbb9f6cef9f5ead0a50b560",
     (8, 16, None): "bc7da07a14ffce2101fc06a30db22a3988590bf85d53a6def79f005eb9bf555a",
     (4, 20, None): "7b373b7f031345dd41c55c06f3b98b6ba6ad1ad09b44ad3bf687069263e906a9",
     (2, 62, None): "f8de32cde0394559cba3e5e4fa541bdf68023c11e57c8aec6dcdf2220c937d41",
+    (2, 400, None): "c01b24ca2f71fc2318c3b1f8fcc7b012b105b95b7825b065eec82e22e7df6d0a",
     (1 << 31, 2, None): "eea1f4afa106238e5b3e57967b46e544894536d735b3b9d35b3c141b55a470dd",
     (16, 5, None): "97e11847e1f354f91eaffbfb7e028f29aea2e5f41a75f1189856af94c6e4b9b1",
     (8, 3, 2): "fe21698f0a98408e2f59dfe58fc29605091b4765c5a727a638777fb7695fe631",
@@ -358,7 +392,7 @@ def test_words_continue_or_restart_the_generator():
         assert (stream.gen is gen) == continues
 
 
-@pytest.mark.parametrize("d", [1, 4, 16, 20, 62])
+@pytest.mark.parametrize("d", [1, 4, 16, 20, 62, 2048])
 def test_calls_stay_within_the_budget(d):
     # the word block, a call's largest array, stays under glibc's default
     # 128 KiB mmap threshold

@@ -15,6 +15,11 @@ class CapacityError(Exception):
         self.operation = operation
         self.requested = requested
         self.limit = limit
+        self.unit = unit
+
+    def __reduce__(self):
+        # Exception pickles as cls(*args), and args holds only the message
+        return type(self), (self.operation, self.requested, self.limit, self.unit)
 
 
 def _size(value: int) -> str:

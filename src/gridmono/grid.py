@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -51,9 +51,14 @@ class GridShape:
         if self.n > _MAX_SIDE:
             raise CapacityError("grid", self.n, _MAX_SIDE, "points per axis")
 
-    @property
+    @cached_property
     def size(self) -> int:
+        # kept in the instance dict, outside the fields: eq, hash and repr ignore it
         return self.n ** self.d
+
+    def __getstate__(self):
+        # the fields only, not a cached size of up to 2^20 bits
+        return {"n": self.n, "d": self.d}
 
     def is_pow2(self) -> bool:
         return self.n & (self.n - 1) == 0

@@ -188,7 +188,12 @@ def _below(words: np.ndarray, k) -> np.ndarray:
 
     Exact for k a power of two; otherwise each value's probability is off by
     at most 2^-53.  u = m * 2^-53 exactly, so m * (k * 2^-53) rounds as u * k.
+    For an int k = 2^j with j <= 53 that is the word's top j bits, taken by shift.
     """
+    if isinstance(k, int) and 0 < k <= 1 << 53 and k & (k - 1) == 0:
+        if k == 1:   # a shift by 64 is undefined
+            return np.zeros(words.shape, dtype=np.int64)
+        return (words >> np.uint64(65 - k.bit_length())).view(np.int64)
     return ((words >> np.uint64(11)) * (k * 2.0 ** -53)).astype(np.int64)
 
 

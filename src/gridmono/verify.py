@@ -1,9 +1,10 @@
 """The acceptance suite: every shipping criterion as a callable check.
 
 Each check returns a CheckResult; tests/test_acceptance.py asserts them one
-by one and the CLI `verify` subcommand runs the same list.  Shared sweeps
-are cached per process so the distance and isoperimetry criteria pay for
-the exhaustive enumerations once.
+by one and the CLI `verify` subcommand runs the same list through
+`run_all`, which splits it across two processes.  Shared sweeps are cached
+per process so the distance and isoperimetry criteria pay for the
+exhaustive enumerations once.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class CheckResult:
     detail: str
     work: int = 0           # items a passing check covered, counted in work_unit
     work_unit: str = ""
-    seconds: float = 0.0    # wall time, filled in by run_all
+    seconds: float = 0.0    # wall time in the process that ran it, filled in by run_all
 
 
 # ----------------------------------------------------------------------
@@ -590,24 +591,48 @@ def check_determinism(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
 
 # ----------------------------------------------------------------------
 
-def _timed(check, *args) -> CheckResult:
-    start = time.perf_counter()
-    result = check(*args)
-    return dataclasses.replace(result, seconds=time.perf_counter() - start)
+# run_all's two halves.  Criteria sharing a cache stay together (2 and 3
+# read _SWEEPS, 4 and 5 read _INSTANCES); the calling process keeps the
+# half with criterion 2's 4^2 sweep, the largest arrays.
+PARENT_GROUP = (2, 3, 4, 5)
+WORKER_GROUP = (1, 6, 7, 8, 9)
+
+
+def _run_group(criteria: Tuple[int, ...], master_seed: int) -> List[CheckResult]:
+    """The given criteria in order, each timed by wall clock in this process.
+
+    Checks are looked up when called, so a forked worker runs whatever the
+    module held at the fork.
+    """
+    checks = {1: check_one_sided, 2: check_distance_equivalence,
+              3: check_isoperimetry_regression, 4: check_decomposition_routing,
+              5: check_alternating_counts, 6: check_fourier_suite, 7: check_reduction,
+              8: check_calibrated_detection, 9: check_determinism}
+    results = []
+    for criterion in criteria:
+        args = () if criterion in (2, 3) else (master_seed,)
+        start = time.perf_counter()
+        result = checks[criterion](*args)
+        results.append(dataclasses.replace(result, seconds=time.perf_counter() - start))
+    return results
 
 
 def run_all(master_seed: int = DEFAULT_MASTER_SEED) -> List[CheckResult]:
-    return [
-        _timed(check_one_sided, master_seed),
-        _timed(check_distance_equivalence),
-        _timed(check_isoperimetry_regression),
-        _timed(check_decomposition_routing, master_seed),
-        _timed(check_alternating_counts, master_seed),
-        _timed(check_fourier_suite, master_seed),
-        _timed(check_reduction, master_seed),
-        _timed(check_calibrated_detection, master_seed),
-        _timed(check_determinism, master_seed),
-    ]
+    """All nine criteria, in criterion order.
+
+    WORKER_GROUP runs in one forked process while this one runs
+    PARENT_GROUP; an exception in either is raised here, after the worker
+    has exited.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    with ProcessPoolExecutor(1, mp_context=context) as pool:
+        worker = pool.submit(_run_group, WORKER_GROUP, master_seed)
+        results = _run_group(PARENT_GROUP, master_seed) + worker.result()
+    return sorted(results, key=lambda r: r.criterion)
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,16 @@ pytest -s or in captured output).  The CLI `verify` subcommand runs the
 same checks.
 """
 
+import multiprocessing
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gridmono import structure, verify
+from gridmono.errors import CapacityError, IntegrityError
 from gridmono.func import BoolFunc
 from gridmono.grid import GridShape
 from gridmono.oracle import brute_force_distance, gamma_minus, isoperimetry_report, optimal_matching
@@ -222,3 +226,69 @@ def test_criterion_8_calibrated_detection():
 
 def test_criterion_9_determinism():
     report(verify.check_determinism(SEED))
+
+
+# ----------------------------------------------------------------------
+# run_all's split across two processes, on stub checks
+
+CHECK_NAMES = ("check_one_sided", "check_distance_equivalence", "check_isoperimetry_regression",
+               "check_decomposition_routing", "check_alternating_counts", "check_fourier_suite",
+               "check_reduction", "check_calibrated_detection", "check_determinism")
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the worker sees the stubs only through fork")
+
+
+def stub_checks(monkeypatch, raising=None):
+    """Replace the nine checks by stubs that name the process they ran in;
+    criterion k sleeps k ms, and the criteria in `raising` raise instead."""
+    raising = raising or {}
+
+    def stub(criterion):
+        def check(*args):
+            if criterion in raising:
+                raise raising[criterion]
+            assert args == (() if criterion in (2, 3) else (SEED,))
+            time.sleep(criterion / 1000)
+            return verify.CheckResult(criterion, f"stub-{criterion}", True, str(os.getpid()))
+        return check
+
+    for criterion, name in enumerate(CHECK_NAMES, 1):
+        monkeypatch.setattr(verify, name, stub(criterion))
+
+
+def test_run_all_groups_cover_each_criterion_once():
+    groups = (verify.PARENT_GROUP, verify.WORKER_GROUP)
+    assert sorted(verify.PARENT_GROUP + verify.WORKER_GROUP) == list(range(1, 10))
+    # criteria sharing a module cache run in one process
+    for pair in ({2, 3}, {4, 5}):
+        assert any(pair <= set(group) for group in groups)
+    assert 2 in verify.PARENT_GROUP
+
+
+@needs_fork
+def test_run_all_merges_both_halves_in_criterion_order(monkeypatch):
+    stub_checks(monkeypatch)
+    results = verify.run_all(SEED)
+    assert [r.criterion for r in results] == list(range(1, 10))
+    assert [r.name for r in results] == [f"stub-{k}" for k in range(1, 10)]
+    assert all(r.seconds >= r.criterion / 1000 for r in results)
+    pids = {r.criterion: int(r.detail) for r in results}
+    assert {pids[k] for k in verify.PARENT_GROUP} == {os.getpid()}
+    assert len({pids[k] for k in verify.WORKER_GROUP}) == 1
+    assert pids[verify.WORKER_GROUP[0]] != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [IntegrityError("pilot rate not separated from zero"),
+                                   CapacityError("line sweep", 17, 16)])
+@pytest.mark.parametrize("group", ["parent", "worker"])
+def test_run_all_raises_a_check_error_as_it_was(monkeypatch, error, group):
+    criterion = verify.PARENT_GROUP[-1] if group == "parent" else verify.WORKER_GROUP[-1]
+    stub_checks(monkeypatch, raising={criterion: error})
+    with pytest.raises(type(error)) as caught:
+        verify.run_all(SEED)
+    assert type(caught.value) is type(error)
+    assert str(caught.value) == str(error)
+    assert multiprocessing.active_children() == []

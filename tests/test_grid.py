@@ -1,5 +1,6 @@
 """Grid, matching family, and distance tests, including the BFS oracle."""
 
+import pickle
 from collections import deque
 
 import numpy as np
@@ -97,6 +98,17 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         GridShape(6, 1).bits
     assert GridShape(8, 2).bits == 3
+
+
+def test_grid_shape_size_is_computed_once():
+    shape = GridShape(1 << 62, 4096)
+    before = pickle.dumps(shape)
+    assert shape.size is shape.size == (1 << 62) ** 4096
+    # the cached size stays out of equality, hashing, repr and pickles
+    fresh = GridShape(1 << 62, 4096)
+    assert shape == fresh and hash(shape) == hash(fresh) and repr(shape) == repr(fresh)
+    assert pickle.dumps(shape) == before
+    assert pickle.loads(before) == shape
 
 
 def test_classify_examples():

@@ -24,6 +24,7 @@ from gridmono.grid import (
 from gridmono.tester import (
     _CALL_ENTRIES,
     DEFAULT_CALIBRATION,
+    _below,
     _call_entries,
     _calls,
     _draw_walks,
@@ -372,6 +373,16 @@ def test_walk_kernel_fixture(case):
         h.update(repr(a.shape).encode())
         h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
     assert h.hexdigest() == KERNEL_DIGESTS[case]
+
+
+@pytest.mark.parametrize("j", range(63))
+def test_below_power_of_two_matches_the_float_path(j):
+    words = np.random.default_rng(j).integers(0, 1 << 64, 1000, dtype=np.uint64, endpoint=False)
+    words = np.concatenate([words, np.array([0, (1 << 11) - 1, (1 << 64) - 1], dtype=np.uint64)])
+    k = 1 << j
+    got = _below(words, k)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ((words >> np.uint64(11)) * (k * 2.0 ** -53)).astype(np.int64))
 
 
 def test_words_continue_or_restart_the_generator():

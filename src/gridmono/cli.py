@@ -152,7 +152,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
 
 
 def _print_plan(p: ReductionPlan) -> None:
-    print(f"plan: i={p.i} N={p.N} m={p.m} blocks={p.block_sizes}")
+    short = p.d + p.i
+    print(f"plan: i={p.i} N={p.N} m={p.m} blocks={p.m}x{short}+{p.n - p.m}x{short + 1}")
 
 
 def cmd_test(args) -> int:

@@ -150,8 +150,8 @@ def points(shape: GridShape) -> Iterator[Point]:
 def unit_steps(shape: GridShape) -> Iterator[tuple]:
     """(lo, hi) linear indices of every unit-step edge, hi one step above lo.
 
-    Dimension by dimension, and within a dimension in increasing lo, so one
-    in-order pass of "if table[lo]: table[hi] = 1" closes a table upward.
+    In increasing lo, so one in-order pass of "if table[lo]: table[hi] = 1"
+    closes a table upward: every step into lo comes before lo's own.
     """
     lo, hi, _, exp, _ = _edge_table(shape)
     return zip(lo[exp == 0].tolist(), hi[exp == 0].tolist())
@@ -245,45 +245,32 @@ def _step_slice(shape: GridShape, dim: int, exp: int) -> Tuple[np.ndarray, ...]:
     return lo, lo + (stride << exp), lo // stride % n >> exp & 1
 
 
-@lru_cache(maxsize=16)   # 11 bytes an edge: 10 MB at 256^2
+@lru_cache(maxsize=16)   # 19 bytes an edge: 17 MB at 256^2
 def _edge_table(shape: GridShape) -> Tuple[np.ndarray, ...]:
     """Every augmented edge as read-only columns (lo, hi, dim, exp, parity): its
-    ends' linear indices (int32) and its owning MatchingId (uint8), by dimension,
-    then step, then lo, so row r is _aug_edge_at(shape, r); filled one (dimension,
-    step) slice at a time.  CapacityError above 2^16 points, before any allocation."""
+    ends' linear indices (intp, the type numpy gathers through fastest) and its
+    owning MatchingId (uint8), by lo, then dimension, then step.  Filled one
+    (dimension, step) slice at a time, then stably sorted by lo.  CapacityError
+    above 2^16 points, before any allocation."""
     if shape.size > _EDGE_TABLE_POINTS:
         raise CapacityError("augmented edge table", shape.size, _EDGE_TABLE_POINTS)
     rows, end = num_augmented_edges(shape), 0
-    dtypes = 2 * [np.int32] + 3 * [np.uint8]
+    dtypes = 2 * [np.intp] + 3 * [np.uint8]
     columns = lo, hi, dim, exp, parity = tuple(np.empty(rows, t) for t in dtypes)
     for i, e in itertools.product(range(shape.d), range(len(steps(shape)))):
         span = slice(end, end + _edges_per_step(shape)[e])
         lo[span], hi[span], parity[span] = _step_slice(shape, i, e)
         dim[span], exp[span], end = i, e, span.stop
+    order = lo.argsort(kind="stable")
+    columns = tuple(column[order] for column in columns)
     for column in columns:
         column.setflags(write=False)
     return columns
 
 
-def _aug_edge_at(shape: GridShape, r: int) -> tuple:
-    """Row r of _edge_table(shape), by arithmetic instead of enumeration."""
-    counts = _edges_per_step(shape)
-    dim, r = divmod(r, sum(counts))
-    if not 0 <= dim < shape.d:
-        raise ValueError(f"edge index out of range [0, {num_augmented_edges(shape)})")
-    for exp, count in enumerate(counts):
-        if r < count:
-            break
-        r -= count
-    s, stride = 1 << exp, shape.n ** dim
-    block, offset = divmod(r, (shape.n - s) * stride)
-    lo = block * stride * shape.n + offset
-    return lo, lo + s * stride, MatchingId(dim, exp, offset // stride >> exp & 1)
-
-
 def enumerate_augmented_edges(shape: GridShape) -> Iterator[AugEdge]:
-    """Every augmented edge in _edge_table's order (so at most 2^16 points),
-    each tagged with the matching that owns it.
+    """Every augmented edge in _edge_table's order, by lower endpoint (so at
+    most 2^16 points), each tagged with the matching that owns it.
 
     Works for any n (steps are the powers of two at most n-1); for
     power-of-two n the tags partition the edge set into the matching family.
@@ -301,7 +288,7 @@ def _edge_labels(shape: GridShape, lo, hi, dim, exp, parity) -> Iterator[AugEdge
 
 @lru_cache(maxsize=64)
 def _edges_per_step(shape: GridShape) -> tuple:
-    """Per-dimension edge count (n - s) n^(d-1) of each step s; cached for edge_test."""
+    """Per-dimension edge count (n - s) n^(d-1) of each step s."""
     return tuple((shape.n - s) * (shape.size // shape.n) for s in steps(shape))
 
 

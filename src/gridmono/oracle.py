@@ -1,9 +1,10 @@
 """Exact desk-scale oracles: distance, influences, matchings, ratios.
 
 Everything here enumerates the grid, so it is guarded by a point-count
-capacity: 2^16 points for the distance cut and the isoperimetry report,
-whose graphs have O(N d log n) arcs, 4096 for the rest.  Distances between
-matched violation pairs use the directed augmented-hypergrid metric.
+capacity: 2^16 points for the distance cut, the isoperimetry report and
+the edge counts, whose graphs and edge rows are O(N d log n), 4096 for the
+rest.  Distances between matched violation pairs use the directed
+augmented-hypergrid metric.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def _row_batches(rows: int, width: int) -> Iterator[slice]:
 def _unit_step_arrays(shape: GridShape) -> np.ndarray:
     """(2, steps) int32 lo and hi linear indices of grid.unit_steps, in its order."""
     lo, hi, _, exp, _ = _edge_table(shape)
-    return np.stack((lo[exp == 0], hi[exp == 0]))
+    return np.stack((lo[exp == 0], hi[exp == 0])).astype(np.int32)
 
 
 def _terminal_arcs(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -272,18 +273,9 @@ def brute_force_distance(f: BoolFunc) -> Fraction:
     return Fraction(int(brute_force_batch(f.shape, _bits_of(f)[None])[0]), f.shape.size)
 
 
-@lru_cache(maxsize=64)
-def _aug_edges_by_lo(shape: GridShape) -> Tuple[np.ndarray, ...]:
-    """The columns (lo, hi, dim, exp, parity) of grid._edge_table, stably
-    sorted by lo, with lo and hi as intp, the index type numpy gathers fastest."""
-    order = _edge_table(shape)[0].argsort(kind="stable")
-    lo, hi, *ids = (column[order] for column in _edge_table(shape))
-    return (lo.astype(np.intp), hi.astype(np.intp), *ids)
-
-
 def _witness_labels(shape: GridShape, k: np.ndarray) -> list:
-    """The AugEdge of each edge k of _aug_edges_by_lo(shape)."""
-    return list(_edge_labels(shape, *(column[k] for column in _aug_edges_by_lo(shape))))
+    """The AugEdge of each row k of grid._edge_table(shape)."""
+    return list(_edge_labels(shape, *(column[k] for column in _edge_table(shape))))
 
 
 def _checked_tables(shape: GridShape, tables, limit: int = ORACLE_CAPACITY,
@@ -298,9 +290,9 @@ def _checked_tables(shape: GridShape, tables, limit: int = ORACLE_CAPACITY,
 
 
 def _edge_masks(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(violated, upward) masks of the augmented edges, in _aug_edges_by_lo
+    """(violated, upward) masks of the augmented edges, in grid._edge_table's
     order, for each row of a block of tables; both ends are gathered once."""
-    lo, hi = _aug_edges_by_lo(shape)[:2]
+    lo, hi = _edge_table(shape)[:2]
     below, above = block[:, lo], block[:, hi]
     return below > above, below < above
 
@@ -308,9 +300,9 @@ def _edge_masks(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray, np.nda
 def edge_counts_batch(shape: GridShape, tables: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(|S_minus|, |S_plus|) of violated_aug_edges for each row of a
     (functions, n^d) bit array."""
-    tables = _checked_tables(shape, tables)
+    tables = _checked_tables(shape, tables, DISTANCE_CAPACITY, "augmented edge counts")
     counts = np.empty((2, len(tables)), dtype=np.int64)
-    for rows in _row_batches(len(tables), len(_aug_edges_by_lo(shape)[0])):
+    for rows in _row_batches(len(tables), len(_edge_table(shape)[0])):
         counts[:, rows] = [mask.sum(axis=1) for mask in _edge_masks(shape, tables[rows])]
     return counts[0], counts[1]
 
@@ -362,13 +354,13 @@ def _csr(tails: np.ndarray, heads: np.ndarray, n_tails: int, n_heads: int) -> cs
 def _gamma_edges(shape: GridShape, block: np.ndarray,
                  down: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(row, k) of a maximum set of vertex-disjoint violated augmented edges
-    in each row of a block, by row and then k (an index of _aug_edges_by_lo).
+    in each row of a block, by row and then k (a row of grid._edge_table).
 
     `down` is the block's violated mask (see _edge_masks); its edges are the
     arcs of one scipy matching over the points of all rows (see _vertex_ids).
     No two edges join the same two points, so partner[u] == v picks one arc.
     """
-    lo, hi = _aug_edges_by_lo(shape)[:2]
+    lo, hi = _edge_table(shape)[:2]
     n_ones, left, right = _vertex_ids(block)
     row, k = down.nonzero()
     u, v = left[row, lo[k]], right[row, hi[k]]
@@ -419,14 +411,14 @@ def _flow_graph(shape: GridShape) -> Tuple[np.ndarray, ...]:
     forward, back, terminal), read-only.
 
     Vertices are the points, then the source and the sink.  Each augmented
-    edge k (as in _aug_edges_by_lo) is an arc lo -> hi of cost 1 at position
+    edge k (a row of grid._edge_table) is an arc lo -> hi of cost 1 at position
     forward[k] and one back of cost -1 at back[k]; each point v has four arcs
     of cost 0, at terminal[:, v]: source -> v, v -> source, v -> sink and
     sink -> v.  The arcs are sorted by tail, then head, with the arcs leaving
     vertex v at indptr[v]:indptr[v + 1], and reverse[p] is the position of
     arc p's reverse.
     """
-    lo, hi = _aug_edges_by_lo(shape)[:2]
+    lo, hi = _edge_table(shape)[:2]
     size, edges = shape.size, len(lo)
     point = np.arange(size)
     # row i of `ends` is arc 2 i, tail then head, and arc 2 i + 1 is its reverse,
@@ -473,7 +465,7 @@ def _matching_flow(shape: GridShape, table: np.ndarray, gamma_k: np.ndarray) -> 
     is the least), and the result respects capacity and conservation.
     """
     tails, heads, indptr, cost, reverse, forward, back, terminal = _flow_graph(shape)
-    lo, hi = _aug_edges_by_lo(shape)[:2]
+    lo, hi = _edge_table(shape)[:2]
     size = shape.size
     source, sink = size, size + 1
     from_source, to_source, to_sink, from_sink = terminal
@@ -726,7 +718,7 @@ def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySwee
     monotone and needs neither.
     """
     tables = _checked_tables(shape, tables, DISTANCE_CAPACITY, "isoperimetry sweep")
-    edges = len(_aug_edges_by_lo(shape)[0])
+    edges = len(_edge_table(shape)[0])
     flow = shape.size > _ASSIGNMENT_POINTS
     width = max(edges, shape.size, 0 if flow else len(shape_tables(shape).lo))
     counts = []   # per block: violated, upward, gamma, matched, total

@@ -8,12 +8,7 @@ constant factor.
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
 
 from .func import BoolFunc
 from .grid import GridShape
@@ -21,19 +16,20 @@ from .grid import GridShape
 
 @dataclass(frozen=True)
 class ReductionPlan:
+    """Blocks of an axis of [N]: m short ones of d + i points, then n - m long
+    ones of d + i + 1."""
+
     n: int
     d: int
     i: int
     N: int
     m: int
-    block_sizes: Tuple[int, ...]
-    boundaries: Tuple[int, ...]  # cumulative block ends, for coordinate lookup
 
     def __post_init__(self):
-        if sum(self.block_sizes) != self.N:
-            raise ValueError("block sizes must sum to N")
         if not 0 <= self.m <= self.n:
             raise ValueError(f"m={self.m} out of range [0, {self.n}]")
+        if self.n * (self.d + self.i + 1) - self.m != self.N:
+            raise ValueError("block sizes must sum to N")
         if self.N & (self.N - 1):
             raise ValueError(f"N={self.N} is not a power of 2")
 
@@ -50,19 +46,25 @@ def plan(n: int, d: int) -> ReductionPlan:
         lo, hi = n * (d + i), n * (d + i + 1)
         p = 1 << max(lo - 1, 0).bit_length() if lo > 1 else 1
         if p <= hi:
-            N = p
-            m = n * (d + i + 1) - N
-            sizes = (d + i,) * m + (d + i + 1,) * (n - m)
-            bounds = tuple(itertools.accumulate(sizes))
-            return ReductionPlan(n, d, i, N, m, sizes, bounds)
+            return ReductionPlan(n, d, i, p, hi - p)
     raise AssertionError(f"no interval for n={n}, d={d} holds a power of 2")
+
+
+def _block(p: ReductionPlan, y):
+    """Block index of y, an int or an int array of big-grid coordinates.
+
+    The m short blocks of s = d + i points end at m s; past it y lies in
+    block m + (y - m s) // (s + 1), which is (y + m) // (s + 1).
+    """
+    long = y >= p.m * (p.d + p.i)
+    return (y + long * p.m) // (p.d + p.i + long)
 
 
 def phi(p: ReductionPlan, y: int) -> int:
     """Block index of the big-grid coordinate y; monotone and surjective."""
     if not 0 <= y < p.N:
         raise ValueError(f"coordinate {y} out of range [0, {p.N})")
-    return bisect_right(p.boundaries, y)
+    return _block(p, y)
 
 
 def lift(p: ReductionPlan, f: BoolFunc) -> BoolFunc:
@@ -74,8 +76,6 @@ def lift(p: ReductionPlan, f: BoolFunc) -> BoolFunc:
     def g(y) -> int:
         return f.eval(tuple(phi(p, v) for v in y))
 
-    # searched per batch: a table of block indices would hold N entries
-    boundaries = np.array(p.boundaries)
     lifted = BoolFunc.from_predicate(GridShape(p.N, p.d), g)
-    lifted._batch = lambda X: f.eval_batch(np.searchsorted(boundaries, X, side="right"))
+    lifted._batch = lambda X: f.eval_batch(_block(p, X))
     return lifted

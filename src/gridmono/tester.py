@@ -33,12 +33,11 @@ from .grid import (
     LOWER,
     GridShape,
     MatchingId,
-    _aug_edge_at,
     _edge_table,
     classify_in_matching,
     linear_index,
-    num_augmented_edges,
     point_of,
+    steps,
 )
 
 ACCEPT = "accept"
@@ -335,15 +334,29 @@ def single_test(f: BoolFunc, rng: random.Random) -> TestTranscript:
 
 
 def edge_test(f: BoolFunc, rng: random.Random) -> TestTranscript:
-    """Sample one augmented edge uniformly over all edges; reject if violated."""
+    """Sample one augmented edge uniformly over all edges; reject if violated.
+
+    The edge is drawn without an index: a uniform dimension i; v uniform in
+    [0, sum of n - s over the steps s), where the first step s whose weight
+    n - s exceeds what is left of v is the edge's step and the rest its
+    lower end on axis i; every other coordinate uniform.  Each edge is one
+    outcome of d (sum of n - s) n^(d-1), the edge count, all equally likely.
+    """
     shape = f.shape
     _require_testable(shape)
-    lo, hi, mid = _aug_edge_at(shape, rng.randrange(num_augmented_edges(shape)))
-    x, y = point_of(shape, lo), point_of(shape, hi)
-    ids = (None,) * mid.dim + (mid,) + (None,) * (shape.d - 1 - mid.dim)
+    n, bits, i = shape.n, shape.bits, rng.randrange(shape.d)
+    v = rng.randrange(sum(n - s for s in steps(shape)))
+    for exp, s in enumerate(steps(shape)):
+        if v < n - s:
+            break
+        v -= n - s
+    others = [rng.getrandbits(bits) for _ in range(shape.d - 1)]   # n = 2^bits
+    head, tail = tuple(others[:i]), tuple(others[i:])
+    x, y = head + (v,) + tail, head + (v + s,) + tail
+    mid = MatchingId(i, exp, v >> exp & 1)
+    ids = (None,) * i + (mid,) + (None,) * (shape.d - 1 - i)
     fx, fy = f.eval(x), f.eval(y)
-    return TestTranscript(1, x, ids, (mid.dim,), (mid.dim,), y, fx, fy,
-                          REJECT if fx > fy else ACCEPT, 2)
+    return TestTranscript(1, x, ids, (i,), (i,), y, fx, fy, REJECT if fx > fy else ACCEPT, 2)
 
 
 def repetitions(n: int, d: int, eps: float, calibration: float) -> int:

@@ -54,7 +54,7 @@ def test_test_subcommand_lifts_other_n(capsys):
         verdict = amplified_test(lift(p, generate(family, GridShape(3, 2), seed=0)), 0.3 / 6,
                                  DEFAULT_CALIBRATION, derive_rng(0, "cli-test"))
         assert capsys.readouterr().out.splitlines() == [
-            "plan: i=0 N=8 m=1 blocks=(2, 3, 3)",
+            "plan: i=0 N=8 m=1 blocks=1x2+2x3",
             f"verdict={'ACCEPT' if verdict.accepted else 'REJECT'} "
             f"invocations={verdict.invocations} queries={verdict.total_queries}"]
 
@@ -67,7 +67,7 @@ def test_test_subcommand_power_of_two_prints_no_plan(capsys):
 def test_test_subcommand_lift_past_the_index_range(capsys):
     # the lift of 3^30 is 128^30 = 2^210 points, which the walks reach as any other grid
     assert run(["test", "--family", "anti_slab", "--n", "3", "--d", "30"]) == EXIT_REJECT
-    assert capsys.readouterr().out.splitlines()[0] == "plan: i=12 N=128 m=1 blocks=(42, 43, 43)"
+    assert capsys.readouterr().out.splitlines()[0] == "plan: i=12 N=128 m=1 blocks=1x42+2x43"
 
 
 def test_test_subcommand_past_2_62_points(capsys):

@@ -32,9 +32,10 @@ from gridmono.grid import (
     point_of,
     points,
     side_in_matching,
+    steps,
     unit_steps,
 )
-from gridmono.grid import _aug_edge_at, _edge_table, _matching_edges
+from gridmono.grid import _edge_table, _matching_edges
 
 SMALL_SHAPES = [GridShape(2, 1), GridShape(2, 3), GridShape(4, 1),
                 GridShape(4, 2), GridShape(8, 1), GridShape(8, 2)]
@@ -148,11 +149,6 @@ def test_edge_table_capacity():
     for build in (enumerate_augmented_edges, unit_steps, _edge_table):
         with pytest.raises(CapacityError, match="augmented edge table"):
             build(shape)
-    # the arithmetic decode needs no table, at any size
-    for d in (62, 400):
-        big = GridShape(2, d)
-        assert _aug_edge_at(big, num_augmented_edges(big) - 1) == (
-            (1 << d - 1) - 1, (1 << d) - 1, MatchingId(d - 1, 0, 0))
     # a matching builds only its own slice, so its cap is a dense table's 2^24 points
     lo, hi = _matching_edges(GridShape(2, 17), MatchingId(16, 0, 0))
     assert np.array_equal(lo, np.arange(1 << 16)) and np.array_equal(hi, lo + (1 << 16))
@@ -161,15 +157,22 @@ def test_edge_table_capacity():
             enumerate_matching(GridShape(2, d), MatchingId(0, 0, 0))
 
 
+def reference_edges(shape):
+    """(lo, hi, MatchingId) of every augmented edge from the scalar definitions:
+    by lo, then dimension, then step, the owner's parity being bit exp of lo[dim]."""
+    return [(linear_index(shape, x), linear_index(shape, x[:i] + (x[i] + s,) + x[i + 1:]),
+             MatchingId(i, exp, x[i] >> exp & 1))
+            for x in points(shape) for i in range(shape.d)
+            for exp, s in enumerate(steps(shape)) if x[i] + s < shape.n]
+
+
 def test_edge_table_columns():
     for shape in [GridShape(2, 3), GridShape(5, 3), GridShape(6, 2), GridShape(1, 4)]:
         columns = _edge_table(shape)
-        assert [c.dtype for c in columns] == [np.int32, np.int32, np.uint8, np.uint8, np.uint8]
+        assert [c.dtype for c in columns] == [np.intp, np.intp, np.uint8, np.uint8, np.uint8]
         assert all(len(c) == num_augmented_edges(shape) and not c.flags.writeable for c in columns)
         assert list(zip(*(c.tolist() for c in columns))) == [
-            (lo, hi, m.dim, m.exp, m.parity)
-            for lo, hi, m in map(_aug_edge_at, [shape] * num_augmented_edges(shape),
-                                 range(num_augmented_edges(shape)))]
+            (lo, hi, m.dim, m.exp, m.parity) for lo, hi, m in reference_edges(shape)]
 
 
 def test_enumerate_matching_examples():
@@ -232,17 +235,13 @@ def test_edge_counts():
         assert sum(1 for _ in enumerate_augmented_edges(shape)) == num_augmented_edges(shape)
 
 
-def test_edge_decode_matches_enumeration():
-    # edge_test draws r uniformly and decodes edge r by arithmetic; it must
-    # be edge r of the enumeration, tags included
+def test_edge_enumeration_in_lo_order():
+    # the rows of _edge_table, as points, in its order, tags included
     for n, d in [(2, 1), (4, 1), (8, 1), (4, 2), (2, 3), (4, 3), (8, 2), (16, 2),
                  (3, 2), (5, 3), (6, 2)]:
         shape = GridShape(n, d)
-        for r, e in enumerate(enumerate_augmented_edges(shape)):
-            lo, hi, m = _aug_edge_at(shape, r)
-            assert (point_of(shape, lo), point_of(shape, hi), m) == (e.lower, e.upper, e.id)
-        with pytest.raises(ValueError):
-            _aug_edge_at(shape, num_augmented_edges(shape))
+        assert [(e.lower, e.upper, e.id) for e in enumerate_augmented_edges(shape)] == [
+            (point_of(shape, lo), point_of(shape, hi), m) for lo, hi, m in reference_edges(shape)]
 
 
 def test_edge_tags_follow_the_point_rule():
@@ -262,6 +261,7 @@ def test_unit_steps_are_the_unit_edges(rng):
         expected = {(linear_index(shape, x), linear_index(shape, x[:k] + (x[k] + 1,) + x[k + 1:]))
                     for x in points(shape) for k in range(shape.d) if x[k] + 1 < shape.n}
         assert len(pairs) == len(expected) and set(pairs) == expected
+        assert pairs == sorted(pairs, key=lambda pair: pair[0])   # by lo, as the edge table
         # the order lets one pass of table[lo] -> table[hi] close a table upward
         pts = list(points(shape))
         seeds = [rng.random() < 0.2 for _ in pts]

@@ -254,9 +254,8 @@ def test_witness_labels_match_the_scalar_definitions():
                   GridShape(8, 3), GridShape(2, 13)):
         assert oracle._point_tuples(shape, np.arange(shape.size)) == list(points(shape))
         if shape.size <= 4096:
-            by_lo = sorted(enumerate_augmented_edges(shape), key=lambda e: linear_index(shape, e.lower))
-            every = np.arange(len(by_lo))
-            assert oracle._witness_labels(shape, every) == by_lo
+            edges = list(enumerate_augmented_edges(shape))   # by lo, as the edge table
+            assert oracle._witness_labels(shape, np.arange(len(edges))) == edges
 
 
 def test_witness_oracles_build_no_shape_tables():
@@ -664,7 +663,7 @@ def test_scipy_csgraph_behaviour_the_flow_relies_on():
 @pytest.mark.parametrize("shape", [GridShape(4, 2), GridShape(8, 3), GridShape(2, 9)])
 def test_flow_graph_structure(shape):
     tails, heads, indptr, cost, reverse, forward, back, terminal = oracle._flow_graph(shape)
-    lo, hi = oracle._aug_edges_by_lo(shape)[:2]
+    lo, hi = oracle._edge_table(shape)[:2]
     size, vertices = shape.size, shape.size + 2
     keys = tails.astype(np.int64) * vertices + heads
     assert (np.diff(keys) > 0).all()   # sorted by (tail, head), no arc twice
@@ -690,6 +689,18 @@ def test_isoperimetry_past_the_comparable_pairs_cap():
     assert rep.influence.eps == Fraction(1, 2)
     assert all(r is not None and r > 0 for r in (rep.margulis_ratio, rep.edge_ratio,
                                                  rep.vertex_ratio))
+
+
+def test_persistence_rows_past_the_comparable_pairs_cap():
+    # 8192 points: the reference bound reads I(f) from the edge counts, which
+    # share the isoperimetry sweep's 2^16-point cap
+    (row,) = reports.persistence_rows([(2, 13)], ["anti_slab"], [1], 20, 20, 0)
+    n, d, tau, family, fraction, reference = row.split(",")
+    assert (n, d, tau, family) == ("2", "13", "1", "anti_slab") and 0 <= float(fraction) <= 1
+    # the slab violates every axis-0 edge and no other: I(f) = 2^12 / 2^13
+    assert float(reference) == 0.5 / 13
+    with pytest.raises(CapacityError, match="augmented edge counts needs 131072 points"):
+        edge_counts_batch(GridShape(2, 17), np.zeros((1, 1 << 17), np.uint8))
 
 
 def test_isoperimetry_rows_past_the_comparable_pairs_cap():

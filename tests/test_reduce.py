@@ -1,5 +1,6 @@
 """Domain-reduction tests: plans, the block map, and lifted functions."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,19 +9,24 @@ import pytest
 from gridmono.func import BoolFunc, _mask_bits, generate, is_monotone
 from gridmono.grid import GridShape, linear_index, point_of
 from gridmono.oracle import cut_distance_batch, distance_to_monotonicity, monotone_masks
-from gridmono.reduce import lift, phi, plan
+from gridmono.reduce import ReductionPlan, lift, phi, plan
+
+
+def block_sizes(p):
+    """The plan's blocks along an axis, in order: m of d + i points, then n - m of d + i + 1."""
+    return (p.d + p.i,) * p.m + (p.d + p.i + 1,) * (p.n - p.m)
 
 
 def test_plan_examples():
     p = plan(3, 2)
     assert (p.i, p.N, p.m) == (0, 8, 1)
-    assert p.block_sizes == (2, 3, 3)
+    assert block_sizes(p) == (2, 3, 3)
     p = plan(2, 1)
     assert (p.N, p.m) == (2, 2)
-    assert p.block_sizes == (1, 1)
+    assert block_sizes(p) == (1, 1)
     p = plan(3, 1)
     assert (p.N, p.m) == (4, 2)
-    assert p.block_sizes == (1, 1, 2)
+    assert block_sizes(p) == (1, 1, 2)
     # a power-of-two n still gets a plan, no shortcut
     p = plan(4, 2)
     assert p.N & (p.N - 1) == 0
@@ -30,11 +36,41 @@ def test_plan_properties():
     for n in range(1, 12):
         for d in range(1, 9):
             p = plan(n, d)
-            assert sum(p.block_sizes) == p.N
-            assert p.block_sizes.count(d + p.i) == p.m
-            assert len(p.block_sizes) == n
+            assert sum(block_sizes(p)) == p.N
+            assert 0 <= p.m <= n
             assert n * d <= p.N <= 2 * n * (d + 1)
             assert n * (d + p.i) <= p.N <= n * (d + p.i + 1)
+    with pytest.raises(ValueError, match="sum to N"):
+        ReductionPlan(3, 2, 0, 8, 2)
+
+
+def test_phi_and_lift_match_the_blocks():
+    # phi and the lift's vectorised map, against the blocks laid out one by one
+    for n in range(1, 41):
+        for d in (1, 2, 3, 7):
+            p = plan(n, d)
+            blocks = [b for b, size in enumerate(block_sizes(p)) for _ in range(size)]
+            assert [phi(p, y) for y in range(p.N)] == blocks
+            seen = []   # the points the lift reads f at, y on every axis
+            f = BoolFunc.from_predicate(GridShape(n, d), lambda x: seen.append(x) or 0)
+            lift(p, f).eval_batch(np.repeat(np.arange(p.N)[:, None], d, axis=1))
+            assert seen == [(b,) * d for b in blocks]
+
+
+def test_plan_at_a_billion_points_per_axis():
+    # the plan is five ints and phi is arithmetic, whatever n is
+    n = 10 ** 9 + 1
+    tracemalloc.start()
+    try:
+        p = plan(n, 1)
+        ends = [phi(p, y) for y in (0, p.N - 1)]
+        lifted = lift(p, generate("anti_slab", GridShape(n, 1)))
+        values = lifted.eval_batch(np.array([[0], [p.N // 2], [p.N - 1]]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (p.N, p.m, ends) == (1 << 30, 2 * n - (1 << 30), [0, n - 1])
+    assert values.tolist() == [1, 0, 0] and peak < 1 << 20
 
 
 def test_phi_examples():

@@ -6,20 +6,25 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from gridmono import tester
 from gridmono.func import BoolFunc, generate
 from gridmono.grid import (
     LOWER,
     GridShape,
     MatchingId,
-    _edge_table,
     classify_in_matching,
+    enumerate_augmented_edges,
     num_augmented_edges,
     points,
+    steps,
 )
 from gridmono.tester import (
     _CALL_ENTRIES,
@@ -159,25 +164,58 @@ def test_edge_test_past_2_62_points(rng):
         assert t.verdict == ("reject" if i == 0 else "accept") and t.queries_used == 2
 
 
-def test_edge_test_uniform_over_edges(rng):
-    """Each call draws one uniform row of the edge table, which holds every
-    edge once, so edge_test is exactly uniform over the edges."""
-    shape = GridShape(4, 2)
-    f = BoolFunc.from_predicate(shape, lambda x: 0)
-    # the table's ends decoded by unravel_index, dimension 0 fastest
-    lo, hi = (np.stack(np.unravel_index(v, (shape.n,) * shape.d, order="F"), axis=1).tolist()
-              for v in _edge_table(shape)[:2])
-    row = {(tuple(a), tuple(b)): k for k, (a, b) in enumerate(zip(lo, hi))}
-    assert len(row) == num_augmented_edges(shape) == 40
-    seed = rng.randrange(1 << 30)
-    draws, replay = random.Random(seed), random.Random(seed)
-    counts = np.zeros(len(row), dtype=np.int64)
-    for _ in range(12_000):
-        t = edge_test(f, draws)
-        k = row[(t.x, t.y)]
-        assert k == replay.randrange(len(row))
-        counts[k] += 1
-    assert counts.all() and chisquare(counts).pvalue > CHI_SQUARE_ALPHA
+class ScriptedRandom:
+    """Stands in for random.Random: each draw returns the next of `values`
+    and records the size of the range it was drawn from."""
+
+    def __init__(self, values):
+        self.values, self.ranges = list(values), []
+
+    def randrange(self, k):
+        self.ranges.append(k)
+        return self.values.pop(0)
+
+    def getrandbits(self, k):
+        return self.randrange(1 << k)
+
+
+def test_edge_test_uniform_over_edges():
+    """Every outcome of edge_test's draws (a dimension, a step-and-offset t
+    and the other coordinates, each uniform) gives a different augmented
+    edge with its owning matching, and every edge is one of them: so
+    edge_test is exactly uniform over the edges."""
+    for shape in (GridShape(4, 2), GridShape(8, 2)):
+        f = BoolFunc.from_predicate(shape, lambda x: 0)
+        n, d = shape.n, shape.d
+        ranges = [d, sum(n - s for s in steps(shape))] + [n] * (d - 1)
+        drawn = []
+        for outcome in product(*map(range, ranges)):
+            draws = ScriptedRandom(outcome)
+            t = edge_test(f, draws)
+            assert draws.ranges == ranges and not draws.values
+            (i,) = t.S
+            drawn.append((t.x, t.y, t.matchings[i]))
+        edges = {(e.lower, e.upper, e.id) for e in enumerate_augmented_edges(shape)}
+        assert len(drawn) == len(set(drawn)) == len(edges) == num_augmented_edges(shape)
+        assert set(drawn) == edges
+
+
+@given(seed=st.integers(0, (1 << 64) - 1))
+@settings(max_examples=25)
+def test_edge_test_at_2_62_to_the_1024(seed):
+    # (2^62)^1024 points: the edge is drawn coordinate by coordinate, with no
+    # linear index to decode (point_of took 24.5 ms a call here)
+    shape = GridShape(1 << 62, 1024)
+    f = generate("block_parity", shape)
+    with mock.patch.object(tester, "point_of", side_effect=AssertionError("decoded an index")):
+        t = edge_test(f, random.Random(seed))
+    (i,) = t.S
+    m = t.matchings[i]
+    assert t.T == (i,) and t.matchings == (None,) * i + (m,) + (None,) * (shape.d - 1 - i)
+    assert classify_in_matching(shape, t.x, m) == (LOWER, t.y)
+    assert (t.fx, t.fy) == (f.eval(t.x), f.eval(t.y))
+    assert t.verdict == ("reject" if t.fx > t.fy else "accept")
+    assert (t.tau, t.queries_used) == (1, 2)
 
 
 def test_repetitions_formula():

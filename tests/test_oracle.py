@@ -606,9 +606,10 @@ def test_flow_on_an_arc_outside_the_residual_graph_is_caught(monkeypatch):
 
 
 def count_phases(monkeypatch):
-    """Patch oracle.dijkstra and oracle.maximum_flow to count their calls,
-    with every shape on the flow; returns the {name: calls} log."""
-    counts = {"dijkstra": 0, "maximum_flow": 0}
+    """Patch oracle.dijkstra, oracle.maximum_flow and oracle.breadth_first_order
+    to count their calls, with every shape on the flow; returns the
+    {name: calls} log."""
+    counts = {"dijkstra": 0, "maximum_flow": 0, "breadth_first_order": 0}
 
     def counter(name, solve):
         def counted(*args, **kwargs):
@@ -623,8 +624,8 @@ def count_phases(monkeypatch):
 
 
 def test_flow_runs_a_phase_only_past_the_gamma_matching(monkeypatch):
-    # where Γ⁻ already is a largest violation matching the breadth-first
-    # search ends the flow before any dijkstra or maximum flow
+    # where Γ⁻ already is a largest violation matching the search on the grid
+    # ends the flow before any breadth-first search, dijkstra or maximum flow
     sweep = full_sweep(4, 2)
     masks = ((sweep.gamma > 0) & (sweep.gamma == sweep.matched)).nonzero()[0][:200]
     slab = generate("anti_slab", GridShape(8, 3))
@@ -632,11 +633,144 @@ def test_flow_runs_a_phase_only_past_the_gamma_matching(monkeypatch):
     for f in [BoolFunc.from_mask(GridShape(4, 2), int(m)) for m in masks] + [slab]:
         influence = isoperimetry_report(f).influence
         assert 0 < influence.gamma_minus == influence.eps
-    assert len(masks) == 200 and counts == {"dijkstra": 0, "maximum_flow": 0}
+    assert len(masks) == 200
+    assert counts == {"dijkstra": 0, "maximum_flow": 0, "breadth_first_order": 0}
     for table in far_past_gamma(12):
         before = dict(counts)
         isoperimetry_sweep(GridShape(4, 2), table[None])
         assert all(counts[name] > before[name] for name in counts), before
+
+
+def residual_reaches_sink(shape, table, gamma_k):
+    """The flow's first question asked of scipy: once each Γ⁻ edge gamma_k
+    carries one unit, does a breadth-first search from the source on the arcs
+    of _flow_graph(shape) with capacity left reach the sink?"""
+    tails, heads, _, _, _, forward, back, terminal = oracle._flow_graph(shape)
+    lo, hi = oracle._edge_table(shape)[:2]
+    from_source, to_source, to_sink, from_sink = terminal
+    u, w = lo[gamma_k], hi[gamma_k]
+    resid = np.zeros(len(heads), np.int64)
+    resid[forward] = shape.size
+    resid[from_source] = table
+    resid[to_sink] = 1 - table
+    resid[np.concatenate((from_source[u], forward[gamma_k], to_sink[w]))] -= 1
+    resid[np.concatenate((to_source[u], back[gamma_k], from_sink[w]))] += 1
+    live = resid > 0
+    vertices = shape.size + 2
+    graph = csr_matrix((np.ones(live.sum()), (tails[live], heads[live])), shape=(vertices, vertices))
+    return bool((breadth_first_order(graph, shape.size, return_predecessors=False)
+                 == shape.size + 1).any())
+
+
+def gamma_rows(shape, tables):
+    """Each row's Γ⁻ edges (rows of grid._edge_table), as the sweep picks them."""
+    row, k = oracle._gamma_edges(shape, tables, oracle._edge_masks(shape, tables)[0])
+    bounds = row.searchsorted(np.arange(len(tables) + 1))
+    return [k[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def busy_tables(shape, count, seed):
+    """`count` tables on `shape`: uniform ones of random density, and upward
+    closures of a few seeds with a few points flipped, all with a violated edge."""
+    gen = np.random.default_rng(seed)
+    tables = []
+    while len(tables) < count:
+        if len(tables) % 2:
+            table = func._upward_close(shape, gen.random(shape.size) < 0.02)
+            table = table ^ (gen.random(shape.size) < gen.uniform(0.002, 0.05))
+        else:
+            table = gen.random(shape.size) < gen.uniform(0.2, 0.8)
+        table = table.astype(np.uint8)
+        if oracle._edge_masks(shape, table[None])[0].any():
+            tables.append(table)
+    return np.array(tables)
+
+
+@pytest.mark.parametrize("n, d, count", [(32, 2, 16), (8, 3, 16), (4, 5, 16), (2, 13, 4),
+                                         (6, 4, 16)])
+def test_sink_search_agrees_with_the_residual_graph(monkeypatch, n, d, count):
+    # both exits of the grid search give the breadth-first search's answer on
+    # the residual graph the flow used to build for it
+    shape = GridShape(n, d)
+    tables = busy_tables(shape, count, n * 100 + d)
+    lo, hi = oracle._edge_table(shape)[:2]
+    answers = []
+    for table, k in zip(tables, gamma_rows(shape, tables)):
+        want = residual_reaches_sink(shape, table, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_SEARCH_PASSES_PER_ARC", 1 << 20)   # never left open
+            answers.append(oracle._sink_reached(shape, table, lo[k], hi[k]))
+        assert answers[-1] is want
+        assert oracle._sink_reached(shape, table, lo[k], hi[k]) in (want, None)
+    assert set(answers) == {True, False}, shape
+
+
+def test_sink_search_follows_long_alternating_paths(monkeypatch):
+    # the n^2 checkerboard, 1 where x_0 + x_1 is odd, with every 1-point paired
+    # to the 0-point one step up axis 0: from the free 1-points each closure
+    # reaches one more column, and no free 0-point, so it takes n closures to
+    # certify these pairs; past the default budget at 64^2 the flow decides
+    closures = []
+    close = oracle._upward_close
+    monkeypatch.setattr(oracle, "_upward_close",
+                        lambda shape, seeds: closures.append(shape) or close(shape, seeds))
+    for n, open_by_default in ((16, False), (64, True)):
+        shape = GridShape(n, 2)
+        x0, x1 = np.arange(shape.size) % n, np.arange(shape.size) // n
+        table = ((x0 + x1) % 2).astype(np.uint8)
+        lo, hi = oracle._edge_table(shape)[:2]
+        k = ((hi - lo == 1) & (table[lo] == 1) & (table[hi] == 0)).nonzero()[0]
+        assert not residual_reaches_sink(shape, table, k)
+        closures.clear()
+        answer = oracle._sink_reached(shape, table, lo[k], hi[k])
+        assert answer is (None if open_by_default else False)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_SEARCH_PASSES_PER_ARC", 1 << 20)
+            closures.clear()
+            assert oracle._sink_reached(shape, table, lo[k], hi[k]) is False
+            assert len(closures) == n
+
+
+def test_forced_fall_through_gives_the_same_counts(monkeypatch):
+    # with the grid search left open on every row, the flow's own first search
+    # decides, and the counts are those of both of the search's exits
+    built = []
+    flow_graph = oracle._flow_graph
+    monkeypatch.setattr(oracle, "_flow_graph", lambda shape: built.append(shape) or flow_graph(shape))
+    for n, d, seed in ((32, 2, 1), (8, 3, 2), (4, 5, 3), (6, 4, 4)):
+        shape = GridShape(n, d)
+        tables = busy_tables(shape, 12, seed)
+        built.clear()
+        want = isoperimetry_sweep(shape, tables)
+        assert 0 < len(built) < len(tables), shape   # both exits taken
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_sink_reached", lambda *args: None)
+            got = isoperimetry_sweep(shape, tables)
+        for column in ("gamma", "matched", "total"):
+            assert np.array_equal(getattr(got, column), getattr(want, column)), (shape, column)
+
+
+@pytest.mark.parametrize("fault, message", [("not violated", "not violated"),
+                                            ("shares a point", "share a point")])
+def test_broken_gamma_matching_is_caught_before_the_flow_graph(monkeypatch, fault, message):
+    shape = GridShape(8, 3)
+    table = busy_tables(shape, 1, 5)[0]
+    f = BoolFunc.from_table(shape, table)
+    gamma_edges = oracle._gamma_edges
+
+    def broken(shape, block, down):
+        row, k = gamma_edges(shape, block, down)
+        # Γ⁻ is maximal, so every violated edge outside it shares a point with it
+        spare = (~down[0] if fault == "not violated" else down[0]).nonzero()[0]
+        k = np.sort(np.append(k, spare[~np.isin(spare, k)][0]))
+        return np.zeros(len(k), row.dtype), k
+
+    built = []
+    monkeypatch.setattr(oracle, "_gamma_edges", broken)
+    monkeypatch.setattr(oracle, "_flow_graph", built.append)
+    with pytest.raises(IntegrityError, match=message):
+        isoperimetry_report(f)
+    assert built == []
 
 
 def test_scipy_csgraph_behaviour_the_flow_relies_on():
@@ -796,6 +930,20 @@ def test_influence_bound_examples():
     assert chk.applicable and chk.holds and chk.I == 0
     with pytest.raises(ValueError):
         influence_bound_check(BoolFunc.from_table(GridShape(2, 2), [0] * 4))
+
+
+def test_influence_bound_check_past_the_comparable_pairs_cap():
+    # the one-function view shares its batch's 2^16-point cap
+    f = generate("anti_slab", GridShape(4, 7))   # 16384 points
+    applicable, holds, sensitive, violated = influence_bound_batch(f.shape, f.bits[None])
+    chk = influence_bound_check(f)
+    assert (chk.applicable, chk.holds) == (bool(applicable[0]), bool(holds[0])) == (True, True)
+    assert chk.I == Fraction(int(sensitive[0]), f.shape.size) == Fraction(12288, 16384)
+    assert chk.I_minus == Fraction(int(violated[0]), f.shape.size) == chk.I
+    big = generate("anti_slab", GridShape(2, 17))
+    with pytest.raises(CapacityError, match="augmented edge counts needs 131072 points"):
+        influence_bound_check(big)
+    assert big.queries == 0
 
 
 def test_influence_bound_sampled(rng):

@@ -31,6 +31,11 @@ RATE_HEADER = "n,d,family,eps_true,trials,rejections,rate,wilson_lo,wilson_hi"
 ISO_HEADER = "n,d,function_id,eps,I,I_minus,gamma_minus,r,margulis_ratio,edge_ratio,vertex_ratio"
 PERSISTENCE_HEADER = "n,d,tau,family,nonpersistent_fraction,reference_bound"
 
+# Sampled points (samples x points) per grid of an isoperimetry sweep: the
+# masks are drawn before any is swept, one bit a point, so this caps them at
+# 8 MiB; the default 1000 samples fit at the 2^16-point cap.
+ISO_SAMPLE_CAPACITY = 1 << 26
+
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -60,12 +65,16 @@ def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
     """One row per eps-far function: all 2^(n^d) when n^d <= 16, sampled above."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    grids = [GridShape(n, d) for n, d in shapes]
+    for shape in grids:
+        if shape.size > DISTANCE_CAPACITY:
+            raise CapacityError("isoperimetry sweep", shape.size, DISTANCE_CAPACITY)
+        if shape.size > 16 and samples * shape.size > ISO_SAMPLE_CAPACITY:
+            raise CapacityError("isoperimetry samples", samples * shape.size,
+                                ISO_SAMPLE_CAPACITY, "sampled points")
     rows = []
-    for n, d in shapes:
-        shape = GridShape(n, d)
-        size = shape.size
-        if size > DISTANCE_CAPACITY:
-            raise CapacityError("isoperimetry sweep", size, DISTANCE_CAPACITY)
+    for shape in grids:
+        n, d, size = shape.n, shape.d, shape.size
         if size <= 16:
             masks = range(1 << size)
         else:

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,11 +49,15 @@ REJECT = "reject"
 DEFAULT_CALIBRATION = 1.0537
 
 # Philox words (walks x words per walk) per numpy call of the kernel.  The
-# word block is a call's largest array; at 2^13 words (64 KiB) it and every
-# other temporary stay under glibc's default 128 KiB mmap threshold, so they
-# reuse heap memory instead of being mapped afresh, and page-faulted in, on
-# every call.
-_CALL_ENTRIES = 1 << 13
+# word block is a call's largest array; at 16,380 words (4 short of 128 KiB)
+# it stays under glibc's default 128 KiB mmap threshold, and the kernel
+# drops it before the rest of the call allocates, so a call's arrays reuse
+# heap memory instead of being mapped afresh, and page-faulted in, on every
+# call.  From d = 509 (1,024 words a walk) that budget holds fewer than
+# _CALL_WALKS walks; a call then holds _CALL_WALKS walks anyway, because
+# there the fixed cost of a call outweighs its page faults.
+_CALL_ENTRIES = (1 << 14) - 4
+_CALL_WALKS = 16
 # amplified_test's first call draws this many walks and each later call
 # twice as many, so a far input stops after about twice the walks it needed.
 _FIRST_CALL_WALKS = 64
@@ -134,8 +138,7 @@ def _require_testable(shape: GridShape) -> None:
 # ----------------------------------------------------------------------
 # the walk kernel
 
-@dataclass(frozen=True)
-class _Walks:
+class _Walks(NamedTuple):
     """A batch of walks as arrays; row k is walk `start + k` of its stream."""
 
     tau: np.ndarray       # (B,) walk length
@@ -143,9 +146,13 @@ class _Walks:
     exp: np.ndarray       # (B, d) step exponent of each dimension's matching
     parity: np.ndarray    # (B, d) parity of each dimension's matching
     lower: np.ndarray     # (B, d) x is a lower endpoint there: the set S
-    stepped: np.ndarray   # (B, d) the stepped subset T of S
     y: np.ndarray         # (B, d) end point
     moved: np.ndarray     # (B,) |S| >= tau, so y != x
+
+    @property
+    def stepped(self) -> np.ndarray:
+        """(B, d) the stepped subset T of S: each step moves y up from x."""
+        return self.y != self.x
 
 
 class _Stream:
@@ -206,6 +213,10 @@ def _layout(d: int, tau: Optional[int] = None) -> Tuple[int, int]:
     return picks, -(-(1 + picks + 2 * d) // 4) * 4
 
 
+_TOP_BIT = np.uint64(63)
+_SIGN_CLEAR = np.int64(1 - (1 << 63))
+
+
 def _draw_walks(shape: GridShape, stream: _Stream, start: int, count: int,
                 tau: Optional[int] = None, x: Optional[np.ndarray] = None) -> _Walks:
     """Walks start .. start+count-1 of `stream`.
@@ -219,57 +230,69 @@ def _draw_walks(shape: GridShape, stream: _Stream, start: int, count: int,
     d, n, bits = shape.d, shape.n, shape.bits
     picks, width = _layout(d, tau)
     w = _words(stream, start, count, width)
+    # read everything off the word block, then drop it before the rest of
+    # the call allocates.  A (B, d) read of the strided block also allocates
+    # a buffer as large as its result (up to 8,192 entries), so there are
+    # two such reads: exp, then the start coordinates' words keeping only
+    # the bits of x and the parity (the top bit)
     taus = _taus(w[:, 0], d) if tau is None else np.full(count, tau, dtype=np.int64)
-    coord = w[:, 1 + picks:1 + picks + d]
-    if x is None:
-        x = (coord & np.uint64(n - 1)).view(np.int64)
-    parity = (coord >> np.uint64(63)).view(np.int64)
+    pick = w[:, 1:1 + picks].copy()
     exp = _below(w[:, 1 + picks + d:1 + picks + 2 * d], bits)
+    coord = w[:, 1 + picks:1 + picks + d] & np.uint64(n - 1 | 1 << 63)
+    del w
+    parity = (coord >> _TOP_BIT).view(np.int64)
+    if x is None:
+        coord &= np.uint64(n - 1)
+        x = coord.view(np.int64)
+    del coord
     # above = (n - 1 - x) >> exp counts the 2^exp-blocks above x's; x is a
     # lower endpoint iff above - parity is odd (x's block pairs with the next
     # one up) and positive (that block is on the grid): bit 0 set, sign clear
     above = x ^ (n - 1)
     above >>= exp
     above -= parity
-    lower = (above & np.int64(1 - (1 << 63))) == 1
-    free = np.flatnonzero(lower)   # the entries of S, row by row
+    above &= _SIGN_CLEAR
+    lower = above == 1
+    del above
+    free = lower.reshape(-1).nonzero()[0]   # the entries of S, row by row
     left = size = np.bincount(free // d, minlength=count)
     live = moved = size >= taus
     # tau picks without replacement, each uniform over the unpicked part of S;
     # free holds those entries, left[k] in row k, and a pick indexes its row's run
-    stepped, y = np.zeros(lower.size, dtype=bool), x.copy()
-    for j in range(int(taus[moved].max(initial=0))):
+    y = x.copy()
+    for j in range(int(np.maximum.reduce(taus * moved, initial=0))):
         if j:
             free, left, live = np.delete(free, at), left - live, live & (taus > j)
-        at = (np.cumsum(left) - left + _below(w[:, 1 + j], left))[live]
+        at = (np.cumsum(left) - left + _below(pick[:, j], left))[live]
         hit = free[at]
-        stepped[hit] = True
         y.reshape(-1)[hit] += np.left_shift(1, exp.reshape(-1)[hit])
-    return _Walks(taus, x, exp, parity, lower, stepped.reshape(lower.shape), y, moved)
+    return _Walks(taus, x, exp, parity, lower, y, moved)
 
 
 @contextmanager
 def _call_entries(entries: int) -> Iterator[None]:
     """Run the enclosed calls with at most `entries` words per numpy call.
 
-    No result may depend on this grouping; verify's criterion 9 and the
-    tests run the same work under two groupings to show it.
+    A call holds one walk where a walk alone is over that budget.  No result
+    may depend on this grouping; verify's criterion 9 and the tests run the
+    same work under two groupings to show it.
     """
-    global _CALL_ENTRIES
-    saved, _CALL_ENTRIES = _CALL_ENTRIES, entries
+    global _CALL_ENTRIES, _CALL_WALKS
+    saved = _CALL_ENTRIES, _CALL_WALKS
+    _CALL_ENTRIES, _CALL_WALKS = entries, 1
     try:
         yield
     finally:
-        _CALL_ENTRIES = saved
+        _CALL_ENTRIES, _CALL_WALKS = saved
 
 
 def _calls(total: int, width: int, first: Optional[int] = None) -> Iterator[Tuple[int, int]]:
     """(start, count) groups covering range(total), count * width <= _CALL_ENTRIES.
 
-    A group is one walk when width alone is over the budget.  With `first`,
-    the groups start at that many and double.
+    A group holds _CALL_WALKS walks where the budget holds fewer.  With
+    `first`, the groups start at that many and double.
     """
-    most = max(1, _CALL_ENTRIES // max(width, 1))
+    most = max(_CALL_WALKS, _CALL_ENTRIES // max(width, 1))
     size = most if first is None else min(first, most)
     start = 0
     while start < total:
@@ -360,14 +383,24 @@ def edge_test(f: BoolFunc, rng: random.Random) -> TestTranscript:
 
 
 def repetitions(n: int, d: int, eps: float, calibration: float) -> int:
-    """Invocation count for the amplified tester; log2 factors clamped at 1."""
+    """Invocation count for the amplified tester; log2 factors clamped at 1.
+
+    A count past the float range (a tiny eps or a huge calibration) is a
+    ValueError, as a bad eps or calibration is.
+    """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if calibration <= 0:
-        raise ValueError("calibration must be positive")
+    if not 0 < calibration < math.inf:
+        raise ValueError(f"calibration must be positive and finite, got {calibration}")
     lg_d = max(1.0, math.log2(d))
     lg_n = max(1.0, math.log2(n))
-    r = calibration * d ** (5 / 6) * lg_d ** 1.5 * (lg_n + lg_d) ** (4 / 3) * eps ** (-4 / 3)
+    try:
+        r = calibration * d ** (5 / 6) * lg_d ** 1.5 * (lg_n + lg_d) ** (4 / 3) * eps ** (-4 / 3)
+    except OverflowError:   # float ** raises where float * gives inf
+        r = math.inf
+    if r == math.inf:
+        raise ValueError(f"the repetition count for eps {eps} and calibration {calibration} "
+                         f"is past the float range")
     return max(1, math.ceil(r))
 
 
@@ -396,6 +429,7 @@ def amplified_test(f: BoolFunc, eps: float, calibration: float = DEFAULT_CALIBRA
         tally.add(w, end)
         if hits.size:
             return TesterVerdict(False, start + end, total_queries, tally.stats())
+        del w   # so the next batch is drawn without this one alive
     return TesterVerdict(True, rounds, total_queries, tally.stats())
 
 
@@ -424,6 +458,7 @@ def detection_rate(f: BoolFunc, trials: int, rng: random.Random) -> RateEstimate
         fx, fy = _evaluate(f, w)
         rejections += int(np.count_nonzero(fx > fy))
         tally.add(w, len(fx))
+        del w   # as in amplified_test
     lo, hi = wilson_interval(rejections, trials)
     return RateEstimate(rejections / trials, lo, hi, rejections, trials, tally.stats())
 
@@ -452,9 +487,9 @@ def persistence_fraction(f: BoolFunc, tau: int, outer_samples: int,
         flips = np.zeros(o_count, dtype=np.int64)
         for start, count in _calls(o_count * inner_samples, width):
             rows = (start + np.arange(count)) // inner_samples
-            w = _draw_walks(shape, walk_stream, o_start * inner_samples + start, count,
-                            tau=tau, x=xs[rows])
-            flipped = f.eval_batch(w.y) != fx[rows]
+            y = _draw_walks(shape, walk_stream, o_start * inner_samples + start, count,
+                            tau=tau, x=xs[rows]).y
+            flipped = f.eval_batch(y) != fx[rows]
             flips += np.bincount(rows[flipped], minlength=o_count)
         non_persistent += int(np.count_nonzero(flips * 10 > inner_samples))
     return non_persistent / outer_samples

@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import gridmono
-from gridmono import verify
+from gridmono import reports, verify
+from gridmono.errors import CapacityError
 from gridmono.cli import EXIT_CAPACITY, EXIT_INTEGRITY, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from gridmono.func import generate, save
 from gridmono.grid import GridShape
@@ -128,6 +130,40 @@ def test_isoperimetry_capacity_exit(tmp_path, capsys):
     code = run(["isoperimetry", "--shapes", "2x17", "--out", str(out)])   # twice the 2^16 cap
     assert code == EXIT_CAPACITY
     capsys.readouterr()
+
+
+def test_isoperimetry_sample_capacity_exit(tmp_path, capsys):
+    # refused before any mask is drawn: a drawn mask would stop this test
+    out = tmp_path / "iso.csv"
+    with mock.patch("gridmono.reports.derive_rng", side_effect=AssertionError("drew masks")):
+        code = run(["isoperimetry", "--shapes", "2x16", "--samples", "1000000000",
+                    "--out", str(out)])
+    assert code == EXIT_CAPACITY and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: isoperimetry samples") and "Traceback" not in err
+
+
+def test_isoperimetry_sample_capacity_boundary():
+    # 64 points x 2^20 samples is exactly the cap; one more sample is over it
+    assert 64 << 20 == reports.ISO_SAMPLE_CAPACITY
+    with mock.patch("gridmono.reports.derive_rng", side_effect=LookupError("at the cap")):
+        with pytest.raises(LookupError):
+            reports.isoperimetry_rows([(8, 2)], 0, samples=1 << 20)
+        with pytest.raises(CapacityError):
+            reports.isoperimetry_rows([(8, 2)], 0, samples=(1 << 20) + 1)
+        # exhaustive grids draw no samples, so the cap does not apply to them
+        assert len(reports.isoperimetry_rows([(4, 1)], 0, samples=1 << 40)) == 11
+
+
+@pytest.mark.parametrize("calibration", ["inf", "nan", "1e308"])
+def test_test_subcommand_refuses_a_calibration_without_a_finite_count(calibration, capsys):
+    # inf and nan are not calibrations; 1e308 is, but its walk count overflows
+    code = run(["test", "--family", "anti_slab", "--n", "8", "--d", "2",
+                "--calibration", calibration])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "calibration" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_test_capacity_exit(capsys):

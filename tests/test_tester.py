@@ -28,6 +28,7 @@ from gridmono.grid import (
 )
 from gridmono.tester import (
     _CALL_ENTRIES,
+    _CALL_WALKS,
     DEFAULT_CALIBRATION,
     _below,
     _call_entries,
@@ -441,30 +442,50 @@ def test_words_continue_or_restart_the_generator():
         assert (stream.gen is gen) == continues
 
 
-@pytest.mark.parametrize("d", [1, 4, 16, 20, 62, 2048])
+@pytest.mark.parametrize("d", [1, 4, 16, 20, 62, 2048, 1 << 16])
 def test_calls_stay_within_the_budget(d):
     # the word block, a call's largest array, stays under glibc's default
-    # 128 KiB mmap threshold
+    # 128 KiB mmap threshold, except where the budget holds fewer walks
+    # than the floor
     assert _CALL_ENTRIES * 8 < 128 * 1024
     width = _layout(d)[1]
+    most = max(_CALL_ENTRIES // width, _CALL_WALKS)
     for first in (None, 64):
         groups = list(_calls(50_000, width, first))
-        assert all(count * width <= _CALL_ENTRIES for _, count in groups)
+        assert all(count * width <= max(_CALL_ENTRIES, 16 * width) for _, count in groups)
+        assert [c for _, c in groups[:-1]][-5:] == [most] * 5
         assert [s for s, _ in groups] == np.cumsum([0] + [c for _, c in groups[:-1]]).tolist()
         assert sum(c for _, c in groups) == 50_000
 
 
 @pytest.mark.parametrize("entries", [37, _CALL_ENTRIES, 1 << 16])
 def test_walk_batches_do_not_depend_on_call_size(entries):
-    for n, d in ((8, 3), (8, 16), (2, 62)):
+    # a walk at 2^2048 is 4,104 words, so there a call holds one walk at 37
+    # words, 3 at the default budget and 15 at 2^16 words; the default
+    # grouping, with its floor, holds _CALL_WALKS
+    for n, d, total in ((8, 3, 3000), (8, 16, 3000), (2, 62, 3000), (2, 2048, 100)):
         shape = GridShape(n, d)
-        whole = _draw_walks(shape, _stream(random.Random(f"{n}^{d}")), 0, 3000)
+        whole = _draw_walks(shape, _stream(random.Random(f"{n}^{d}")), 0, total)
         with _call_entries(entries):
-            batches = list(_walk_batches(shape, _stream(random.Random(f"{n}^{d}")), 3000, 64))
-        assert len(batches) > 1
-        for field in WALK_FIELDS:
-            joined = np.concatenate([getattr(w, field) for _, w in batches])
-            assert np.array_equal(joined, getattr(whole, field)), field
+            regrouped = list(_walk_batches(shape, _stream(random.Random(f"{n}^{d}")), total, 64))
+        default = list(_walk_batches(shape, _stream(random.Random(f"{n}^{d}")), total, 64))
+        for batches in (regrouped, default):
+            assert len(batches) > 1
+            for field in WALK_FIELDS:
+                joined = np.concatenate([getattr(w, field) for _, w in batches])
+                assert np.array_equal(joined, getattr(whole, field)), field
+        if d == 2048:
+            assert [len(w.tau) for _, w in default[:2]] == [_CALL_WALKS] * 2
+
+
+@pytest.mark.parametrize("n, d", [(8, 3), (8, 16), (2, 2048)])
+def test_stepped_is_the_set_of_moved_coordinates(n, d):
+    """stepped (y != x) is a subset of S with tau entries on moved rows, none elsewhere."""
+    w = _draw_walks(GridShape(n, d), _stream(random.Random(f"stepped {n}^{d}")), 0, 400)
+    assert not (w.stepped & ~w.lower).any()
+    assert np.array_equal(w.moved, w.lower.sum(axis=1) >= w.tau)
+    assert np.array_equal(w.stepped.sum(axis=1), np.where(w.moved, w.tau, 0))
+    assert w.moved.any() and (d < 400 or (w.tau > 1).any())
 
 
 @pytest.mark.parametrize("entries", [1, 7, 37, 100, 1 << 16])

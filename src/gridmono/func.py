@@ -289,9 +289,10 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
                                  lambda X: 2 * X[:, axis] < shape.n)
     if kind == "block_parity":
         _reject_params(params, set())
+        upper = -(-shape.n // 2)   # 2v // n is 1 from v = ceil(n / 2), else 0
         return _tabulate_or_wrap(
             shape, lambda x: 1 if sum(2 * v // shape.n for v in x) % 2 == 0 else 0,
-            lambda X: (2 * X // shape.n).sum(axis=1) % 2 == 0)
+            lambda X: (X >= upper).sum(axis=1) % 2 == 0)
     if kind == "noisy_monotone":
         _reject_params(params, {"rho", "base"})
         rho = params.get("rho", 0.05)

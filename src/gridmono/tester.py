@@ -28,6 +28,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .errors import CapacityError
 from .func import BoolFunc
 from .grid import (
     LOWER,
@@ -46,16 +47,18 @@ REJECT = "reject"
 # Frozen by the pilot sweep in verify.derive_calibration (master seed 20240811):
 # smallest constant that pushes every pilot family/shape to >= 0.9 per-run
 # rejection, maximized over the pilot grid, with 25% headroom.
-DEFAULT_CALIBRATION = 1.0537
+DEFAULT_CALIBRATION = 1.0032
 
-# Philox words (walks x words per walk) per numpy call of the kernel.  The
-# word block is a call's largest array; at 16,380 words (4 short of 128 KiB)
-# it stays under glibc's default 128 KiB mmap threshold, and the kernel
-# drops it before the rest of the call allocates, so a call's arrays reuse
-# heap memory instead of being mapped afresh, and page-faulted in, on every
-# call.  From d = 509 (1,024 words a walk) that budget holds fewer than
-# _CALL_WALKS walks; a call then holds _CALL_WALKS walks anyway, because
-# there the fixed cost of a call outweighs its page faults.
+# Philox words per numpy call of the kernel, each walk counted at its
+# weight, max(words, 2d) (see _layout).  The word block is at most 16,380
+# words (4 short of 128 KiB), so it stays under glibc's default 128 KiB mmap
+# threshold, and the kernel drops it before the rest of the call allocates;
+# counting a walk at 2d words or more keeps each (B, d) array of a call at
+# 8,190 entries or fewer, so a call's arrays reuse heap memory instead of
+# being mapped afresh, and page-faulted in, on every call.  From d = 509
+# (d = 512 on sides up to 2^10) that budget holds fewer than _CALL_WALKS
+# walks; a call then holds _CALL_WALKS walks anyway, because there the
+# fixed cost of a call outweighs its page faults.
 _CALL_ENTRIES = (1 << 14) - 4
 _CALL_WALKS = 16
 # amplified_test's first call draws this many walks and each later call
@@ -207,13 +210,38 @@ def _taus(words: np.ndarray, d: int) -> np.ndarray:
     return np.left_shift(1, _below(words, tau_ceiling(d) + 1))
 
 
-def _layout(d: int, tau: Optional[int] = None) -> Tuple[int, int]:
-    """(subset picks, words) of one walk, words rounded up to whole Philox blocks."""
+# Up to side 2^10 a dimension's x and parity (its bits + 1 low bits) and
+# step exponent (`_below`, the 53 high bits) share one word; above, the
+# exponent has a word of its own
+_SHARED_WORD_BITS = 10
+
+
+def _layout(d: int, tau: Optional[int] = None, bits: int = 62) -> Tuple[int, int, int]:
+    """(subset picks, words, weight) of one walk on a grid of side 2^bits.
+
+    A walk reads its tau word, one word per subset pick, then one word per
+    dimension up to side 2^10 and two above, rounded up to whole Philox
+    blocks.  weight = max(words, 2d) is what the walk counts for against a
+    call's budget, because a call's (B, d) arrays grow with d, not with the
+    words.  bits defaults to the widest side a GridShape allows, so
+    _layout(d) is the largest layout of a walk at d.
+    """
     picks = 1 << tau_ceiling(d) if tau is None else min(tau, d)
-    return picks, -(-(1 + picks + 2 * d) // 4) * 4
+    per_dim = 1 if bits <= _SHARED_WORD_BITS else 2
+    words = -(-(1 + picks + per_dim * d) // 4) * 4
+    return picks, words, max(words, 2 * d)
 
 
-_TOP_BIT = np.uint64(63)
+def _check_stream_capacity(operation: str, walks: int, width: int) -> None:
+    """Refuse walks 0 .. walks-1 of `width` words each past the Philox counter.
+
+    _words starts a read at block start * width / 4, which must fit the
+    counter's low 64-bit word, so the last walk must start below block 2^64.
+    """
+    if (walks - 1) * width // 4 >= 1 << 64:
+        raise CapacityError(operation, walks, ((1 << 66) - 1) // width + 1, "walks")
+
+
 _SIGN_CLEAR = np.int64(1 - (1 << 63))
 
 
@@ -223,24 +251,27 @@ def _draw_walks(shape: GridShape, stream: _Stream, start: int, count: int,
 
     With tau given every walk has that length, and with x given (one row
     per walk) the walks start there: the persistence walk.  Each walk's
-    words are laid out as: its tau draw, one draw per subset pick, then per
-    dimension one word for the start coordinate and the parity and one for
-    the step exponent.
+    words are laid out as in `_layout`: its tau draw, one draw per subset
+    pick, then the dimensions' words.  In dimension i, x is the low `bits`
+    bits of the i-th dimension word, the parity its bit `bits`, and the
+    step exponent `_below` of the same word up to side 2^10, else of the
+    (d + i)-th dimension word.
     """
     d, n, bits = shape.d, shape.n, shape.bits
-    picks, width = _layout(d, tau)
+    picks, width, _ = _layout(d, tau, bits)
+    lo = 1 + picks                                            # first dimension word
+    hi = lo if bits <= _SHARED_WORD_BITS else lo + d          # first exponent word
     w = _words(stream, start, count, width)
     # read everything off the word block, then drop it before the rest of
     # the call allocates.  A (B, d) read of the strided block also allocates
-    # a buffer as large as its result (up to 8,192 entries), so there are
-    # two such reads: exp, then the start coordinates' words keeping only
-    # the bits of x and the parity (the top bit)
+    # a buffer as large as its result, so there are two such reads: exp,
+    # then the dimension words keeping only the bits of x and the parity
     taus = _taus(w[:, 0], d) if tau is None else np.full(count, tau, dtype=np.int64)
-    pick = w[:, 1:1 + picks].copy()
-    exp = _below(w[:, 1 + picks + d:1 + picks + 2 * d], bits)
-    coord = w[:, 1 + picks:1 + picks + d] & np.uint64(n - 1 | 1 << 63)
+    pick = w[:, 1:lo].copy()
+    exp = _below(w[:, hi:hi + d], bits)
+    coord = w[:, lo:lo + d] & np.uint64(2 * n - 1)
     del w
-    parity = (coord >> _TOP_BIT).view(np.int64)
+    parity = (coord >> np.uint64(bits)).view(np.int64)
     if x is None:
         coord &= np.uint64(n - 1)
         x = coord.view(np.int64)
@@ -286,13 +317,14 @@ def _call_entries(entries: int) -> Iterator[None]:
         _CALL_ENTRIES, _CALL_WALKS = saved
 
 
-def _calls(total: int, width: int, first: Optional[int] = None) -> Iterator[Tuple[int, int]]:
-    """(start, count) groups covering range(total), count * width <= _CALL_ENTRIES.
+def _calls(total: int, weight: int, first: Optional[int] = None) -> Iterator[Tuple[int, int]]:
+    """(start, count) groups covering range(total), count * weight <= _CALL_ENTRIES.
 
-    A group holds _CALL_WALKS walks where the budget holds fewer.  With
-    `first`, the groups start at that many and double.
+    weight is a walk's from `_layout`.  A group holds _CALL_WALKS walks
+    where the budget holds fewer.  With `first`, the groups start at that
+    many and double.
     """
-    most = max(_CALL_WALKS, _CALL_ENTRIES // max(width, 1))
+    most = max(_CALL_WALKS, _CALL_ENTRIES // max(weight, 1))
     size = most if first is None else min(first, most)
     start = 0
     while start < total:
@@ -305,7 +337,7 @@ def _calls(total: int, width: int, first: Optional[int] = None) -> Iterator[Tupl
 def _walk_batches(shape: GridShape, stream: _Stream, total: int,
                   first: Optional[int] = None) -> Iterator[Tuple[int, _Walks]]:
     """Walks 0 .. total-1 of `stream`, as (start, batch) pairs."""
-    for start, count in _calls(total, _layout(shape.d)[1], first):
+    for start, count in _calls(total, _layout(shape.d, bits=shape.bits)[2], first):
         yield start, _draw_walks(shape, stream, start, count)
 
 
@@ -418,6 +450,7 @@ def amplified_test(f: BoolFunc, eps: float, calibration: float = DEFAULT_CALIBRA
     shape = f.shape
     _require_testable(shape)
     rounds = repetitions(shape.n, shape.d, eps, calibration)
+    _check_stream_capacity("amplified_test", rounds, _layout(shape.d, bits=shape.bits)[1])
     stream = _stream(rng)
     tally = _Tally(shape.d)
     total_queries = 0
@@ -451,6 +484,7 @@ def detection_rate(f: BoolFunc, trials: int, rng: random.Random) -> RateEstimate
         raise ValueError("trials must be >= 1")
     shape = f.shape
     _require_testable(shape)
+    _check_stream_capacity("detection_rate", trials, _layout(shape.d, bits=shape.bits)[1])
     stream = _stream(rng)
     tally = _Tally(shape.d)
     rejections = 0
@@ -477,15 +511,18 @@ def persistence_fraction(f: BoolFunc, tau: int, outer_samples: int,
         raise ValueError("outer and inner sample counts must be >= 1")
     shape = f.shape
     _require_testable(shape)
-    d = shape.d
+    d, bits = shape.d, shape.bits
+    _, width, weight = _layout(d, tau, bits)
+    # the start points' stream holds fewer walks, of at most the default width
+    _check_stream_capacity("persistence_fraction", outer_samples * inner_samples,
+                           max(width, _layout(d, bits=bits)[1]))
     x_stream, walk_stream = _stream(rng), _stream(rng)
     non_persistent = 0
-    width = _layout(d, tau)[1]
-    for o_start, o_count in _calls(outer_samples, width * inner_samples):
+    for o_start, o_count in _calls(outer_samples, weight * inner_samples):
         xs = _draw_walks(shape, x_stream, o_start, o_count).x
         fx = f.eval_batch(xs)
         flips = np.zeros(o_count, dtype=np.int64)
-        for start, count in _calls(o_count * inner_samples, width):
+        for start, count in _calls(o_count * inner_samples, weight):
             rows = (start + np.arange(count)) // inner_samples
             y = _draw_walks(shape, walk_stream, o_start * inner_samples + start, count,
                             tau=tau, x=xs[rows]).y

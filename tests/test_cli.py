@@ -63,7 +63,7 @@ def test_test_subcommand_lifts_other_n(capsys):
 
 def test_test_subcommand_power_of_two_prints_no_plan(capsys):
     assert run(["test", "--family", "anti_slab", "--n", "4", "--d", "2"]) == EXIT_REJECT
-    assert capsys.readouterr().out.splitlines() == ["verdict=REJECT invocations=11 queries=17"]
+    assert capsys.readouterr().out.splitlines() == ["verdict=REJECT invocations=7 queries=12"]
 
 
 def test_test_subcommand_lift_past_the_index_range(capsys):
@@ -166,6 +166,18 @@ def test_test_subcommand_refuses_a_calibration_without_a_finite_count(calibratio
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_test_subcommand_refuses_walks_past_the_philox_counter(capsys):
+    # a 203-digit walk count: walk k's words start at Philox block 2k, whose
+    # counter is one 64-bit word, so the count is refused before any walk
+    code = run(["test", "--family", "monotone_threshold", "--n", "8", "--d", "4",
+                "--calibration", "1e200"])
+    assert code == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: amplified_test needs about 2^")
+    assert "walks, above the limit of 9223372036854775808" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_test_capacity_exit(capsys):
     # a 2^40-point table must be refused up front, not built
     code = run(["test", "--family", "uniform_random", "--n", "2", "--d", "40"])
@@ -243,12 +255,12 @@ def test_zero_sample_counts_are_usage_errors(argv, tmp_path, capsys):
 # SHA-256 of reports whose bytes must not change unless a stream is meant to
 @pytest.mark.parametrize("argv, digest", [
     (["rate", "--shapes", "4x1,4x2", "--trials", "300"],
-     "106c24775a54147b267a4c6393fa1262baf6af3a23b84c185188a3f8ebe35a18"),
+     "07a87160221711494f5aabbeaef929980aa39994e9f9c75f5b2f4f87fa506768"),
     (["isoperimetry"],
      "0c8ab04d8c4faa66cccc1cfae0efd34f2cb59b6ba5a87675c9337a43b9427ac4"),
     (["persistence", "--shapes", "8x2", "--families", "anti_slab", "--taus", "1,2",
       "--outer", "50", "--inner", "40"],
-     "3bd90c3be0c04c2e0672c8012b2c02b6a6384b5ccd487039a419efda3e9d5f8f"),
+     "4784588bb82a811a37ffd7860be21cd38f0e4847d3ab9f3764773e1b51ab8b81"),
     (["fourier", "--line-n", "8", "--tables", "20"],
      "f8be8fc6d61e5a54c9f9417b6861db5a01dc2b92c1ce4c900529658de1974ba6"),
     (["isoperimetry", "--shapes", "8x2,3x3", "--samples", "300"],

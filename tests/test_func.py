@@ -128,6 +128,20 @@ def test_vectorised_predicates_match_scalar(shape, data):
         assert f.eval_batch(pts).tolist() == [f.eval(tuple(p)) for p in pts.tolist()]
 
 
+@pytest.mark.parametrize("shape", [GridShape(8, 16), GridShape(2, 62), GridShape(5, 30)])
+def test_block_parity_batch_matches_the_scalar_predicate(shape):
+    # the batch form counts the coordinates v >= ceil(n / 2), where the
+    # scalar form sums 2v // n; odd n puts the middle value in the lower half
+    f = generate("block_parity", shape)
+    assert f._batch is not None
+    n, d = shape.n, shape.d
+    pts = np.random.default_rng(n).integers(0, n, (2000, d))
+    middle = np.array([0, n // 2 - 1, n // 2, -(-n // 2), n - 1])
+    pts = np.concatenate([pts, np.repeat(middle, d).reshape(-1, d),
+                          middle[np.arange(5 * d).reshape(-1, d) % 5]])
+    assert f.eval_batch(pts).tolist() == [f.eval(tuple(p)) for p in pts.tolist()]
+
+
 def test_float_weights_fall_back_per_point():
     shape = GridShape(2, 20)
     f = generate("monotone_threshold", shape, weights=[0.1] * 20, theta=0.3)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from gridmono import tester
+from gridmono.errors import CapacityError
 from gridmono.func import BoolFunc, generate
 from gridmono.grid import (
     LOWER,
@@ -377,41 +378,142 @@ def test_walk_rows_do_not_depend_on_grouping():
 # derived field are pinned, at any numpy version.  Keys are (n, d, tau); a
 # given tau runs the persistence walk from start points drawn by random.Random,
 # whose stream, unlike numpy's Generator methods, is fixed across versions.
-# At 2^400 the walks draw tau from {1, 2}.
+# At 2^400 the walks draw tau from {1, 2}.  The digests were recorded when
+# sides up to 2^10 went to one word a dimension and the parity to bit log2 n,
+# after test_kernel_fixture_matches_a_scalar_decoder had checked the same
+# walks field by field against the layout read off raw Philox words.
 KERNEL_DIGESTS = {
-    (8, 3, None): "cbb46e869f3533d769c5fcabd9431a7434d002f4adbb9f6cef9f5ead0a50b560",
-    (8, 16, None): "bc7da07a14ffce2101fc06a30db22a3988590bf85d53a6def79f005eb9bf555a",
-    (4, 20, None): "7b373b7f031345dd41c55c06f3b98b6ba6ad1ad09b44ad3bf687069263e906a9",
-    (2, 62, None): "f8de32cde0394559cba3e5e4fa541bdf68023c11e57c8aec6dcdf2220c937d41",
-    (2, 400, None): "c01b24ca2f71fc2318c3b1f8fcc7b012b105b95b7825b065eec82e22e7df6d0a",
-    (1 << 31, 2, None): "eea1f4afa106238e5b3e57967b46e544894536d735b3b9d35b3c141b55a470dd",
-    (16, 5, None): "97e11847e1f354f91eaffbfb7e028f29aea2e5f41a75f1189856af94c6e4b9b1",
-    (8, 3, 2): "fe21698f0a98408e2f59dfe58fc29605091b4765c5a727a638777fb7695fe631",
-    (8, 3, 4): "63c0d91eec4cbc08a98fcfab910af08b638b4e5e53209439ecf06eea8fcac8d2",
-    (8, 16, 2): "d28dbed1fbb41a59914caf826a1b8bcf7bdf1a5d57f5dfca863b12c5fb9f0367",
-    (8, 16, 4): "2bb9cd02ab4d27a40ac80510246c0a056e144df4b6b4b1fd140b12a09b6791c7",
-    (2, 62, 2): "9fad3bfcfa3c40a1497527e1c058716504de130b97dd0a7f76ca94c464d52a73",
-    (2, 62, 4): "e1edf473b4be1e2e1add2159bac6394b997548f0c4b88e1ec9258dbcaa6c4dcf",
+    (8, 3, None): "cf79ebb169e85cb0878ed6afc2e6e73429dc732496e8dab65168f44dd5654ac7",
+    (8, 16, None): "5b3125b22c49c8a724d7037eae9232cc600000a90d3d839ab6c28b84be5b1a93",
+    (4, 20, None): "d9a1d9c5ab59c6669d8e43433b574349f06ce593b394d995bca1287e44f46701",
+    (2, 62, None): "6fc39231f920172ec88187fe8a3b438b5110fb5d0841db8d4e25f38d43d272a4",
+    (2, 400, None): "98b51a4d28fda78f49d347c4c383ec166b04e0c337ae1bd08af834046f265f78",
+    (1 << 31, 2, None): "d0359309af8fc935a9671e23b2db2fb57c21adaee06fd3978cf007308243ca79",
+    (16, 5, None): "fda7287e48d917acd9c2461d1829b531d2f9502d12e2aa68cb7176308f4525d6",
+    (8, 3, 2): "e823f3259426ff7256f723386a853cea98d3afef9696413bec2520a8bc59182e",
+    (8, 3, 4): "1f646a6e7f0264b29c3c2a12e1bc96b68d985d45437471aca78c05926433fe9e",
+    (8, 16, 2): "208b4b089b4e9df0295d722c102968c68a9d0bcb8786701cf442c66ff51bb39d",
+    (8, 16, 4): "f14edc7617042946ac912c65382dad1a5c9ae5e004ed2f965a98aa1cb7659b59",
+    (2, 62, 2): "f1d54caa1b539997647686b8f52e51de4b3f95c55c81134406dd220541be0f94",
+    (2, 62, 4): "718b1143bac432425c755efa49c3d80a196a8a9ae13714238e1f9f66f81c6601",
 }
+
+
+def kernel_fixture_walks(case):
+    """(key, start points or None, walks 3 .. 502) of a KERNEL_DIGESTS case."""
+    n, d, tau = case
+    shape = GridShape(n, d)
+    if tau is None:
+        stream = _stream(random.Random(f"kernel {n}^{d}"))
+        return stream.key, None, _draw_walks(shape, stream, 3, 500)
+    starts = random.Random(f"starts {n}^{d} {tau}")
+    x = np.array([[starts.randrange(n) for _ in range(d)] for _ in range(500)], np.int64)
+    stream = _stream(random.Random(f"persistence {n}^{d}"))
+    return stream.key, x, _draw_walks(shape, stream, 3, 500, tau=tau, x=x)
 
 
 @pytest.mark.parametrize("case", KERNEL_DIGESTS, ids=lambda c: "%d^%d-tau%s" % c)
 def test_walk_kernel_fixture(case):
-    n, d, tau = case
-    shape = GridShape(n, d)
-    if tau is None:
-        w = _draw_walks(shape, _stream(random.Random(f"kernel {n}^{d}")), 3, 500)
-    else:
-        starts = random.Random(f"starts {n}^{d} {tau}")
-        x = np.array([[starts.randrange(n) for _ in range(d)] for _ in range(500)], np.int64)
-        w = _draw_walks(shape, _stream(random.Random(f"persistence {n}^{d}")), 3, 500,
-                        tau=tau, x=x)
+    w = kernel_fixture_walks(case)[2]
     h = hashlib.sha256()
     for field in WALK_FIELDS:
         a = np.asarray(getattr(w, field))
         h.update(repr(a.shape).encode())
         h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
     assert h.hexdigest() == KERNEL_DIGESTS[case]
+
+
+def decode_walk(shape, key, k, tau=None, x=None):
+    """Walk k under `key`, decoded one word at a time from the layout in
+    README "Determinism": (tau, x, exp, parity, lower, stepped, y, moved)."""
+    n, d, bits = shape.n, shape.d, shape.bits
+    picks = 1 << tau_ceiling(d) if tau is None else min(tau, d)
+    per_dim = 1 if n <= 1 << 10 else 2
+    width = -(-(1 + picks + per_dim * d) // 4) * 4   # whole Philox blocks
+    gen = np.random.Philox(key=key, counter=np.array([k * width // 4, 0, 0, 0], np.uint64))
+    words = gen.random_raw(width).tolist()
+
+    def below(word, m):   # floor(u * m), u the word's 53 high bits as a fraction
+        return int((word >> 11) * (m * 2.0 ** -53))
+
+    if tau is None:
+        tau = 1 << below(words[0], tau_ceiling(d) + 1)
+    dims = words[1 + picks:]
+    xs = [dims[i] % n for i in range(d)] if x is None else [int(v) for v in x]
+    parity = [dims[i] >> bits & 1 for i in range(d)]
+    exp = [below(dims[i] if per_dim == 1 else dims[d + i], bits) for i in range(d)]
+    # x_i is the lower end of its pair: its 2^exp-block has the matching's
+    # parity, and the block above is on the grid
+    S = [i for i in range(d) if xs[i] >> exp[i] & 1 == parity[i] and xs[i] + (1 << exp[i]) < n]
+    moved = len(S) >= tau
+    y, left = list(xs), list(S)
+    for j in range(tau if moved else 0):   # each pick uniform over the unpicked part of S
+        i = left.pop(below(words[1 + j], len(left)))
+        y[i] += 1 << exp[i]
+    lower = [i in S for i in range(d)]
+    return (tau, xs, exp, parity, lower, [a != b for a, b in zip(xs, y)], y, moved)
+
+
+@pytest.mark.parametrize("case", KERNEL_DIGESTS, ids=lambda c: "%d^%d-tau%s" % c)
+def test_kernel_fixture_matches_a_scalar_decoder(case):
+    """Every field of the pinned walks, decoded from raw Philox words, walk by walk."""
+    n, d, tau = case
+    shape = GridShape(n, d)
+    key, x, w = kernel_fixture_walks(case)
+    for r in range(len(w.tau)):
+        ref = decode_walk(shape, key, 3 + r, tau, None if x is None else x[r])
+        for field, value in zip(WALK_FIELDS, ref):
+            assert np.asarray(getattr(w, field))[r].tolist() == value, (r, field)
+
+
+@pytest.mark.parametrize("n, d, walks", [(8, 3, 200_000), (1 << 11, 16, 200_000)])
+def test_matching_and_start_joint_chi_square(n, d, walks):
+    """(x_i, parity_i, exp_i) uniform over all n * 2 * log2 n triples, pooled
+    over the dimensions: at 8^3 the three share a word, at side 2^11 (the
+    first with two words a dimension) exp has its own."""
+    shape = GridShape(n, d)
+    cells = n * 2 * shape.bits
+    counts = np.zeros(cells, dtype=np.int64)
+    for _, w in _walk_batches(shape, _stream(random.Random(f"joint {n}^{d}")), walks):
+        codes = (w.x * 2 + w.parity) * shape.bits + w.exp
+        counts += np.bincount(codes.ravel(), minlength=cells)
+    assert counts.sum() == walks * d
+    assert chisquare(counts).pvalue > CHI_SQUARE_ALPHA
+
+
+def test_layout_word_counts():
+    # (picks, words, weight): one word a dimension up to side 2^10 and two
+    # from 2^11, after the tau word and the picks, in whole Philox blocks;
+    # the weight is never below 2d
+    assert _layout(16, bits=10) == (1, 20, 32)
+    assert _layout(16, bits=11) == (1, 36, 36)
+    assert _layout(3, 2, bits=10) == (2, 8, 8)
+    assert _layout(3, 2, bits=11) == (2, 12, 12)
+    assert _layout(2048, bits=10) == (4, 2056, 4096)
+    assert _layout(2048, bits=11) == (4, 4104, 4104)
+    assert _layout(2048) == _layout(2048, bits=62)
+
+
+def test_walk_counts_past_the_philox_counter_are_refused():
+    """A stream reaches walk k while its first block, k * width / 4, fits the
+    counter's 64-bit word; a run needing more walks is refused before its first."""
+    f = generate("anti_slab", GridShape(8, 4))
+    width = _layout(4, bits=3)[1]
+    last = ((1 << 66) - 1) // width   # the last walk a stream can start
+    w = _draw_walks(f.shape, _stream(random.Random(0)), last, 1)
+    assert w.x.shape == (1, 4)
+    with pytest.raises(OverflowError):
+        _draw_walks(f.shape, _stream(random.Random(0)), last + 1, 1)
+    runs = (lambda: amplified_test(f, 0.5, 1e200, random.Random(1)),
+            lambda: detection_rate(f, last + 2, random.Random(2)),
+            lambda: persistence_fraction(f, 1, last + 2, 1, random.Random(3)),
+            lambda: persistence_fraction(f, 1, 2, (last + 3) // 2, random.Random(4)))
+    for call in runs:
+        with pytest.raises(CapacityError) as info:
+            call()
+        assert info.value.unit == "walks" and info.value.limit == last + 1
+    assert f.queries == 0
+    assert detection_rate(f, 1, random.Random(5)).trials == 1
 
 
 @pytest.mark.parametrize("j", range(63))
@@ -460,9 +562,9 @@ def test_calls_stay_within_the_budget(d):
 
 @pytest.mark.parametrize("entries", [37, _CALL_ENTRIES, 1 << 16])
 def test_walk_batches_do_not_depend_on_call_size(entries):
-    # a walk at 2^2048 is 4,104 words, so there a call holds one walk at 37
-    # words, 3 at the default budget and 15 at 2^16 words; the default
-    # grouping, with its floor, holds _CALL_WALKS
+    # a walk at 2^2048 is 2,056 words and counts 4,096 against a budget, so
+    # there a call holds one walk at 37 words, 3 at the default budget and
+    # 16 at 2^16 words; the default grouping, with its floor, holds _CALL_WALKS
     for n, d, total in ((8, 3, 3000), (8, 16, 3000), (2, 62, 3000), (2, 2048, 100)):
         shape = GridShape(n, d)
         whole = _draw_walks(shape, _stream(random.Random(f"{n}^{d}")), 0, total)

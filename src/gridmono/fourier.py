@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CapacityError, IntegrityError
-from .func import BoolFunc
+from .func import BoolFunc, _random_bits, _table_blocks
 from .grid import (
     GridShape,
     MatchingId,
@@ -25,6 +25,7 @@ from .grid import (
     check_point,
     linear_index,
 )
+from .streams import derive_rng
 
 TRANSFORM_CAPACITY = 1 << 22
 
@@ -259,3 +260,65 @@ def line_sweep(shape: GridShape, tables: np.ndarray) -> LineSweep:
 def line_delta_report(g: BoolFunc) -> LineDeltaReport:
     """The line report of one line: the one-row view of line_sweep."""
     return line_sweep(g.shape, g.bits[None]).report(0)
+
+
+# ----------------------------------------------------------------------
+# spot checks: the `fourier` subcommand and acceptance criterion 6
+
+PARSEVAL_SHAPE = GridShape(8, 3)
+
+# fourier_spot_checks draws and transforms at most this many table points:
+# 131,072 tables of 8^3, about 20 s on a 2-vCPU host.  The CLI default of 100
+# tables and criterion 6's 1,000 fit.
+SPOT_CHECK_POINTS = 1 << 26
+
+
+def _transform_defects(rng, tables: int) -> Tuple[float, float]:
+    """Worst Parseval and inverse-transform defects over random +-1 tables on PARSEVAL_SHAPE."""
+    shape = PARSEVAL_SHAPE
+    worst = worst_inv = 0.0
+    for _ in range(tables):
+        values = _random_bits(rng, shape.size) * 2.0 - 1.0
+        spectrum = transform(shape, values)
+        worst = max(worst, abs(float(np.sum(spectrum.coeffs ** 2)) - 1.0))
+        worst_inv = max(worst_inv, float(np.max(np.abs(inverse_transform(spectrum) - values))))
+    return worst, worst_inv
+
+
+def _line_failures(n: int) -> Iterator[Tuple[int, str]]:
+    """(mask, reason) for every function on the line [n] that breaks the line
+    inequality, a sorting claim, or the agreement of the coefficient routes."""
+    # [16] is criterion 6's longest line, a 2^16 x 16 bit array; [32] would
+    # need 2^32 rows.  The limit is on n, so an absurd n never builds 2^n.
+    if n > 16:
+        raise CapacityError("line sweep", n, 16)
+    line = GridShape(n, 1)
+    for first, tables in _table_blocks(line):
+        sweep = line_sweep(line, tables)
+        for k in np.flatnonzero(~sweep.passed).tolist():
+            try:
+                rep = sweep.report(k)
+            except IntegrityError as exc:
+                yield first + k, str(exc)  # the two coefficient routes disagree
+                continue
+            if not rep.inequality_holds:
+                yield first + k, "line bound fails"
+            elif not (rep.delta_sorted_ge and rep.final_claim_holds):
+                yield first + k, "sorting claim fails"
+
+
+def fourier_spot_checks(line_n: int, tables: int, master_seed: int):
+    """Parseval, transform self-inverse, and the exhaustive line sweep."""
+    if tables < 1:
+        raise ValueError("tables must be >= 1")
+    if tables * PARSEVAL_SHAPE.size > SPOT_CHECK_POINTS:
+        raise CapacityError("fourier spot checks", tables * PARSEVAL_SHAPE.size,
+                            SPOT_CHECK_POINTS, "table points")
+    worst, worst_inv = _transform_defects(derive_rng(master_seed, "cli-parseval"), tables)
+    bad = sum(1 for _ in _line_failures(line_n))
+    lines = [
+        f"parseval defect {worst:.3e} over {tables} tables (tolerance 1e-12)",
+        f"inverse-transform defect {worst_inv:.3e}",
+        f"line sweep n={line_n}: {bad} failures out of {1 << line_n}",
+    ]
+    return worst <= 1e-12 and worst_inv <= 1e-9 and bad == 0, lines

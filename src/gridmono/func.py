@@ -217,8 +217,17 @@ def _mask_blocks(shape: GridShape, masks: Sequence[int]) -> Iterator[Tuple[int, 
 
 
 def _table_blocks(shape: GridShape) -> Iterator[Tuple[int, np.ndarray]]:
-    """_mask_blocks over every mask of the grid, in order: row k of a block holds mask first + k."""
-    return _mask_blocks(shape, range(1 << shape.size))
+    """_mask_blocks over every mask of the grid, in order: row k of a block holds mask first + k.
+
+    A block of consecutive masks is one shift-and-mask of an arange, about
+    a sixth of the time of _mask_bits' bytes per mask; the grids swept whole
+    have at most 20 points (brute-force distance's cap), far below the 63
+    value bits of int64."""
+    masks = 1 << shape.size
+    bit = np.arange(shape.size)
+    for first in range(0, masks, SWEEP_BLOCK):
+        block = np.arange(first, min(first + SWEEP_BLOCK, masks))[:, None] >> bit
+        yield first, (block & 1).astype(np.uint8)
 
 
 def is_monotone(f: BoolFunc) -> bool:
@@ -363,12 +372,16 @@ def _tabulate_or_wrap(shape: GridShape, pred: Callable[[Point], int],
 
 
 def _upward_close(shape: GridShape, seeds: np.ndarray) -> np.ndarray:
-    """The flat table that is 1 exactly at the points at or above some seed:
-    a cumulative OR along each axis of the (n,)*d view in turn."""
-    grid = seeds.reshape((shape.n,) * shape.d)
-    for axis in range(shape.d):
-        np.logical_or.accumulate(grid, axis=axis, out=grid)
-    return grid.reshape(-1)
+    """The table that is 1 exactly at the points at or above some seed, for a
+    flat table or each row of a (rows, n^d) block: a cumulative OR along each
+    grid axis in turn, each on the view (points before, n, points after),
+    which numpy accumulates faster than the (rows, n, ..., n) view."""
+    n, after, grid = shape.n, shape.size, seeds
+    for _ in range(shape.d):
+        after //= n
+        grid = grid.reshape(-1, n, after)
+        np.logical_or.accumulate(grid, axis=1, out=grid)
+    return grid.reshape(seeds.shape)
 
 
 def save(f: BoolFunc, sink) -> None:

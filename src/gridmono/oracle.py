@@ -8,9 +8,10 @@ pairs use the directed augmented-hypergrid metric.
 
 The matchings and flows run on scipy's sparse graphs.  The assignment
 solver, scipy.optimize.linear_sum_assignment, serves only optimal_matching
-and the isoperimetry counts of shapes of at most _ASSIGNMENT_POINTS points,
-so it is loaded the first time an assignment is solved (see __getattr__):
-the distance cut and the flow-only reports never import scipy.optimize.
+and the isoperimetry counts of shapes of at most _ASSIGNMENT_POINTS points
+that the grid search on Γ⁻ (_sink_reached) leaves open, so it is loaded
+the first time an assignment is solved (see __getattr__): the distance cut
+and the flow-only reports never import scipy.optimize.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ BRUTE_FORCE_CAPACITY = 20
 # up to 128 points, and in blocks at 256.
 _ASSIGNMENT_POINTS = 256
 
-# _sink_reached leaves its question to the flow's own breadth-first search
-# once its upward closures (d passes over the N points each) have made this
-# many point-passes per arc of the residual graph it stands in for.  A pass
-# costs about 10-12 ns and the flow's first phase 17-35 ns an arc (2-vCPU
-# host), so a search that stays open costs at most about 1.5 first phases.
+# _sink_reached leaves a row open, to the flow's own breadth-first search or
+# to the assignment, once its upward closures (d passes over the N points
+# each) have made this many point-passes per arc of the residual graph it
+# stands in for.  A pass costs about 10-12 ns and the flow's first phase
+# 17-35 ns an arc (2-vCPU host), so a search that stays open costs at most
+# about 1.5 first phases.
 _SEARCH_PASSES_PER_ARC = 3
 
 # Table cells per numpy call in the batch kernels: each temporary stays
@@ -388,7 +390,7 @@ def _gamma_edges(shape: GridShape, block: np.ndarray,
     """
     lo, hi = _edge_table(shape)[:2]
     n_ones, left, right = _vertex_ids(block)
-    row, k = down.nonzero()
+    row, k = np.divmod(np.flatnonzero(down), down.shape[1])   # twice as fast as down.nonzero()
     u, v = left[row, lo[k]], right[row, hi[k]]
     if not len(u):
         return row, k
@@ -466,44 +468,81 @@ def _flow_graph(shape: GridShape) -> Tuple[np.ndarray, ...]:
     return graph
 
 
-def _sink_reached(shape: GridShape, table: np.ndarray, u: np.ndarray,
-                  w: np.ndarray) -> Optional[bool]:
-    """Whether the source reaches the sink in _matching_flow's residual graph
-    once it carries the Γ⁻ matching (edges u[k] -> w[k]), answered on the grid
-    itself; None if it is still open after the closures that
-    _SEARCH_PASSES_PER_ARC allows (at least 3).
+# _sink_reached's answers, one per row of a block
+_UNREACHED, _REACHED, _OPEN = 0, 1, -1
+
+
+def _sink_reached(shape: GridShape, block: np.ndarray, gamma_row: np.ndarray,
+                  gamma_k: np.ndarray) -> np.ndarray:
+    """For each row of a block of tables, whether the source reaches the sink
+    in _matching_flow's residual graph once it carries the row's Γ⁻ matching
+    (the edges gamma_k[i] with gamma_row[i] the row; see _gamma_edges),
+    answered on the grid itself: an int8 per row, _REACHED, _UNREACHED, or
+    _OPEN if it is still open after the closures that _SEARCH_PASSES_PER_ARC
+    allows (at least 3).  A block of one row is the one-table question.
 
     Every augmented edge keeps a forward arc with capacity left, and the unit
     steps are augmented edges, so the source reaches exactly the up-closure
     of the free 1-points (those no Γ⁻ edge leaves), extended down each Γ⁻
     edge whose top it holds and closed upward again; the sink is reached iff
-    that set holds a free 0-point (one no Γ⁻ edge enters).  IntegrityError
-    unless the Γ⁻ edges are violated and pairwise vertex-disjoint.
+    that set holds a free 0-point (one no Γ⁻ edge enters).  Where it is not,
+    Γ⁻ is a largest violation matching, and one of least summed distance, as
+    each of its pairs is one edge apart.  The rows are closed together (see
+    _upward_close), each edge's ends offset by its row times N into the
+    flat block, and a row leaves the loop once it is answered.
+    IntegrityError unless the Γ⁻ edges are violated and pairwise
+    vertex-disjoint; with the offsets, both are counts over the whole block.
     """
-    ones = table.astype(bool)
-    if not ones[u].all() or ones[w].any():
+    size = shape.size
+    lo, hi = _edge_table(shape)[:2]
+    offset = gamma_row * size
+    u, w = lo[gamma_k], hi[gamma_k]
+    u += offset
+    w += offset
+    reached = block.astype(bool)
+    free_zero = ~reached
+    ones, zeros = reached.reshape(-1), free_zero.reshape(-1)
+    if np.count_nonzero(ones[u]) != len(u) or np.count_nonzero(zeros[w]) != len(w):
         raise IntegrityError("a Γ⁻ edge is not violated")
-    reached, free_zero = ones.copy(), ~ones
-    reached[u] = free_zero[w] = False
     n_ones = np.count_nonzero(ones)
-    if (np.count_nonzero(reached) != n_ones - len(u)
-            or np.count_nonzero(free_zero) != len(ones) - n_ones - len(w)):
+    ones[u] = zeros[w] = False
+    free_ones, free_zeros = np.count_nonzero(ones), np.count_nonzero(zeros)
+    if free_ones != n_ones - len(u) or free_zeros != len(ones) - n_ones - len(w):
         raise IntegrityError("two Γ⁻ edges share a point")
-    if not reached.any() or not free_zero.any():   # a saturated side leaves no path
-        return False
-    arcs = 2 * len(_edge_table(shape)[0]) + 4 * shape.size   # those of _flow_graph
-    for _ in range(_SEARCH_PASSES_PER_ARC * arcs // (shape.size * shape.d)):
+    answer = np.full(len(block), _UNREACHED, np.int8)
+    # a saturated side leaves no path; a row saturated on one side in a block
+    # that is not is answered by its first pass (no free 1-point: nothing is
+    # reached) or by the pass its closure stops growing (no free 0-point)
+    if not (free_ones and free_zeros):
+        return answer
+    at, row = np.arange(len(block)), gamma_row   # the block row of each row left, and of each edge
+    keep, hit = np.ones(len(block), bool), np.zeros(len(block), bool)
+    arcs = 2 * len(lo) + 4 * size   # those of _flow_graph
+    for _ in range(_SEARCH_PASSES_PER_ARC * arcs // (size * shape.d)):
+        left = np.count_nonzero(keep)
+        if left < len(at):   # answer the rows done, drop them and renumber the others' edges
+            # 1 - 0 is _REACHED, 0 - 1 _OPEN and 0 - 0 _UNREACHED
+            answer[at] = hit.view(np.int8) - keep.view(np.int8)
+            if not left:
+                return answer
+            kept = keep[row]
+            shift = keep.cumsum()[row[kept]] - 1 - row[kept]
+            row, u, w = row[kept] + shift, u[kept] + shift * size, w[kept] + shift * size
+            at, reached, free_zero = at[keep], reached[keep], free_zero[keep]
         reached = _upward_close(shape, reached)
-        if (reached & free_zero).any():
-            return True
-        down = reached[w] & ~reached[u]
-        if not down.any():
-            return False
-        reached[u[down]] = True
-    return None
+        hit = (reached & free_zero).any(axis=1)
+        ones = reached.reshape(-1)
+        down = ones[w] > ones[u]
+        moved = np.zeros(len(at), bool)
+        moved[row[down]] = True
+        keep = moved & ~hit
+        ones[u[down]] = True
+    answer[at] = hit.view(np.int8) - keep.view(np.int8)
+    return answer
 
 
-def _matching_flow(shape: GridShape, table: np.ndarray, gamma_k: np.ndarray) -> Tuple[int, int]:
+def _matching_flow(shape: GridShape, table: np.ndarray, gamma_k: np.ndarray,
+                   reached: bool) -> Tuple[int, int]:
     """(matched, total) of a table: the size and the summed directed distance
     of its optimal matching, from a min-cost flow on _flow_graph(shape).
 
@@ -520,23 +559,20 @@ def _matching_flow(shape: GridShape, table: np.ndarray, gamma_k: np.ndarray) -> 
     elsewhere: that matching is a maximum flow on the arcs of reduced cost 0,
     which is what the first phase would find.  Each phase keeps the arcs
     with capacity left, and stops when a breadth-first search from the
-    source on them misses the sink, so the flow is maximum.  The first
-    phase's search runs on the grid (_sink_reached), before any residual
-    array exists: where it misses the sink, Γ⁻ is a largest matching of
-    least cost, one per pair, and the flow is never built.  Otherwise each
+    source on them misses the sink, so the flow is maximum.  The caller
+    asks the first phase's search on the grid first (_sink_reached, which
+    also checks that the Γ⁻ edges are violated and disjoint), and runs the
+    flow only where it reaches the sink or is left open; `reached` says it
+    reached the sink, and then the first phase skips its own search.  Each
     phase runs one dijkstra on the reduced costs of the arcs with capacity
     left, raises the potentials by min(dist, dist[sink]), and runs one
     maximum flow on those of reduced cost 0; the later phases' searches are
-    scipy's.  IntegrityError unless the Γ⁻ edges are violated and disjoint,
-    every phase moves flow, only on arcs with capacity left, no such arc has
-    negative reduced cost (so the cost is the least), and the result
-    respects capacity and conservation.
+    scipy's.  IntegrityError unless every phase moves flow, only on arcs
+    with capacity left, no such arc has negative reduced cost (so the cost
+    is the least), and the result respects capacity and conservation.
     """
     lo, hi = _edge_table(shape)[:2]
     u, w = lo[gamma_k], hi[gamma_k]
-    searched = _sink_reached(shape, table, u, w)
-    if searched is False:
-        return len(u), len(u)
     tails, heads, indptr, cost, reverse, forward, back, terminal = _flow_graph(shape)
     size = shape.size
     source, sink = size, size + 1
@@ -560,10 +596,10 @@ def _matching_flow(shape: GridShape, table: np.ndarray, gamma_k: np.ndarray) -> 
         live_indptr = live.searchsorted(indptr).astype(np.int32)
         graph = csr_matrix((reduced.astype(np.float64), live_heads, live_indptr),
                            shape=(sink + 1, sink + 1))
-        if not searched and not (breadth_first_order(graph, source,
-                                                    return_predecessors=False) == sink).any():
+        if not reached and not (breadth_first_order(graph, source,
+                                                   return_predecessors=False) == sink).any():
             break
-        searched = False   # the first phase's search was _sink_reached's
+        reached = False   # known for the first phase only
         dist = dijkstra(graph, indices=source)
         step = np.minimum(dist, dist[sink]).astype(np.int32)
         potential += step
@@ -790,36 +826,47 @@ def isoperimetry_sweep(shape: GridShape, tables: np.ndarray) -> IsoperimetrySwee
 
     Each block of rows is one graph whose vertices are the points of all its
     rows (see _vertex_ids).  Γ⁻ is one maximum matching of the block's
-    violated augmented edges in scipy.  The optimal matching's counts come
-    from one min-cost flow per row (_matching_flow) on shapes of more than
-    _ASSIGNMENT_POINTS points, and from one checked assignment solve per row
-    (_optimal_assignment) on smaller ones; a row with no violated edge is
-    monotone and needs neither.
+    violated augmented edges in scipy.  A row with no violated edge is
+    monotone and needs no more.  The other rows go to one _sink_reached call,
+    which certifies on the grid, for most rows, that Γ⁻ already is an
+    optimal matching (its pairs one edge apart), so that matched = total =
+    Γ⁻.  Only the rows it leaves open reach a solver: one min-cost flow per
+    row (_matching_flow) on shapes of more than _ASSIGNMENT_POINTS points,
+    and one checked assignment solve per row (_optimal_assignment) on
+    smaller ones.
     """
     tables = _checked_tables(shape, tables, DISTANCE_CAPACITY, "isoperimetry sweep")
     edges = len(_edge_table(shape)[0])
     flow = shape.size > _ASSIGNMENT_POINTS
     width = max(edges, shape.size, 0 if flow else len(shape_tables(shape).lo))
-    counts = []   # per block: violated, upward, gamma, matched, total
+    columns = np.zeros((5, len(tables)), np.int64)
+    violated, upward, gamma, matched, total = columns
     for rows in _row_batches(len(tables), width):
         block = tables[rows]
         down, up = _edge_masks(shape, block)
         gamma_row, gamma_k = _gamma_edges(shape, block, down)
-        busy = down.any(axis=1).nonzero()[0]
-        matched, total = np.zeros((2, len(block)), np.int64)
-        if flow:
+        # int32 sums take about half the time of int64 ones
+        violated[rows] = down.sum(axis=1, dtype=np.int32)
+        upward[rows] = up.sum(axis=1, dtype=np.int32)
+        gamma[rows] = np.bincount(gamma_row, minlength=len(block))
+        busy = violated[rows].nonzero()[0]
+        if not len(busy):
+            continue
+        if len(busy) < len(block):   # Γ⁻ has edges in the busy rows only: renumber them
+            block, gamma_row = block[busy], (violated[rows] > 0).cumsum()[gamma_row] - 1
+        answer = _sink_reached(shape, block, gamma_row, gamma_k)
+        busy += rows.start
+        matched[busy] = total[busy] = gamma[busy]   # the solvers redo the rows left open
+        left = (answer != _UNREACHED).nonzero()[0]
+        if flow and len(left):
             bounds = gamma_row.searchsorted(np.arange(len(block) + 1))
-            for r in busy.tolist():
-                matched[r], total[r] = _matching_flow(shape, block[r],
-                                                      gamma_k[bounds[r]:bounds[r + 1]])
-        elif len(busy):
-            kept_row, _, _, kept_dist = _optimal_assignment(shape, block[busy])
-            matched[busy] = np.bincount(kept_row, minlength=len(busy))
-            total[busy] = np.bincount(kept_row, kept_dist, minlength=len(busy))
-        counts.append((down.sum(axis=1), up.sum(axis=1),
-                       np.bincount(gamma_row, minlength=len(block)), matched, total))
-    columns = ([np.concatenate(c).astype(np.int64, copy=False) for c in zip(*counts)]
-               or [np.zeros(0, np.int64) for _ in range(5)])
+            for r in left.tolist():
+                matched[busy[r]], total[busy[r]] = _matching_flow(
+                    shape, block[r], gamma_k[bounds[r]:bounds[r + 1]], answer[r] == _REACHED)
+        elif len(left):
+            kept_row, _, _, kept_dist = _optimal_assignment(shape, block[left])
+            matched[busy[left]] = np.bincount(kept_row, minlength=len(left))
+            total[busy[left]] = np.bincount(kept_row, kept_dist, minlength=len(left))
     return IsoperimetrySweep(shape.size, *columns)
 
 

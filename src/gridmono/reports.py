@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityError
-from .func import BoolFunc, _mask_blocks, generate
+from .func import BoolFunc, _mask_blocks, _table_blocks, generate
 from .grid import GridShape
 from .oracle import (
     DISTANCE_CAPACITY,
@@ -76,11 +76,12 @@ def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
     for shape in grids:
         n, d, size = shape.n, shape.d, shape.size
         if size <= 16:
-            masks = range(1 << size)
+            masks, blocks = range(1 << size), _table_blocks(shape)
         else:
             rng = derive_rng(master_seed, f"iso:{n}:{d}")
             masks = [rng.randrange(1 << size) for _ in range(samples)]
-        for first, tables in _mask_blocks(shape, masks):
+            blocks = _mask_blocks(shape, masks)
+        for first, tables in blocks:
             sweep = isoperimetry_sweep(shape, tables)
             far = np.flatnonzero(sweep.matched)
             neg, pos, g, m, total = (c[far] for c in (

@@ -15,13 +15,14 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import oracle, reports
-from .errors import CapacityError, IntegrityError, NotGoodError
-from .func import BoolFunc, _mask_bits, _random_bits, _table_blocks, generate, is_monotone
+from .errors import IntegrityError, NotGoodError
+from .fourier import _line_failures, _transform_defects
+from .func import BoolFunc, _mask_bits, _table_blocks, generate, is_monotone
 from .grid import GridShape, directed_distance, matching_ids
 from .oracle import (
     _edge_masks,
@@ -378,52 +379,6 @@ def check_alternating_counts(master_seed: int = DEFAULT_MASTER_SEED) -> CheckRes
 # ----------------------------------------------------------------------
 # criterion 6: fourier suite
 
-PARSEVAL_SHAPE = GridShape(8, 3)
-
-# fourier_spot_checks draws and transforms at most this many table points:
-# 131,072 tables of 8^3, about 20 s on a 2-vCPU host.  The CLI default of 100
-# tables and criterion 6's 1,000 fit.
-SPOT_CHECK_POINTS = 1 << 26
-
-
-def _transform_defects(rng, tables: int) -> Tuple[float, float]:
-    """Worst Parseval and inverse-transform defects over random +-1 tables on PARSEVAL_SHAPE."""
-    from .fourier import inverse_transform, transform
-
-    shape = PARSEVAL_SHAPE
-    worst = worst_inv = 0.0
-    for _ in range(tables):
-        values = _random_bits(rng, shape.size) * 2.0 - 1.0
-        spectrum = transform(shape, values)
-        worst = max(worst, abs(float(np.sum(spectrum.coeffs ** 2)) - 1.0))
-        worst_inv = max(worst_inv, float(np.max(np.abs(inverse_transform(spectrum) - values))))
-    return worst, worst_inv
-
-
-def _line_failures(n: int) -> Iterator[Tuple[int, str]]:
-    """(mask, reason) for every function on the line [n] that breaks the line
-    inequality, a sorting claim, or the agreement of the coefficient routes."""
-    from .fourier import line_sweep
-
-    # [16] is criterion 6's longest line, a 2^16 x 16 bit array; [32] would
-    # need 2^32 rows.  The limit is on n, so an absurd n never builds 2^n.
-    if n > 16:
-        raise CapacityError("line sweep", n, 16)
-    line = GridShape(n, 1)
-    for first, tables in _table_blocks(line):
-        sweep = line_sweep(line, tables)
-        for k in np.flatnonzero(~sweep.passed).tolist():
-            try:
-                rep = sweep.report(k)
-            except IntegrityError as exc:
-                yield first + k, str(exc)  # the two coefficient routes disagree
-                continue
-            if not rep.inequality_holds:
-                yield first + k, "line bound fails"
-            elif not (rep.delta_sorted_ge and rep.final_claim_holds):
-                yield first + k, "sorting claim fails"
-
-
 PARSEVAL_TABLES = 1000
 
 
@@ -606,9 +561,13 @@ def check_determinism(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
 
 # run_all's two halves.  Criteria sharing a cache stay together (2 and 3
 # read _SWEEPS, 4 and 5 read _INSTANCES); the calling process keeps the
-# half with criterion 2's 4^2 sweep, the largest arrays.
-PARENT_GROUP = (2, 3, 4, 5)
-WORKER_GROUP = (1, 6, 7, 8, 9)
+# half with criterion 2's 4^2 sweep, the largest arrays.  Criterion 7 joins
+# it because it shares no cache: with the grid search certifying most of
+# criterion 2's functions, this split's longer half took a median 1.37 s
+# against 1.57 s with criterion 7 in the worker (8 fresh run_all(0) each,
+# 2-vCPU host).
+PARENT_GROUP = (2, 3, 4, 5, 7)
+WORKER_GROUP = (1, 6, 8, 9)
 
 
 def _run_group(criteria: Tuple[int, ...], master_seed: int) -> List[CheckResult]:
@@ -666,23 +625,6 @@ def structural_summary(f: BoolFunc) -> List[str]:
         paths = sum(len(route_disjoint_paths(cover, cp)) for cp, cover in parts)
         lines.append(f"i={ell}: |M*_i|={len(pairs)} good_pairs={len(parts)} disjoint_paths={paths}")
     return lines
-
-
-def fourier_spot_checks(line_n: int, tables: int, master_seed: int):
-    """Parseval, transform self-inverse, and the exhaustive line sweep."""
-    if tables < 1:
-        raise ValueError("tables must be >= 1")
-    if tables * PARSEVAL_SHAPE.size > SPOT_CHECK_POINTS:
-        raise CapacityError("fourier spot checks", tables * PARSEVAL_SHAPE.size,
-                            SPOT_CHECK_POINTS, "table points")
-    worst, worst_inv = _transform_defects(derive_rng(master_seed, "cli-parseval"), tables)
-    bad = sum(1 for _ in _line_failures(line_n))
-    lines = [
-        f"parseval defect {worst:.3e} over {tables} tables (tolerance 1e-12)",
-        f"inverse-transform defect {worst_inv:.3e}",
-        f"line sweep n={line_n}: {bad} failures out of {1 << line_n}",
-    ]
-    return worst <= 1e-12 and worst_inv <= 1e-9 and bad == 0, lines
 
 
 def _main() -> int:

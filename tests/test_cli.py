@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 import gridmono
-from gridmono import reports, verify
+from gridmono import fourier, reports, verify
 from gridmono.errors import CapacityError
 from gridmono.cli import EXIT_CAPACITY, EXIT_INTEGRITY, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from gridmono.func import generate, save
@@ -240,8 +240,8 @@ def test_fourier_table_count_capacity_exit(monkeypatch, capsys):
         drawn.append(tables)
         return 0.0, 0.0
 
-    monkeypatch.setattr(verify, "_transform_defects", defects)
-    most = verify.SPOT_CHECK_POINTS // verify.PARSEVAL_SHAPE.size
+    monkeypatch.setattr(fourier, "_transform_defects", defects)
+    most = fourier.SPOT_CHECK_POINTS // fourier.PARSEVAL_SHAPE.size
     for tables in (10 ** 12, most + 1):
         assert run(["fourier", "--tables", str(tables)]) == EXIT_CAPACITY
         err = capsys.readouterr().err

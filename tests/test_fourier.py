@@ -328,7 +328,7 @@ def test_edge_coefficient_matches_plain_expectation(rng):
 
 
 def test_line_failures_reasons_in_priority_order(monkeypatch):
-    from gridmono import fourier, oracle, verify
+    from gridmono import fourier, oracle
 
     routes = fourier._coefficient_routes
 
@@ -337,7 +337,7 @@ def test_line_failures_reasons_in_priority_order(monkeypatch):
         return by_expectation, by_matching + 1
 
     monkeypatch.setattr(fourier, "_coefficient_routes", skewed_routes)
-    failures = list(verify._line_failures(4))
+    failures = list(fourier._line_failures(4))
     assert failures[:2] == [(0, "coefficient routes disagree: 0 vs 1/4"),
                             (1, "coefficient routes disagree: 1/4 vs 1/2")]
     assert len(failures) == 16
@@ -353,11 +353,11 @@ def test_line_failures_reasons_in_priority_order(monkeypatch):
 
     # line_sweep imports the edge counts from the oracle when it runs
     monkeypatch.setattr(oracle, "edge_counts_batch", more_upward)
-    assert list(verify._line_failures(4))[:1] == [(0, "line bound fails")]
+    assert list(fourier._line_failures(4))[:1] == [(0, "line bound fails")]
 
 
 def test_line_sweep_capacity_before_allocation():
-    from gridmono import verify
+    from gridmono import fourier
 
     with pytest.raises(CapacityError):
-        next(verify._line_failures(1 << 40))
+        next(fourier._line_failures(1 << 40))

@@ -428,6 +428,30 @@ def test_upward_close_matches_unit_step_loop(shape):
     assert generate("random_monotone", shape, seed=11).table() == unit_step_closure(shape, draws)
 
 
+@pytest.mark.parametrize("shape", [GridShape(2, 6), GridShape(4, 3), GridShape(8, 2)], ids=str)
+def test_upward_close_closes_each_row_of_a_block(shape):
+    seeds = np.random.default_rng(shape.size).random((7, shape.size)) < 0.05
+    expected = [func._upward_close(shape, row.copy()).tolist() for row in seeds]
+    assert func._upward_close(shape, seeds.copy()).tolist() == expected
+    # a strided block is closed on a copy, whole
+    wide = np.repeat(seeds, 2, axis=0)[::2]
+    assert not wide.flags.c_contiguous
+    assert func._upward_close(shape, wide).tolist() == expected
+
+
+@pytest.mark.parametrize("shape", [GridShape(2, 1), GridShape(3, 1), GridShape(2, 2),
+                                   GridShape(2, 3), GridShape(3, 2), GridShape(4, 2)], ids=str)
+def test_table_blocks_are_the_mask_tables(shape, monkeypatch):
+    for block in (func.SWEEP_BLOCK, 3):   # whole sweeps, and blocks that split them
+        monkeypatch.setattr(func, "SWEEP_BLOCK", block)
+        blocks = list(func._table_blocks(shape))
+        assert [first for first, _ in blocks] == list(range(0, 1 << shape.size, block))
+        for first, tables in blocks:
+            masks = range(first, min(first + block, 1 << shape.size))
+            assert tables.dtype == np.uint8
+            assert np.array_equal(tables, func._mask_bits(masks, shape.size))
+
+
 def test_is_monotone_capacity():
     big = GridShape(2, 25)
     f = BoolFunc.from_predicate(big, lambda x: 0)

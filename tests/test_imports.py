@@ -82,6 +82,7 @@ def test_flow_only_entry_points_load_no_optimize(tmp_path):
         ("persistence", cli_step(["persistence", "--shapes", "4x2", "--families", "anti_slab",
                                   "--taus", "1", "--outer", "4", "--inner", "4", "--out", out])),
         ("reduce", cli_step(["reduce", "--family", "anti_slab", "--n", "3", "--d", "2"])),
+        ("fourier", cli_step(["fourier", "--line-n", "8", "--tables", "10"])),
     ]
     assert optimize_loaded_after(steps) == []
 
@@ -90,8 +91,10 @@ def test_flow_only_entry_points_load_no_optimize(tmp_path):
     pytest.param("optimal_matching 4^2",
                  "from gridmono import GridShape, generate, optimal_matching"
                  "\noptimal_matching(generate('anti_slab', GridShape(4, 2)))", id="optimal_matching"),
-    pytest.param("isoperimetry 4x1",
-                 cli_step(["isoperimetry", "--shapes", "4x1", "--out", os.devnull]),
+    # the grid search certifies every function on 4^1, but leaves one on 2^3
+    # to the assignment
+    pytest.param("isoperimetry 2x3",
+                 cli_step(["isoperimetry", "--shapes", "2x3", "--out", os.devnull]),
                  id="isoperimetry"),
 ])
 def test_assignments_load_optimize_when_they_run(label, code):

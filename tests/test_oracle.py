@@ -388,13 +388,15 @@ def test_maximality_check_rejects_what_is_not_a_maximum_matching():
 
 
 def test_dropped_assignment_pair_is_caught(monkeypatch):
+    # Γ⁻ is not a largest matching of these tables, so the sweep's grid
+    # search leaves them to the assignment
+    tables = far_past_gamma(2)
     solve = oracle.linear_sum_assignment
     # every pair these assignments keep is an arc: dropping one leaves a
     # matching one short of the maximum
     monkeypatch.setattr(oracle, "linear_sum_assignment", lambda cost: tuple(
         side[1:] for side in solve(cost)))
-    for f in (BoolFunc.from_mask(GridShape(4, 1), 0b0011),
-              generate("anti_slab", GridShape(4, 2))):
+    for f in (BoolFunc.from_table(GridShape(4, 2), table) for table in tables):
         with pytest.raises(IntegrityError, match="maximum matching"):
             optimal_matching(f)
         with pytest.raises(IntegrityError, match="maximum matching"):
@@ -402,9 +404,9 @@ def test_dropped_assignment_pair_is_caught(monkeypatch):
 
 
 def test_dropped_pair_in_one_row_of_a_block_is_caught(monkeypatch):
+    # the grid search leaves every row to the assignment, one solve each
     shape = GridShape(4, 2)
-    tables = _mask_bits([m for m in range(40, 4000, 97) if m not in monotone_masks(shape)],
-                        shape.size)
+    tables = far_past_gamma(12)
     expected = isoperimetry_sweep(shape, tables)   # one block of rows
     solve, calls = oracle.linear_sum_assignment, []
 
@@ -479,6 +481,11 @@ def test_isoperimetry_sweep_rows_match_per_function_oracles(monkeypatch):
             assert sweep.report(k) == isoperimetry_report(f), (shape, k)
 
 
+def left_open(shape, block, gamma_row, gamma_k):
+    """A stand-in for oracle._sink_reached that leaves every row open."""
+    return np.full(len(block), oracle._OPEN, np.int8)
+
+
 def matching_counts(shape, tables, assignment_points, monkeypatch):
     """(matched, total) columns of isoperimetry_sweep with the given threshold."""
     with monkeypatch.context() as patch:
@@ -489,7 +496,8 @@ def matching_counts(shape, tables, assignment_points, monkeypatch):
 
 def test_flow_matches_the_assignment(monkeypatch):
     # the flow on every shape (threshold 0) against the assignment on every
-    # shape (threshold at the shape tables' cap)
+    # shape (threshold at the shape tables' cap), which solves every row with
+    # a violated edge: the grid search is forced open there
     gen = np.random.default_rng(16)
     cases = [(GridShape(n, d), _mask_bits(range(1 << n ** d), n ** d))
              for n, d in ((2, 2), (2, 3), (3, 2))]
@@ -501,7 +509,9 @@ def test_flow_matches_the_assignment(monkeypatch):
         cases.append((shape, (gen.random((count, shape.size)) < densities[:, None]).astype(np.uint8)))
     for shape, tables in cases:
         flow = matching_counts(shape, tables, 0, monkeypatch)
-        assignment = matching_counts(shape, tables, oracle.ORACLE_CAPACITY, monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_sink_reached", left_open)
+            assignment = matching_counts(shape, tables, oracle.ORACLE_CAPACITY, monkeypatch)
         for got, want in zip(flow, assignment):
             assert got.dtype == np.int64 and np.array_equal(got, want), shape
         assert flow[0].any(), shape
@@ -562,9 +572,9 @@ def test_dropped_flow_unit_in_one_row_of_a_block_is_caught(monkeypatch):
     tables = far_past_gamma(12)
     solve, solved = oracle._matching_flow, []
 
-    def counted(shape, table, gamma_k):
+    def counted(shape, table, gamma_k, reached):
         solved.append(table)
-        return solve(shape, table, gamma_k)
+        return solve(shape, table, gamma_k, reached)
 
     monkeypatch.setattr(oracle, "_matching_flow", counted)
     calls = patched_flow(monkeypatch, lambda flow, source: len(solved) == 6
@@ -686,6 +696,22 @@ def busy_tables(shape, count, seed):
     return np.array(tables)
 
 
+ANSWERS = {oracle._REACHED: True, oracle._UNREACHED: False, oracle._OPEN: None}
+
+
+def sink_answers(shape, tables, edges):
+    """oracle._sink_reached on a block of tables whose rows carry the given
+    Γ⁻ edges (one array of edge_table rows per table), as True, False or None."""
+    gamma_row = np.repeat(np.arange(len(edges)), [len(k) for k in edges])
+    gamma_k = np.concatenate(edges).astype(np.intp)
+    return [ANSWERS[a] for a in oracle._sink_reached(shape, tables, gamma_row, gamma_k).tolist()]
+
+
+def sink_answer(shape, table, k):
+    """The grid search's answer for one table alone."""
+    return sink_answers(shape, table[None], [k])[0]
+
+
 @pytest.mark.parametrize("n, d, count", [(32, 2, 16), (8, 3, 16), (4, 5, 16), (2, 13, 4),
                                          (6, 4, 16)])
 def test_sink_search_agrees_with_the_residual_graph(monkeypatch, n, d, count):
@@ -693,42 +719,70 @@ def test_sink_search_agrees_with_the_residual_graph(monkeypatch, n, d, count):
     # the residual graph the flow used to build for it
     shape = GridShape(n, d)
     tables = busy_tables(shape, count, n * 100 + d)
-    lo, hi = oracle._edge_table(shape)[:2]
-    answers = []
-    for table, k in zip(tables, gamma_rows(shape, tables)):
-        want = residual_reaches_sink(shape, table, k)
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_SEARCH_PASSES_PER_ARC", 1 << 20)   # never left open
-            answers.append(oracle._sink_reached(shape, table, lo[k], hi[k]))
-        assert answers[-1] is want
-        assert oracle._sink_reached(shape, table, lo[k], hi[k]) in (want, None)
+    edges = gamma_rows(shape, tables)
+    wants = [residual_reaches_sink(shape, table, k) for table, k in zip(tables, edges)]
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_SEARCH_PASSES_PER_ARC", 1 << 20)   # never left open
+        answers = [sink_answer(shape, table, k) for table, k in zip(tables, edges)]
+    assert answers == wants
+    for got, want in zip(sink_answers(shape, tables, edges), wants):
+        assert got in (want, None)
     assert set(answers) == {True, False}, shape
 
 
+def checkerboard(n):
+    """The n^2 checkerboard, 1 where x_0 + x_1 is odd, and the edges that pair
+    every 1-point to the 0-point one step up axis 0: from the free 1-points
+    each closure reaches one more column, and no free 0-point, so it takes n
+    closures to certify these pairs."""
+    shape = GridShape(n, 2)
+    x0, x1 = np.arange(shape.size) % n, np.arange(shape.size) // n
+    table = ((x0 + x1) % 2).astype(np.uint8)
+    lo, hi = oracle._edge_table(shape)[:2]
+    return table, ((hi - lo == 1) & (table[lo] == 1) & (table[hi] == 0)).nonzero()[0]
+
+
 def test_sink_search_follows_long_alternating_paths(monkeypatch):
-    # the n^2 checkerboard, 1 where x_0 + x_1 is odd, with every 1-point paired
-    # to the 0-point one step up axis 0: from the free 1-points each closure
-    # reaches one more column, and no free 0-point, so it takes n closures to
-    # certify these pairs; past the default budget at 64^2 the flow decides
+    # past the default budget at 64^2 the flow decides
     closures = []
     close = oracle._upward_close
     monkeypatch.setattr(oracle, "_upward_close",
                         lambda shape, seeds: closures.append(shape) or close(shape, seeds))
     for n, open_by_default in ((16, False), (64, True)):
         shape = GridShape(n, 2)
-        x0, x1 = np.arange(shape.size) % n, np.arange(shape.size) // n
-        table = ((x0 + x1) % 2).astype(np.uint8)
-        lo, hi = oracle._edge_table(shape)[:2]
-        k = ((hi - lo == 1) & (table[lo] == 1) & (table[hi] == 0)).nonzero()[0]
+        table, k = checkerboard(n)
         assert not residual_reaches_sink(shape, table, k)
         closures.clear()
-        answer = oracle._sink_reached(shape, table, lo[k], hi[k])
+        answer = sink_answer(shape, table, k)
         assert answer is (None if open_by_default else False)
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_SEARCH_PASSES_PER_ARC", 1 << 20)
             closures.clear()
-            assert oracle._sink_reached(shape, table, lo[k], hi[k]) is False
+            assert sink_answer(shape, table, k) is False
             assert len(closures) == n
+
+
+def test_block_sink_search_answers_each_row_as_alone(monkeypatch):
+    # one block of saturated, reached, unreached and (by default) open rows:
+    # each row's answer is its own, whatever the rows around it
+    shape = GridShape(64, 2)
+    slab = generate("anti_slab", shape).bits   # Γ⁻ pairs every 1-point: a saturated side
+    board, board_k = checkerboard(64)
+    tables = np.concatenate(([slab], busy_tables(shape, 6, 11), [board],
+                             busy_tables(shape, 3, 12)))
+    edges = gamma_rows(shape, tables)
+    edges[7] = board_k
+    wants = [residual_reaches_sink(shape, table, k) for table, k in zip(tables, edges)]
+    assert wants[0] is wants[7] is False and set(wants) == {True, False}
+    default = sink_answers(shape, tables, edges)
+    assert default == [sink_answer(shape, table, k) for table, k in zip(tables, edges)]
+    assert default[7] is None and {True, False} <= set(default)
+    for got, want in zip(default, wants):
+        assert got in (want, None)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_SEARCH_PASSES_PER_ARC", 1 << 20)
+        assert sink_answers(shape, tables, edges) == wants
+        assert [sink_answer(shape, table, k) for table, k in zip(tables, edges)] == wants
 
 
 def test_forced_fall_through_gives_the_same_counts(monkeypatch):
@@ -744,7 +798,7 @@ def test_forced_fall_through_gives_the_same_counts(monkeypatch):
         want = isoperimetry_sweep(shape, tables)
         assert 0 < len(built) < len(tables), shape   # both exits taken
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_sink_reached", lambda *args: None)
+            patch.setattr(oracle, "_sink_reached", left_open)
             got = isoperimetry_sweep(shape, tables)
         for column in ("gamma", "matched", "total"):
             assert np.array_equal(getattr(got, column), getattr(want, column)), (shape, column)
@@ -771,6 +825,32 @@ def test_broken_gamma_matching_is_caught_before_the_flow_graph(monkeypatch, faul
     with pytest.raises(IntegrityError, match=message):
         isoperimetry_report(f)
     assert built == []
+
+
+@pytest.mark.parametrize("shape", [GridShape(4, 2), GridShape(8, 3)], ids=str)
+@pytest.mark.parametrize("fault, message", [("not violated", "not violated"),
+                                            ("shares a point", "share a point")])
+def test_broken_gamma_in_one_row_of_a_block_is_caught_before_either_solver(
+        monkeypatch, shape, fault, message):
+    # 4^2 goes to the assignment, 8^3 to the flow; row 0 has no violated edge,
+    # so the broken row is the third of the rows the grid search sees
+    tables = np.concatenate((np.zeros((1, shape.size), np.uint8), busy_tables(shape, 5, 7)))
+    gamma_edges = oracle._gamma_edges
+
+    def broken(shape, block, down):
+        row, k = gamma_edges(shape, block, down)
+        spare = (~down[3] if fault == "not violated" else down[3]).nonzero()[0]
+        row, k = np.append(row, 3), np.append(k, spare[~np.isin(spare, k[row == 3])][0])
+        order = np.lexsort((k, row))
+        return row[order], k[order]
+
+    solved = []
+    monkeypatch.setattr(oracle, "_gamma_edges", broken)
+    monkeypatch.setattr(oracle, "_flow_graph", solved.append)
+    monkeypatch.setattr(oracle, "_optimal_assignment", lambda *args: solved.append(args))
+    with pytest.raises(IntegrityError, match=message):
+        isoperimetry_sweep(shape, tables)
+    assert solved == []
 
 
 def test_scipy_csgraph_behaviour_the_flow_relies_on():

@@ -23,6 +23,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, NamedTuple, Optional, Tuple
 
@@ -47,18 +48,20 @@ REJECT = "reject"
 # Frozen by the pilot sweep in verify.derive_calibration (master seed 20240811):
 # smallest constant that pushes every pilot family/shape to >= 0.9 per-run
 # rejection, maximized over the pilot grid, with 25% headroom.
-DEFAULT_CALIBRATION = 1.0032
+DEFAULT_CALIBRATION = 1.1145
 
 # Philox words per numpy call of the kernel, each walk counted at its
-# weight, max(words, 2d) (see _layout).  The word block is at most 16,380
-# words (4 short of 128 KiB), so it stays under glibc's default 128 KiB mmap
-# threshold, and the kernel drops it before the rest of the call allocates;
-# counting a walk at 2d words or more keeps each (B, d) array of a call at
-# 8,190 entries or fewer, so a call's arrays reuse heap memory instead of
-# being mapped afresh, and page-faulted in, on every call.  From d = 509
-# (d = 512 on sides up to 2^10) that budget holds fewer than _CALL_WALKS
-# walks; a call then holds _CALL_WALKS walks anyway, because there the
-# fixed cost of a call outweighs its page faults.
+# weight, max(words, ceil(2 d itemsize / 8)) (see _layout).  The word block
+# is at most 16,380 words (4 short of 128 KiB), so it stays under glibc's
+# default 128 KiB mmap threshold, and the kernel drops it before the rest of
+# the call allocates.  Counting a walk at its x and y in words as well keeps
+# each narrow (B, d) array of a call at 65,520 bytes or fewer, so a call's
+# arrays reuse heap memory instead of being mapped afresh, and page-faulted
+# in, on every call; with bit fields a walk's words are far fewer than its
+# arrays' bytes, and this is what bounds the call.  From d = 4,093 at n = 2
+# or 4 (1,018 at n = 8, 509 at side 2^62) that budget holds fewer than
+# _CALL_WALKS walks; a call then holds _CALL_WALKS walks anyway, because
+# there the fixed cost of a call outweighs its page faults.
 _CALL_ENTRIES = (1 << 14) - 4
 _CALL_WALKS = 16
 # amplified_test's first call draws this many walks and each later call
@@ -210,26 +213,48 @@ def _taus(words: np.ndarray, d: int) -> np.ndarray:
     return np.left_shift(1, _below(words, tau_ceiling(d) + 1))
 
 
-# Up to side 2^10 a dimension's x and parity (its bits + 1 low bits) and
-# step exponent (`_below`, the 53 high bits) share one word; above, the
-# exponent has a word of its own
+# A dimension's x, parity and step exponent are read off one field of its
+# words.  On a side 2^bits with bits a power of two (n = 2, 4, 16, 256, 2^16,
+# 2^32) the field is bits + 1 + log2 bits bits: x its low bits bits, the
+# parity the next bit and the exponent the top log2 bits bits (so exactly
+# uniform), and a word holds as many fields as fit, from its low bits up.
+# Every other side has one word a dimension, whose low bits + 1 bits are x
+# and the parity; up to 2^10 the exponent is `_below` of the same word, whose
+# 53 high bits they do not reach, and above it has a word of its own.
 _SHARED_WORD_BITS = 10
 
 
+def _fields(bits: int) -> Tuple[int, int, int]:
+    """(field width, fields per word, runs of dimension words) at side
+    2^bits: two runs where the exponents have d words of their own."""
+    if bits & (bits - 1) == 0:
+        span = bits + bits.bit_length()
+        return span, 64 // span, 1
+    return bits + 1, 1, 1 if bits <= _SHARED_WORD_BITS else 2
+
+
+@lru_cache(maxsize=None)
+def _dtype(bits: int) -> np.dtype:
+    """The narrow unsigned dtype of a walk's (B, d) arrays at side 2^bits:
+    it holds 2n - 1, so every coordinate and every field."""
+    return np.min_scalar_type((2 << bits) - 1)
+
+
+@lru_cache(maxsize=None)
 def _layout(d: int, tau: Optional[int] = None, bits: int = 62) -> Tuple[int, int, int]:
     """(subset picks, words, weight) of one walk on a grid of side 2^bits.
 
-    A walk reads its tau word, one word per subset pick, then one word per
-    dimension up to side 2^10 and two above, rounded up to whole Philox
-    blocks.  weight = max(words, 2d) is what the walk counts for against a
-    call's budget, because a call's (B, d) arrays grow with d, not with the
-    words.  bits defaults to the widest side a GridShape allows, so
-    _layout(d) is the largest layout of a walk at d.
+    A walk reads its tau word, one word per subset pick, then its dimension
+    words (`_fields`), rounded up to whole Philox blocks.  weight =
+    max(words, ceil(2 d itemsize / 8)) is what the walk counts for against
+    a call's budget: its words, or its two narrow (B, d) arrays x and y in
+    words, whichever is more.  bits defaults to the widest side a GridShape
+    allows, so _layout(d) is the largest layout of a walk at d.
     """
     picks = 1 << tau_ceiling(d) if tau is None else min(tau, d)
-    per_dim = 1 if bits <= _SHARED_WORD_BITS else 2
-    words = -(-(1 + picks + per_dim * d) // 4) * 4
-    return picks, words, max(words, 2 * d)
+    _, per_word, per_dim = _fields(bits)
+    words = -(-(1 + picks + per_dim * -(-d // per_word)) // 4) * 4
+    return picks, words, max(words, -(-2 * d * _dtype(bits).itemsize // 8))
 
 
 def _check_stream_capacity(operation: str, walks: int, width: int) -> None:
@@ -242,9 +267,6 @@ def _check_stream_capacity(operation: str, walks: int, width: int) -> None:
         raise CapacityError(operation, walks, ((1 << 66) - 1) // width + 1, "walks")
 
 
-_SIGN_CLEAR = np.int64(1 - (1 << 63))
-
-
 def _draw_walks(shape: GridShape, stream: _Stream, start: int, count: int,
                 tau: Optional[int] = None, x: Optional[np.ndarray] = None) -> _Walks:
     """Walks start .. start+count-1 of `stream`.
@@ -252,51 +274,61 @@ def _draw_walks(shape: GridShape, stream: _Stream, start: int, count: int,
     With tau given every walk has that length, and with x given (one row
     per walk) the walks start there: the persistence walk.  Each walk's
     words are laid out as in `_layout`: its tau draw, one draw per subset
-    pick, then the dimensions' words.  In dimension i, x is the low `bits`
-    bits of the i-th dimension word, the parity its bit `bits`, and the
-    step exponent `_below` of the same word up to side 2^10, else of the
-    (d + i)-th dimension word.
+    pick, then the dimensions' fields (`_fields`), dimension i in field i.
+    x, exp, parity and y are in the narrow unsigned `_dtype`.
     """
     d, n, bits = shape.d, shape.n, shape.bits
     picks, width, _ = _layout(d, tau, bits)
+    span, per_word, per_dim = _fields(bits)
+    dt = _dtype(bits)
     lo = 1 + picks                                            # first dimension word
-    hi = lo if bits <= _SHARED_WORD_BITS else lo + d          # first exponent word
     w = _words(stream, start, count, width)
     # read everything off the word block, then drop it before the rest of
-    # the call allocates.  A (B, d) read of the strided block also allocates
-    # a buffer as large as its result, so there are two such reads: exp,
-    # then the dimension words keeping only the bits of x and the parity
+    # the call allocates: one shift-and-mask cuts every layout into fields
     taus = _taus(w[:, 0], d) if tau is None else np.full(count, tau, dtype=np.int64)
     pick = w[:, 1:lo].copy()
-    exp = _below(w[:, hi:hi + d], bits)
-    coord = w[:, lo:lo + d] & np.uint64(2 * n - 1)
+    shifts = np.arange(0, per_word * span, span, dtype=np.uint64)
+    field = (w[:, lo:lo + -(-d // per_word), None] >> shifts).reshape(count, -1)[:, :d]
+    field = field.astype(dt)
+    field &= dt.type((1 << span) - 1)
+    if bits & (bits - 1):   # whole-word fields: exp is `_below` of the word, or of the one d on
+        exp = _below(w[:, lo + (per_dim - 1) * d:][:, :d], bits).astype(dt)
+    else:
+        exp = field >> dt.type(bits + 1)
     del w
-    parity = (coord >> np.uint64(bits)).view(np.int64)
-    if x is None:
-        coord &= np.uint64(n - 1)
-        x = coord.view(np.int64)
-    del coord
-    # above = (n - 1 - x) >> exp counts the 2^exp-blocks above x's; x is a
-    # lower endpoint iff above - parity is odd (x's block pairs with the next
-    # one up) and positive (that block is on the grid): bit 0 set, sign clear
-    above = x ^ (n - 1)
+    parity = field >> dt.type(bits)
+    parity &= dt.type(1)
+    x = field & dt.type(n - 1) if x is None else np.asarray(x).astype(dt, copy=False)
+    del field
+    # a = (n - 1 - x) >> exp counts the 2^exp-blocks above x's; x is a lower
+    # endpoint iff a - parity is odd (x's block pairs with the next one up)
+    # and positive (that block is on the grid), that is a > parity and
+    # (a ^ parity) & 1.  a < n fits below dt's top bit, so a - parity has
+    # that bit set exactly when it wraps, and lower is bit 0 set, top bit clear
+    above = x ^ dt.type(n - 1)
     above >>= exp
     above -= parity
-    above &= _SIGN_CLEAR
+    above &= dt.type(1 | 1 << 8 * dt.itemsize - 1)
     lower = above == 1
     del above
     free = lower.reshape(-1).nonzero()[0]   # the entries of S, row by row
-    left = size = np.bincount(free // d, minlength=count)
-    live = moved = size >= taus
-    # tau picks without replacement, each uniform over the unpicked part of S;
-    # free holds those entries, left[k] in row k, and a pick indexes its row's run
+    size = np.bincount(free // d, minlength=count)
+    moved = size >= taus
+    # tau picks without replacement.  Pick j is uniform over the size - j
+    # unpicked entries of its row's run of free; stepping past each earlier
+    # pick at or below it, in increasing order, makes that a rank in the run
     y = x.copy()
+    base = np.cumsum(size) - size
+    left, live, ranks = size, moved, []
     for j in range(int(np.maximum.reduce(taus * moved, initial=0))):
         if j:
-            free, left, live = np.delete(free, at), left - live, live & (taus > j)
-        at = (np.cumsum(left) - left + _below(pick[:, j], left))[live]
-        hit = free[at]
-        y.reshape(-1)[hit] += np.left_shift(1, exp.reshape(-1)[hit])
+            left, live = left - 1, live & (taus > j)
+        rank = _below(pick[:, j], left)
+        for earlier in np.sort(ranks, axis=0) if j > 1 else ranks:
+            rank += earlier <= rank
+        ranks.append(rank)
+        hit = free[(base + rank)[live]]
+        y.reshape(-1)[hit] += np.left_shift(dt.type(1), exp.reshape(-1)[hit])
     return _Walks(taus, x, exp, parity, lower, y, moved)
 
 
@@ -344,6 +376,8 @@ def _walk_batches(shape: GridShape, stream: _Stream, total: int,
 def _evaluate(f: BoolFunc, w: _Walks) -> Tuple[np.ndarray, np.ndarray]:
     """f at both ends of every walk: (fx, fy); y is queried only where it moved."""
     fx = f.eval_batch(w.x)
+    if w.moved.all():
+        return fx, f.eval_batch(w.y)
     fy = fx.copy()
     fy[w.moved] = f.eval_batch(w.y[w.moved])
     return fx, fy

@@ -10,6 +10,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridmono
 from gridmono import fourier, reports, verify
@@ -63,7 +65,7 @@ def test_test_subcommand_lifts_other_n(capsys):
 
 def test_test_subcommand_power_of_two_prints_no_plan(capsys):
     assert run(["test", "--family", "anti_slab", "--n", "4", "--d", "2"]) == EXIT_REJECT
-    assert capsys.readouterr().out.splitlines() == ["verdict=REJECT invocations=7 queries=12"]
+    assert capsys.readouterr().out.splitlines() == ["verdict=REJECT invocations=7 queries=11"]
 
 
 def test_test_subcommand_lift_past_the_index_range(capsys):
@@ -232,6 +234,44 @@ def test_fourier_line_sweep_capacity_exit():
     assert "line sweep" in proc.stderr and "32" in proc.stderr
 
 
+# Boundary values of `gridmono test`'s options, as argv strings.  Each valid
+# combination finishes in seconds.  The valid runs with no bound on time (a
+# monotone input at a huge walk count: d near 2^16, eps near 0 or a
+# calibration near 10^12; README "Notes on scale") are not drawn here.
+TEST_ARGV_VALUES = {
+    "--family": ("anti_slab", "monotone_threshold", "random_monotone", "uniform_random",
+                 "block_parity", "noisy_monotone", "nope"),
+    "--n": ("0", "1", "2", "3", "-1", "65535", "65537", str(2 ** 62 - 1), str(2 ** 62),
+            str(2 ** 62 + 1), str(10 ** 12), "nan", "2x3"),
+    "--d": ("0", "1", "2", "3", "-1", "65537", str(2 ** 62 + 1), str(10 ** 12), "inf", ""),
+    "--eps": ("0", "1", "-1", "nan", "inf", "0.5", "0.999", "1e-300"),
+    "--calibration": ("0", "-1", "nan", "inf", "1e-300", "1", "1e300"),
+}
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.fixed_dictionaries({flag: st.sampled_from(values) if flag in ("--n", "--d")
+                              else st.none() | st.sampled_from(values)
+                              for flag, values in TEST_ARGV_VALUES.items()}))
+def test_test_subcommand_exits_as_documented_on_boundary_argv(options):
+    """In a subprocess under a 2 GiB address-space limit and a timeout: exit
+    0 or 1 (a verdict), 2 (usage) or 3 (capacity), never a traceback."""
+    argv = ["test"] + [part for flag, value in options.items() if value is not None
+                       for part in (flag, value)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(gridmono.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "gridmono.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert proc.returncode in (EXIT_OK, EXIT_REJECT, EXIT_USAGE, EXIT_CAPACITY), (argv, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+
+
 def test_fourier_table_count_capacity_exit(monkeypatch, capsys):
     # refused before the first table is drawn: 10^12 tables would run for weeks
     drawn = []
@@ -274,7 +314,7 @@ def test_zero_sample_counts_are_usage_errors(argv, tmp_path, capsys):
 # SHA-256 of reports whose bytes must not change unless a stream is meant to
 @pytest.mark.parametrize("argv, digest", [
     (["rate", "--shapes", "4x1,4x2", "--trials", "300"],
-     "07a87160221711494f5aabbeaef929980aa39994e9f9c75f5b2f4f87fa506768"),
+     "e74868a7eab9648f5b7c65908acae123bb75433519122a73ea47a4096a3b9802"),
     (["isoperimetry"],
      "0c8ab04d8c4faa66cccc1cfae0efd34f2cb59b6ba5a87675c9337a43b9427ac4"),
     (["persistence", "--shapes", "8x2", "--families", "anti_slab", "--taus", "1,2",

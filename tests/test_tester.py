@@ -378,24 +378,32 @@ def test_walk_rows_do_not_depend_on_grouping():
 # derived field are pinned, at any numpy version.  Keys are (n, d, tau); a
 # given tau runs the persistence walk from start points drawn by random.Random,
 # whose stream, unlike numpy's Generator methods, is fixed across versions.
-# At 2^400 the walks draw tau from {1, 2}.  The digests were recorded when
-# sides up to 2^10 went to one word a dimension and the parity to bit log2 n,
-# after test_kernel_fixture_matches_a_scalar_decoder had checked the same
-# walks field by field against the layout read off raw Philox words.
+# At 2^400 the walks draw tau from {1, 2}.  The sides whose log2 is a power
+# of two (2, 4, 16, 256, 2^16, 2^32) were recorded when they went to bit
+# fields, after test_kernel_fixture_matches_a_scalar_decoder had checked the
+# same walks field by field against the layout read off raw Philox words;
+# the other sides (8, 128, 2^31, 2^62) were recorded before that change and
+# did not move with it.
 KERNEL_DIGESTS = {
     (8, 3, None): "cf79ebb169e85cb0878ed6afc2e6e73429dc732496e8dab65168f44dd5654ac7",
     (8, 16, None): "5b3125b22c49c8a724d7037eae9232cc600000a90d3d839ab6c28b84be5b1a93",
-    (4, 20, None): "d9a1d9c5ab59c6669d8e43433b574349f06ce593b394d995bca1287e44f46701",
-    (2, 62, None): "6fc39231f920172ec88187fe8a3b438b5110fb5d0841db8d4e25f38d43d272a4",
-    (2, 400, None): "98b51a4d28fda78f49d347c4c383ec166b04e0c337ae1bd08af834046f265f78",
+    (4, 20, None): "4ff5d8788b7396e6bb0d168ee355a7803538121bc6d7821adc100c4eb365fbbf",
+    (2, 62, None): "ee81ef65a8366c03206aadbf60f6c7000ff00214836b6af0549d0984e485b57a",
+    (2, 400, None): "70c4cc840212d51f748add9dabb5321a98f0b7c1334fe55ecd051f9c4746f2b3",
     (1 << 31, 2, None): "d0359309af8fc935a9671e23b2db2fb57c21adaee06fd3978cf007308243ca79",
-    (16, 5, None): "fda7287e48d917acd9c2461d1829b531d2f9502d12e2aa68cb7176308f4525d6",
+    (16, 5, None): "798baa6d2b620d16a991fca57e58b194101aa64e228d9d5d5439bbd9ba1abfb2",
     (8, 3, 2): "e823f3259426ff7256f723386a853cea98d3afef9696413bec2520a8bc59182e",
     (8, 3, 4): "1f646a6e7f0264b29c3c2a12e1bc96b68d985d45437471aca78c05926433fe9e",
     (8, 16, 2): "208b4b089b4e9df0295d722c102968c68a9d0bcb8786701cf442c66ff51bb39d",
     (8, 16, 4): "f14edc7617042946ac912c65382dad1a5c9ae5e004ed2f965a98aa1cb7659b59",
-    (2, 62, 2): "f1d54caa1b539997647686b8f52e51de4b3f95c55c81134406dd220541be0f94",
-    (2, 62, 4): "718b1143bac432425c755efa49c3d80a196a8a9ae13714238e1f9f66f81c6601",
+    (2, 62, 2): "b42964ef9d0ac9e9256b2044af0b3f56d11c4bb78bf6971d32bac1fe6fc126b8",
+    (2, 62, 4): "afc10c6734c99c84648e06567be331ee4ce9f3da890cefebf8802e312d4dbcb8",
+    (128, 9, None): "16e2d1bde44e4be0b58a09a6184160d12404ad9ca4ebf8f9e9c553dd22b1063f",
+    (1 << 62, 3, None): "eea6db3bace5f4ecb0caa11cf6d6ed5ca6aaec4c59fd1c96fc93cb97198d2f83",
+    (1 << 62, 3, 2): "7428d4994840001c81a55222383eabbace7d224576a16b326c0a392f0193beb4",
+    (256, 7, None): "9a30c53db0b22ce88c3e93b9cb7fc4d2c653b6c83cb59424c8aca96b9575faff",
+    (1 << 16, 4, None): "aaef0a8d1908bb2ef05dd246888187344a6327b6c4d493831259da8ccb866a0c",
+    (1 << 32, 3, None): "34af0ad931658613dfaf28afe2bd08325e61162ef8ace91ab801b04b46df7b0f",
 }
 
 
@@ -428,8 +436,15 @@ def decode_walk(shape, key, k, tau=None, x=None):
     README "Determinism": (tau, x, exp, parity, lower, stepped, y, moved)."""
     n, d, bits = shape.n, shape.d, shape.bits
     picks = 1 << tau_ceiling(d) if tau is None else min(tau, d)
-    per_dim = 1 if n <= 1 << 10 else 2
-    width = -(-(1 + picks + per_dim * d) // 4) * 4   # whole Philox blocks
+    log_bits = bits.bit_length() - 1
+    if bits == 1 << log_bits:   # bit fields of x, the parity and the exponent
+        span = bits + 1 + log_bits
+        per_word = 64 // span
+        dim_words = -(-d // per_word)
+    else:                       # a whole word per dimension, and one more above 2^10
+        span, per_word = 64, 1
+        dim_words = d if bits <= 10 else 2 * d
+    width = -(-(1 + picks + dim_words) // 4) * 4   # whole Philox blocks
     gen = np.random.Philox(key=key, counter=np.array([k * width // 4, 0, 0, 0], np.uint64))
     words = gen.random_raw(width).tolist()
 
@@ -439,9 +454,13 @@ def decode_walk(shape, key, k, tau=None, x=None):
     if tau is None:
         tau = 1 << below(words[0], tau_ceiling(d) + 1)
     dims = words[1 + picks:]
-    xs = [dims[i] % n for i in range(d)] if x is None else [int(v) for v in x]
-    parity = [dims[i] >> bits & 1 for i in range(d)]
-    exp = [below(dims[i] if per_dim == 1 else dims[d + i], bits) for i in range(d)]
+    fields = [dims[i // per_word] >> span * (i % per_word) & (1 << span) - 1 for i in range(d)]
+    xs = [v % n for v in fields] if x is None else [int(v) for v in x]
+    parity = [v >> bits & 1 for v in fields]
+    if span < 64:
+        exp = [v >> bits + 1 for v in fields]
+    else:
+        exp = [below(dims[i] if bits <= 10 else dims[d + i], bits) for i in range(d)]
     # x_i is the lower end of its pair: its 2^exp-block has the matching's
     # parity, and the block above is on the grid
     S = [i for i in range(d) if xs[i] >> exp[i] & 1 == parity[i] and xs[i] + (1 << exp[i]) < n]
@@ -466,32 +485,70 @@ def test_kernel_fixture_matches_a_scalar_decoder(case):
             assert np.asarray(getattr(w, field))[r].tolist() == value, (r, field)
 
 
-@pytest.mark.parametrize("n, d, walks", [(8, 3, 200_000), (1 << 11, 16, 200_000)])
+@pytest.mark.parametrize("n, d, walks", [
+    (8, 3, 200_000), (1 << 11, 16, 200_000), (4, 5, 200_000), (16, 3, 200_000),
+    (2, 40, 100_000), (256, 7, 200_000), (1 << 16, 3, 400_000)])
 def test_matching_and_start_joint_chi_square(n, d, walks):
     """(x_i, parity_i, exp_i) uniform over all n * 2 * log2 n triples, pooled
     over the dimensions: at 8^3 the three share a word, at side 2^11 (the
-    first with two words a dimension) exp has its own."""
+    first with two words a dimension) exp has its own, and at 4^5, 16^3,
+    2^40 (whose fields fill one word and run into the next), 256^7 and side
+    2^16 they are bit fields.  Past side 256, x is read as its top and bottom
+    four bits, the bits beside the exponent's and the parity's."""
     shape = GridShape(n, d)
-    cells = n * 2 * shape.bits
+    bits = shape.bits
+    x_bits = min(bits, 8)
+    cells = (1 << x_bits) * 2 * bits
     counts = np.zeros(cells, dtype=np.int64)
     for _, w in _walk_batches(shape, _stream(random.Random(f"joint {n}^{d}")), walks):
-        codes = (w.x * 2 + w.parity) * shape.bits + w.exp
+        x = w.x.astype(np.int64)   # w.x * 2 would wrap in a narrow dtype
+        if bits > x_bits:
+            x = (x >> bits - 4 << 4) | (x & 15)
+        codes = (x * 2 + w.parity) * bits + w.exp
         counts += np.bincount(codes.ravel(), minlength=cells)
     assert counts.sum() == walks * d
     assert chisquare(counts).pvalue > CHI_SQUARE_ALPHA
 
 
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 62])
+def test_steps_stay_on_the_grid_at_the_dtype_edges(bits):
+    """At the sides where the narrow dtype is widest for its side (2^7, 2^15,
+    2^31, 2^62) or just widened (2^8, 2^16, 2^32), every y is on the grid and
+    differs from x by 2^exp exactly where it stepped."""
+    n = 1 << bits
+    shape = GridShape(n, 5)
+    w = _draw_walks(shape, _stream(random.Random(f"edges {n}")), 0, 20_000)
+    assert w.x.dtype == w.y.dtype == w.exp.dtype == np.min_scalar_type(2 * n - 1)
+    x, y, exp = (a.astype(np.int64) for a in (w.x, w.y, w.exp))
+    assert x.min() >= 0 and y.max() < n and exp.max() < bits and w.parity.max() <= 1
+    step = y - x
+    assert np.array_equal(step, np.where(w.stepped, np.left_shift(1, exp), 0))
+    # the walks reach the top of the grid, where a wrap would show
+    assert y.max() >= n - n // 8 and (step > n // 4).any()
+
+
 def test_layout_word_counts():
-    # (picks, words, weight): one word a dimension up to side 2^10 and two
-    # from 2^11, after the tau word and the picks, in whole Philox blocks;
-    # the weight is never below 2d
-    assert _layout(16, bits=10) == (1, 20, 32)
+    # (picks, words, weight): the tau word and the picks, then one word a
+    # dimension up to side 2^10 and two from 2^11, or bit fields where log2 n
+    # is a power of two, in whole Philox blocks; the weight is never below
+    # the two narrow (B, d) arrays x and y, in words
+    assert _layout(16, bits=10) == (1, 20, 20)
     assert _layout(16, bits=11) == (1, 36, 36)
     assert _layout(3, 2, bits=10) == (2, 8, 8)
     assert _layout(3, 2, bits=11) == (2, 12, 12)
-    assert _layout(2048, bits=10) == (4, 2056, 4096)
+    assert _layout(2048, bits=10) == (4, 2056, 2056)
     assert _layout(2048, bits=11) == (4, 4104, 4104)
-    assert _layout(2048) == _layout(2048, bits=62)
+    assert _layout(2048) == _layout(2048, bits=62) == (4, 4104, 4104)
+    # bit fields: 32 a word at n = 2, 16 at 4, 9 at 16, 5 at 256, 3 at
+    # 2^16 and 1 at 2^32
+    assert _layout(2048, bits=1) == (4, 72, 512)
+    assert _layout(20, bits=2) == (1, 4, 5)
+    assert _layout(62, bits=1) == (1, 4, 16)
+    assert _layout(10, bits=4) == (1, 4, 4)
+    assert _layout(10, bits=8) == (1, 4, 5)
+    assert _layout(10, bits=16) == (1, 8, 10)
+    assert _layout(10, bits=32) == (1, 12, 20)
+    assert _layout(8400, bits=1) == (8, 272, 2100)
 
 
 def test_walk_counts_past_the_philox_counter_are_refused():
@@ -546,26 +603,32 @@ def test_words_continue_or_restart_the_generator():
 
 @pytest.mark.parametrize("d", [1, 4, 16, 20, 62, 2048, 1 << 16])
 def test_calls_stay_within_the_budget(d):
-    # the word block, a call's largest array, stays under glibc's default
-    # 128 KiB mmap threshold, except where the budget holds fewer walks
-    # than the floor
+    # the word block stays under glibc's default 128 KiB mmap threshold, and
+    # each narrow (B, d) array under half of it, except where the budget
+    # holds fewer walks than the floor
     assert _CALL_ENTRIES * 8 < 128 * 1024
-    width = _layout(d)[1]
-    most = max(_CALL_ENTRIES // width, _CALL_WALKS)
-    for first in (None, 64):
-        groups = list(_calls(50_000, width, first))
-        assert all(count * width <= max(_CALL_ENTRIES, 16 * width) for _, count in groups)
-        assert [c for _, c in groups[:-1]][-5:] == [most] * 5
-        assert [s for s, _ in groups] == np.cumsum([0] + [c for _, c in groups[:-1]]).tolist()
-        assert sum(c for _, c in groups) == 50_000
+    for bits in (1, 2, 3, 16, 62):
+        _, width, weight = _layout(d, bits=bits)
+        most = max(_CALL_ENTRIES // weight, _CALL_WALKS)
+        array = d * np.min_scalar_type((2 << bits) - 1).itemsize
+        for first in (None, 64):
+            groups = list(_calls(50_000, weight, first))
+            for _, count in groups:
+                assert count * width <= max(_CALL_ENTRIES, _CALL_WALKS * width)
+                assert count * array <= max(_CALL_ENTRIES * 4, _CALL_WALKS * array)
+            assert [c for _, c in groups[:-1]][-5:] == [most] * 5
+            assert [s for s, _ in groups] == np.cumsum([0] + [c for _, c in groups[:-1]]).tolist()
+            assert sum(c for _, c in groups) == 50_000
 
 
 @pytest.mark.parametrize("entries", [37, _CALL_ENTRIES, 1 << 16])
 def test_walk_batches_do_not_depend_on_call_size(entries):
-    # a walk at 2^2048 is 2,056 words and counts 4,096 against a budget, so
-    # there a call holds one walk at 37 words, 3 at the default budget and
-    # 16 at 2^16 words; the default grouping, with its floor, holds _CALL_WALKS
-    for n, d, total in ((8, 3, 3000), (8, 16, 3000), (2, 62, 3000), (2, 2048, 100)):
+    # a walk at 2^2048 is 72 words and counts 512 against a budget (its x
+    # and y, 2,048 bytes each), so there a call holds one walk at 37 words,
+    # 31 at the default budget and 128 at 2^16 words; at 2^8400 it counts
+    # 2,100, 7 at the default budget, and the floor makes that _CALL_WALKS
+    for n, d, total in ((8, 3, 3000), (8, 16, 3000), (2, 62, 3000), (4, 20, 8000),
+                        (2, 2048, 100), (2, 8400, 40)):
         shape = GridShape(n, d)
         whole = _draw_walks(shape, _stream(random.Random(f"{n}^{d}")), 0, total)
         with _call_entries(entries):
@@ -576,8 +639,8 @@ def test_walk_batches_do_not_depend_on_call_size(entries):
             for field in WALK_FIELDS:
                 joined = np.concatenate([getattr(w, field) for _, w in batches])
                 assert np.array_equal(joined, getattr(whole, field)), field
-        if d == 2048:
-            assert [len(w.tau) for _, w in default[:2]] == [_CALL_WALKS] * 2
+        if d >= 2048:
+            assert [len(w.tau) for _, w in default[:2]] == [{2048: 31, 8400: _CALL_WALKS}[d]] * 2
 
 
 @pytest.mark.parametrize("n, d", [(8, 3), (8, 16), (2, 2048)])

@@ -82,21 +82,26 @@ class BoolFunc:
         """f at each row of an integer (B, d) array, as a uint8 array of bits.
 
         Counts B queries, exactly as B calls of eval would, and checks the
-        same bounds.
+        same bounds.  An unsigned array reaches a vectorised predicate in its
+        own dtype; only a table's linear index is taken in int64.
         """
         shape = self.shape
         points = np.asarray(points)
         if points.ndim != 2 or points.shape[1] != shape.d or points.dtype.kind not in "iu":
             raise ValueError(f"points must be an integer array of shape (B, {shape.d}), "
                              f"got {points.dtype} {points.shape}")
-        points = points.astype(np.int64, copy=False)
-        # one pass for both bounds: viewed unsigned, a negative value is >= 2^63
-        if points.size and points.view(np.uint64).max() >= np.uint64(shape.n):
+        if points.dtype.kind == "i":
+            points = points.astype(np.int64, copy=False)
+            # one pass for both bounds: viewed unsigned, a negative value is >= 2^63
+            top = points.view(np.uint64).max() if points.size else 0
+        else:
+            top = points.max() if points.size else 0
+        if top >= np.uint64(shape.n):
             raise ValueError(f"coordinate out of range [0, {shape.n})")
         with self._lock:
             self.queries += len(points)
         if self._bits is not None:
-            return self._bits[points @ self._linear_strides()]
+            return self._bits[points.astype(np.int64, copy=False) @ self._linear_strides()]
         if self._batch is not None:
             return self._batch(points).astype(np.uint8)
         return np.array([self._call_predicate(tuple(p)) for p in points.tolist()],
@@ -301,14 +306,15 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
         if theta is None:
             theta = sum(w * (shape.n - 1) for w in weights) / 2
         batch = None
-        # int64 sums below 2^53 compare with theta exactly, as Python does
+        # every partial sum of nonnegative integer terms below 2^53 in total
+        # is an exact float64, so the sums compare with theta as Python's do
         exact = 1 << 53
         if (all(isinstance(w, int) for w in weights) and sum(weights) * (shape.n - 1) < exact
                 and (isinstance(theta, float) or (isinstance(theta, int) and abs(theta) < exact))):
-            w_arr = np.array(weights, dtype=np.int64)
+            w_arr = np.array(weights, dtype=np.float64)
 
             def batch(X):
-                return X @ w_arr >= theta
+                return X.astype(np.float64) @ w_arr >= theta
         return _tabulate_or_wrap(
             shape, lambda x: 1 if sum(w * v for w, v in zip(weights, x)) >= theta else 0, batch)
     if kind == "random_monotone":
@@ -324,8 +330,9 @@ def generate(kind: str, shape: GridShape, seed: int = 0, **params) -> BoolFunc:
         axis = params.get("axis", 0)
         if not 0 <= axis < shape.d:
             raise ValueError(f"axis {axis} out of range")
+        half = -(-shape.n // 2)   # 2v < n iff v < ceil(n / 2); 2 X would wrap in a narrow dtype
         return _tabulate_or_wrap(shape, lambda x: 1 if 2 * x[axis] < shape.n else 0,
-                                 lambda X: 2 * X[:, axis] < shape.n)
+                                 lambda X: X[:, axis] < half)
     if kind == "block_parity":
         _reject_params(params, set())
         upper = -(-shape.n // 2)   # 2v // n is 1 from v = ceil(n / 2), else 0

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .func import BoolFunc
 from .grid import GridShape
 
@@ -77,5 +79,6 @@ def lift(p: ReductionPlan, f: BoolFunc) -> BoolFunc:
         return f.eval(tuple(phi(p, v) for v in y))
 
     lifted = BoolFunc.from_predicate(GridShape(p.N, p.d), g)
-    lifted._batch = lambda X: f.eval_batch(_block(p, X))
+    # in int64: X + m could wrap in a narrow unsigned X, and uint64 with int64 gives float64
+    lifted._batch = lambda X: f.eval_batch(_block(p, X.astype(np.int64, copy=False)))
     return lifted

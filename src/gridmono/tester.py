@@ -65,8 +65,10 @@ DEFAULT_CALIBRATION = 1.1145
 _CALL_ENTRIES = (1 << 14) - 4
 _CALL_WALKS = 16
 # amplified_test's first call draws this many walks and each later call
-# twice as many, so a far input stops after about twice the walks it needed.
+# four times as many, up to the budget: a verdict makes fewer calls, and a
+# far input stops within about four times the walks it needed.
 _FIRST_CALL_WALKS = 64
+_CALL_GROWTH = 4
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,7 @@ class _Walks(NamedTuple):
     lower: np.ndarray     # (B, d) x is a lower endpoint there: the set S
     y: np.ndarray         # (B, d) end point
     moved: np.ndarray     # (B,) |S| >= tau, so y != x
+    size: np.ndarray      # (B,) |S|
 
     @property
     def stepped(self) -> np.ndarray:
@@ -195,8 +198,9 @@ def _words(stream: _Stream, start: int, count: int, width: int) -> np.ndarray:
     return stream.gen.random_raw(count * width).reshape(count, width)
 
 
-def _below(words: np.ndarray, k) -> np.ndarray:
-    """floor(u * k), u uniform on the 53-bit dyadics in [0, 1) from each word.
+def _below(words: np.ndarray, k, dtype=np.int64) -> np.ndarray:
+    """floor(u * k), u uniform on the 53-bit dyadics in [0, 1) from each word,
+    as `dtype`, which must hold k - 1.
 
     Exact for k a power of two; otherwise each value's probability is off by
     at most 2^-53.  u = m * 2^-53 exactly, so m * (k * 2^-53) rounds as u * k.
@@ -204,9 +208,10 @@ def _below(words: np.ndarray, k) -> np.ndarray:
     """
     if isinstance(k, int) and 0 < k <= 1 << 53 and k & (k - 1) == 0:
         if k == 1:   # a shift by 64 is undefined
-            return np.zeros(words.shape, dtype=np.int64)
-        return (words >> np.uint64(65 - k.bit_length())).view(np.int64)
-    return ((words >> np.uint64(11)) * (k * 2.0 ** -53)).astype(np.int64)
+            return np.zeros(words.shape, dtype=dtype)
+        top = words >> np.uint64(65 - k.bit_length())
+        return top.view(np.int64).astype(dtype, copy=False)
+    return ((words >> np.uint64(11)) * (k * 2.0 ** -53)).astype(dtype)
 
 
 def _taus(words: np.ndarray, d: int) -> np.ndarray:
@@ -284,15 +289,20 @@ def _draw_walks(shape: GridShape, stream: _Stream, start: int, count: int,
     lo = 1 + picks                                            # first dimension word
     w = _words(stream, start, count, width)
     # read everything off the word block, then drop it before the rest of
-    # the call allocates: one shift-and-mask cuts every layout into fields
+    # the call allocates: one mask cuts a word that holds one field, and one
+    # shift-and-mask cuts every layout with more fields a word
     taus = _taus(w[:, 0], d) if tau is None else np.full(count, tau, dtype=np.int64)
     pick = w[:, 1:lo].copy()
-    shifts = np.arange(0, per_word * span, span, dtype=np.uint64)
-    field = (w[:, lo:lo + -(-d // per_word), None] >> shifts).reshape(count, -1)[:, :d]
-    field = field.astype(dt)
-    field &= dt.type((1 << span) - 1)
+    mask = (1 << span) - 1
+    if per_word == 1:
+        field = (w[:, lo:lo + d] & np.uint64(mask)).astype(dt)
+    else:
+        shifts = np.arange(0, per_word * span, span, dtype=np.uint64)
+        field = (w[:, lo:lo + -(-d // per_word), None] >> shifts).reshape(count, -1)[:, :d]
+        field = field.astype(dt)
+        field &= dt.type(mask)
     if bits & (bits - 1):   # whole-word fields: exp is `_below` of the word, or of the one d on
-        exp = _below(w[:, lo + (per_dim - 1) * d:][:, :d], bits).astype(dt)
+        exp = _below(w[:, lo + (per_dim - 1) * d:][:, :d], bits, dt)
     else:
         exp = field >> dt.type(bits + 1)
     del w
@@ -329,7 +339,7 @@ def _draw_walks(shape: GridShape, stream: _Stream, start: int, count: int,
         ranks.append(rank)
         hit = free[(base + rank)[live]]
         y.reshape(-1)[hit] += np.left_shift(dt.type(1), exp.reshape(-1)[hit])
-    return _Walks(taus, x, exp, parity, lower, y, moved)
+    return _Walks(taus, x, exp, parity, lower, y, moved, size)
 
 
 @contextmanager
@@ -354,7 +364,7 @@ def _calls(total: int, weight: int, first: Optional[int] = None) -> Iterator[Tup
 
     weight is a walk's from `_layout`.  A group holds _CALL_WALKS walks
     where the budget holds fewer.  With `first`, the groups start at that
-    many and double.
+    many and grow _CALL_GROWTH times each.
     """
     most = max(_CALL_WALKS, _CALL_ENTRIES // max(weight, 1))
     size = most if first is None else min(first, most)
@@ -363,7 +373,7 @@ def _calls(total: int, weight: int, first: Optional[int] = None) -> Iterator[Tup
         count = min(size, total - start)
         yield start, count
         start += count
-        size = min(2 * size, most)
+        size = min(_CALL_GROWTH * size, most)
 
 
 def _walk_batches(shape: GridShape, stream: _Stream, total: int,
@@ -397,7 +407,7 @@ class _Tally:
         self.taus += np.bincount(w.tau[:end], minlength=self.lengths[-1] + 1)[self.lengths]
         self.walks += end
         self.degenerate += end - int(np.count_nonzero(w.moved[:end]))
-        self.lower += int(np.count_nonzero(w.lower[:end]))
+        self.lower += int(w.size[:end].sum())
 
     def stats(self) -> WalkStats:
         hist = tuple((1 << t, int(c)) for t, c in enumerate(self.taus) if c)

@@ -106,6 +106,48 @@ def test_eval_batch_validation():
     assert f.eval_batch(np.array([[3], [0]], dtype=np.uint64)).tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_eval_batch_on_narrow_unsigned_arrays_matches_eval(dtype):
+    """Each vectorised family on an unsigned array of the side's own dtype:
+    anti_slab's upper half (where 2 X wraps), monotone_threshold's sums
+    just below 2^53 (which float64 holds exactly), and the bounds."""
+    n = int(np.iinfo(dtype).max) + 1
+    shape = GridShape(n, 3)
+    top = ((1 << 53) - 1) // (n - 1)   # the largest sum(w) the batch form takes
+    weights = [top // 3, top // 3, top - 2 * (top // 3)]
+    edge = [n - 1, n - 2, n // 2]
+    theta = sum(w * v for w, v in zip(weights, edge))
+    assert sum(weights) * (n - 1) < 1 << 53 <= (sum(weights) + 1) * (n - 1)
+    funcs = [generate("monotone_threshold", shape, weights=weights, theta=theta),
+             generate("monotone_threshold", shape, weights=weights, theta=theta + 1),
+             generate("monotone_threshold", shape, weights=weights, theta=theta - 0.5),
+             generate("anti_slab", shape, axis=1),
+             generate("block_parity", shape)]
+    rng = np.random.default_rng(n)
+    middle = [0, n // 2 - 1, n // 2, n - 2, n - 1]
+    pts = np.concatenate([rng.integers(0, n, (500, 3)), [edge, [n - 1, n - 2, n // 2 - 1]],
+                          np.array(list(itertools.product(middle, repeat=3)))]).astype(dtype)
+    for f in funcs:
+        assert f._batch is not None and not f.is_table_backed()
+        expected = [f.eval(tuple(p)) for p in pts.tolist()]
+        before = f.queries
+        assert f.eval_batch(pts).tolist() == expected
+        assert f.eval_batch(pts.astype(np.int64)).tolist() == expected
+        assert f.queries - before == 2 * len(pts)
+    # the tie at theta is met by the edge point and missed below it
+    assert [f.eval_batch(pts[500:502]).tolist() for f in funcs[:3]] == [[1, 0], [0, 0], [1, 0]]
+    # anti_slab is 1 below n / 2 on its axis, where 2 X wraps past 127 in uint8
+    assert funcs[3].eval_batch(np.array([[0, n // 2 - 1, 0], [0, n // 2, 0]], dtype)).tolist() \
+        == [1, 0]
+    small = generate("anti_slab", GridShape(n // 2, 3))   # a coordinate past its side is refused
+    for f, bad in ((small, np.array([[0, n // 2, 0]], dtype)),
+                   (small, np.array([[0, -1, 0]], np.int64))):
+        before = f.queries
+        with pytest.raises(ValueError):
+            f.eval_batch(bad)
+        assert f.queries == before
+
+
 # Grids above the tabulation threshold, so generate() keeps the predicates.
 BIG_SHAPES = st.sampled_from([GridShape(2, 20), GridShape(4, 9), GridShape(8, 7),
                               GridShape(16, 5), GridShape(2, 62)])

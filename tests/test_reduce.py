@@ -147,6 +147,18 @@ def test_lift_batch_query_forwarding(rng):
     assert values.tolist() == [f.table()[phi(p, a) + 3 * phi(p, b)] for a, b in pts.tolist()]
 
 
+@pytest.mark.parametrize("n, d", [(3, 2), (10 ** 9 + 1, 1), ((1 << 32) + 1, 2)])
+def test_lift_batch_on_the_walk_kernels_unsigned_arrays(n, d, rng):
+    # the walk kernel's arrays are min_scalar_type(2N - 1): uint8, uint32, uint64 here
+    p = plan(n, d)
+    f = generate("anti_slab", GridShape(n, d))
+    g = lift(p, f)
+    dtype = np.min_scalar_type(2 * p.N - 1)
+    pts = np.array([[rng.randrange(p.N) for _ in range(d)] for _ in range(50)]
+                   + [[p.N - 1] * d, [0] * d], dtype=dtype)
+    assert g.eval_batch(pts).tolist() == [g.eval(tuple(x)) for x in pts.tolist()]
+
+
 def test_lift_past_2_62_points(rng):
     # N = 2^31 on each of 2^14 axes: the lift's cost is set by its queries, not by N
     p = plan((1 << 16) + 1, 1 << 14)

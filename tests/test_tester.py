@@ -383,7 +383,9 @@ def test_walk_rows_do_not_depend_on_grouping():
 # fields, after test_kernel_fixture_matches_a_scalar_decoder had checked the
 # same walks field by field against the layout read off raw Philox words;
 # the other sides (8, 128, 2^31, 2^62) were recorded before that change and
-# did not move with it.
+# did not move with it.  Sides 2^10 (one word a dimension, uint16 arrays) and
+# 2^11 (two words a dimension) were recorded before the whole-word fields were
+# cut by one mask in place of the shift-and-mask, and did not move with it.
 KERNEL_DIGESTS = {
     (8, 3, None): "cf79ebb169e85cb0878ed6afc2e6e73429dc732496e8dab65168f44dd5654ac7",
     (8, 16, None): "5b3125b22c49c8a724d7037eae9232cc600000a90d3d839ab6c28b84be5b1a93",
@@ -404,6 +406,9 @@ KERNEL_DIGESTS = {
     (256, 7, None): "9a30c53db0b22ce88c3e93b9cb7fc4d2c653b6c83cb59424c8aca96b9575faff",
     (1 << 16, 4, None): "aaef0a8d1908bb2ef05dd246888187344a6327b6c4d493831259da8ccb866a0c",
     (1 << 32, 3, None): "34af0ad931658613dfaf28afe2bd08325e61162ef8ace91ab801b04b46df7b0f",
+    (1 << 10, 6, None): "651d850ff14f65fb6ebb9eea6832bde65da87ceac45e39e04b7fbc4a208fcdca",
+    (1 << 10, 6, 2): "1b71dc0940cf66f17340513688e43b83db4e0e412024cf368743e1abea9807ed",
+    (1 << 11, 5, None): "a1e0fbacd381955d3adf249c2260bc165ec0009b98d1b4a48d47025420b43a29",
 }
 
 
@@ -581,6 +586,8 @@ def test_below_power_of_two_matches_the_float_path(j):
     got = _below(words, k)
     assert got.dtype == np.int64
     assert np.array_equal(got, ((words >> np.uint64(11)) * (k * 2.0 ** -53)).astype(np.int64))
+    narrow = _below(words, k, np.uint64)   # as the kernel's whole-word exponents are cast
+    assert narrow.dtype == np.uint64 and np.array_equal(narrow, got)
 
 
 def test_words_continue_or_restart_the_generator():
@@ -619,6 +626,32 @@ def test_calls_stay_within_the_budget(d):
             assert [c for _, c in groups[:-1]][-5:] == [most] * 5
             assert [s for s, _ in groups] == np.cumsum([0] + [c for _, c in groups[:-1]]).tolist()
             assert sum(c for _, c in groups) == 50_000
+
+
+def test_calls_grow_four_times_from_the_first_group():
+    # (walks, weight): 8^16, 4^20, 2^62, 2^2048 and side 2^62 at d = 16
+    for total, weight in ((3033, 20), (3581, 5), (50_000, 16), (50_000, 512), (50_000, 36)):
+        most = max(_CALL_WALKS, _CALL_ENTRIES // weight)
+        groups = list(_calls(total, weight, 64))
+        counts = [c for _, c in groups]
+        assert [s for s, _ in groups] == np.cumsum([0] + counts[:-1]).tolist()
+        assert sum(counts) == total
+        assert counts[0] == min(64, most)
+        assert all(b == min(4 * a, most) for a, b in zip(counts, counts[1:-1]))
+        assert all(c * weight <= _CALL_ENTRIES for c in counts)
+    # a monotone verdict at 8^16 makes six calls, at 4^20 four
+    assert [c for _, c in _calls(3033, 20, 64)] == [64, 256, 819, 819, 819, 256]
+    assert [c for _, c in _calls(3581, 5, 64)] == [64, 256, 1024, 2237]
+
+
+def test_amplified_verdicts_do_not_depend_on_the_schedule():
+    shape = GridShape(8, 16)
+    for family, eps, accepted in (("monotone_threshold", 0.5, True), ("block_parity", 0.25, False)):
+        f = generate(family, shape)
+        default = amplified_test(f, eps, rng=random.Random(3))
+        with _call_entries(37):   # one walk a call
+            assert amplified_test(f, eps, rng=random.Random(3)) == default
+        assert default.accepted == accepted
 
 
 @pytest.mark.parametrize("entries", [37, _CALL_ENTRIES, 1 << 16])

@@ -52,14 +52,40 @@ class Poset:
         """ValueError unless each is a vertex of the poset; this default
         checks nothing."""
 
+    def _cover_graph(self, pairs: tuple, ell: int) -> "CoverGraph":
+        """build_cover_graph of the pairs' starts and ends."""
+        return build_cover_graph(self, [s for s, _ in pairs], [t for _, t in pairs], ell)
+
+    def _consistent_pair(self, pairs: tuple, ell: int) -> "ConsistentPair":
+        return consistent_pair(self, pairs, ell)
+
 
 class GridPoset(Poset):
-    """The augmented hypergrid as a poset."""
+    """The augmented hypergrid as a poset.
+
+    It builds each pair tuple's cover graph and consistent pair once, on
+    first use, and hands the same objects out after that: decompositions of
+    many functions on one shape meet the same pair tuples again and again.
+    Callers must not mutate them.
+    """
 
     def __init__(self, shape: GridShape):
         if shape.size > POSET_CAPACITY:
             raise CapacityError("grid poset", shape.size, POSET_CAPACITY)
         self.shape = shape
+        self._built: Dict[tuple, object] = {}   # (builder, pairs, ell) -> what it built
+
+    def _cover_graph(self, pairs, ell):
+        return self._once(Poset._cover_graph, pairs, ell)
+
+    def _consistent_pair(self, pairs, ell):
+        return self._once(Poset._consistent_pair, pairs, ell)
+
+    def _once(self, build, pairs: tuple, ell: int):
+        key = build, pairs, ell
+        if key not in self._built:
+            self._built[key] = build(self, pairs, ell)
+        return self._built[key]
 
     def vertices(self):
         return points(self.shape)
@@ -245,11 +271,10 @@ def conflict_free_decompose(poset: Poset, pairs: Sequence[Tuple],
             raise ValueError(f"pair ({s}, {t}) is not at distance {ell}")
     _check_disjoint_ends(pairs)
 
-    def group(members: List[Tuple]) -> Tuple[List[Tuple], CoverGraph]:
-        return members, build_cover_graph(poset, [s for s, _ in members],
-                                          [t for _, t in members], ell)
+    def group(members: tuple) -> Tuple[tuple, CoverGraph]:
+        return members, poset._cover_graph(members, ell)
 
-    groups = [group([p]) for p in pairs]
+    groups = [group((p,)) for p in pairs]
     while len(groups) > 1:
         k = len(groups)
         # only covers with a common vertex can share a level
@@ -276,9 +301,9 @@ def conflict_free_decompose(poset: Poset, pairs: Sequence[Tuple],
         for a in range(k):
             merged.setdefault(find(a), []).append(a)
         groups = [groups[ids[0]] if len(ids) == 1
-                  else group([p for a in ids for p in groups[a][0]])
+                  else group(tuple(p for a in ids for p in groups[a][0]))
                   for _, ids in sorted(merged.items())]
-    return [(consistent_pair(poset, members, ell), cover) for members, cover in groups]
+    return [(poset._consistent_pair(members, ell), cover) for members, cover in groups]
 
 
 def covers_disjoint(c1: CoverGraph, c2: CoverGraph) -> bool:

@@ -5,13 +5,14 @@ dimension, then steps tau of the dimensions where the start is a lower
 endpoint.  It rejects only on a witnessed violation, so monotone functions
 are never rejected.
 
-Every sampled walk comes from one array kernel, `_draw_walks`, which draws
-a batch of walks as (B, d) arrays.  Each entry point takes one 128-bit key
-from the caller's `random.Random` and numbers its walks 0, 1, 2, ...; walk
-k reads its own fixed block of words from the counter-based Philox
+Every sampled walk comes from one array kernel, `_walks`, which turns a
+block of words into a batch of walks as (B, d) arrays.  Each run takes one
+128-bit key from its `random.Random` and numbers its walks 0, 1, 2, ...;
+walk k reads its own fixed block of words from the counter-based Philox
 generator under that key, so its draws depend only on the key and k, never
-on how walks are grouped into numpy calls.  A run reads its walks in order
-through one generator per key (`_Stream`).  `exact_rejection_probability`
+on how walks are grouped into numpy calls, nor on which other runs' walks
+share a call (`_amplified_runs`).  A run reads its walks in order through
+one generator per key (`_Stream`).  `exact_rejection_probability`
 enumerates the same randomness independently and is the reference the
 sampled paths are checked against.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -277,17 +278,28 @@ def _draw_walks(shape: GridShape, stream: _Stream, start: int, count: int,
     """Walks start .. start+count-1 of `stream`.
 
     With tau given every walk has that length, and with x given (one row
-    per walk) the walks start there: the persistence walk.  Each walk's
-    words are laid out as in `_layout`: its tau draw, one draw per subset
-    pick, then the dimensions' fields (`_fields`), dimension i in field i.
-    x, exp, parity and y are in the narrow unsigned `_dtype`.
+    per walk) the walks start there: the persistence walk.
+    """
+    width = _layout(shape.d, tau, shape.bits)[1]
+    return _walks(shape, _words(stream, start, count, width), tau, x)
+
+
+def _walks(shape: GridShape, w: np.ndarray, tau: Optional[int] = None,
+           x: Optional[np.ndarray] = None) -> _Walks:
+    """The walks whose words are the rows of w, one row a walk.
+
+    Each row is laid out as in `_layout`: the walk's tau draw, one draw per
+    subset pick, then the dimensions' fields (`_fields`), dimension i in
+    field i.  tau and x are as in `_draw_walks`.  x, exp, parity and y are
+    in the narrow unsigned `_dtype`.  w is dropped before the rest of the
+    call allocates, so hand it over without keeping a reference.
     """
     d, n, bits = shape.d, shape.n, shape.bits
-    picks, width, _ = _layout(d, tau, bits)
+    count = len(w)
+    picks = _layout(d, tau, bits)[0]
     span, per_word, per_dim = _fields(bits)
     dt = _dtype(bits)
     lo = 1 + picks                                            # first dimension word
-    w = _words(stream, start, count, width)
     # read everything off the word block, then drop it before the rest of
     # the call allocates: one mask cuts a word that holds one field, and one
     # shift-and-mask cuts every layout with more fields a word
@@ -394,24 +406,44 @@ def _evaluate(f: BoolFunc, w: _Walks) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _Tally:
-    """Walk statistics summed over the counted walks of a run."""
+    """Walk statistics of each run of a batch, summed over its counted walks."""
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, runs: int = 1):
         self.lengths = np.left_shift(1, np.arange(tau_ceiling(d) + 1, dtype=np.int64))
-        self.taus = np.zeros_like(self.lengths)
-        self.walks = 0
-        self.degenerate = 0
-        self.lower = 0
+        self.span = int(self.lengths[-1]) + 1        # bincount length of the taus
+        self.taus = np.zeros((runs, len(self.lengths)), dtype=np.int64)
+        self.walks = [0] * runs
+        self.degenerate = [0] * runs
+        self.lower = [0] * runs
 
-    def add(self, w: _Walks, end: int) -> None:
-        self.taus += np.bincount(w.tau[:end], minlength=self.lengths[-1] + 1)[self.lengths]
-        self.walks += end
-        self.degenerate += end - int(np.count_nonzero(w.moved[:end]))
-        self.lower += int(w.size[:end].sum())
+    def add(self, w: _Walks, end: int, run: int = 0) -> None:
+        """Count walks 0 .. end-1 of w, all of them the given run's."""
+        self.taus[run] += np.bincount(w.tau[:end], minlength=self.span)[self.lengths]
+        self.walks[run] += end
+        self.degenerate[run] += end - int(np.count_nonzero(w.moved[:end]))
+        self.lower[run] += int(w.size[:end].sum())
 
-    def stats(self) -> WalkStats:
-        hist = tuple((1 << t, int(c)) for t, c in enumerate(self.taus) if c)
-        return WalkStats(hist, self.degenerate, self.lower / self.walks if self.walks else 0.0)
+    def add_runs(self, w: _Walks, ends: np.ndarray, runs: List[int]) -> None:
+        """Count walks 0 .. ends[j]-1 of run runs[j], whose walks are the
+        j-th of len(runs) equal row ranges of w."""
+        k = len(runs)
+        counted = np.arange(len(w.tau) // k) < ends[:, None]
+        keys = (w.tau.reshape(k, -1) + self.span * np.arange(k)[:, None])[counted]
+        taus = np.bincount(keys, minlength=k * self.span).reshape(k, -1)
+        self.taus[runs] += taus[:, self.lengths]
+        moved = (w.moved.reshape(k, -1) & counted).sum(axis=1)
+        lower = (w.size.reshape(k, -1) * counted).sum(axis=1)
+        for run, end, m, s in zip(runs, ends.tolist(), moved.tolist(), lower.tolist()):
+            self.walks[run] += end
+            self.degenerate[run] += end - m
+            self.lower[run] += s
+
+    def stats(self) -> List[WalkStats]:
+        """Each run's statistics, in run order."""
+        return [WalkStats(tuple((1 << t, c) for t, c in enumerate(taus) if c), degenerate,
+                          lower / walks if walks else 0.0)
+                for taus, walks, degenerate, lower in zip(
+                    self.taus.tolist(), self.walks, self.degenerate, self.lower)]
 
 
 # ----------------------------------------------------------------------
@@ -489,25 +521,64 @@ def amplified_test(f: BoolFunc, eps: float, calibration: float = DEFAULT_CALIBRA
     Walks drawn past the rejection in the same batch are not counted here,
     though f.queries counts their evaluations.
     """
-    if rng is None:
-        rng = random.Random(0)
+    return _amplified_runs(f, eps, calibration, [random.Random(0) if rng is None else rng])[0]
+
+
+def _amplified_runs(f: BoolFunc, eps: float, calibration: float,
+                    rngs: Sequence[random.Random]) -> List[TesterVerdict]:
+    """amplified_test's verdict under each rng, the runs sharing numpy calls.
+
+    Every run reads its own stream in amplified_test's groups (the first
+    _FIRST_CALL_WALKS walks, then _CALL_GROWTH times more each) and stops
+    after the group of its first rejection.  A call draws one group of as
+    many of the runs still going as fit _CALL_ENTRIES words together, one
+    run's group at the least, so each verdict is the one its run gets alone.
+    """
     shape = f.shape
     _require_testable(shape)
     rounds = repetitions(shape.n, shape.d, eps, calibration)
-    _check_stream_capacity("amplified_test", rounds, _layout(shape.d, bits=shape.bits)[1])
-    stream = _stream(rng)
-    tally = _Tally(shape.d)
-    total_queries = 0
-    for start, w in _walk_batches(shape, stream, rounds, _FIRST_CALL_WALKS):
-        fx, fy = _evaluate(f, w)
-        hits = np.flatnonzero(fx > fy)
-        end = int(hits[0]) + 1 if hits.size else len(fx)
-        total_queries += end + int(np.count_nonzero(w.moved[:end]))
-        tally.add(w, end)
-        if hits.size:
-            return TesterVerdict(False, start + end, total_queries, tally.stats())
-        del w   # so the next batch is drawn without this one alive
-    return TesterVerdict(True, rounds, total_queries, tally.stats())
+    _, width, weight = _layout(shape.d, bits=shape.bits)
+    _check_stream_capacity("amplified_test", rounds, width)
+    streams = [_stream(rng) for rng in rngs]
+    tally = _Tally(shape.d, len(streams))
+    rejected = [False] * len(streams)
+    live = list(range(len(streams)))   # the runs with no rejection yet
+    for start, count in _calls(rounds, weight, _FIRST_CALL_WALKS):
+        per_call = max(1, _CALL_ENTRIES // (count * weight))
+        for i in range(0, len(live), per_call):
+            runs = live[i:i + per_call]
+            w = _walks(shape, _run_words(streams, runs, start, count, width))
+            fx, fy = _evaluate(f, w)
+            hits = np.flatnonzero(fx > fy)
+            if len(runs) == 1:   # a lone run counts up to its first rejection
+                tally.add(w, int(hits[0]) + 1 if hits.size else count, runs[0])
+                rejected[runs[0]] = hits.size > 0
+            else:                # each run up to its own first rejection
+                ends = np.full(len(runs), count)
+                if hits.size:
+                    row, col = np.divmod(hits, count)
+                    first = np.ones(len(hits), dtype=bool)
+                    first[1:] = row[1:] != row[:-1]
+                    ends[row[first]] = col[first] + 1
+                    for j in row[first].tolist():
+                        rejected[runs[j]] = True
+                tally.add_runs(w, ends, runs)
+            del w, fx, fy   # so the next call is drawn without this one alive
+        live = [run for run in live if not rejected[run]]
+        if not live:
+            break
+    # a counted walk asks f at x, and at y too unless it is degenerate
+    return [TesterVerdict(not bad, walks, 2 * walks - degenerate, stats)
+            for bad, walks, degenerate, stats in zip(
+                rejected, tally.walks, tally.degenerate, tally.stats())]
+
+
+def _run_words(streams: List[_Stream], runs: List[int], start: int, count: int,
+               width: int) -> np.ndarray:
+    """Walks start .. start+count-1 of each run's stream, as one word block."""
+    if len(runs) == 1:
+        return _words(streams[runs[0]], start, count, width)
+    return np.concatenate([_words(streams[run], start, count, width) for run in runs])
 
 
 def wilson_interval(successes: int, trials: int):
@@ -538,7 +609,7 @@ def detection_rate(f: BoolFunc, trials: int, rng: random.Random) -> RateEstimate
         tally.add(w, len(fx))
         del w   # as in amplified_test
     lo, hi = wilson_interval(rejections, trials)
-    return RateEstimate(rejections / trials, lo, hi, rejections, trials, tally.stats())
+    return RateEstimate(rejections / trials, lo, hi, rejections, trials, tally.stats()[0])
 
 
 def persistence_fraction(f: BoolFunc, tau: int, outer_samples: int,

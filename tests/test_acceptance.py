@@ -120,23 +120,26 @@ def test_decomposition_covers_match_a_fresh_build():
 
 
 def test_criterion_4_builds_covers_only_for_new_or_merged_groups(monkeypatch):
+    # a group's cover is built once in a decomposition and, through the
+    # shape's GridPoset, once in the whole run; every part carries that cover
     real_build, real_decompose = structure.build_cover_graph, structure.conflict_free_decompose
-    state = {"inside": False, "built": set(), "covers": [], "decompositions": 0}
+    state = {"inside": False, "built": set(), "covers": {}, "decompositions": 0}
 
     def build(poset, S, T, ell):
         assert state["inside"], "a cover was built outside the decomposition"
         key = (frozenset(S), frozenset(T))
         assert key not in state["built"], "a group's cover was built twice"
         state["built"].add(key)
-        cover = real_build(poset, S, T, ell)
-        state["covers"].append(cover)
+        run_key = (poset.shape, tuple(S), tuple(T), ell)
+        assert run_key not in state["covers"], "a group's cover was built twice in one run"
+        cover = state["covers"][run_key] = real_build(poset, S, T, ell)
         return cover
 
     def decompose(poset, pairs, ell):
-        state.update(inside=True, built=set(), covers=[])
+        state.update(inside=True, built=set())
         parts = real_decompose(poset, pairs, ell)
         state["inside"] = False
-        assert all(any(cover is c for c in state["covers"]) for _, cover in parts)
+        assert all(cover is state["covers"][poset.shape, cp.S, cp.T, ell] for cp, cover in parts)
         state["decompositions"] += 1
         return parts
 
@@ -144,6 +147,46 @@ def test_criterion_4_builds_covers_only_for_new_or_merged_groups(monkeypatch):
     monkeypatch.setattr(structure, "conflict_free_decompose", decompose)
     report(verify.check_decomposition_routing(SEED))
     assert state["decompositions"] > 1000
+
+
+def test_criterion_4_memo_serves_fresh_unmutated_covers_and_paths(monkeypatch):
+    # every cover graph and consistent pair the shapes' posets kept, and
+    # every routing, still equals a fresh build after the whole criterion ran
+    posets, routed = [], []
+    real_route = structure.route_disjoint_paths
+
+    class Recording(GridPoset):
+        def __init__(self, shape):
+            super().__init__(shape)
+            posets.append(self)
+
+    def route(cover, cp):
+        # the instances come grouped by shape, so the newest poset is this pair's
+        paths = real_route(cover, cp)
+        routed.append((posets[-1].shape, cover, cp, paths, [tuple(p) for p in paths]))
+        return paths
+
+    monkeypatch.setattr(structure, "GridPoset", Recording)
+    monkeypatch.setattr(structure, "route_disjoint_paths", route)
+    report(verify.check_decomposition_routing(SEED))
+    assert len(posets) == 4
+    kept = 0
+    for poset in posets:
+        fresh = GridPoset(poset.shape)   # the real class: no memo shared with the run's
+        for (build, pairs, ell), built in poset._built.items():
+            S, T = [s for s, _ in pairs], [t for _, t in pairs]
+            if build is structure.Poset._cover_graph:
+                assert built == build_cover_graph(fresh, S, T, ell)
+            else:
+                assert built == structure.consistent_pair(fresh, pairs, ell)
+            kept += 1
+    assert kept >= 100
+    # each (shape, consistent pair) is routed once in the run
+    assert len({(shape, cp) for shape, _, cp, _, _ in routed}) == len(routed)
+    for shape, cover, cp, paths, copied in routed:
+        fresh = GridPoset(shape)
+        assert cover == build_cover_graph(fresh, cp.S, cp.T, cp.ell)
+        assert paths == copied == real_route(cover, cp)
 
 
 def test_criterion_4_gamma_counts_match_gamma_minus():

@@ -209,6 +209,19 @@ def test_structure_subcommand(capsys):
     assert "|M*|" in out and "disjoint_paths" in out
 
 
+# the CI pins of `gridmono structure`: each (S, T, ell) cover graph and
+# consistent pair is built once per GridPoset, and the summaries must not move
+@pytest.mark.parametrize("argv, digest", [
+    (["--family", "block_parity", "--n", "4", "--d", "2"],
+     "e97601860e022fca8fc679b53042e931aa04db88527fb8416bd56cc68856722e"),
+    (["--family", "uniform_random", "--n", "8", "--d", "3", "--seed", "1"],
+     "42e54d0c1576ce0728c582afb457e94999d191c725106aea36eb54084f1538df"),
+])
+def test_structure_stdout_pinned(argv, digest, capsys):
+    assert run(["structure"] + argv) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_reduce_subcommand(capsys):
     assert run(["reduce", "--family", "anti_slab", "--n", "3", "--d", "2"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Tester behavior: transcripts, exact enumeration, and draw distributions."""
 
+import contextlib
 import hashlib
 import math
 import random
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from gridmono import tester
+from gridmono import tester, verify
 from gridmono.errors import CapacityError
 from gridmono.func import BoolFunc, generate
+from gridmono.streams import derive_seed
 from gridmono.grid import (
     LOWER,
     GridShape,
@@ -30,7 +32,9 @@ from gridmono.grid import (
 from gridmono.tester import (
     _CALL_ENTRIES,
     _CALL_WALKS,
+    _FIRST_CALL_WALKS,
     DEFAULT_CALIBRATION,
+    _amplified_runs,
     _below,
     _call_entries,
     _calls,
@@ -652,6 +656,58 @@ def test_amplified_verdicts_do_not_depend_on_the_schedule():
         with _call_entries(37):   # one walk a call
             assert amplified_test(f, eps, rng=random.Random(3)) == default
         assert default.accepted == accepted
+
+
+# (family, n, d, eps, calibration, function seed, runs): the pilot grid's
+# far inputs as verify's criterion 8 makes them; monotone thresholds whose
+# runs span several groups, one run alone and two together (8^16 at a low
+# calibration, 680 walks in three groups, keeps the one-walk calls under
+# _call_entries(37) few); far 8^16 slabs, some of whose 40 runs reject after
+# their first group, which spans several calls (40 runs of 64 walks of
+# weight 20 are 51,200 words); and one far run alone
+BATCH_CASES = tuple(
+    (family, n, d, verify.PILOT_EPS, DEFAULT_CALIBRATION,
+     derive_seed(verify.DEFAULT_MASTER_SEED, f"pilot-fn:{family}:{n}:{d}"), 30)
+    for family, n, d in verify.PILOT_GRID) + (
+    ("monotone_threshold", 4, 20, 0.5, DEFAULT_CALIBRATION, 1, 1),
+    ("monotone_threshold", 4, 20, 0.5, DEFAULT_CALIBRATION, 2, 2),
+    ("monotone_threshold", 8, 16, 0.5, 0.25, 1, 2),
+    ("anti_slab", 8, 16, 0.5, DEFAULT_CALIBRATION, 1, 40),
+    ("block_parity", 8, 16, 0.25, DEFAULT_CALIBRATION, 1, 1),
+)
+
+
+@pytest.mark.parametrize("entries", [None, 37])
+def test_batched_verdicts_equal_lone_verdicts(entries, monkeypatch):
+    real = tester._walks
+
+    def walks(shape, w, *args):
+        # a call holds at most the budget's words over all its runs, or
+        # one run's group where the budget holds fewer walks than the floor
+        weight = _layout(shape.d, bits=shape.bits)[2]
+        assert len(w) * weight <= tester._CALL_ENTRIES or len(w) <= tester._CALL_WALKS
+        return real(shape, w, *args)
+
+    monkeypatch.setattr(tester, "_walks", walks)
+    later = 0
+    with _call_entries(entries) if entries else contextlib.nullcontext():
+        for family, n, d, eps, calibration, seed, runs in BATCH_CASES:
+            shape = GridShape(n, d)
+            lone_f, batch_f = (generate(family, shape, seed=seed) for _ in range(2))
+            keys = [f"batch {family} {n}^{d} {seed} {k}" for k in range(runs)]
+            lone = [amplified_test(lone_f, eps, calibration, random.Random(key)) for key in keys]
+            batch = _amplified_runs(batch_f, eps, calibration, [random.Random(key) for key in keys])
+            # accepted, invocations, total_queries and stats, run by run
+            assert batch == lone, (family, n, d, seed)
+            assert batch_f.queries == lone_f.queries, (family, n, d, seed)
+            assert all(v.accepted for v in batch) == (family == "monotone_threshold")
+            later += sum(not v.accepted and v.invocations > _FIRST_CALL_WALKS for v in batch)
+    assert later > 0
+    assert 40 * _FIRST_CALL_WALKS * _layout(16, bits=3)[2] > _CALL_ENTRIES
+
+
+def test_batch_of_no_runs_is_empty():
+    assert _amplified_runs(generate("anti_slab", GridShape(4, 2)), 0.5, 1.0, []) == []
 
 
 @pytest.mark.parametrize("entries", [37, _CALL_ENTRIES, 1 << 16])

@@ -137,10 +137,16 @@ class BoolFunc:
         else:
             bits = np.empty(shape.size, dtype=np.uint8)
             step = max(1, MATERIALIZE_ENTRIES // shape.d)
+            # coordinate i of a linear index is its digit i base n: on a side
+            # 2^bits its bits i*bits .. (i+1)*bits - 1, cut by shift and mask
+            shifts = np.arange(shape.d, dtype=np.int64) * shape.bits if shape.is_pow2() else None
             for start in range(0, shape.size, step):
-                index = np.arange(start, min(start + step, shape.size), dtype=np.int64)
-                bits[start:start + step] = self._batch(
-                    index[:, None] // self._linear_strides() % shape.n)
+                index = np.arange(start, min(start + step, shape.size), dtype=np.int64)[:, None]
+                if shifts is None:
+                    coords = index // self._linear_strides() % shape.n
+                else:
+                    coords = index >> shifts & shape.n - 1
+                bits[start:start + step] = self._batch(coords)
         bits.setflags(write=False)
         return bits
 
@@ -382,12 +388,24 @@ def _upward_close(shape: GridShape, seeds: np.ndarray) -> np.ndarray:
     """The table that is 1 exactly at the points at or above some seed, for a
     flat table or each row of a (rows, n^d) block: a cumulative OR along each
     grid axis in turn, each on the view (points before, n, points after),
-    which numpy accumulates faster than the (rows, n, ..., n) view."""
+    which numpy accumulates faster than the (rows, n, ..., n) view.
+
+    accumulate pays for each of a view's runs of n, seeds.size / n of them
+    on every axis, so with many runs, short beside how many there are, each
+    view ORs its n consecutive slices instead: one 8^6 table takes 0.8 ms
+    against 7.0 ms, but one 32^2 table would take 77 us against 8 us
+    (2-vCPU host).
+    """
     n, after, grid = shape.n, shape.size, seeds
+    slices = seeds.size // n >= max(1 << 10, 4 * n)
     for _ in range(shape.d):
         after //= n
         grid = grid.reshape(-1, n, after)
-        np.logical_or.accumulate(grid, axis=1, out=grid)
+        if slices:
+            for j in range(1, n):
+                np.logical_or(grid[:, j], grid[:, j - 1], out=grid[:, j])
+        else:
+            np.logical_or.accumulate(grid, axis=1, out=grid)
     return grid.reshape(seeds.shape)
 
 

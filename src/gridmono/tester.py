@@ -12,7 +12,8 @@ walk k reads its own fixed block of words from the counter-based Philox
 generator under that key, so its draws depend only on the key and k, never
 on how walks are grouped into numpy calls, nor on which other runs' walks
 share a call (`_amplified_runs`).  A run reads its walks in order through
-one generator per key (`_Stream`).  `exact_rejection_probability`
+its `_Stream`; a batch's streams share one generator, pointed at each
+stream's key and block as they take turns.  `exact_rejection_probability`
 enumerates the same randomness independently and is the reference the
 sampled paths are checked against.
 """
@@ -25,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -165,20 +166,32 @@ class _Walks(NamedTuple):
         return self.y != self.x
 
 
+class _Generator:
+    """One Philox generator, shared by the streams of a batch, and the key
+    and block its counter stands at."""
+
+    __slots__ = ("philox", "key", "block")
+
+    def __init__(self):
+        self.philox: Optional[np.random.Philox] = None
+        self.key: Optional[np.ndarray] = None
+        self.block = -1
+
+
 class _Stream:
-    """The Philox words under one key, read by one run."""
+    """The Philox words under one key, read by one run through `gen`."""
 
-    __slots__ = ("key", "gen", "block")
+    __slots__ = ("key", "gen")
 
-    def __init__(self, key: np.ndarray):
+    def __init__(self, key: np.ndarray, gen: Optional[_Generator] = None):
         self.key = key
-        self.gen: Optional[np.random.Philox] = None
-        self.block = -1   # the block gen's next read begins at
+        self.gen = _Generator() if gen is None else gen
 
 
-def _stream(rng: random.Random) -> _Stream:
+def _stream(rng: random.Random, gen: Optional[_Generator] = None) -> _Stream:
+    """The next stream of rng, with a generator of its own or the given shared one."""
     k = rng.getrandbits(128)
-    return _Stream(np.array([k & 0xFFFFFFFFFFFFFFFF, k >> 64], dtype=np.uint64))
+    return _Stream(np.array([k & 0xFFFFFFFFFFFFFFFF, k >> 64], dtype=np.uint64), gen)
 
 
 def _words(stream: _Stream, start: int, count: int, width: int) -> np.ndarray:
@@ -186,17 +199,26 @@ def _words(stream: _Stream, start: int, count: int, width: int) -> np.ndarray:
 
     width is a multiple of 4, the words of one Philox block, so row k
     begins at block k * width / 4 whichever call reads it.  A read whose
-    first block is where the previous read ended (a run reading its walks
-    in order) continues the stream's generator, whose counter stands there;
-    any other read starts a fresh Philox(key, counter) at its first block.
-    Both give the same words.
+    first block is where the generator's counter stands under the stream's
+    key (a run reading its walks in order, no other stream read between)
+    continues the generator; any other read sets its state to the key and
+    first block, or builds it there on its first read.  Both give the same
+    words: reads take whole blocks, so no word is left buffered between them.
     """
     block = start * width // 4
-    if block != stream.block:
+    gen = stream.gen
+    if gen.key is not stream.key or gen.block != block:
         counter = np.array([block, 0, 0, 0], dtype=np.uint64)
-        stream.gen = np.random.Philox(key=stream.key, counter=counter)
-    stream.block = block + count * width // 4
-    return stream.gen.random_raw(count * width).reshape(count, width)
+        if gen.philox is None:
+            gen.philox = np.random.Philox(key=stream.key, counter=counter)
+        else:
+            gen.philox.state = {"bit_generator": "Philox",
+                                "state": {"counter": counter, "key": stream.key},
+                                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                                "has_uint32": 0, "uinteger": 0}
+        gen.key = stream.key
+    gen.block = block + count * width // 4
+    return gen.philox.random_raw(count * width).reshape(count, width)
 
 
 def _below(words: np.ndarray, k, dtype=np.int64) -> np.ndarray:
@@ -539,7 +561,8 @@ def _amplified_runs(f: BoolFunc, eps: float, calibration: float,
     rounds = repetitions(shape.n, shape.d, eps, calibration)
     _, width, weight = _layout(shape.d, bits=shape.bits)
     _check_stream_capacity("amplified_test", rounds, width)
-    streams = [_stream(rng) for rng in rngs]
+    gen = _Generator()   # the runs' streams share one generator
+    streams = [_stream(rng, gen) for rng in rngs]
     tally = _Tally(shape.d, len(streams))
     rejected = [False] * len(streams)
     live = list(range(len(streams)))   # the runs with no rejection yet
@@ -651,32 +674,60 @@ def exact_rejection_probability(f: BoolFunc) -> Fraction:
     """Rejection probability of single_test by exhausting its randomness.
 
     Enumerates tau, the start point, every per-dimension matching draw, and
-    every stepped subset, so it is only usable on tiny grids.
+    every stepped subset, so it is only usable on tiny grids.  The one-row
+    view of `_rejection_probabilities`.
     """
-    shape, bits = f.shape, f.shape.bits
+    return _rejection_probabilities(f.shape, f.bits[None])[0]
+
+
+def _walk_outcomes(shape: GridShape) -> Tuple[np.ndarray, np.ndarray, List[Fraction]]:
+    """(x indices, y indices, probabilities): every distinct pair of ends,
+    y != x, that one walk of single_test can reach, with its exact probability.
+
+    Enumerates tau, the start point x, every per-dimension matching draw
+    (each dimension classified once per x, as `classify_in_matching` has it)
+    and every stepped subset T of S; a walk with |S| < tau stays at x, which
+    never rejects, so it is left out.
+    """
+    _require_testable(shape)
+    bits = shape.bits
     taus = [1 << t for t in range(tau_ceiling(shape.d) + 1)]
-    table = f.table()
-    total = Fraction(0)   # summed over equally likely (tau, x, draws), then normalised
-    for tau, idx in product(taus, range(shape.size)):
-        if not table[idx]:
-            continue  # f(x)=0 can never reject
+    weight = {}   # (x, y) -> summed over equally likely (tau, x, draws)
+    for idx in range(shape.size):
         x = point_of(shape, idx)
-        for combo in product(range(2 * bits), repeat=shape.d):
+        # each dimension's 2 bits draws, as the partner's coordinate there,
+        # or None where x is not a lower endpoint
+        ends = []
+        for i in range(shape.d):
+            mids = (MatchingId(i, code % bits, code // bits) for code in range(2 * bits))
+            roles = (classify_in_matching(shape, x, mid) for mid in mids)
+            ends.append([partner[i] if role == LOWER else None for role, partner in roles])
+        for combo in product(*ends):
             # S, each of its dimensions mapped to the partner's coordinate there
-            partners = {}
-            for i, code in enumerate(combo):
-                mid = MatchingId(i, code % bits, code // bits)
-                role, partner = classify_in_matching(shape, x, mid)
-                if role == LOWER:
-                    partners[i] = partner[i]
-            if len(partners) < tau:
-                continue  # y = x, never a violation
-            subsets = list(combinations(partners, tau))
-            for T in subsets:
-                y = tuple(partners[i] if i in T else v for i, v in enumerate(x))
-                if not table[linear_index(shape, y)]:
-                    total += Fraction(1, len(subsets))
-    return total / (len(taus) * shape.size * (2 * bits) ** shape.d)
+            partners = {i: v for i, v in enumerate(combo) if v is not None}
+            for tau in taus:
+                if len(partners) < tau:
+                    break   # y = x, never a violation
+                subsets = list(combinations(partners, tau))
+                for T in subsets:
+                    y = tuple(partners[i] if i in T else v for i, v in enumerate(x))
+                    key = idx, linear_index(shape, y)
+                    weight[key] = weight.get(key, 0) + Fraction(1, len(subsets))
+    draws = len(taus) * shape.size * (2 * bits) ** shape.d
+    xs = np.array([x for x, _ in weight], dtype=np.int64)
+    ys = np.array([y for _, y in weight], dtype=np.int64)
+    return xs, ys, [w / draws for w in weight.values()]
+
+
+def _rejection_probabilities(shape: GridShape, tables: np.ndarray) -> List[Fraction]:
+    """exact_rejection_probability of each row of a (tables, n^d) bit block:
+    the summed probability of the walk outcomes with f(x) = 1 and f(y) = 0."""
+    xs, ys, probabilities = _walk_outcomes(shape)
+    # over one denominator, each row's sum is a sum of ints
+    denominator = math.lcm(*(p.denominator for p in probabilities))
+    numerators = [p.numerator * (denominator // p.denominator) for p in probabilities]
+    rejects = (tables[:, xs] > tables[:, ys]).tolist()
+    return [Fraction(sum(compress(numerators, row)), denominator) for row in rejects]
 
 
 def exact_edge_rejection_probability(f: BoolFunc) -> Fraction:

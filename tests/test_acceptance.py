@@ -16,7 +16,7 @@ import pytest
 
 from gridmono import structure, verify
 from gridmono.errors import CapacityError, IntegrityError
-from gridmono.func import BoolFunc
+from gridmono.func import BoolFunc, generate
 from gridmono.grid import GridShape
 from gridmono.oracle import brute_force_distance, gamma_minus, isoperimetry_report, optimal_matching
 from gridmono.streams import derive_rng
@@ -33,6 +33,24 @@ def report(result):
 
 def test_criterion_1_one_sided_error():
     report(verify.check_one_sided(SEED))
+
+
+def test_criterion_1_names_the_first_monotone_mask_rejected(monkeypatch):
+    # two non-monotone 4^2 masks planted among the monotone ones: the
+    # criterion names the first, however the block's rows are summed
+    shape = GridShape(4, 2)
+    planted = [sum(1 << k for k in np.flatnonzero(generate(kind, shape).bits).tolist())
+               for kind in ("anti_slab", "block_parity")]
+    real = verify.monotone_masks
+
+    def with_planted(shape):
+        masks = real(shape)
+        return masks if shape.d == 1 else masks[:30] + (planted[0],) + masks[30:] + (planted[1],)
+
+    monkeypatch.setattr(verify, "monotone_masks", with_planted)
+    result = verify.check_one_sided(SEED)
+    assert not result.passed
+    assert result.detail == f"monotone mask {planted[0]} on 4^2 has nonzero reject probability"
 
 
 def test_criterion_2_distance_oracle_equivalence():

@@ -234,6 +234,13 @@ def test_fourier_subcommand(capsys):
     assert "parseval" in out and "0 failures" in out
 
 
+def test_fourier_stdout_pinned(capsys):
+    # the CI pin: 100 Parseval tables, a whole block of 64 and a partial one
+    assert run(["fourier", "--line-n", "8", "--tables", "100"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "9f08a969fc8dd5e5b4571669db8c7dd60ab503c766e2c73a404f41773af87239")
+
+
 def test_fourier_line_sweep_capacity_exit():
     # 2^32 line functions would run for days; in a subprocess with a timeout,
     # so that a missing guard fails this test instead of hanging the suite

@@ -7,10 +7,22 @@ import numpy as np
 import pytest
 
 from gridmono.errors import CapacityError, IntegrityError
-from gridmono.func import BoolFunc, _mask_bits, _table_blocks, generate, restrict_line, sort_line
+from gridmono.func import (
+    BoolFunc,
+    _mask_bits,
+    _random_bits,
+    _table_blocks,
+    generate,
+    restrict_line,
+    sort_line,
+)
+from gridmono import fourier
 from gridmono.fourier import (
+    PARSEVAL_SHAPE,
     WalshIndex,
+    _butterfly,
     _coefficient_routes,
+    _transform_defects,
     edge_coefficient,
     inverse_transform,
     line_delta_report,
@@ -109,6 +121,54 @@ def test_parseval(rng):
         assert abs(float(np.sum(spectrum.coeffs ** 2)) - 1.0) <= 1e-12
         exact = transform_exact(shape, values)
         assert sum(c * c for c in exact) == 1
+
+
+@pytest.mark.parametrize("rows, size", [(1, 1), (3, 2), (5, 64), (9, 512)])
+def test_butterfly_block_equals_each_row_alone(rows, size):
+    gen = np.random.default_rng(size)
+    # float64 values whose sums round, and ints on object arrays (exact)
+    for block in (gen.standard_normal((rows, size)) * 10.0 ** gen.integers(-8, 9, (rows, size)),
+                  gen.integers(-50, 50, (rows, size)).astype(object)):
+        alone = [_butterfly(row.copy()) for row in block]
+        whole = _butterfly(block.copy())
+        assert whole.shape == block.shape and whole.dtype == block.dtype
+        for got, want in zip(whole, alone):
+            if block.dtype == object:
+                assert got.tolist() == want.tolist()
+            else:   # bit for bit
+                assert got.tobytes() == want.tobytes()
+
+
+def one_table_defects(rng, tables):
+    """_transform_defects' reference: one table drawn and transformed at a time."""
+    shape = PARSEVAL_SHAPE
+    worst = worst_inv = 0.0
+    for _ in range(tables):
+        values = _random_bits(rng, shape.size) * 2.0 - 1.0
+        spectrum = transform(shape, values)
+        worst = max(worst, abs(float(np.sum(spectrum.coeffs ** 2)) - 1.0))
+        worst_inv = max(worst_inv, float(np.max(np.abs(inverse_transform(spectrum) - values))))
+    return worst, worst_inv
+
+
+@pytest.mark.parametrize("tables", [1, 63, 64, 65, 1000])
+def test_transform_defects_in_blocks_equal_one_table_at_a_time(tables):
+    blocked, alone = random.Random(tables), random.Random(tables)
+    assert _transform_defects(blocked, tables) == one_table_defects(alone, tables)
+    # the blocks draw the Mersenne Twister's outputs one table at a time would
+    assert blocked.getstate() == alone.getstate()
+
+
+def test_transform_defects_see_a_broken_transform(monkeypatch):
+    # a coefficient off by 2^-20 shows in both defects
+    def off(arr):
+        out = _butterfly(arr)
+        out[..., 1] += 2.0 ** -20 * 512
+        return out
+
+    monkeypatch.setattr(fourier, "_butterfly", off)
+    worst, worst_inv = _transform_defects(random.Random(1), 65)
+    assert worst > 1e-12 and worst_inv > 1e-9
 
 
 def test_transform_self_inverse(rng):

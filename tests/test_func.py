@@ -456,8 +456,12 @@ def unit_step_closure(shape, table):
     return table
 
 
+# up to 8^4 every view of one table has fewer than 1,024 runs and is
+# accumulated; 2^12, 4^6 and 8^5 have 1,024 or more in each, whose
+# consecutive slices are ORed
 @pytest.mark.parametrize("shape", [GridShape(2, 6), GridShape(3, 3), GridShape(4, 3),
-                                   GridShape(5, 2), GridShape(8, 4)], ids=str)
+                                   GridShape(5, 2), GridShape(8, 4), GridShape(2, 12),
+                                   GridShape(4, 6), GridShape(8, 5)], ids=str)
 def test_upward_close_matches_unit_step_loop(shape):
     gen = np.random.default_rng(shape.size)
     for density in (0.0, 0.02, 0.1, 0.4):
@@ -470,15 +474,20 @@ def test_upward_close_matches_unit_step_loop(shape):
     assert generate("random_monotone", shape, seed=11).table() == unit_step_closure(shape, draws)
 
 
-@pytest.mark.parametrize("shape", [GridShape(2, 6), GridShape(4, 3), GridShape(8, 2)], ids=str)
+@pytest.mark.parametrize("shape", [GridShape(2, 6), GridShape(4, 3), GridShape(8, 2),
+                                   GridShape(4, 2)], ids=str)
 def test_upward_close_closes_each_row_of_a_block(shape):
-    seeds = np.random.default_rng(shape.size).random((7, shape.size)) < 0.05
-    expected = [func._upward_close(shape, row.copy()).tolist() for row in seeds]
-    assert func._upward_close(shape, seeds.copy()).tolist() == expected
-    # a strided block is closed on a copy, whole
-    wide = np.repeat(seeds, 2, axis=0)[::2]
-    assert not wide.flags.c_contiguous
-    assert func._upward_close(shape, wide).tolist() == expected
+    gen = np.random.default_rng(shape.size)
+    # 7 rows are accumulated as one row is; 1,024 rows give every view 1,024
+    # or more runs, so the block ORs consecutive slices
+    for rows in (7, 1024):
+        seeds = gen.random((rows, shape.size)) < 0.05
+        expected = [func._upward_close(shape, row.copy()).tolist() for row in seeds]
+        assert func._upward_close(shape, seeds.copy()).tolist() == expected
+        # a strided block is closed on a copy, whole
+        wide = np.repeat(seeds, 2, axis=0)[::2]
+        assert not wide.flags.c_contiguous
+        assert func._upward_close(shape, wide).tolist() == expected
 
 
 @pytest.mark.parametrize("shape", [GridShape(2, 1), GridShape(3, 1), GridShape(2, 2),

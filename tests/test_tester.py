@@ -17,7 +17,7 @@ from scipy.stats import chisquare
 
 from gridmono import tester, verify
 from gridmono.errors import CapacityError
-from gridmono.func import BoolFunc, generate
+from gridmono.func import BoolFunc, _mask_bits, generate
 from gridmono.streams import derive_seed
 from gridmono.grid import (
     LOWER,
@@ -29,6 +29,7 @@ from gridmono.grid import (
     points,
     steps,
 )
+from gridmono.oracle import monotone_masks
 from gridmono.tester import (
     _CALL_ENTRIES,
     _CALL_WALKS,
@@ -142,6 +143,60 @@ def test_exact_enumeration_monotone_is_zero():
     for kind in ("monotone_threshold", "random_monotone"):
         f = generate(kind, GridShape(4, 2), seed=7)
         assert exact_rejection_probability(f) == 0
+
+
+def per_function_enumeration(f):
+    """single_test's rejection probability by a walk over its whole
+    randomness for this one table, draw by draw, as a reference."""
+    shape, bits = f.shape, f.shape.bits
+    taus = [1 << t for t in range(tau_ceiling(shape.d) + 1)]
+    table = f.table()
+    total = Fraction(0)
+    for tau, idx in product(taus, range(shape.size)):
+        if not table[idx]:
+            continue
+        x = tuple(idx // shape.n ** i % shape.n for i in range(shape.d))
+        for combo in product(range(2 * bits), repeat=shape.d):
+            partners = {}
+            for i, code in enumerate(combo):
+                mid = MatchingId(i, code % bits, code // bits)
+                role, partner = classify_in_matching(shape, x, mid)
+                if role == LOWER:
+                    partners[i] = partner[i]
+            if len(partners) < tau:
+                continue
+            subsets = list(combinations(partners, tau))
+            for T in subsets:
+                y = [partners[i] if i in T else v for i, v in enumerate(x)]
+                if not table[sum(v * shape.n ** i for i, v in enumerate(y))]:
+                    total += Fraction(1, len(subsets))
+    return total / (len(taus) * shape.size * (2 * bits) ** shape.d)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_exact_block_parity_at_n_2_is_the_closed_form(d):
+    # (1 - (3/4)^d - (-1/4)^d) / (2 (tau_ceiling(d) + 1)); without the
+    # (-1/4)^d term it would be off by 4^-d / 2
+    f = generate("block_parity", GridShape(2, d))
+    q = Fraction(3, 4) ** d + Fraction(-1, 4) ** d
+    assert exact_rejection_probability(f) == (1 - q) / (2 * (tau_ceiling(d) + 1))
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (8, 1)])
+def test_exact_block_rows_equal_each_table_alone(n, d):
+    shape = GridShape(n, d)
+    monotone = set(monotone_masks(shape))
+    gen = random.Random(f"{n}^{d}")
+    masks = []
+    while len(masks) < 60:   # with repeats where there are fewer non-monotone masks
+        mask = gen.randrange(1 << shape.size)
+        if mask not in monotone:
+            masks.append(mask)
+    block = tester._rejection_probabilities(shape, _mask_bits(masks, shape.size))
+    alone = [per_function_enumeration(BoolFunc.from_mask(shape, mask)) for mask in masks]
+    assert block == alone
+    assert all(p > 0 for p in block)   # every non-monotone table can be rejected
+    assert [exact_rejection_probability(BoolFunc.from_mask(shape, m)) for m in masks[:5]] == block[:5]
 
 
 def test_edge_test_examples(rng):
@@ -606,10 +661,70 @@ def test_words_continue_or_restart_the_generator():
     reads = ((0, 5, 8, False), (5, 3, 8, True), (2, 4, 8, False), (6, 1, 8, True),
              (100, 1, 12, False), (101, 2, 12, True), (3, 7, 4, False), (0, 2, 4, False),
              (1, 1, 8, True))
+    class Spy:
+        """The stream's generator, counting how often its state is set."""
+
+        def __init__(self, real):
+            self.real, self.sets = real, 0
+
+        @property
+        def state(self):
+            return self.real.state
+
+        @state.setter
+        def state(self, value):
+            self.sets += 1
+            self.real.state = value
+
+        def random_raw(self, size):
+            return self.real.random_raw(size)
+
+    # the first read builds the stream's one generator; every later read
+    # either continues it or sets its state
+    built = 0
     for start, count, width, continues in reads:
-        gen = stream.gen
-        assert np.array_equal(_words(stream, start, count, width), fresh(start, count, width))
-        assert (stream.gen is gen) == continues
+        expected = fresh(start, count, width)
+        sets = stream.gen.philox.sets if stream.gen.philox else 0
+        with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
+            assert np.array_equal(_words(stream, start, count, width), expected)
+        built += philox.call_count
+        if not isinstance(stream.gen.philox, Spy):
+            stream.gen.philox = Spy(stream.gen.philox)
+        else:
+            assert (stream.gen.philox.sets == sets) == continues
+    assert built == 1
+
+
+def test_streams_sharing_a_generator_read_their_own_words():
+    gen = tester._Generator()
+    rng = random.Random(12)
+    shared = [_stream(rng, gen) for _ in range(5)]
+    rng = random.Random(12)
+    alone = [_words(_stream(rng), 0, 40, 8) for _ in range(5)]   # walks 0 .. 39 of each
+    # each stream's walks in groups of 1 to 6 words' rows
+    order = random.Random(13)
+    groups = []
+    for k in range(5):
+        start, mine = 0, []
+        while start < 40:
+            count = min(order.randint(1, 6), 40 - start)
+            mine.append((k, start, count))
+            start += count
+        groups.append(mine)
+    # the streams take turns at random, each reading its groups in order
+    # (so some reads continue the generator), then every group once more in
+    # a shuffled order
+    reads = []
+    pending = [list(mine) for mine in groups]
+    while any(pending):
+        reads.append(order.choice([mine for mine in pending if mine]).pop(0))
+    again = [read for mine in groups for read in mine]
+    order.shuffle(again)
+    with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
+        for k, start, count in reads + again:
+            got = _words(shared[k], start, count, 8)
+            assert np.array_equal(got, alone[k][start:start + count]), (k, start, count)
+    assert philox.call_count == 1 and all(s.gen is gen for s in shared)
 
 
 @pytest.mark.parametrize("d", [1, 4, 16, 20, 62, 2048, 1 << 16])

@@ -732,5 +732,6 @@ def _rejection_probabilities(shape: GridShape, tables: np.ndarray) -> List[Fract
 
 def exact_edge_rejection_probability(f: BoolFunc) -> Fraction:
     """Violated fraction of the augmented edge set (edge_test's reject rate)."""
+    _require_testable(f.shape)
     ends = f.bits[np.stack(_edge_table(f.shape)[:2])]   # f at (lo, hi) of every edge
     return Fraction(int(np.count_nonzero(ends[0] > ends[1])), ends.shape[1])

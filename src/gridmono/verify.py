@@ -2,9 +2,10 @@
 
 Each check returns a CheckResult; tests/test_acceptance.py asserts them one
 by one and the CLI `verify` subcommand runs the same list through
-`run_all`, which splits it across two processes.  Shared sweeps are cached
-per process so the distance and isoperimetry criteria pay for the
-exhaustive enumerations once.
+`run_all`, which hands it to two worker processes in cache groups.  Shared
+sweeps are cached per process, and the criteria that read one cache run in
+one group, so the distance and isoperimetry criteria pay for the exhaustive
+enumerations once.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .tester import (
 
 # The sweeps of criteria 2-4 solve assignments on small shapes, so the suite
 # loads the solver (scipy.optimize) when it is imported: the import is then
-# part of its set-up and of no criterion's time, in either process of run_all.
+# part of its set-up and of no criterion's time, in every worker of run_all.
 oracle.linear_sum_assignment
 
 DEFAULT_MASTER_SEED = 20240811
@@ -572,16 +573,9 @@ def check_determinism(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
 
 # ----------------------------------------------------------------------
 
-# run_all's two halves.  Criteria sharing a cache stay together (2 and 3
-# read _SWEEPS, 4 and 5 read _INSTANCES); the calling process keeps the
-# half with criterion 2's 4^2 sweep, the largest arrays.  Criterion 7
-# shares no cache and goes with the other half: with criterion 1's
-# enumeration and criterion 6's Parseval tables run as blocks, run_all took
-# a median 0.69 s with the halves at 0.60 and 0.59 s, against 0.73 s
-# (longer half 0.71 s) with criterion 7 here, and 0.70 to 0.77 s with
-# criterion 1, 6 or 9 here instead (7 fresh run_all(0) each, 2-vCPU host).
-PARENT_GROUP = (2, 3, 4, 5)
-WORKER_GROUP = (1, 6, 7, 8, 9)
+# run_all's units of work.  Criteria sharing a module cache run in one group,
+# and so in one worker: 2 and 3 read _SWEEPS, 4 and 5 read _INSTANCES.
+CACHE_GROUPS = ((1,), (2, 3), (4, 5), (6,), (7,), (8,), (9,))
 
 
 def _run_group(criteria: Tuple[int, ...], master_seed: int) -> List[CheckResult]:
@@ -606,19 +600,18 @@ def _run_group(criteria: Tuple[int, ...], master_seed: int) -> List[CheckResult]
 def run_all(master_seed: int = DEFAULT_MASTER_SEED) -> List[CheckResult]:
     """All nine criteria, in criterion order.
 
-    WORKER_GROUP runs in one forked process while this one runs
-    PARENT_GROUP; an exception in either is raised here, after the worker
-    has exited.
+    Two worker processes, forked where fork exists, take the CACHE_GROUPS
+    as they come; an exception in a group is raised here, after the
+    workers have exited.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     fork = "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if fork else None)
-    with ProcessPoolExecutor(1, mp_context=context) as pool:
-        worker = pool.submit(_run_group, WORKER_GROUP, master_seed)
-        results = _run_group(PARENT_GROUP, master_seed) + worker.result()
-    return sorted(results, key=lambda r: r.criterion)
+    with ProcessPoolExecutor(2, mp_context=context) as pool:
+        groups = pool.map(_run_group, CACHE_GROUPS, itertools.repeat(master_seed))
+        return [result for group in groups for result in group]
 
 
 # ----------------------------------------------------------------------

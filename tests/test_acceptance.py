@@ -290,7 +290,7 @@ def test_criterion_9_determinism():
 
 
 # ----------------------------------------------------------------------
-# run_all's split across two processes, on stub checks
+# run_all's cache groups on two workers, on stub checks
 
 CHECK_NAMES = ("check_one_sided", "check_distance_equivalence", "check_isoperimetry_regression",
                "check_decomposition_routing", "check_alternating_counts", "check_fourier_suite",
@@ -319,34 +319,34 @@ def stub_checks(monkeypatch, raising=None):
 
 
 def test_run_all_groups_cover_each_criterion_once():
-    groups = (verify.PARENT_GROUP, verify.WORKER_GROUP)
-    assert sorted(verify.PARENT_GROUP + verify.WORKER_GROUP) == list(range(1, 10))
-    # criteria sharing a module cache run in one process
+    # a partition of 1..9, in order, so flattening the groups' results keeps
+    # criterion order
+    assert [k for group in verify.CACHE_GROUPS for k in group] == list(range(1, 10))
+    # criteria sharing a module cache run in one group
     for pair in ({2, 3}, {4, 5}):
-        assert any(pair <= set(group) for group in groups)
-    assert 2 in verify.PARENT_GROUP
+        assert any(pair <= set(group) for group in verify.CACHE_GROUPS)
 
 
 @needs_fork
-def test_run_all_merges_both_halves_in_criterion_order(monkeypatch):
+def test_run_all_merges_the_groups_in_criterion_order(monkeypatch):
     stub_checks(monkeypatch)
     results = verify.run_all(SEED)
     assert [r.criterion for r in results] == list(range(1, 10))
     assert [r.name for r in results] == [f"stub-{k}" for k in range(1, 10)]
     assert all(r.seconds >= r.criterion / 1000 for r in results)
     pids = {r.criterion: int(r.detail) for r in results}
-    assert {pids[k] for k in verify.PARENT_GROUP} == {os.getpid()}
-    assert len({pids[k] for k in verify.WORKER_GROUP}) == 1
-    assert pids[verify.WORKER_GROUP[0]] != os.getpid()
+    for group in verify.CACHE_GROUPS:
+        assert len({pids[k] for k in group}) == 1, group
+    assert os.getpid() not in pids.values()   # the caller only waits
+    assert len(set(pids.values())) <= 2
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
 @pytest.mark.parametrize("error", [IntegrityError("pilot rate not separated from zero"),
                                    CapacityError("line sweep", 17, 16)])
-@pytest.mark.parametrize("group", ["parent", "worker"])
-def test_run_all_raises_a_check_error_as_it_was(monkeypatch, error, group):
-    criterion = verify.PARENT_GROUP[-1] if group == "parent" else verify.WORKER_GROUP[-1]
+@pytest.mark.parametrize("criterion", [1, 3, 9])   # the first, a shared group's last, the last
+def test_run_all_raises_a_check_error_as_it_was(monkeypatch, error, criterion):
     stub_checks(monkeypatch, raising={criterion: error})
     with pytest.raises(type(error)) as caught:
         verify.run_all(SEED)

@@ -344,13 +344,34 @@ def test_zero_sample_counts_are_usage_errors(argv, tmp_path, capsys):
      "f8be8fc6d61e5a54c9f9417b6861db5a01dc2b92c1ce4c900529658de1974ba6"),
     (["isoperimetry", "--shapes", "8x2,3x3", "--samples", "300"],
      "5fe59175c4eb635e27c88012aff7d06ecbd6bfd1145d5971c5f35da87e8cd62f"),
+    # 20 one-table flows on 8^3: 14 certified by the grid search alone, 6
+    # through the dijkstra and Dinic phases
+    (["isoperimetry", "--shapes", "8x3", "--samples", "20"],
+     "8156c4afa919b23c09f77a362075b2972d765ac8a5670a9045f807c0220c7db5"),
+    (["isoperimetry", "--shapes", "2x13", "--samples", "3"],
+     "7b4476c5216c1301b65c0e36b8eaa360aa30ee1a7d93b88f8077089380f0053a"),
+    # the nine criteria's text, whatever worker ran each
+    (["verify"],
+     "4f86af44f5d5988e0064299b53d38a1d262b3923fae1507d45ef4d86491c011a"),
 ])
 def test_report_bytes_pinned(argv, digest, tmp_path, capsys):
     out = tmp_path / "report.csv"
-    assert run(argv + ([] if argv[0] == "fourier" else ["--out", str(out)])) == EXIT_OK
+    to_stdout = argv[0] in ("fourier", "verify")
+    assert run(argv + ([] if to_stdout else ["--out", str(out)])) == EXIT_OK
     stdout = capsys.readouterr().out
-    data = stdout.encode() if argv[0] == "fourier" else out.read_bytes()
+    data = stdout.encode() if to_stdout else out.read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# The walks must not move: an 8^16 verdict's invocation and query counts
+@pytest.mark.parametrize("family, code, line", [
+    ("monotone_threshold", EXIT_OK, "verdict=ACCEPT invocations=3033 queries=6060"),
+    ("block_parity", EXIT_REJECT, "verdict=REJECT invocations=13 queries=26"),
+    ("anti_slab", EXIT_REJECT, "verdict=REJECT invocations=51 queries=102"),
+])
+def test_test_subcommand_verdicts_pinned_at_8_to_the_16(family, code, line, capsys):
+    assert run(["test", "--family", family, "--n", "8", "--d", "16"]) == code
+    assert capsys.readouterr().out.splitlines() == [line]
 
 
 def test_config_file(tmp_path, capsys):

@@ -209,6 +209,13 @@ def test_edge_test_examples(rng):
     assert all(edge_test(mono, rng).verdict == "accept" for _ in range(3000))
     const = BoolFunc.from_predicate(GridShape(8, 2), lambda x: 1)
     assert all(edge_test(const, rng).verdict == "accept" for _ in range(300))
+    # no augmented edge at n = 1, and edge_test refuses n = 3: so does its rate
+    for n in (1, 3):
+        f = BoolFunc.from_table(GridShape(n, 1), [1] * (n - 1) + [0])
+        with pytest.raises(ValueError):
+            edge_test(f, rng)
+        with pytest.raises(ValueError):
+            exact_edge_rejection_probability(f)
 
 
 def test_edge_test_past_2_62_points(rng):
@@ -343,6 +350,58 @@ def test_tau_distribution_uniform(rng):
     assert stat.pvalue > CHI_SQUARE_ALPHA
 
 
+def dimension_classes(n):
+    """(q, p0) of one dimension of side n, over its start coordinate and its
+    matching draw as classify_in_matching has them: q = P(x is lower there),
+    p0 = P(x is lower and its step crosses n / 2 upward)."""
+    shape = GridShape(n, 1)
+    bits = shape.bits
+    lower = crossing = 0
+    for v, code in product(range(n), range(2 * bits)):
+        role, partner = classify_in_matching(shape, (v,), MatchingId(0, code % bits, code // bits))
+        if role == LOWER:
+            lower += 1
+            crossing += 2 * v < n <= 2 * partner[0]
+    return Fraction(lower, 2 * bits * n), Fraction(crossing, 2 * bits * n)
+
+
+def anti_slab_rate(shape):
+    """single_test's rejection probability on anti_slab (axis 0) in closed
+    form: p0 * mean over tau of E[tau / (1 + B); 1 + B >= tau], with
+    B ~ Binomial(d - 1, q) the other lower dimensions.  A walk rejects when
+    axis 0 is lower and crosses n / 2 and is one of the tau stepped
+    dimensions, a uniform tau-subset of the 1 + B lower ones."""
+    q, p0 = dimension_classes(shape.n)
+    d, taus = shape.d, [1 << t for t in range(tau_ceiling(shape.d) + 1)]
+    expected = sum(math.comb(d - 1, b) * q ** b * (1 - q) ** (d - 1 - b)
+                   * Fraction(sum(tau for tau in taus if tau <= 1 + b), 1 + b)
+                   for b in range(d))
+    return p0 * expected / len(taus)
+
+
+def test_dimension_classes():
+    assert [dimension_classes(n) for n in (2, 4, 8, 16)] == [
+        (Fraction(1, 4), Fraction(1, 4)), (Fraction(5, 16), Fraction(3, 16)),
+        (Fraction(17, 48), Fraction(7, 48)), (Fraction(49, 128), Fraction(15, 128))]
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (4, 1), (4, 2), (4, 3)])
+def test_anti_slab_closed_form_is_the_enumeration(n, d):
+    shape = GridShape(n, d)
+    assert anti_slab_rate(shape) == exact_rejection_probability(generate("anti_slab", shape))
+
+
+@pytest.mark.parametrize("n, trials", [(2, 400_000), (4, 300_000)])
+def test_multi_step_kernel_rate_is_the_closed_form(n, trials):
+    # tau in {1, 2} at d = 400, where no enumeration reaches: the kernel's
+    # rejection rate must sit within 5 standard errors of the exact rate
+    shape = GridShape(n, 400)
+    exact = anti_slab_rate(shape)
+    est = detection_rate(generate("anti_slab", shape), trials, random.Random(n))
+    assert [tau for tau, _ in est.stats.tau_histogram] == [1, 2]
+    assert_close_to_probability(est.rejections, trials, float(exact))
+
+
 @pytest.mark.parametrize("d", [400, 2048])
 def test_multi_step_walks_past_2_62_points(d):
     # tau_ceiling reaches 1 at d = 336 and 2 at d = 1720: tau is drawn from
@@ -353,6 +412,14 @@ def test_multi_step_walks_past_2_62_points(d):
     taus, counts = zip(*est.stats.tau_histogram)
     assert taus == {400: (1, 2), 2048: (1, 2, 4)}[d]
     assert chisquare(counts).pvalue > CHI_SQUARE_ALPHA
+
+
+def test_walks_at_2_to_the_2048_pinned():
+    # 2,000 walks, tau in {1, 2, 4}, 31 walks a call: the rejections and walk
+    # statistics, recorded with 32 bit fields a word, pin the walks themselves
+    r = detection_rate(generate("anti_slab", GridShape(2, 2048)), 2000, random.Random(5))
+    assert (r.rejections, r.stats.tau_histogram, r.stats.degenerate, r.stats.mean_S) == (
+        2, ((1, 673), (2, 642), (4, 685)), 0, 512.1755)
 
 
 def test_draw_distributions_chi_square(rng):

@@ -43,8 +43,16 @@ def _parse_shapes(text: str) -> List[tuple]:
     return shapes
 
 
+def _parse_list(text: str, what: str) -> List[str]:
+    # " a, b,," -> ["a", "b"]; a list with no entry is a usage error
+    parts = [p.strip() for p in text.split(",") if p.strip()]
+    if not parts:
+        raise ValueError(f"no {what} in {text!r}")
+    return parts
+
+
 def _parse_families(text: str) -> List[str]:
-    fams = [p.strip() for p in text.split(",") if p.strip()]
+    fams = _parse_list(text, "family")
     for fam in fams:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}")
@@ -52,7 +60,7 @@ def _parse_families(text: str) -> List[str]:
 
 
 def _parse_ints(text: str) -> List[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+    return [int(p) for p in _parse_list(text, "integer")]
 
 
 def _load_function(args) -> BoolFunc:

@@ -11,11 +11,16 @@ block of words into a batch of walks as (B, d) arrays.  Each run takes one
 walk k reads its own fixed block of words from the counter-based Philox
 generator under that key, so its draws depend only on the key and k, never
 on how walks are grouped into numpy calls, nor on which other runs' walks
-share a call (`_amplified_runs`).  A run reads its walks in order through
-its `_Stream`; a batch's streams share one generator, pointed at each
-stream's key and block as they take turns.  `exact_rejection_probability`
-enumerates the same randomness independently and is the reference the
-sampled paths are checked against.
+share a call.  A run reads its walks in order through its `_Stream`; a
+batch's streams share one generator, pointed at each stream's key and
+block as they take turns.
+
+One loop, `_sample`, draws, evaluates and counts every sampled walk of the
+amplified tester and of the rate experiments: a verdict stops after the
+group of its run's first rejection, a rate counts every walk, and both sum
+into one `_Tally`.  `exact_rejection_probability` enumerates the same
+randomness independently and is the reference the sampled paths are
+checked against.
 """
 
 from __future__ import annotations
@@ -410,13 +415,6 @@ def _calls(total: int, weight: int, first: Optional[int] = None) -> Iterator[Tup
         size = min(_CALL_GROWTH * size, most)
 
 
-def _walk_batches(shape: GridShape, stream: _Stream, total: int,
-                  first: Optional[int] = None) -> Iterator[Tuple[int, _Walks]]:
-    """Walks 0 .. total-1 of `stream`, as (start, batch) pairs."""
-    for start, count in _calls(total, _layout(shape.d, bits=shape.bits)[2], first):
-        yield start, _draw_walks(shape, stream, start, count)
-
-
 def _evaluate(f: BoolFunc, w: _Walks) -> Tuple[np.ndarray, np.ndarray]:
     """f at both ends of every walk: (fx, fy); y is queried only where it moved."""
     fx = f.eval_batch(w.x)
@@ -428,41 +426,32 @@ def _evaluate(f: BoolFunc, w: _Walks) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _Tally:
-    """Walk statistics of each run of a batch, summed over its counted walks."""
+    """Walk statistics and rejections of each run of a batch, summed over
+    its counted walks."""
 
-    def __init__(self, d: int, runs: int = 1):
-        self.lengths = np.left_shift(1, np.arange(tau_ceiling(d) + 1, dtype=np.int64))
-        self.span = int(self.lengths[-1]) + 1        # bincount length of the taus
-        self.taus = np.zeros((runs, len(self.lengths)), dtype=np.int64)
+    def __init__(self, d: int, runs: int):
+        self.span = (1 << tau_ceiling(d)) + 1   # bincount length of the taus
+        self.taus = np.zeros((runs, self.span), dtype=np.int64)   # walks by tau
         self.walks = [0] * runs
         self.degenerate = [0] * runs
         self.lower = [0] * runs
+        self.rejections = [0] * runs
 
-    def add(self, w: _Walks, end: int, run: int = 0) -> None:
-        """Count walks 0 .. end-1 of w, all of them the given run's."""
-        self.taus[run] += np.bincount(w.tau[:end], minlength=self.span)[self.lengths]
-        self.walks[run] += end
-        self.degenerate[run] += end - int(np.count_nonzero(w.moved[:end]))
-        self.lower[run] += int(w.size[:end].sum())
-
-    def add_runs(self, w: _Walks, ends: np.ndarray, runs: List[int]) -> None:
-        """Count walks 0 .. ends[j]-1 of run runs[j], whose walks are the
-        j-th of len(runs) equal row ranges of w."""
-        k = len(runs)
-        counted = np.arange(len(w.tau) // k) < ends[:, None]
-        keys = (w.tau.reshape(k, -1) + self.span * np.arange(k)[:, None])[counted]
-        taus = np.bincount(keys, minlength=k * self.span).reshape(k, -1)
-        self.taus[runs] += taus[:, self.lengths]
-        moved = (w.moved.reshape(k, -1) & counted).sum(axis=1)
-        lower = (w.size.reshape(k, -1) * counted).sum(axis=1)
-        for run, end, m, s in zip(runs, ends.tolist(), moved.tolist(), lower.tolist()):
+    def add(self, w: _Walks, runs: List[int], ends: List[int], rejections: List[int]) -> None:
+        """Count run runs[j]'s walks in w, the first ends[j] rows of the j-th
+        of len(runs) equal row ranges, rejections[j] of them rejecting."""
+        count = len(w.tau) // len(runs)
+        for run, lo, end, bad in zip(runs, range(0, len(w.tau), count), ends, rejections):
+            rows = slice(lo, lo + end)
+            self.taus[run] += np.bincount(w.tau[rows], minlength=self.span)
             self.walks[run] += end
-            self.degenerate[run] += end - m
-            self.lower[run] += s
+            self.degenerate[run] += end - int(np.count_nonzero(w.moved[rows]))
+            self.lower[run] += int(w.size[rows].sum())
+            self.rejections[run] += bad
 
     def stats(self) -> List[WalkStats]:
         """Each run's statistics, in run order."""
-        return [WalkStats(tuple((1 << t, c) for t, c in enumerate(taus) if c), degenerate,
+        return [WalkStats(tuple((tau, c) for tau, c in enumerate(taus) if c), degenerate,
                           lower / walks if walks else 0.0)
                 for taus, walks, degenerate, lower in zip(
                     self.taus.tolist(), self.walks, self.degenerate, self.lower)]
@@ -548,52 +537,55 @@ def amplified_test(f: BoolFunc, eps: float, calibration: float = DEFAULT_CALIBRA
 
 def _amplified_runs(f: BoolFunc, eps: float, calibration: float,
                     rngs: Sequence[random.Random]) -> List[TesterVerdict]:
-    """amplified_test's verdict under each rng, the runs sharing numpy calls.
+    """amplified_test's verdict under each rng, the runs sharing numpy calls."""
+    rounds = repetitions(f.shape.n, f.shape.d, eps, calibration)
+    tally = _sample(f, rounds, rngs, "amplified_test", stop=True)
+    # a counted walk asks f at x, and at y too unless it is degenerate
+    return [TesterVerdict(not bad, walks, 2 * walks - degenerate, stats)
+            for bad, walks, degenerate, stats in zip(
+                tally.rejections, tally.walks, tally.degenerate, tally.stats())]
 
-    Every run reads its own stream in amplified_test's groups (the first
-    _FIRST_CALL_WALKS walks, then _CALL_GROWTH times more each) and stops
-    after the group of its first rejection.  A call draws one group of as
-    many of the runs still going as fit _CALL_ENTRIES words together, one
-    run's group at the least, so each verdict is the one its run gets alone.
+
+def _sample(f: BoolFunc, walks: int, rngs: Sequence[random.Random], operation: str,
+            stop: bool) -> _Tally:
+    """Walks 0 .. walks-1 of each rng's stream, drawn, evaluated and counted.
+
+    With stop (a verdict) every run reads its walks in amplified_test's
+    groups (the first _FIRST_CALL_WALKS walks, then _CALL_GROWTH times more
+    each), counts them up to its first rejection and stops after that group;
+    without it (a rate) every walk is counted, in groups of the whole budget.
+    A call draws one group of as many of the runs still going as fit
+    _CALL_ENTRIES words together, one run's group at the least, so each
+    run's tally is the one it gets alone.
     """
     shape = f.shape
     _require_testable(shape)
-    rounds = repetitions(shape.n, shape.d, eps, calibration)
     _, width, weight = _layout(shape.d, bits=shape.bits)
-    _check_stream_capacity("amplified_test", rounds, width)
+    _check_stream_capacity(operation, walks, width)
     gen = _Generator()   # the runs' streams share one generator
     streams = [_stream(rng, gen) for rng in rngs]
     tally = _Tally(shape.d, len(streams))
-    rejected = [False] * len(streams)
-    live = list(range(len(streams)))   # the runs with no rejection yet
-    for start, count in _calls(rounds, weight, _FIRST_CALL_WALKS):
+    live = list(range(len(streams)))   # the runs still going
+    for start, count in _calls(walks, weight, _FIRST_CALL_WALKS if stop else None):
         per_call = max(1, _CALL_ENTRIES // (count * weight))
         for i in range(0, len(live), per_call):
             runs = live[i:i + per_call]
             w = _walks(shape, _run_words(streams, runs, start, count, width))
             fx, fy = _evaluate(f, w)
-            hits = np.flatnonzero(fx > fy)
-            if len(runs) == 1:   # a lone run counts up to its first rejection
-                tally.add(w, int(hits[0]) + 1 if hits.size else count, runs[0])
-                rejected[runs[0]] = hits.size > 0
-            else:                # each run up to its own first rejection
-                ends = np.full(len(runs), count)
-                if hits.size:
-                    row, col = np.divmod(hits, count)
-                    first = np.ones(len(hits), dtype=bool)
-                    first[1:] = row[1:] != row[:-1]
-                    ends[row[first]] = col[first] + 1
-                    for j in row[first].tolist():
-                        rejected[runs[j]] = True
-                tally.add_runs(w, ends, runs)
+            bad = (fx > fy).reshape(len(runs), count)
+            if stop:   # each run up to its own first rejection
+                first = bad.argmax(axis=1).tolist()
+                hits = [int(bad[j, col]) for j, col in enumerate(first)]
+                ends = [col + 1 if hit else count for hit, col in zip(hits, first)]
+            else:
+                hits, ends = np.count_nonzero(bad, axis=1).tolist(), [count] * len(runs)
+            tally.add(w, runs, ends, hits)
             del w, fx, fy   # so the next call is drawn without this one alive
-        live = [run for run in live if not rejected[run]]
-        if not live:
-            break
-    # a counted walk asks f at x, and at y too unless it is degenerate
-    return [TesterVerdict(not bad, walks, 2 * walks - degenerate, stats)
-            for bad, walks, degenerate, stats in zip(
-                rejected, tally.walks, tally.degenerate, tally.stats())]
+        if stop:
+            live = [run for run in live if not tally.rejections[run]]
+            if not live:
+                break
+    return tally
 
 
 def _run_words(streams: List[_Stream], runs: List[int], start: int, count: int,
@@ -605,7 +597,11 @@ def _run_words(streams: List[_Stream], runs: List[int], start: int, count: int,
 
 
 def wilson_interval(successes: int, trials: int):
-    """95% score interval for a binomial proportion."""
+    """95% score interval for a binomial proportion.
+
+    Its ends are exactly 0 at no successes and 1 at all, where rounding
+    would leave them an ulp or so inside.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     z = 1.959963984540054  # two-sided 95% normal quantile
@@ -613,24 +609,16 @@ def wilson_interval(successes: int, trials: int):
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (0.0 if successes == 0 else max(0.0, center - half),
+            1.0 if successes == trials else min(1.0, center + half))
 
 
 def detection_rate(f: BoolFunc, trials: int, rng: random.Random) -> RateEstimate:
     """Single-walk rejection rate over `trials` walks, with its Wilson interval."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    shape = f.shape
-    _require_testable(shape)
-    _check_stream_capacity("detection_rate", trials, _layout(shape.d, bits=shape.bits)[1])
-    stream = _stream(rng)
-    tally = _Tally(shape.d)
-    rejections = 0
-    for _, w in _walk_batches(shape, stream, trials):
-        fx, fy = _evaluate(f, w)
-        rejections += int(np.count_nonzero(fx > fy))
-        tally.add(w, len(fx))
-        del w   # as in amplified_test
+    tally = _sample(f, trials, [rng], "detection_rate", stop=False)
+    rejections = tally.rejections[0]
     lo, hi = wilson_interval(rejections, trials)
     return RateEstimate(rejections / trials, lo, hi, rejections, trials, tally.stats()[0])
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -269,15 +270,12 @@ TEST_ARGV_VALUES = {
 }
 
 
-@settings(max_examples=12, derandomize=True, deadline=None)
-@given(st.fixed_dictionaries({flag: st.sampled_from(values) if flag in ("--n", "--d")
-                              else st.none() | st.sampled_from(values)
-                              for flag, values in TEST_ARGV_VALUES.items()}))
-def test_test_subcommand_exits_as_documented_on_boundary_argv(options):
-    """In a subprocess under a 2 GiB address-space limit and a timeout: exit
-    0 or 1 (a verdict), 2 (usage) or 3 (capacity), never a traceback."""
-    argv = ["test"] + [part for flag, value in options.items() if value is not None
-                       for part in (flag, value)]
+def assert_exits_as_documented(command, options, codes):
+    """`gridmono command` with the given flags, the None ones left out, in a
+    subprocess under a 2 GiB address-space limit and a timeout: it exits
+    with one of codes, never with a traceback."""
+    argv = [command] + [part for flag, value in options.items() if value is not None
+                        for part in (flag, value)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(gridmono.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -288,8 +286,37 @@ def test_test_subcommand_exits_as_documented_on_boundary_argv(options):
 
     proc = subprocess.run([sys.executable, "-m", "gridmono.cli"] + argv, env=env,
                           capture_output=True, text=True, timeout=60, preexec_fn=limit)
-    assert proc.returncode in (EXIT_OK, EXIT_REJECT, EXIT_USAGE, EXIT_CAPACITY), (argv, proc.stderr)
+    assert proc.returncode in codes, (argv, proc.stderr)
     assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.fixed_dictionaries({flag: st.sampled_from(values) if flag in ("--n", "--d")
+                              else st.none() | st.sampled_from(values)
+                              for flag, values in TEST_ARGV_VALUES.items()}))
+def test_test_subcommand_exits_as_documented_on_boundary_argv(options):
+    """Exit 0 or 1 (a verdict), 2 (usage) or 3 (capacity)."""
+    assert_exits_as_documented(
+        "test", options, (EXIT_OK, EXIT_REJECT, EXIT_USAGE, EXIT_CAPACITY))
+
+
+# Boundary values of `gridmono rate`'s options.  Trial counts of 2^62 and
+# more are valid but have no bound on time (README "Notes on scale").
+RATE_ARGV_VALUES = {
+    "--shapes": ("4x1", "2x65536", "3x2", "0x3", "1x3", "4x0", "2x", "2x65537"),
+    "--families": ("anti_slab", "nope", ","),
+    "--trials": ("1", "0", "-1", "nan"),
+}
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(st.fixed_dictionaries({flag: st.sampled_from(values)
+                              for flag, values in RATE_ARGV_VALUES.items()}))
+def test_rate_subcommand_exits_as_documented_on_boundary_argv(options):
+    """Exit 0 (a report), 2 (usage) or 3 (capacity)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_exits_as_documented("rate", {**options, "--out": os.path.join(tmp, "r.csv")},
+                                   (EXIT_OK, EXIT_USAGE, EXIT_CAPACITY))
 
 
 def test_fourier_table_count_capacity_exit(monkeypatch, capsys):
@@ -316,6 +343,29 @@ def test_usage_errors(capsys):
     assert run(["rate", "--shapes", "4by2", "--out", "/dev/null"]) == EXIT_USAGE
     assert run(["test"]) == EXIT_USAGE  # no --load and no shape
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--shapes", "4x1", "--families", ","],
+    ["rate", "--shapes", "4x1", "--families", " , "],
+    ["persistence", "--shapes", "4x1", "--families", ","],
+    ["persistence", "--shapes", "4x1", "--taus", ","],
+])
+def test_empty_lists_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert "usage error: no " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_list_in_config_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    for section, key in (("rate", "families"), ("persistence", "taus")):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(f"[{section}]\nshapes = 4x1\n{key} = ,\n")
+        assert run([section, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "usage error: no " in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

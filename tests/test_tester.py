@@ -35,6 +35,7 @@ from gridmono.tester import (
     _CALL_WALKS,
     _FIRST_CALL_WALKS,
     DEFAULT_CALIBRATION,
+    WalkStats,
     _amplified_runs,
     _below,
     _call_entries,
@@ -43,7 +44,6 @@ from gridmono.tester import (
     _layout,
     _stream,
     _taus,
-    _walk_batches,
     _words,
     amplified_test,
     detection_rate,
@@ -55,10 +55,17 @@ from gridmono.tester import (
     sample_tau,
     single_test,
     tau_ceiling,
+    wilson_interval,
 )
 
 CHI_SQUARE_SAMPLES = 1_000_000
 CHI_SQUARE_ALPHA = 1e-6
+
+
+def _walk_batches(shape, stream, total, first=None):
+    """Walks 0 .. total-1 of `stream`, as (start, batch) pairs in `_calls` groups."""
+    for start, count in _calls(total, _layout(shape.d, bits=shape.bits)[2], first):
+        yield start, _draw_walks(shape, stream, start, count)
 
 
 def test_tau_ceiling():
@@ -173,13 +180,19 @@ def per_function_enumeration(f):
     return total / (len(taus) * shape.size * (2 * bits) ** shape.d)
 
 
+def block_parity_rate(d):
+    """single_test's rejection probability on block_parity at n = 2 in
+    closed form, (1 - (3/4)^d - (-1/4)^d) / (2 (tau_ceiling(d) + 1)): only a
+    walk of length 1 changes the parity, from an even start with S nonempty."""
+    q = Fraction(3, 4) ** d + Fraction(-1, 4) ** d
+    return (1 - q) / (2 * (tau_ceiling(d) + 1))
+
+
 @pytest.mark.parametrize("d", range(1, 6))
 def test_exact_block_parity_at_n_2_is_the_closed_form(d):
-    # (1 - (3/4)^d - (-1/4)^d) / (2 (tau_ceiling(d) + 1)); without the
-    # (-1/4)^d term it would be off by 4^-d / 2
+    # without the (-1/4)^d term it would be off by 4^-d / 2
     f = generate("block_parity", GridShape(2, d))
-    q = Fraction(3, 4) ** d + Fraction(-1, 4) ** d
-    assert exact_rejection_probability(f) == (1 - q) / (2 * (tau_ceiling(d) + 1))
+    assert exact_rejection_probability(f) == block_parity_rate(d)
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (8, 1)])
@@ -391,14 +404,20 @@ def test_anti_slab_closed_form_is_the_enumeration(n, d):
     assert anti_slab_rate(shape) == exact_rejection_probability(generate("anti_slab", shape))
 
 
-@pytest.mark.parametrize("n, trials", [(2, 400_000), (4, 300_000)])
-def test_multi_step_kernel_rate_is_the_closed_form(n, trials):
-    # tau in {1, 2} at d = 400, where no enumeration reaches: the kernel's
-    # rejection rate must sit within 5 standard errors of the exact rate
-    shape = GridShape(n, 400)
-    exact = anti_slab_rate(shape)
-    est = detection_rate(generate("anti_slab", shape), trials, random.Random(n))
-    assert [tau for tau, _ in est.stats.tau_histogram] == [1, 2]
+@pytest.mark.parametrize("family, n, d, trials, seed", [
+    pytest.param("anti_slab", 2, 400, 400_000, 2, id="2-400000"),
+    pytest.param("anti_slab", 4, 400, 300_000, 4, id="4-300000"),
+    pytest.param("block_parity", 2, 400, 40_000, 400, id="block_parity-2-400"),
+    pytest.param("block_parity", 2, 2048, 20_000, 2048, id="block_parity-2-2048"),
+])
+def test_multi_step_kernel_rate_is_the_closed_form(family, n, d, trials, seed):
+    # tau in {1, 2} at d = 400 and {1, 2, 4} at d = 2048, where no
+    # enumeration reaches: the kernel's rejection rate must sit within 5
+    # standard errors of the exact rate
+    shape = GridShape(n, d)
+    exact = anti_slab_rate(shape) if family == "anti_slab" else block_parity_rate(d)
+    est = detection_rate(generate(family, shape), trials, random.Random(seed))
+    assert [tau for tau, _ in est.stats.tau_histogram] == [1 << t for t in range(tau_ceiling(d) + 1)]
     assert_close_to_probability(est.rejections, trials, float(exact))
 
 
@@ -960,6 +979,56 @@ def test_amplified_matches_walk_by_walk_replay():
                     break
             assert (verdict.invocations, verdict.total_queries) == (invocations, queries)
             assert verdict.accepted == (invocations == rounds and not fx > fy)
+
+
+def replayed_rate(f, trials, seed):
+    """(rejections, WalkStats) of detection_rate's walks, drawn and queried one by one."""
+    stream = _stream(random.Random(seed))
+    rejections = degenerate = lower = 0
+    taus = Counter()
+    for k in range(trials):
+        w = _draw_walks(f.shape, stream, k, 1)
+        fx = f.eval(tuple(w.x[0].tolist()))
+        fy = f.eval(tuple(w.y[0].tolist())) if w.moved[0] else fx
+        rejections += fx > fy
+        taus[int(w.tau[0])] += 1
+        degenerate += not w.moved[0]
+        lower += int(np.count_nonzero(w.lower[0]))
+    return rejections, WalkStats(tuple(sorted(taus.items())), degenerate, lower / trials)
+
+
+@pytest.mark.parametrize("entries", [None, 37])
+def test_detection_rate_matches_walk_by_walk_replay(entries):
+    # a far and a monotone input on 4^3, and block_parity at 2^400, where
+    # tau is 1 or 2 and a call holds 163 walks (one under 37 words)
+    cases = ((generate("anti_slab", GridShape(4, 3)), 600, True),
+             (generate("random_monotone", GridShape(4, 3), seed=2), 600, False),
+             (generate("block_parity", GridShape(2, 400)), 300, True))
+    for f, trials, far in cases:
+        for seed in range(2):
+            with _call_entries(entries) if entries else contextlib.nullcontext():
+                est = detection_rate(f, trials, random.Random(seed))
+            rejections, stats = replayed_rate(f, trials, seed)
+            assert (est.rejections, est.stats) == (rejections, stats), (f.shape, seed)
+            assert (rejections > 0) == far
+    assert [tau for tau, _ in stats.tau_histogram] == [1, 2]
+
+
+def test_wilson_interval():
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            wilson_interval(0, trials)
+    lo, hi = wilson_interval(5, 10)
+    assert (round(lo, 4), round(hi, 4)) == (0.2366, 0.7634)
+    # rounding alone would leave 8.7e-19 and 1 - 2.2e-16 at 300 trials, and
+    # 1.1e-19 and 5.4e-20 at verify's 2,000 and 4,000, whose zero guards
+    # would then pass a rate with no rejection
+    for trials in (1, 3, 10, 300, 2000, 4000, 20_000):
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
+        for successes in (0, 1, trials // 2, trials):
+            lo, hi = wilson_interval(successes, trials)
+            assert 0.0 <= lo <= successes / trials <= hi <= 1.0
 
 
 def test_amplified_counts_only_walks_up_to_the_rejection():

@@ -242,19 +242,24 @@ def _table_blocks(shape: GridShape) -> Iterator[Tuple[int, np.ndarray]]:
 
 
 def is_monotone(f: BoolFunc) -> bool:
-    """Exact check over the unit-step grid edges (sufficient by transitivity).
+    """Exact check over the unit-step grid edges (sufficient by transitivity);
+    the one-row view of _monotone_rows."""
+    return bool(_monotone_rows(f.shape, f.bits[None])[0])
+
+
+def _monotone_rows(shape: GridShape, tables: np.ndarray) -> np.ndarray:
+    """is_monotone of each row of a (functions, n^d) bit array.
 
     The unit steps along one dimension join the neighbours along one axis of
-    the table viewed as an n x ... x n array (dimension 0 is the last axis),
+    a row viewed as an n x ... x n array (dimension 0 is the last axis),
     so each dimension is one comparison of two slices, with no index arrays."""
-    shape = f.shape
-    grid = f.bits.reshape((shape.n,) * shape.d)
-    for axis in range(shape.d):
+    grid = tables.reshape((len(tables),) + (shape.n,) * shape.d)
+    monotone = np.ones(len(tables), dtype=bool)
+    for axis in range(1, shape.d + 1):
         lower = (slice(None),) * axis + (slice(None, -1),)
         upper = (slice(None),) * axis + (slice(1, None),)
-        if (grid[lower] > grid[upper]).any():
-            return False
-    return True
+        monotone &= ~(grid[lower] > grid[upper]).any(axis=tuple(range(1, shape.d + 1)))
+    return monotone
 
 
 def restrict_line(f: BoolFunc, dim: int, fixed: Sequence[int]) -> BoolFunc:

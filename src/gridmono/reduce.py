@@ -69,6 +69,16 @@ def phi(p: ReductionPlan, y: int) -> int:
     return _block(p, y)
 
 
+def _index_map(p: ReductionPlan) -> np.ndarray:
+    """For each point of [N]^d, in linear-index order, the linear index of its
+    block in [n]^d: a table of f read at these indices is the table of lift(p, f)."""
+    blocks = _block(p, np.arange(p.N, dtype=np.int64))
+    index = blocks
+    for _ in range(p.d - 1):   # Horner's rule from dimension d - 1 down, as linear_index
+        index = np.add.outer(index * p.n, blocks)
+    return index.ravel()
+
+
 def lift(p: ReductionPlan, f: BoolFunc) -> BoolFunc:
     """g(y) = f applied blockwise; predicate-backed, one f query per g query,
     and vectorised as f.eval_batch at the block indices (phi of each coordinate)."""

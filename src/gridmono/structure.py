@@ -12,19 +12,24 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import CapacityError, IntegrityError, NotGoodError
 from .func import BoolFunc
 from .grid import (
     LOWER,
+    UNMATCHED,
     UPPER,
     GridShape,
     MatchingId,
     _directed_distance,
+    _point_tuples,
     aug_up_neighbors,
+    check_matching_id,
     check_point,
-    classify_in_matching,
+    linear_index,
+    point_of,
     points,
-    side_in_matching,
 )
 
 POSET_CAPACITY = 4096
@@ -419,37 +424,6 @@ class PairClasses:
     skew: tuple
 
 
-def pair_crosses(shape: GridShape, x, y, m: MatchingId) -> bool:
-    """Does some shortest x -> y path step along an edge of m, starting from
-    the matching side that x itself occupies?
-
-    Equivalent bit form: the step length of m appears in the binary gap of
-    the m-dimension coordinates and x sits on the lower side of m.
-    """
-    gap = y[m.dim] - x[m.dim]
-    if gap < 0 or not gap >> m.exp & 1:
-        return False
-    return side_in_matching(shape, x, m) == LOWER
-
-
-def classify_pairs(pairs: Sequence[Tuple], m: MatchingId, f: BoolFunc) -> PairClasses:
-    """Partition pairs into cross / straight / skew relative to matching m.
-
-    Sides are the residue-determined ones (every point is on exactly one
-    side), so the three classes partition any pair set.
-    """
-    shape = f.shape
-    cross, straight, skew = [], [], []
-    for x, y in pairs:
-        if pair_crosses(shape, x, y, m):
-            cross.append((x, y))
-        elif side_in_matching(shape, x, m) == side_in_matching(shape, y, m):
-            straight.append((x, y))
-        else:
-            skew.append((x, y))
-    return PairClasses(tuple(cross), tuple(straight), tuple(skew))
-
-
 H_VIOLATION = "h_violation"
 STRAIGHT_UNMATCHED = "straight_unmatched"
 
@@ -461,6 +435,257 @@ class AltSequence:
     violation_edge: Optional[tuple]  # (lower, upper) when terminal is a violation
 
 
+# The array form's codes: a pair's class (the order of PairClasses' fields),
+# a point's role in a matching (an index into _ROLES), and a walk's
+# terminal, its end (an index into _ENDS) or the integrity failure that
+# stopped it.
+_CROSS, _STRAIGHT, _SKEW = range(3)
+_ROLES = (LOWER, UPPER, UNMATCHED)
+_LOWER, _UPPER, _UNMATCHED = range(3)
+_ENDS = (H_VIOLATION, STRAIGHT_UNMATCHED)
+_AT_VIOLATION, _AT_UNMATCHED, _BAD_START, _BAD_ROLE, _BAD_VALUE, _REVISIT = range(6)
+
+
+def _matching_columns(matchings: Sequence[MatchingId]) -> Tuple[np.ndarray, ...]:
+    """(dim, exp, parity) of each matching, as three int64 columns."""
+    ids = np.array([(m.dim, m.exp, m.parity) for m in matchings], dtype=np.int64)
+    return tuple(ids.reshape(-1, 3).T)
+
+
+def _coordinates(shape: GridShape, index: np.ndarray, dim: np.ndarray) -> np.ndarray:
+    """Coordinate dim[k] of each linear index, as a (len(index), len(dim)) array."""
+    return index[:, None] // shape.n ** dim % shape.n
+
+
+def _pair_indices(shape: GridShape, pair_sets: Sequence[Sequence[Tuple]]) -> Tuple[np.ndarray, ...]:
+    """(owner, lo, hi): each pair of each set, in order, as its set's position
+    and the linear indices of its two ends."""
+    ends = np.array([z for pairs in pair_sets for pair in pairs for z in pair],
+                    dtype=np.int64).reshape(-1, 2, shape.d)
+    if ends.size and not (0 <= ends.min() and ends.max() < shape.n):
+        raise ValueError(f"pair coordinate out of range [0, {shape.n})")
+    index = ends @ shape.n ** np.arange(shape.d)
+    owner = np.repeat(np.arange(len(pair_sets)), [len(pairs) for pairs in pair_sets])
+    return owner, index[:, 0], index[:, 1]
+
+
+def _pair_classes(shape: GridShape, lo: np.ndarray, hi: np.ndarray,
+                  matchings: Sequence[MatchingId]) -> np.ndarray:
+    """The class code of each pair (lo[k], hi[k]) against each matching, as a
+    (pairs, matchings) int8 array.
+
+    Sides are the residue-determined ones: x is on the lower side of m when
+    bit exp of its m.dim coordinate equals m.parity.  A pair crosses m when
+    x is on the lower side and the step 2^exp appears in the binary gap of
+    the m.dim coordinates, i.e. some shortest x -> y path steps along an
+    edge of m from x's side; otherwise it is straight when both ends share
+    a side and skew when they do not.
+    """
+    dim, exp, parity = _matching_columns(matchings)
+    x, y = _coordinates(shape, lo, dim), _coordinates(shape, hi, dim)
+    gap = y - x
+    lower_x, lower_y = x >> exp & 1 == parity, y >> exp & 1 == parity
+    cross = (gap >= 0) & (gap >> exp & 1 == 1) & lower_x
+    return np.where(cross, _CROSS, np.where(lower_x == lower_y, _STRAIGHT, _SKEW)).astype(np.int8)
+
+
+def _matching_roles(shape: GridShape, matchings: Sequence[MatchingId]) -> Tuple[np.ndarray, ...]:
+    """classify_in_matching of every point in every matching, as (matchings,
+    n^d) arrays of role codes and of partners' linear indices (-1 when
+    unmatched)."""
+    for m in matchings:
+        check_matching_id(shape, m)
+    dim, exp, parity = (c[:, None] for c in _matching_columns(matchings))
+    index = np.arange(shape.size)
+    v = _coordinates(shape, index, dim[:, 0]).T
+    step = 1 << exp
+    lower = v >> exp & 1 == parity          # the residue side
+    matched = np.where(lower, v + step < shape.n, v >= step)
+    role = np.where(matched, np.where(lower, _LOWER, _UPPER), _UNMATCHED).astype(np.int8)
+    partner = np.where(matched, index + np.where(lower, step, -step) * shape.n ** dim, -1)
+    return role, partner
+
+
+def _partners(size: int, owner: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              instances: int) -> np.ndarray:
+    """(instances, size) array: the other end of the pair through each point
+    of each instance, or -1."""
+    partner = np.full(instances * size, -1, dtype=np.int64)
+    ends = np.concatenate((owner * size + lo, owner * size + hi))
+    if len(np.unique(ends)) != len(ends):
+        raise ValueError("pairs must be vertex-disjoint")
+    partner[ends] = np.concatenate((hi, lo))
+    return partner.reshape(instances, size)
+
+
+@dataclass(frozen=True)
+class _Walks:
+    """alternating_sequence of many walks, as arrays with one row a walk."""
+
+    points: np.ndarray     # (walks, longest) linear indices in walk order, -1 past the end
+    terminal: np.ndarray   # index into _ENDS, or the failure code
+    edge: np.ndarray       # (walks, 2) the violated m-edge of an H_VIOLATION walk, else -1
+    failure: np.ndarray    # (walks, 2) a failed walk's step and its role code or point
+
+    def message(self, shape: GridShape, w: int) -> str:
+        """The IntegrityError message of failed walk w."""
+        code = self.terminal[w]
+        step, at = self.failure[w].tolist()
+        if code == _BAD_START:
+            return f"walk must start at a 1-point, got f({point_of(shape, at)}) = 0"
+        if code == _BAD_ROLE:
+            expected = LOWER if step % 4 == 0 else UPPER
+            return f"step {step}: expected {expected} endpoint, found {_ROLES[at]}"
+        if code == _BAD_VALUE:
+            return f"step {step}: value pattern broken at {point_of(shape, at)}"
+        return "walk revisited a point"
+
+    def sequence(self, shape: GridShape, w: int) -> AltSequence:
+        """Walk w as an AltSequence; IntegrityError if it failed."""
+        if self.terminal[w] > _AT_UNMATCHED:
+            raise IntegrityError(self.message(shape, w))
+        row = self.points[w]
+        points = tuple(_point_tuples(shape, row[row >= 0]))
+        terminal = _ENDS[self.terminal[w]]
+        edge = tuple(_point_tuples(shape, self.edge[w])) if terminal == H_VIOLATION else None
+        return AltSequence(points, terminal, edge)
+
+
+def _walk(tables: np.ndarray, partner: np.ndarray, role: np.ndarray, m_partner: np.ndarray,
+          instance: np.ndarray, matching: np.ndarray, start: np.ndarray) -> _Walks:
+    """alternating_sequence from each start[w] on the table and pairs of
+    instance[w] against matching[w], every walk in lockstep.
+
+    tables and partner are (instances, n^d) arrays (bits and _partners),
+    role and m_partner are _matching_roles.  Step j of every live walk runs
+    at once: even steps follow the matching, odd steps the pair through the
+    current point.  A walk stops at its terminal or its first integrity
+    failure, in the order the scalar walk checks them; a per-walk seen mask
+    catches a revisited point.
+    """
+    walks, size = len(start), tables.shape[1]
+    terminal = np.full(walks, -1, dtype=np.int8)
+    edge = np.full((walks, 2), -1, dtype=np.int64)
+    failure = np.zeros((walks, 2), dtype=np.int64)
+    seen = np.zeros((walks, size), dtype=bool)
+    seen[np.arange(walks), start] = True
+    columns = [start]
+    bad = tables[instance, start] != 1
+    terminal[bad], failure[bad, 1] = _BAD_START, start[bad]
+    alive = np.flatnonzero(terminal < 0)
+    cur = start[alive]
+    j = 0
+    while len(alive):
+        i, m = instance[alive], matching[alive]
+        found = role[m, cur]
+        if j % 2 == 0:
+            nxt = m_partner[m, cur]
+            expected = _LOWER if j % 4 == 0 else _UPPER
+            wrong = found != expected
+            terminal[alive[wrong]] = _BAD_ROLE
+            failure[alive[wrong]] = np.column_stack((np.full(wrong.sum(), j), found[wrong]))
+            lo, hi = (cur, nxt) if expected == _LOWER else (nxt, cur)
+            hit = ~wrong & (tables[i, lo] == 1) & (tables[i, hi] == 0)
+            revisit = hit & seen[alive, nxt]
+            terminal[alive[hit]] = np.where(revisit[hit], _REVISIT, _AT_VIOLATION)
+            last = hit & ~revisit              # the violation's far end joins the walk
+            edge[alive[last]] = np.column_stack((lo[last], hi[last]))
+            go = ~wrong & ~hit
+        else:
+            nxt = partner[i, cur]
+            go = (nxt >= 0) & (found != _UNMATCHED) & (found == role[m, nxt])
+            terminal[alive[~go]] = _AT_UNMATCHED
+            last = np.zeros_like(go)
+        expected_value = 1 if (j + 1) % 4 in (0, 1) else 0
+        broken = go & (tables[i, nxt] != expected_value)
+        terminal[alive[broken]] = _BAD_VALUE
+        failure[alive[broken]] = np.column_stack((np.full(broken.sum(), j + 1), nxt[broken]))
+        revisit = go & ~broken & seen[alive, nxt]
+        terminal[alive[revisit]] = _REVISIT
+        go &= ~broken & ~revisit
+        column = np.full(walks, -1, dtype=np.int64)
+        column[alive[go | last]] = nxt[go | last]
+        columns.append(column)
+        seen[alive[go], nxt[go]] = True
+        alive, cur = alive[go], nxt[go]
+        j += 1
+    return _Walks(np.column_stack(columns), terminal, edge, failure)
+
+
+@dataclass(frozen=True)
+class AlternatingWalks:
+    """alternating_summary of many instances against many matchings on one shape.
+
+    Pairs are those of every instance in order; walks start from each cross
+    pair, ordered by instance, then matching, then pair.
+    """
+
+    classes: np.ndarray         # (pairs, matchings) class codes
+    pair: np.ndarray            # cross pair each walk starts from
+    matching: np.ndarray        # matching index of each walk
+    walks: _Walks
+    cross: np.ndarray           # (instances, matchings) cross pairs
+    violations: np.ndarray      # (instances, matchings) distinct terminal violations
+    first_failure: np.ndarray   # (instances, matchings) first failed walk, or -1
+
+
+def alternating_walks(shape: GridShape, tables: np.ndarray, pair_sets: Sequence[Sequence[Tuple]],
+                      matchings: Sequence[MatchingId]) -> AlternatingWalks:
+    """Classify every pair of instance k (the (lower, upper) pairs
+    pair_sets[k] of the function whose bits are tables[k]) against every
+    matching, and walk from every cross pair: all instances and matchings
+    in one lockstep walk.  Distinct violations are counted per (instance,
+    matching) over the distinct (instance, matching, lower, upper) ends."""
+    tables = np.asarray(tables)
+    instances, size = tables.shape
+    owner, lo, hi = _pair_indices(shape, pair_sets)
+    classes = _pair_classes(shape, lo, hi, matchings)
+    pair, matching = np.nonzero(classes == _CROSS)
+    order = np.lexsort((pair, matching, owner[pair]))
+    pair, matching = pair[order], matching[order]
+    walks = _walk(tables, _partners(size, owner, lo, hi, instances),
+                  *_matching_roles(shape, matchings), owner[pair], matching, lo[pair])
+    cell = owner[pair] * len(matchings) + matching     # (instance, matching) of each walk
+    cells = instances * len(matchings)
+    hit = walks.terminal == _AT_VIOLATION
+    ends = np.unique((cell[hit] * size + walks.edge[hit, 0]) * size + walks.edge[hit, 1])
+    failed = np.flatnonzero(walks.terminal > _AT_UNMATCHED)
+    first_failure = np.full(cells, -1, dtype=np.int64)
+    failed_cells, first = np.unique(cell[failed], return_index=True)
+    first_failure[failed_cells] = failed[first]
+    grid = instances, len(matchings)
+    return AlternatingWalks(
+        classes, pair, matching, walks,
+        np.bincount(cell, minlength=cells).reshape(grid),
+        np.bincount(ends // (size * size), minlength=cells).reshape(grid),
+        first_failure.reshape(grid))
+
+
+def _classes_of(pairs: Sequence[Tuple], codes: np.ndarray) -> PairClasses:
+    """The pairs split by their class codes, each class in pair order."""
+    codes = codes.tolist()
+    return PairClasses(*(tuple(p for p, c in zip(pairs, codes) if c == code)
+                         for code in (_CROSS, _STRAIGHT, _SKEW)))
+
+
+def pair_crosses(shape: GridShape, x, y, m: MatchingId) -> bool:
+    """Does some shortest x -> y path step along an edge of m, starting from
+    the matching side that x itself occupies?  See _pair_classes."""
+    _, lo, hi = _pair_indices(shape, [[(x, y)]])
+    return bool(_pair_classes(shape, lo, hi, [m])[0, 0] == _CROSS)
+
+
+def classify_pairs(pairs: Sequence[Tuple], m: MatchingId, f: BoolFunc) -> PairClasses:
+    """Partition pairs into cross / straight / skew relative to matching m.
+
+    Sides are the residue-determined ones (every point is on exactly one
+    side), so the three classes partition any pair set; see _pair_classes.
+    """
+    pairs = tuple(pairs)
+    _, lo, hi = _pair_indices(f.shape, [pairs])
+    return _classes_of(pairs, _pair_classes(f.shape, lo, hi, [m])[:, 0])
+
+
 def alternating_sequence(x, m: MatchingId, pairs: Sequence[Tuple], f: BoolFunc) -> AltSequence:
     """Walk matching-edge / straight-pair steps from the start of a cross pair.
 
@@ -468,60 +693,22 @@ def alternating_sequence(x, m: MatchingId, pairs: Sequence[Tuple], f: BoolFunc) 
     odd steps follow the pair of `pairs` through the current point when that
     pair keeps both endpoints on one matched side of m, and stop otherwise.
     The expected value/side pattern repeats with period four and is enforced;
-    a revisited point means the structural claims failed.
+    a revisited point means the structural claims failed.  The one-walk view
+    of _walk.
     """
     shape = f.shape
-    partner_of = {}
-    for a, b in pairs:
-        if a in partner_of or b in partner_of:
-            raise ValueError("pairs must be vertex-disjoint")
-        partner_of[a] = b
-        partner_of[b] = a
-
-    if f.eval(x) != 1:
-        raise IntegrityError(f"walk must start at a 1-point, got f({x}) = 0")
-    seq = [x]
-    seen = {x}
-    j = 0
-    current = x
-    while True:
-        if j % 2 == 0:
-            role, partner = classify_in_matching(shape, current, m)
-            expected_role = LOWER if j % 4 == 0 else UPPER
-            if role != expected_role:
-                raise IntegrityError(
-                    f"step {j}: expected {expected_role} endpoint, found {role}")
-            if partner is None:
-                raise IntegrityError(f"step {j}: point {current} unmatched in m")
-            lo, hi = (current, partner) if role == LOWER else (partner, current)
-            if f.eval(lo) == 1 and f.eval(hi) == 0:
-                if partner in seen:
-                    raise IntegrityError("walk revisited a point")
-                seq.append(partner)
-                return AltSequence(tuple(seq), H_VIOLATION, (lo, hi))
-            nxt = partner
-        else:
-            nxt = partner_of.get(current)
-            if nxt is None:
-                return AltSequence(tuple(seq), STRAIGHT_UNMATCHED, None)
-            role_cur = classify_in_matching(shape, current, m)[0]
-            if role_cur not in (LOWER, UPPER) or role_cur != classify_in_matching(shape, nxt, m)[0]:
-                # the pair leaves the matched side: not a straight step
-                return AltSequence(tuple(seq), STRAIGHT_UNMATCHED, None)
-        expected_val = 1 if (j + 1) % 4 in (0, 1) else 0
-        if f.eval(nxt) != expected_val:
-            raise IntegrityError(f"step {j + 1}: value pattern broken at {nxt}")
-        if nxt in seen:
-            raise IntegrityError("walk revisited a point")
-        seq.append(nxt)
-        seen.add(nxt)
-        current = nxt
-        j += 1
+    owner, lo, hi = _pair_indices(shape, [pairs])
+    first = np.zeros(1, dtype=np.int64)    # the only instance and matching
+    walks = _walk(f.bits[None], _partners(shape.size, owner, lo, hi, 1),
+                  *_matching_roles(shape, [m]), first, first, np.array([linear_index(shape, x)]))
+    return walks.sequence(shape, 0)
 
 
 def alternating_summary(pairs: Sequence[Tuple], m: MatchingId, f: BoolFunc):
-    """Run every cross start; report sequences and distinct terminal violations."""
-    classes = classify_pairs(pairs, m, f)
-    sequences = [alternating_sequence(x, m, pairs, f) for x, _ in classes.cross]
+    """Run every cross start; report sequences and distinct terminal violations.
+    The one-row view of alternating_walks."""
+    pairs = tuple(pairs)
+    batch = alternating_walks(f.shape, f.bits[None], [pairs], [m])
+    sequences = [batch.walks.sequence(f.shape, w) for w in range(len(batch.pair))]
     violations = {s.violation_edge for s in sequences if s.terminal == H_VIOLATION}
-    return classes, sequences, violations
+    return _classes_of(pairs, batch.classes[:, 0]), sequences, violations

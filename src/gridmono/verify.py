@@ -23,8 +23,8 @@ import numpy as np
 from . import oracle, reports
 from .errors import IntegrityError, NotGoodError
 from .fourier import _line_failures, _transform_defects
-from .func import BoolFunc, _mask_bits, _table_blocks, generate, is_monotone
-from .grid import GridShape, directed_distance, matching_ids
+from .func import BoolFunc, _mask_bits, _monotone_rows, _table_blocks, generate, is_monotone
+from .grid import GridShape, _directed_distance, matching_ids
 from .oracle import (
     _edge_masks,
     _gamma_edges,
@@ -37,7 +37,7 @@ from .oracle import (
     optimal_matching_batch,
     ratio_terms,
 )
-from .reduce import lift, plan
+from .reduce import _index_map, lift, plan
 from .streams import derive_rng, derive_seed
 from .tester import (
     DEFAULT_CALIBRATION,
@@ -266,15 +266,17 @@ def check_isoperimetry_regression() -> CheckResult:
 # ----------------------------------------------------------------------
 # criterion 4: decomposition + routing pipeline
 
-def _violated_edge_on(f: BoolFunc, path: tuple) -> bool:
-    return any(f.eval(u) == 1 and f.eval(v) == 0 for u, v in zip(path, path[1:]))
+def _violated_edge_on(bits: list, path: list) -> bool:
+    """Does the path, a list of linear indices, step from a 1-point to a 0-point of the table?"""
+    return any(bits[u] > bits[v] for u, v in zip(path, path[1:]))
 
 
 def _pairs_by_distance(shape: GridShape, pairs: tuple) -> List[Tuple[int, list]]:
-    """Matched pairs grouped by directed distance, shortest distance first."""
+    """Matched pairs grouped by directed distance, shortest distance first.
+    The pairs come from a matching on the grid, so their ends are not checked."""
     by_dist: Dict[int, list] = {}
     for x, y in pairs:
-        by_dist.setdefault(directed_distance(shape, x, y), []).append((x, y))
+        by_dist.setdefault(_directed_distance(x, y), []).append((x, y))
     return sorted(by_dist.items())
 
 
@@ -310,9 +312,10 @@ def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> Check
 
     # Each shape's poset builds a pair tuple's cover graph and consistent pair
     # once (see GridPoset); the cover checks and routing of each (shape,
-    # consistent pair) are kept here, so each runs once too.  What involves
-    # the function runs for every mask: the partition, the disjointness of
-    # covers and of paths, the violated edge on each path and the Γ⁻ count.
+    # consistent pair) are kept here, so each runs once too, the routes with
+    # their paths' linear indices.  What involves the function runs for every
+    # mask: the partition, the disjointness of covers and of paths, the
+    # violated edge on each path (read from f's table) and the Γ⁻ count.
     posets: Dict[GridShape, GridPoset] = {}
     failures: Dict[tuple, str] = {}
     routes: Dict[tuple, tuple] = {}
@@ -322,6 +325,7 @@ def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> Check
         for (shape, mask, f, mstar), gamma_count in zip(instances, _gamma_counts(instances)):
             if shape not in posets:
                 posets[shape] = GridPoset(shape)
+            bits = f.bits.tolist()
             for ell, pairs in _pairs_by_distance(shape, mstar.pairs):
                 parts = conflict_free_decompose(posets[shape], pairs, ell)
                 if sorted(p for cp, _ in parts for p in cp.phi) != sorted(pairs):
@@ -339,15 +343,17 @@ def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> Check
                 total_paths = 0
                 for cp, cover in parts:
                     if (shape, cp) not in routes:
-                        routes[shape, cp] = tuple(route_disjoint_paths(cover, cp))
-                    paths = routes[shape, cp]
+                        paths = tuple(route_disjoint_paths(cover, cp))
+                        index = np.array(paths, dtype=np.int64).reshape(len(paths), ell + 1, shape.d)
+                        routes[shape, cp] = paths, (index @ shape.n ** np.arange(shape.d)).tolist()
+                    paths, index = routes[shape, cp]
                     if len(paths) != len(cp.S):
                         return fail(f"mask {mask}: {len(paths)} paths for {len(cp.S)} sources")
-                    for path in paths:
+                    for path, path_index in zip(paths, index):
                         if seen_vertices.intersection(path):
                             return fail(f"mask {mask}: routed paths share a vertex")
                         seen_vertices.update(path)
-                        if not _violated_edge_on(f, path):
+                        if not _violated_edge_on(bits, path_index):
                             return fail(f"mask {mask}: a routed path avoids every violated edge")
                     total_paths += len(paths)
                 if total_paths != len(pairs) or total_paths > gamma_count:
@@ -365,28 +371,37 @@ def check_decomposition_routing(master_seed: int = DEFAULT_MASTER_SEED) -> Check
 # criterion 5: crossing counts and alternating sequences
 
 def check_alternating_counts(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
-    from .structure import alternating_summary
+    """Every instance against every matching of its shape, one
+    alternating_walks batch per shape.  An instance fails at its first
+    matching with a failed walk or too few violations, else at its distance
+    sum; the first failing instance is named."""
+    from .structure import alternating_walks
+
+    def fail(detail: str) -> CheckResult:
+        return CheckResult(5, "alternating-counts", False, detail)
 
     walks = 0
-    try:
-        for shape, mask, f, mstar in decomposition_instances(master_seed):
-            cross_total = 0
-            for mid in matching_ids(shape):
-                classes, sequences, violations = alternating_summary(mstar.pairs, mid, f)
-                cross_total += len(classes.cross)
-                need = math.ceil(len(classes.cross) / 2)
-                if len(violations) < need:
-                    return CheckResult(
-                        5, "alternating-counts", False,
-                        f"mask {mask} on {shape.n}^{shape.d}, matching {mid}: "
-                        f"{len(violations)} violations < {need}")
-                walks += len(sequences)
-            dist_total = sum(directed_distance(shape, x, y) for x, y in mstar.pairs)
-            if cross_total != dist_total:
-                return CheckResult(5, "alternating-counts", False,
-                                   f"mask {mask}: crossings {cross_total} != distance sum {dist_total}")
-    except IntegrityError as exc:
-        return CheckResult(5, "alternating-counts", False, f"walk integrity failure: {exc}")
+    for shape, group in itertools.groupby(decomposition_instances(master_seed),
+                                          key=lambda inst: inst[0]):
+        group = list(group)
+        mids = list(matching_ids(shape))
+        batch = alternating_walks(shape, np.stack([f.bits for _, _, f, _ in group]),
+                                  [mstar.pairs for *_, mstar in group], mids)
+        need = -(-batch.cross // 2)
+        distances = [sum(_directed_distance(x, y) for x, y in mstar.pairs) for *_, mstar in group]
+        crossings = batch.cross.sum(axis=1)
+        failing = np.column_stack(((batch.first_failure >= 0) | (batch.violations < need),
+                                   crossings != distances))
+        for a, k in np.argwhere(failing)[:1].tolist():
+            mask = group[a][1]
+            if k == len(mids):
+                return fail(f"mask {mask}: crossings {crossings[a]} != distance sum {distances[a]}")
+            if batch.first_failure[a, k] >= 0:
+                return fail("walk integrity failure: "
+                            + batch.walks.message(shape, batch.first_failure[a, k]))
+            return fail(f"mask {mask} on {shape.n}^{shape.d}, matching {mids[k]}: "
+                        f"{batch.violations[a, k]} violations < {need[a, k]}")
+        walks += len(batch.pair)
     return CheckResult(5, "alternating-counts", True,
                        f"{walks} alternating walks, counting identity exact on every instance",
                        walks, "alternating walks")
@@ -427,17 +442,19 @@ def check_fourier_suite(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
 # criterion 7: reduction
 
 def check_reduction(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
+    """The lifts of many masks are one gather of their tables through the
+    plan's index map, the tables lift(p, f).bits would give."""
     shapes = ((3, 1), (3, 2), (5, 1))
     preserved = 0
     for n, d in shapes:
         shape = GridShape(n, d)
         p = plan(n, d)
-        for mask in monotone_masks(shape):
-            g = lift(p, BoolFunc.from_mask(shape, mask))
-            if not is_monotone(g):
-                return CheckResult(7, "reduction", False,
-                                   f"monotone mask {mask} on {n}^{d} lifts non-monotone")
-            preserved += 1
+        masks = monotone_masks(shape)
+        lifted = _mask_bits(masks, shape.size)[:, _index_map(p)]
+        for k in np.flatnonzero(~_monotone_rows(GridShape(p.N, d), lifted))[:1].tolist():
+            return CheckResult(7, "reduction", False,
+                               f"monotone mask {masks[k]} on {n}^{d} lifts non-monotone")
+        preserved += len(masks)
     compared = 0
     for n, d, exhaustive in ((3, 1, True), (3, 2, False), (5, 1, False)):
         shape = GridShape(n, d)
@@ -448,9 +465,9 @@ def check_reduction(master_seed: int = DEFAULT_MASTER_SEED) -> CheckResult:
         else:
             rng = derive_rng(master_seed, f"reduce:{n}:{d}")
             masks = [rng.randrange(1 << shape.size) for _ in range(1000)]
-        count_f = cut_distance_batch(shape, _mask_bits(masks, shape.size))
-        count_g = cut_distance_batch(big, np.array(
-            [lift(p, BoolFunc.from_mask(shape, mask)).bits for mask in masks]))
+        tables = _mask_bits(masks, shape.size)
+        count_f = cut_distance_batch(shape, tables)
+        count_g = cut_distance_batch(big, tables[:, _index_map(p)])
         # eps_g >= eps_f / 6, as 6 count_g N_f >= count_f N_g
         for k in np.flatnonzero(6 * count_g * shape.size < count_f * big.size)[:1].tolist():
             eps_f, eps_g = Fraction(int(count_f[k]), shape.size), Fraction(int(count_g[k]), big.size)

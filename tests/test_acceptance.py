@@ -6,6 +6,7 @@ pytest -s or in captured output).  The CLI `verify` subcommand runs the
 same checks.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -258,6 +259,52 @@ def test_decomposition_instances_match_a_per_mask_loop():
 
 def test_criterion_5_alternating_counts():
     report(verify.check_alternating_counts(SEED))
+
+
+def instances_with(monkeypatch, k, instance):
+    """decomposition_instances with its k-th instance replaced; returns the new list."""
+    instances = list(verify.decomposition_instances(SEED))
+    instances[k] = instance
+    monkeypatch.setattr(verify, "decomposition_instances", lambda master_seed: instances)
+    return instances
+
+
+def test_criterion_5_names_the_first_matching_short_of_violations(monkeypatch):
+    # on 8^1 the non-optimal pair (0, 3) crosses the unit matching, and its
+    # walk 0 -> 1 ends unmatched at the 1-point 1: no violation for one cross
+    # pair.  Instance 40 is a sampled 4^2 function, so the shapes run 4^2, 8^1, 4^2
+    shape = GridShape(8, 1)
+    mstar = dataclasses.replace(optimal_matching(BoolFunc.from_mask(shape, 0b11)),
+                                pairs=(((0,), (3,)),))
+    instances_with(monkeypatch, 40, (shape, 0b11, BoolFunc.from_mask(shape, 0b11), mstar))
+    result = verify.check_alternating_counts(SEED)
+    assert not result.passed
+    assert result.detail == ("mask 3 on 8^1, matching MatchingId(dim=0, exp=0, parity=0): "
+                             "0 violations < 1")
+
+
+def test_criterion_5_names_a_broken_value_pattern(monkeypatch):
+    # the straight step 1 -> 5 of the walk from 0 reaches a 1-point; a later
+    # instance with too few violations must not be named first
+    shape = GridShape(8, 1)
+    mstar = dataclasses.replace(optimal_matching(BoolFunc.from_mask(shape, 0b11)),
+                                pairs=(((0,), (3,)), ((1,), (5,))))
+    instances = instances_with(monkeypatch, 40, (shape, 35, BoolFunc.from_mask(shape, 35), mstar))
+    short = dataclasses.replace(mstar, pairs=(((0,), (3,)),))
+    instances.insert(41, (shape, 0b11, BoolFunc.from_mask(shape, 0b11), short))
+    result = verify.check_alternating_counts(SEED)
+    assert not result.passed
+    assert result.detail == "walk integrity failure: step 2: value pattern broken at (5,)"
+
+
+def test_criterion_4_names_a_path_avoiding_every_violated_edge(monkeypatch):
+    # the function of an instance set to 0 everywhere: its M* still routes,
+    # and no routed path steps from a 1 to a 0
+    shape, mask, _, mstar = verify.decomposition_instances(SEED)[300]
+    instances_with(monkeypatch, 300, (shape, mask, BoolFunc.from_mask(shape, 0), mstar))
+    result = verify.check_decomposition_routing(SEED)
+    assert not result.passed
+    assert result.detail == f"mask {mask}: a routed path avoids every violated edge"
 
 
 def test_criterion_6_fourier_suite():

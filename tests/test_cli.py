@@ -229,6 +229,18 @@ def test_reduce_subcommand(capsys):
     assert "plan:" in out and "distance" in out
 
 
+# the CI pins of `gridmono reduce`: the plan and both exact distances
+@pytest.mark.parametrize("argv, digest", [
+    (["--family", "anti_slab", "--n", "3", "--d", "2"],
+     "d1f0cd5dc7965b9be94bc6c6fd6e728ad0ae2523d9c17aefdd88bdc09ef86323"),
+    (["--family", "uniform_random", "--n", "5", "--d", "2", "--seed", "1"],
+     "d2640894983ae52c6e8bca85ce0e0454c20745986f1d248969051a609f9c74aa"),
+])
+def test_reduce_stdout_pinned(argv, digest, capsys):
+    assert run(["reduce"] + argv) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_fourier_subcommand(capsys):
     assert run(["fourier", "--line-n", "8", "--tables", "20"]) == EXIT_OK
     out = capsys.readouterr().out

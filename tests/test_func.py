@@ -15,6 +15,7 @@ from gridmono.errors import CapacityError, FormatError
 from gridmono.func import (
     DEFAULT_TABLE_CAPACITY,
     BoolFunc,
+    _monotone_rows,
     dumps,
     generate,
     is_monotone,
@@ -377,12 +378,16 @@ def test_is_monotone_examples():
 def test_is_monotone_matches_unit_step_loop(rng):
     for shape in (GridShape(1, 3), GridShape(5, 1), GridShape(2, 3), GridShape(3, 2),
                   GridShape(4, 3), GridShape(3, 4)):
+        tables, expected = [], []
         for _ in range(30):
             table = generate("random_monotone", shape, seed=rng.randrange(1 << 30)).table()
             if rng.random() < 0.7:
                 table[rng.randrange(shape.size)] ^= 1
-            expected = all(table[lo] <= table[hi] for lo, hi in unit_steps(shape))
-            assert is_monotone(BoolFunc.from_table(shape, table)) == expected, (shape, table)
+            expected.append(all(table[lo] <= table[hi] for lo, hi in unit_steps(shape)))
+            assert is_monotone(BoolFunc.from_table(shape, table)) == expected[-1], (shape, table)
+            tables.append(table)
+        # the same tables as one block
+        assert _monotone_rows(shape, np.array(tables, dtype=np.uint8)).tolist() == expected
 
 
 def family_reference(kind: str, shape: GridShape, index: np.ndarray, weights: list) -> np.ndarray:

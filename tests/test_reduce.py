@@ -9,7 +9,7 @@ import pytest
 from gridmono.func import BoolFunc, _mask_bits, generate, is_monotone
 from gridmono.grid import GridShape, linear_index, point_of
 from gridmono.oracle import cut_distance_batch, distance_to_monotonicity, monotone_masks
-from gridmono.reduce import ReductionPlan, lift, phi, plan
+from gridmono.reduce import ReductionPlan, _index_map, lift, phi, plan
 
 
 def block_sizes(p):
@@ -183,6 +183,22 @@ def test_lift_bits_match_phi(n, d, rng):
         before = f.queries
         assert g.bits.tolist() == expected
         assert f.queries - before == big.size and g.queries == 0
+
+
+@pytest.mark.parametrize("n, d, m, samples", [
+    (3, 1, 2, None), (3, 2, 1, None), (5, 1, 2, None), (6, 2, 2, 40), (3, 3, 2, 40),
+    (2, 3, 0, None), (4, 3, 0, 20),   # every block long
+])
+def test_block_lift_matches_the_per_mask_lift(n, d, m, samples, rng):
+    # one gather of the mask tables through the index map, against lift(...).bits
+    shape, p = GridShape(n, d), plan(n, d)
+    assert p.m == m
+    masks = (list(range(1 << shape.size)) if samples is None
+             else [rng.randrange(1 << shape.size) for _ in range(samples)])
+    lifted = _mask_bits(masks, shape.size)[:, _index_map(p)]
+    assert lifted.shape == (len(masks), p.N ** d)
+    for mask, row in zip(masks, lifted):
+        assert np.array_equal(row, lift(p, BoolFunc.from_mask(shape, mask)).bits)
 
 
 def test_lift_shape_mismatch():

@@ -1,30 +1,36 @@
 """Poset machinery: cover graphs, decomposition, routing, pairs, walks."""
 
+import itertools
 from itertools import permutations
 
+import numpy as np
 import pytest
 
-from gridmono import structure
+from gridmono import structure, verify
 from gridmono.errors import IntegrityError, NotGoodError
 from gridmono.func import BoolFunc, generate
 from gridmono.grid import (
     LOWER,
+    UPPER,
     GridShape,
     MatchingId,
     classify_in_matching,
     directed_distance,
     matching_ids,
     points,
+    side_in_matching,
 )
 from gridmono.oracle import optimal_matching
 from gridmono.structure import (
     H_VIOLATION,
     STRAIGHT_UNMATCHED,
+    AltSequence,
     ConsistentPair,
     ExplicitPoset,
     GridPoset,
     alternating_sequence,
     alternating_summary,
+    alternating_walks,
     build_cover_graph,
     classify_pairs,
     conflict_free_decompose,
@@ -484,3 +490,123 @@ def test_alternating_sequence_validates_start():
     f = BoolFunc.from_mask(shape, 0b0011)
     with pytest.raises(IntegrityError):
         alternating_sequence((2,), MatchingId(0, 1, 0), [((2,), (3,))], f)
+
+
+# ----------------------------------------------------------------------
+# the scalar walk, the reference for the array form
+
+def scalar_classes(pairs, m, shape):
+    """classify_pairs pair by pair, from the coordinates and side_in_matching."""
+    cross, straight, skew = [], [], []
+    for x, y in pairs:
+        gap = y[m.dim] - x[m.dim]
+        if gap >= 0 and gap >> m.exp & 1 and side_in_matching(shape, x, m) == LOWER:
+            cross.append((x, y))
+        elif side_in_matching(shape, x, m) == side_in_matching(shape, y, m):
+            straight.append((x, y))
+        else:
+            skew.append((x, y))
+    return structure.PairClasses(tuple(cross), tuple(straight), tuple(skew))
+
+
+def scalar_walk(x, m, pairs, f):
+    """alternating_sequence one point at a time through classify_in_matching and f.eval."""
+    shape = f.shape
+    partner_of = {}
+    for a, b in pairs:
+        partner_of[a], partner_of[b] = b, a
+    if f.eval(x) != 1:
+        raise IntegrityError(f"walk must start at a 1-point, got f({x}) = 0")
+    seq, j, current = [x], 0, x
+    while True:
+        if j % 2 == 0:
+            role, partner = classify_in_matching(shape, current, m)
+            expected_role = LOWER if j % 4 == 0 else UPPER
+            if role != expected_role:
+                raise IntegrityError(f"step {j}: expected {expected_role} endpoint, found {role}")
+            lo, hi = (current, partner) if role == LOWER else (partner, current)
+            if f.eval(lo) == 1 and f.eval(hi) == 0:
+                if partner in seq:
+                    raise IntegrityError("walk revisited a point")
+                return AltSequence(tuple(seq + [partner]), H_VIOLATION, (lo, hi))
+            nxt = partner
+        else:
+            nxt = partner_of.get(current)
+            if nxt is None:
+                return AltSequence(tuple(seq), STRAIGHT_UNMATCHED, None)
+            role = classify_in_matching(shape, current, m)[0]
+            if role not in (LOWER, UPPER) or role != classify_in_matching(shape, nxt, m)[0]:
+                return AltSequence(tuple(seq), STRAIGHT_UNMATCHED, None)
+        if f.eval(nxt) != (1 if (j + 1) % 4 in (0, 1) else 0):
+            raise IntegrityError(f"step {j + 1}: value pattern broken at {nxt}")
+        if nxt in seq:
+            raise IntegrityError("walk revisited a point")
+        seq.append(nxt)
+        current = nxt
+        j += 1
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_MASTER_SEED, 1])
+def test_alternating_walks_match_the_scalar_walk(seed):
+    # every (instance, matching) of criterion 5, one batch per shape as it runs them
+    walked = 0
+    for shape, group in itertools.groupby(verify.decomposition_instances(seed),
+                                          key=lambda inst: inst[0]):
+        group = list(group)
+        mids = list(matching_ids(shape))
+        batch = alternating_walks(shape, np.stack([f.bits for _, _, f, _ in group]),
+                                  [mstar.pairs for *_, mstar in group], mids)
+        assert (batch.first_failure == -1).all()
+        first_pair = np.cumsum([0] + [len(mstar.pairs) for *_, mstar in group])
+        w = 0
+        for a, (_, _, f, mstar) in enumerate(group):
+            rows = batch.classes[first_pair[a]:first_pair[a] + len(mstar.pairs)]
+            for k, mid in enumerate(mids):
+                classes = scalar_classes(mstar.pairs, mid, shape)
+                assert structure._classes_of(mstar.pairs, rows[:, k]) == classes
+                sequences = [scalar_walk(x, mid, mstar.pairs, f) for x, _ in classes.cross]
+                for (x, y), expected in zip(classes.cross, sequences):
+                    assert batch.matching[w] == k
+                    assert mstar.pairs[batch.pair[w] - first_pair[a]] == (x, y)
+                    assert batch.walks.sequence(shape, w) == expected
+                    w += 1
+                assert batch.cross[a, k] == len(classes.cross)
+                assert batch.violations[a, k] == len(
+                    {s.violation_edge for s in sequences if s.terminal == H_VIOLATION})
+        assert w == len(batch.pair)
+        walked += w
+    assert walked > 4000
+
+
+def test_alternating_views_match_the_scalar_walk_on_8x2():
+    shape = GridShape(8, 2)
+    f = generate("uniform_random", shape, seed=3)
+    pairs = optimal_matching(f).pairs
+    for mid in matching_ids(shape):
+        classes, sequences, violations = alternating_summary(pairs, mid, f)
+        assert classes == classify_pairs(pairs, mid, f) == scalar_classes(pairs, mid, shape)
+        expected = [scalar_walk(x, mid, pairs, f) for x, _ in classes.cross]
+        assert sequences == expected
+        assert sequences == [alternating_sequence(x, mid, pairs, f) for x, _ in classes.cross]
+        assert violations == {s.violation_edge for s in expected if s.terminal == H_VIOLATION}
+
+
+@pytest.mark.parametrize("x, pairs, mask, message", [
+    # a 0-point start
+    ((2,), [((2,), (3,))], 0b0011, "walk must start at a 1-point, got f((2,)) = 0"),
+    # (1,) is unmatched by the odd unit matching of 4^1, so step 0 finds no lower end
+    ((0,), [((0,), (1,))], 0b0001, "step 0: expected lower endpoint, found unmatched"),
+    # the straight step 1 -> 5 reaches a 1-point where the pattern wants a 0
+    ((0,), [((0,), (3,)), ((1,), (5,))], 0b100011, "step 2: value pattern broken at (5,)"),
+    # 0 -> 1 -> 3 -> 2 keeps the pattern, and the pair through 2 leads back to 0
+    ((0,), [((0,), (2,)), ((1,), (3,))], 0b0011, "walk revisited a point"),
+])
+def test_alternating_sequence_failures_match_the_scalar_walk(x, pairs, mask, message):
+    n = 8 if mask >> 4 else 4
+    shape = GridShape(n, 1)
+    f = BoolFunc.from_mask(shape, mask)
+    mid = MatchingId(0, 0, 1) if message.startswith("step 0") else MatchingId(0, 0, 0)
+    for walk in (scalar_walk, alternating_sequence):
+        with pytest.raises(IntegrityError) as caught:
+            walk(x, mid, pairs, f)
+        assert str(caught.value) == message

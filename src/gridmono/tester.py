@@ -72,10 +72,12 @@ DEFAULT_CALIBRATION = 1.1145
 _CALL_ENTRIES = (1 << 14) - 4
 _CALL_WALKS = 16
 # amplified_test's first call draws this many walks and each later call
-# four times as many, up to the budget: a verdict makes fewer calls, and a
-# far input stops within about four times the walks it needed.
+# sixteen times as many, up to the budget.  A far input almost always
+# rejects within the first group, and a run that outlives it is almost
+# always monotone, so it makes fewer calls; a far input stops within about
+# sixteen times the walks it needed.
 _FIRST_CALL_WALKS = 64
-_CALL_GROWTH = 4
+_CALL_GROWTH = 16
 
 
 @dataclass(frozen=True)
@@ -255,6 +257,10 @@ def _taus(words: np.ndarray, d: int) -> np.ndarray:
 # and the parity; up to 2^10 the exponent is `_below` of the same word, whose
 # 53 high bits they do not reach, and above it has a word of its own.
 _SHARED_WORD_BITS = 10
+# From this d the kernel finds each walk's |S| by searching the entries of S
+# for the rows' bounds, not by counting each entry's row: the search costs a
+# row and the count an entry, and rows of S are about 12 long at n = 2 here.
+_SEARCH_ROWS_FROM = 48
 
 
 def _fields(bits: int) -> Tuple[int, int, int]:
@@ -311,6 +317,46 @@ def _draw_walks(shape: GridShape, stream: _Stream, start: int, count: int,
     return _walks(shape, _words(stream, start, count, width), tau, x)
 
 
+def _cut(shape: GridShape, dims: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, exp, parity) in the narrow `_dtype`, read off each row's
+    dimension words (`_fields`), dimension i in field i.
+
+    2- and 4-bit fields (n = 2, 4) never straddle a byte, so they are cut
+    from the words' little-endian bytes.  A word that holds one field is
+    cast down to the dtype, which keeps its low bits, and masked; the other
+    bit fields are cut by one shift-and-mask.
+    """
+    d, n, bits = shape.d, shape.n, shape.bits
+    count = len(dims)
+    span, per_word, per_dim = _fields(bits)
+    dt = _dtype(bits)
+    words = dims[:, :-(-d // per_word)]
+    if bits <= 2:
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        if bits == 1:   # field i is bits 2i (x) and 2i + 1 (the parity), and exp is 0
+            cut = np.unpackbits(octets, axis=1, count=2 * d, bitorder="little")
+            x, parity = cut.reshape(count, d, 2).transpose(2, 0, 1).copy()
+            return x, np.zeros((count, d), dt), parity
+        # field 2j is byte j's low nibble, 2j + 1 its high one
+        field = np.empty((count, d), dt)
+        np.bitwise_and(octets[:, :-(-d // 2)], dt.type(15), out=field[:, 0::2])
+        np.right_shift(octets[:, :d // 2], dt.type(4), out=field[:, 1::2])
+    elif per_word == 1:
+        field = words.astype(dt)
+        field &= dt.type((1 << span) - 1)
+    else:
+        shifts = np.arange(0, per_word * span, span, dtype=np.uint64)
+        field = (words[:, :, None] >> shifts).reshape(count, -1)[:, :d].astype(dt)
+        field &= dt.type((1 << span) - 1)
+    if bits & (bits - 1):   # whole-word fields: exp is `_below` of the word, or of the one d on
+        exp = _below(dims[:, (per_dim - 1) * d:][:, :d], bits, dt)
+    else:
+        exp = field >> dt.type(bits + 1)
+    parity = field >> dt.type(bits)
+    parity &= dt.type(1)
+    return field & dt.type(n - 1), exp, parity
+
+
 def _walks(shape: GridShape, w: np.ndarray, tau: Optional[int] = None,
            x: Optional[np.ndarray] = None) -> _Walks:
     """The walks whose words are the rows of w, one row a walk.
@@ -323,51 +369,41 @@ def _walks(shape: GridShape, w: np.ndarray, tau: Optional[int] = None,
     """
     d, n, bits = shape.d, shape.n, shape.bits
     count = len(w)
-    picks = _layout(d, tau, bits)[0]
-    span, per_word, per_dim = _fields(bits)
+    lo = 1 + _layout(d, tau, bits)[0]                         # first dimension word
     dt = _dtype(bits)
-    lo = 1 + picks                                            # first dimension word
     # read everything off the word block, then drop it before the rest of
-    # the call allocates: one mask cuts a word that holds one field, and one
-    # shift-and-mask cuts every layout with more fields a word
+    # the call allocates
     taus = _taus(w[:, 0], d) if tau is None else np.full(count, tau, dtype=np.int64)
     pick = w[:, 1:lo].copy()
-    mask = (1 << span) - 1
-    if per_word == 1:
-        field = (w[:, lo:lo + d] & np.uint64(mask)).astype(dt)
-    else:
-        shifts = np.arange(0, per_word * span, span, dtype=np.uint64)
-        field = (w[:, lo:lo + -(-d // per_word), None] >> shifts).reshape(count, -1)[:, :d]
-        field = field.astype(dt)
-        field &= dt.type(mask)
-    if bits & (bits - 1):   # whole-word fields: exp is `_below` of the word, or of the one d on
-        exp = _below(w[:, lo + (per_dim - 1) * d:][:, :d], bits, dt)
-    else:
-        exp = field >> dt.type(bits + 1)
+    cut, exp, parity = _cut(shape, w[:, lo:])
     del w
-    parity = field >> dt.type(bits)
-    parity &= dt.type(1)
-    x = field & dt.type(n - 1) if x is None else np.asarray(x).astype(dt, copy=False)
-    del field
+    x = cut if x is None else np.asarray(x).astype(dt, copy=False)
+    del cut
     # a = (n - 1 - x) >> exp counts the 2^exp-blocks above x's; x is a lower
     # endpoint iff a - parity is odd (x's block pairs with the next one up)
     # and positive (that block is on the grid), that is a > parity and
     # (a ^ parity) & 1.  a < n fits below dt's top bit, so a - parity has
     # that bit set exactly when it wraps, and lower is bit 0 set, top bit clear
     above = x ^ dt.type(n - 1)
-    above >>= exp
+    if bits > 1:   # exp is 0 at n = 2
+        above >>= exp
     above -= parity
     above &= dt.type(1 | 1 << 8 * dt.itemsize - 1)
     lower = above == 1
     del above
     free = lower.reshape(-1).nonzero()[0]   # the entries of S, row by row
-    size = np.bincount(free // d, minlength=count)
+    # |S| and where each row's run of free starts
+    if d >= _SEARCH_ROWS_FROM:
+        base = np.searchsorted(free, np.arange(0, (count + 1) * d, d))
+        size, base = np.diff(base), base[:-1]
+    else:
+        size = np.bincount(free // d, minlength=count)
+        base = np.cumsum(size) - size
     moved = size >= taus
     # tau picks without replacement.  Pick j is uniform over the size - j
     # unpicked entries of its row's run of free; stepping past each earlier
     # pick at or below it, in increasing order, makes that a rank in the run
     y = x.copy()
-    base = np.cumsum(size) - size
     left, live, ranks = size, moved, []
     for j in range(int(np.maximum.reduce(taus * moved, initial=0))):
         if j:
@@ -403,7 +439,9 @@ def _calls(total: int, weight: int, first: Optional[int] = None) -> Iterator[Tup
 
     weight is a walk's from `_layout`.  A group holds _CALL_WALKS walks
     where the budget holds fewer.  With `first`, the groups start at that
-    many and grow _CALL_GROWTH times each.
+    many and grow _CALL_GROWTH (16) times each up to the budget: 64, 819,
+    819, 819, 512 for a monotone verdict's 3,033 walks at 8^16, and 64,
+    1,024, 2,493 for its 3,581 at 4^20.
     """
     most = max(_CALL_WALKS, _CALL_ENTRIES // max(weight, 1))
     size = most if first is None else min(first, most)
@@ -430,8 +468,8 @@ class _Tally:
     its counted walks."""
 
     def __init__(self, d: int, runs: int):
-        self.span = (1 << tau_ceiling(d)) + 1   # bincount length of the taus
-        self.taus = np.zeros((runs, self.span), dtype=np.int64)   # walks by tau
+        self.above = np.left_shift(1, np.arange(1, tau_ceiling(d) + 1))   # the taus past 1
+        self.taus = [[0] * (1 + len(self.above)) for _ in range(runs)]   # walks by log2 tau
         self.walks = [0] * runs
         self.degenerate = [0] * runs
         self.lower = [0] * runs
@@ -439,22 +477,42 @@ class _Tally:
 
     def add(self, w: _Walks, runs: List[int], ends: List[int], rejections: List[int]) -> None:
         """Count run runs[j]'s walks in w, the first ends[j] rows of the j-th
-        of len(runs) equal row ranges, rejections[j] of them rejecting."""
+        of len(runs) equal row ranges, rejections[j] of them rejecting.
+
+        One reduceat a statistic sums every run's rows, whatever the number
+        of runs: its segments alternate between a run's counted rows and the
+        rows after them, which are dropped.  The last bound is left off where
+        the last run ends with the call, as reduceat reads to the end.  Every
+        end is at least 1: reduceat would read an empty segment as its first row.
+        """
         count = len(w.tau) // len(runs)
-        for run, lo, end, bad in zip(runs, range(0, len(w.tau), count), ends, rejections):
-            rows = slice(lo, lo + end)
-            self.taus[run] += np.bincount(w.tau[rows], minlength=self.span)
+        bounds = [b for j, end in enumerate(ends) for b in (j * count, j * count + end)]
+        if bounds[-1] == len(w.tau):
+            bounds.pop()
+        bounds = np.array(bounds)
+        moved = np.add.reduceat(w.moved, bounds, dtype=np.int64)[::2].tolist()
+        size = np.add.reduceat(w.size, bounds)[::2].tolist()
+        if len(self.above):
+            above = np.add.reduceat(w.tau[:, None] == self.above, bounds, axis=0,
+                                    dtype=np.int64)[::2].tolist()
+        else:   # every tau is 1
+            above = [()] * len(runs)
+        for run, end, bad, m, s, up in zip(runs, ends, rejections, moved, size, above):
+            taus = self.taus[run]
+            taus[0] += end - sum(up)
+            for t, c in enumerate(up, 1):
+                taus[t] += c
             self.walks[run] += end
-            self.degenerate[run] += end - int(np.count_nonzero(w.moved[rows]))
-            self.lower[run] += int(w.size[rows].sum())
+            self.degenerate[run] += end - m
+            self.lower[run] += s
             self.rejections[run] += bad
 
     def stats(self) -> List[WalkStats]:
         """Each run's statistics, in run order."""
-        return [WalkStats(tuple((tau, c) for tau, c in enumerate(taus) if c), degenerate,
+        return [WalkStats(tuple((1 << t, c) for t, c in enumerate(taus) if c), degenerate,
                           lower / walks if walks else 0.0)
                 for taus, walks, degenerate, lower in zip(
-                    self.taus.tolist(), self.walks, self.degenerate, self.lower)]
+                    self.taus, self.walks, self.degenerate, self.lower)]
 
 
 # ----------------------------------------------------------------------
@@ -552,8 +610,10 @@ def _sample(f: BoolFunc, walks: int, rngs: Sequence[random.Random], operation: s
 
     With stop (a verdict) every run reads its walks in amplified_test's
     groups (the first _FIRST_CALL_WALKS walks, then _CALL_GROWTH times more
-    each), counts them up to its first rejection and stops after that group;
-    without it (a rate) every walk is counted, in groups of the whole budget.
+    each, up to the budget), counts them up to its first rejection and stops
+    after that group, so a far input draws at most about _CALL_GROWTH times
+    the walks it needed; without it (a rate) every walk is counted, in
+    groups of the whole budget.
     A call draws one group of as many of the runs still going as fit
     _CALL_ENTRIES words together, one run's group at the least, so each
     run's tally is the one it gets alone.

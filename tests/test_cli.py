@@ -4,9 +4,12 @@ import hashlib
 import io
 import json
 import os
+import resource
+import signal
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridmono
-from gridmono import fourier, reports, verify
+from gridmono import fourier, oracle, reduce, reports, structure, verify
 from gridmono.errors import CapacityError
 from gridmono.cli import EXIT_CAPACITY, EXIT_INTEGRITY, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from gridmono.func import generate, save
@@ -282,24 +285,74 @@ TEST_ARGV_VALUES = {
 }
 
 
-def assert_exits_as_documented(command, options, codes):
-    """`gridmono command` with the given flags, the None ones left out, in a
-    subprocess under a 2 GiB address-space limit and a timeout: it exits
-    with one of codes, never with a traceback."""
-    argv = [command] + [part for flag, value in options.items() if value is not None
-                        for part in (flag, value)]
+ADDRESS_SPACE = 2 << 30   # bytes an example may map
+EXAMPLE_SECONDS = 60
+
+
+def run_in_subprocess(argv):
+    """(exit code, stderr) of `python -m gridmono.cli argv` in a fresh
+    interpreter, under the address-space limit and the timeout."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(gridmono.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def limit():
-        import resource
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
     proc = subprocess.run([sys.executable, "-m", "gridmono.cli"] + argv, env=env,
-                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
-    assert proc.returncode in codes, (argv, proc.stderr)
-    assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+                          capture_output=True, text=True, timeout=EXAMPLE_SECONDS,
+                          preexec_fn=limit)
+    return proc.returncode, proc.stderr
+
+
+def run_forked(argv):
+    """(exit code, stderr) of `main(argv)` in a forked child of this process,
+    under the address-space limit and an alarm at the timeout.
+
+    The child starts with every module this file imported, `gridmono.cli`
+    and the modules it loads lazily among them, so an example costs a fork,
+    not an interpreter's start and imports.  Its stdout goes to /dev/null
+    and its stderr to a temporary file; an exception other than SystemExit
+    prints its traceback there and exits 1, as the interpreter would.
+    """
+    with tempfile.TemporaryFile() as err:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid == 0:   # the child: never return into the test run
+            code = 1
+            try:
+                resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, 1)
+                os.dup2(err.fileno(), 2)
+                sys.stdout = open(1, "w", closefd=False)
+                sys.stderr = open(2, "w", closefd=False)
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(EXAMPLE_SECONDS)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code if isinstance(exc.code, int) else 1
+                except BaseException:
+                    traceback.print_exc()
+                sys.stdout.flush()
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        err.seek(0)
+        return os.waitstatus_to_exitcode(status), err.read().decode(errors="replace")
+
+
+def assert_exits_as_documented(command, options, codes, runner=run_forked):
+    """`gridmono command` with the given flags, the None ones left out, run
+    by `runner`: it exits with one of codes, never with a traceback."""
+    argv = [command] + [part for flag, value in options.items() if value is not None
+                        for part in (flag, value)]
+    code, stderr = runner(argv)
+    assert code in codes, (argv, code, stderr)
+    assert "Traceback" not in stderr, (argv, stderr)
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
@@ -329,6 +382,21 @@ def test_rate_subcommand_exits_as_documented_on_boundary_argv(options):
     with tempfile.TemporaryDirectory() as tmp:
         assert_exits_as_documented("rate", {**options, "--out": os.path.join(tmp, "r.csv")},
                                    (EXIT_OK, EXIT_USAGE, EXIT_CAPACITY))
+
+
+# One boundary example a subcommand in a fresh interpreter, as a user runs
+# it; the examples above run in forked children of the test process.
+@pytest.mark.parametrize("command, options, codes", [
+    ("test", {"--family": "anti_slab", "--n": "65535", "--d": "3", "--eps": "0.5"},
+     (EXIT_OK, EXIT_REJECT, EXIT_USAGE, EXIT_CAPACITY)),
+    ("rate", {"--shapes": "2x65537", "--families": "anti_slab", "--trials": "1"},
+     (EXIT_OK, EXIT_USAGE, EXIT_CAPACITY)),
+])
+def test_boundary_argv_exits_as_documented_in_a_fresh_interpreter(command, options, codes,
+                                                                   tmp_path):
+    if command == "rate":
+        options = {**options, "--out": str(tmp_path / "r.csv")}
+    assert_exits_as_documented(command, options, codes, run_in_subprocess)
 
 
 def test_fourier_table_count_capacity_exit(monkeypatch, capsys):

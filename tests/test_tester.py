@@ -635,6 +635,53 @@ def test_kernel_fixture_matches_a_scalar_decoder(case):
             assert np.asarray(getattr(w, field))[r].tolist() == value, (r, field)
 
 
+def shift_and_mask_cut(shape, dims):
+    """tester._cut as it was before the byte-level cuts: one mask cuts a
+    word that holds one field, and one shift-and-mask every layout with more."""
+    d, n, bits = shape.d, shape.n, shape.bits
+    span, per_word, per_dim = tester._fields(bits)
+    dt = tester._dtype(bits)
+    mask = (1 << span) - 1
+    if per_word == 1:
+        field = (dims[:, :d] & np.uint64(mask)).astype(dt)
+    else:
+        shifts = np.arange(0, per_word * span, span, dtype=np.uint64)
+        field = (dims[:, :-(-d // per_word), None] >> shifts).reshape(len(dims), -1)[:, :d]
+        field = field.astype(dt)
+        field &= dt.type(mask)
+    if bits & (bits - 1):
+        exp = _below(dims[:, (per_dim - 1) * d:][:, :d], bits, dt)
+    else:
+        exp = field >> dt.type(bits + 1)
+    parity = field >> dt.type(bits)
+    parity &= dt.type(1)
+    return field & dt.type(n - 1), exp, parity
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 1 << 10, 1 << 11, 1 << 16, 1 << 32, 1 << 62])
+def test_field_cut_equals_the_shift_and_mask_cut(n, monkeypatch):
+    """Every _Walks array and its dtype, from the byte-level cuts and from
+    the shift-and-mask reference, at d = 1, at a d that fills whole words and
+    at one that leaves a partial word; a big-endian copy of the word block
+    gives the same walks."""
+    bits = n.bit_length() - 1
+    per_word = tester._fields(bits)[1]
+    for d in (1, 2 * per_word, 2 * per_word + 1):
+        shape = GridShape(n, d)
+        width = _layout(d, bits=bits)[1]
+        for count in (1, 5, 64):
+            w = _words(_stream(random.Random(f"cut {n}^{d} {count}")), 0, count, width)
+            got = tester._walks(shape, w.copy())
+            swapped = tester._walks(shape, w.astype(">u8"))
+            with monkeypatch.context() as patch:
+                patch.setattr(tester, "_cut", shift_and_mask_cut)
+                ref = tester._walks(shape, w.copy())
+            assert len(got) == 8
+            for field, a, b, c in zip(got._fields, got, swapped, ref):
+                assert a.dtype == b.dtype == c.dtype, (n, d, count, field)
+                assert np.array_equal(a, c) and np.array_equal(b, c), (n, d, count, field)
+
+
 @pytest.mark.parametrize("n, d, walks", [
     (8, 3, 200_000), (1 << 11, 16, 200_000), (4, 5, 200_000), (16, 3, 200_000),
     (2, 40, 100_000), (256, 7, 200_000), (1 << 16, 3, 400_000)])
@@ -833,7 +880,7 @@ def test_calls_stay_within_the_budget(d):
             assert sum(c for _, c in groups) == 50_000
 
 
-def test_calls_grow_four_times_from_the_first_group():
+def test_calls_grow_sixteen_times_from_the_first_group():
     # (walks, weight): 8^16, 4^20, 2^62, 2^2048 and side 2^62 at d = 16
     for total, weight in ((3033, 20), (3581, 5), (50_000, 16), (50_000, 512), (50_000, 36)):
         most = max(_CALL_WALKS, _CALL_ENTRIES // weight)
@@ -842,11 +889,11 @@ def test_calls_grow_four_times_from_the_first_group():
         assert [s for s, _ in groups] == np.cumsum([0] + counts[:-1]).tolist()
         assert sum(counts) == total
         assert counts[0] == min(64, most)
-        assert all(b == min(4 * a, most) for a, b in zip(counts, counts[1:-1]))
+        assert all(b == min(16 * a, most) for a, b in zip(counts, counts[1:-1]))
         assert all(c * weight <= _CALL_ENTRIES for c in counts)
-    # a monotone verdict at 8^16 makes six calls, at 4^20 four
-    assert [c for _, c in _calls(3033, 20, 64)] == [64, 256, 819, 819, 819, 256]
-    assert [c for _, c in _calls(3581, 5, 64)] == [64, 256, 1024, 2237]
+    # a monotone verdict at 8^16 makes five calls, at 4^20 three
+    assert [c for _, c in _calls(3033, 20, 64)] == [64, 819, 819, 819, 512]
+    assert [c for _, c in _calls(3581, 5, 64)] == [64, 1024, 2493]
 
 
 def test_amplified_verdicts_do_not_depend_on_the_schedule():

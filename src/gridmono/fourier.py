@@ -324,8 +324,9 @@ def fourier_spot_checks(line_n: int, tables: int, master_seed: int):
     if tables * PARSEVAL_SHAPE.size > SPOT_CHECK_POINTS:
         raise CapacityError("fourier spot checks", tables * PARSEVAL_SHAPE.size,
                             SPOT_CHECK_POINTS, "table points")
-    worst, worst_inv = _transform_defects(derive_rng(master_seed, "cli-parseval"), tables)
+    # the line sweep first, so a bad line size is refused before any transform
     bad = sum(1 for _ in _line_failures(line_n))
+    worst, worst_inv = _transform_defects(derive_rng(master_seed, "cli-parseval"), tables)
     lines = [
         f"parseval defect {worst:.3e} over {tables} tables (tolerance 1e-12)",
         f"inverse-transform defect {worst_inv:.3e}",

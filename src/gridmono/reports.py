@@ -47,9 +47,9 @@ def make_function(family: str, shape: GridShape, master_seed: int, tag: str) -> 
 
 def rate_rows(shapes: Sequence[Tuple[int, int]], families: Sequence[str], trials: int,
               master_seed: int) -> List[str]:
+    grids = [GridShape(n, d) for n, d in shapes]   # every shape checked before any row
     rows = []
-    for n, d in shapes:
-        shape = GridShape(n, d)
+    for (n, d), shape in zip(shapes, grids):
         for family in families:
             f = make_function(family, shape, master_seed, "rate")
             eps_true = float(distance_to_monotonicity(f).eps)
@@ -99,9 +99,12 @@ def isoperimetry_rows(shapes: Sequence[Tuple[int, int]], master_seed: int,
 def persistence_rows(shapes: Sequence[Tuple[int, int]], families: Sequence[str],
                      taus: Sequence[int], outer_samples: int, inner_samples: int,
                      master_seed: int) -> List[str]:
+    # every shape and tau checked before any row
+    grids = [GridShape(n, d) for n, d in shapes]
+    if any(tau < 1 for tau in taus):
+        raise ValueError("tau must be >= 1")
     rows = []
-    for n, d in shapes:
-        shape = GridShape(n, d)
+    for (n, d), shape in zip(shapes, grids):
         for family in families:
             f = make_function(family, shape, master_seed, "persistence")
             violated, upward = edge_counts_batch(shape, f.bits[None])

@@ -11,9 +11,9 @@ block of words into a batch of walks as (B, d) arrays.  Each run takes one
 walk k reads its own fixed block of words from the counter-based Philox
 generator under that key, so its draws depend only on the key and k, never
 on how walks are grouped into numpy calls, nor on which other runs' walks
-share a call.  A run reads its walks in order through its `_Stream`; a
-batch's streams share one generator, pointed at each stream's key and
-block as they take turns.
+share a call.  A batch's runs read their walks through one `_Streams`,
+whose one generator is pointed at each run's key and block as they take
+turns.
 
 One loop, `_sample`, draws, evaluates and counts every sampled walk of the
 amplified tester and of the rate experiments: a verdict stops after the
@@ -173,59 +173,45 @@ class _Walks(NamedTuple):
         return self.y != self.x
 
 
-class _Generator:
-    """One Philox generator, shared by the streams of a batch, and the key
-    and block its counter stands at."""
+class _Streams:
+    """The Philox words of a batch's runs, read through one generator.
 
-    __slots__ = ("philox", "key", "block")
-
-    def __init__(self):
-        self.philox: Optional[np.random.Philox] = None
-        self.key: Optional[np.ndarray] = None
-        self.block = -1
-
-
-class _Stream:
-    """The Philox words under one key, read by one run through `gen`."""
-
-    __slots__ = ("key", "gen")
-
-    def __init__(self, key: np.ndarray, gen: Optional[_Generator] = None):
-        self.key = key
-        self.gen = _Generator() if gen is None else gen
-
-
-def _stream(rng: random.Random, gen: Optional[_Generator] = None) -> _Stream:
-    """The next stream of rng, with a generator of its own or the given shared one."""
-    k = rng.getrandbits(128)
-    return _Stream(np.array([k & 0xFFFFFFFFFFFFFFFF, k >> 64], dtype=np.uint64), gen)
-
-
-def _words(stream: _Stream, start: int, count: int, width: int) -> np.ndarray:
-    """Rows start .. start+count-1 of the keyed stream, `width` words each.
-
-    width is a multiple of 4, the words of one Philox block, so row k
-    begins at block k * width / 4 whichever call reads it.  A read whose
-    first block is where the generator's counter stands under the stream's
-    key (a run reading its walks in order, no other stream read between)
-    continues the generator; any other read sets its state to the key and
-    first block, or builds it there on its first read.  Both give the same
-    words: reads take whole blocks, so no word is left buffered between them.
+    Run r takes its 128-bit key from the r-th rng, and its walk k reads
+    `width` words from block k * width / 4 under that key (width is a
+    multiple of 4, the words of one Philox block), so its draws depend only
+    on the key and k.  A read that starts where the counter stands (a run
+    reading its walks in order, no other run read between) continues the
+    generator; any other read sets its state to the run's key and block, or
+    builds it there on the batch's first read (building costs a few times as
+    much as setting the state).  All give the same words: reads take whole
+    blocks, so no word is left buffered between them.
     """
-    block = start * width // 4
-    gen = stream.gen
-    if gen.key is not stream.key or gen.block != block:
-        counter = np.array([block, 0, 0, 0], dtype=np.uint64)
-        if gen.philox is None:
-            gen.philox = np.random.Philox(key=stream.key, counter=counter)
-        else:
-            gen.philox.state = {"bit_generator": "Philox",
-                                "state": {"counter": counter, "key": stream.key},
-                                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                                "has_uint32": 0, "uinteger": 0}
-        gen.key = stream.key
-    gen.block = block + count * width // 4
-    return gen.philox.random_raw(count * width).reshape(count, width)
+
+    __slots__ = ("keys", "philox", "at")
+
+    def __init__(self, rngs: Sequence[random.Random]):
+        self.keys = [np.array([k & 0xFFFFFFFFFFFFFFFF, k >> 64], dtype=np.uint64)
+                     for k in (rng.getrandbits(128) for rng in rngs)]
+        self.philox: Optional[np.random.Philox] = None   # built at the first read
+        self.at: Optional[Tuple[int, int]] = None   # the (run, block) the counter stands at
+
+    def words(self, runs: Sequence[int], start: int, count: int, width: int) -> np.ndarray:
+        """Walks start .. start+count-1 of each listed run, as one word block."""
+        block = start * width // 4
+        rows = []
+        for run in runs:
+            if self.at != (run, block):
+                key, counter = self.keys[run], np.array([block, 0, 0, 0], dtype=np.uint64)
+                if self.philox is None:
+                    self.philox = np.random.Philox(key=key, counter=counter)
+                else:
+                    self.philox.state = {"bit_generator": "Philox",
+                                         "state": {"counter": counter, "key": key},
+                                         "buffer": np.zeros(4, dtype=np.uint64),
+                                         "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            self.at = run, block + count * width // 4
+            rows.append(self.philox.random_raw(count * width).reshape(count, width))
+        return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
 def _below(words: np.ndarray, k, dtype=np.int64) -> np.ndarray:
@@ -299,22 +285,24 @@ def _layout(d: int, tau: Optional[int] = None, bits: int = 62) -> Tuple[int, int
 def _check_stream_capacity(operation: str, walks: int, width: int) -> None:
     """Refuse walks 0 .. walks-1 of `width` words each past the Philox counter.
 
-    _words starts a read at block start * width / 4, which must fit the
-    counter's low 64-bit word, so the last walk must start below block 2^64.
+    `_Streams.words` starts a read at block start * width / 4, which must
+    fit the counter's low 64-bit word, so the last walk must start below
+    block 2^64.
     """
     if (walks - 1) * width // 4 >= 1 << 64:
         raise CapacityError(operation, walks, ((1 << 66) - 1) // width + 1, "walks")
 
 
-def _draw_walks(shape: GridShape, stream: _Stream, start: int, count: int,
-                tau: Optional[int] = None, x: Optional[np.ndarray] = None) -> _Walks:
-    """Walks start .. start+count-1 of `stream`.
+def _draw_walks(shape: GridShape, streams: _Streams, start: int, count: int,
+                tau: Optional[int] = None, x: Optional[np.ndarray] = None,
+                run: int = 0) -> _Walks:
+    """Walks start .. start+count-1 of run `run` of `streams`.
 
     With tau given every walk has that length, and with x given (one row
     per walk) the walks start there: the persistence walk.
     """
     width = _layout(shape.d, tau, shape.bits)[1]
-    return _walks(shape, _words(stream, start, count, width), tau, x)
+    return _walks(shape, streams.words([run], start, count, width), tau, x)
 
 
 def _cut(shape: GridShape, dims: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -522,7 +510,7 @@ def single_test(f: BoolFunc, rng: random.Random) -> TestTranscript:
     """One walk of the tester, as a transcript; at most two queries to f."""
     shape = f.shape
     _require_testable(shape)
-    w = _draw_walks(shape, _stream(rng), 0, 1)
+    w = _draw_walks(shape, _Streams([rng]), 0, 1)
     fx, fy = (int(v[0]) for v in _evaluate(f, w))
     ids = tuple(MatchingId(i, e, c)
                 for i, (e, c) in enumerate(zip(w.exp[0].tolist(), w.parity[0].tolist())))
@@ -622,15 +610,14 @@ def _sample(f: BoolFunc, walks: int, rngs: Sequence[random.Random], operation: s
     _require_testable(shape)
     _, width, weight = _layout(shape.d, bits=shape.bits)
     _check_stream_capacity(operation, walks, width)
-    gen = _Generator()   # the runs' streams share one generator
-    streams = [_stream(rng, gen) for rng in rngs]
-    tally = _Tally(shape.d, len(streams))
-    live = list(range(len(streams)))   # the runs still going
+    streams = _Streams(rngs)
+    tally = _Tally(shape.d, len(rngs))
+    live = list(range(len(rngs)))   # the runs still going
     for start, count in _calls(walks, weight, _FIRST_CALL_WALKS if stop else None):
         per_call = max(1, _CALL_ENTRIES // (count * weight))
         for i in range(0, len(live), per_call):
             runs = live[i:i + per_call]
-            w = _walks(shape, _run_words(streams, runs, start, count, width))
+            w = _walks(shape, streams.words(runs, start, count, width))
             fx, fy = _evaluate(f, w)
             bad = (fx > fy).reshape(len(runs), count)
             if stop:   # each run up to its own first rejection
@@ -646,14 +633,6 @@ def _sample(f: BoolFunc, walks: int, rngs: Sequence[random.Random], operation: s
             if not live:
                 break
     return tally
-
-
-def _run_words(streams: List[_Stream], runs: List[int], start: int, count: int,
-               width: int) -> np.ndarray:
-    """Walks start .. start+count-1 of each run's stream, as one word block."""
-    if len(runs) == 1:
-        return _words(streams[runs[0]], start, count, width)
-    return np.concatenate([_words(streams[run], start, count, width) for run in runs])
 
 
 def wilson_interval(successes: int, trials: int):
@@ -702,16 +681,16 @@ def persistence_fraction(f: BoolFunc, tau: int, outer_samples: int,
     # the start points' stream holds fewer walks, of at most the default width
     _check_stream_capacity("persistence_fraction", outer_samples * inner_samples,
                            max(width, _layout(d, bits=bits)[1]))
-    x_stream, walk_stream = _stream(rng), _stream(rng)
+    streams = _Streams([rng, rng])   # run 0 the start points, run 1 the walks
     non_persistent = 0
     for o_start, o_count in _calls(outer_samples, weight * inner_samples):
-        xs = _draw_walks(shape, x_stream, o_start, o_count).x
+        xs = _draw_walks(shape, streams, o_start, o_count).x
         fx = f.eval_batch(xs)
         flips = np.zeros(o_count, dtype=np.int64)
         for start, count in _calls(o_count * inner_samples, weight):
             rows = (start + np.arange(count)) // inner_samples
-            y = _draw_walks(shape, walk_stream, o_start * inner_samples + start, count,
-                            tau=tau, x=xs[rows]).y
+            y = _draw_walks(shape, streams, o_start * inner_samples + start, count,
+                            tau=tau, x=xs[rows], run=1).y
             flipped = f.eval_batch(y) != fx[rows]
             flips += np.bincount(rows[flipped], minlength=o_count)
         non_persistent += int(np.count_nonzero(flips * 10 > inner_samples))

@@ -384,6 +384,83 @@ def test_rate_subcommand_exits_as_documented_on_boundary_argv(options):
                                    (EXIT_OK, EXIT_USAGE, EXIT_CAPACITY))
 
 
+# Boundary values of the other subcommands' options.  Every combination
+# exits in well under a second.  The valid runs with no small bound on time
+# are not drawn: structure or reduce on a long line (n = 4096 at d = 1 takes
+# seconds), --outer or --inner near 10^12, and isoperimetry without a small
+# --samples (its default 1,000 at 2x16 is a valid 2^26-point request).
+OTHER_ARGV_VALUES = {
+    "persistence": {
+        "--shapes": ("4x1", "8x2", "2x16", "3x2", "0x3", "1x3", "2x17", "4x1,2x65537", "2x"),
+        "--families": ("anti_slab", "noisy_monotone,block_parity", "nope", ","),
+        "--taus": ("1", "2,4", "0", "-1", str(2 ** 62), ",", "x"),
+        "--outer": ("1", "30", "0", "-1", str(2 ** 70)),
+        "--inner": ("1", "20", "0", "-1", str(2 ** 70)),
+    },
+    "isoperimetry": {
+        "--shapes": ("4x1", "2x2", "3x2", "8x2", "0x3", "1x1", "2x17", "2x65537", "4x"),
+        "--samples": ("1", "5", "0", "-1", str(10 ** 12)),
+    },
+    "structure": {
+        "--family": ("anti_slab", "block_parity", "uniform_random", "nope"),
+        "--n": ("1", "2", "3", "4", "8", "0", "-1", "65536", str(2 ** 62 + 1), "x"),
+        "--d": ("1", "2", "0", "-1", "65537", "inf"),
+    },
+    "reduce": {
+        "--family": ("anti_slab", "random_monotone", "uniform_random", "nope"),
+        "--n": ("1", "2", "3", "5", "8", "0", "-1", "65537", str(2 ** 62 + 1), "x"),
+        "--d": ("1", "2", "0", "-1", "65537", "inf"),
+    },
+    "fourier": {
+        "--line-n": ("4", "8", "0", "1", "3", "-1", "17", "32", str(2 ** 62)),
+        "--tables": ("1", "20", "0", "-1", str(10 ** 12)),
+    },
+}
+
+
+@pytest.mark.parametrize("command", OTHER_ARGV_VALUES)
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_other_subcommands_exit_as_documented_on_boundary_argv(command, data):
+    """Exit 0 (a report or a summary), 2 (usage) or 3 (capacity)."""
+    options = data.draw(st.fixed_dictionaries(
+        {flag: st.sampled_from(values) for flag, values in OTHER_ARGV_VALUES[command].items()}))
+    with tempfile.TemporaryDirectory() as tmp:
+        if command in ("persistence", "isoperimetry"):
+            options["--out"] = os.path.join(tmp, "r.csv")
+        assert_exits_as_documented(command, options, (EXIT_OK, EXIT_USAGE, EXIT_CAPACITY))
+
+
+# A bad entry late in a list is refused before any row or transform is
+# computed: the work functions raise if they are called at all
+@pytest.mark.parametrize("argv, work, code, error", [
+    (["rate", "--shapes", "4x2,2x65537", "--trials", "3000000"], (reports, "make_function"),
+     EXIT_CAPACITY, "capacity error: grid needs 65537 dimensions, above the limit of 65536"),
+    (["persistence", "--shapes", "8x2,2x65537", "--outer", "3000", "--inner", "1000"],
+     (reports, "make_function"),
+     EXIT_CAPACITY, "capacity error: grid needs 65537 dimensions, above the limit of 65536"),
+    (["persistence", "--taus", "1,0"], (reports, "make_function"),
+     EXIT_USAGE, "usage error: tau must be >= 1"),
+    (["fourier", "--tables", "131072", "--line-n", "32"], (fourier, "_transform_defects"),
+     EXIT_CAPACITY, "capacity error: line sweep needs 32 points, above the limit of 16"),
+    (["fourier", "--tables", "131072", "--line-n", "0"], (fourier, "_transform_defects"),
+     EXIT_USAGE, "usage error: need n >= 1 and d >= 1, got n=0, d=1"),
+    (["fourier", "--tables", "131072", "--line-n", "3"], (fourier, "_transform_defects"),
+     EXIT_USAGE, "usage error: needs a line with n a power of 2, n >= 4"),
+], ids=["rate-shape", "persistence-shape", "persistence-tau", "fourier-line-32",
+        "fourier-line-0", "fourier-line-3"])
+def test_a_later_bad_argument_is_refused_before_any_work(argv, work, code, error, tmp_path,
+                                                         monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work[1]} ran before the bad argument was refused")
+
+    monkeypatch.setattr(*work, refuse)
+    out = tmp_path / "r.csv"
+    assert run(argv + ([] if argv[0] == "fourier" else ["--out", str(out)])) == code
+    assert capsys.readouterr().err == error + "\n"
+    assert not out.exists()
+
+
 # One boundary example a subcommand in a fresh interpreter, as a user runs
 # it; the examples above run in forked children of the test process.
 @pytest.mark.parametrize("command, options, codes", [
@@ -483,6 +560,11 @@ def test_zero_sample_counts_are_usage_errors(argv, tmp_path, capsys):
     # the nine criteria's text, whatever worker ran each
     (["verify"],
      "4f86af44f5d5988e0064299b53d38a1d262b3923fae1507d45ef4d86491c011a"),
+    # start points in about 10 calls at tau = 1 and 20 at tau = 2, so the
+    # start points' and the walks' reads alternate on one generator
+    (["persistence", "--shapes", "8x2", "--families", "anti_slab,noisy_monotone",
+      "--taus", "1,2", "--outer", "1000", "--inner", "40"],
+     "21420f51a33c86e395c7f72b379fb181eae55e7ca4590c8a6448ce382635eb2b"),
 ])
 def test_report_bytes_pinned(argv, digest, tmp_path, capsys):
     out = tmp_path / "report.csv"

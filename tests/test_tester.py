@@ -42,9 +42,8 @@ from gridmono.tester import (
     _calls,
     _draw_walks,
     _layout,
-    _stream,
+    _Streams,
     _taus,
-    _words,
     amplified_test,
     detection_rate,
     edge_test,
@@ -62,10 +61,10 @@ CHI_SQUARE_SAMPLES = 1_000_000
 CHI_SQUARE_ALPHA = 1e-6
 
 
-def _walk_batches(shape, stream, total, first=None):
-    """Walks 0 .. total-1 of `stream`, as (start, batch) pairs in `_calls` groups."""
+def _walk_batches(shape, streams, total, first=None):
+    """Walks 0 .. total-1 of run 0 of `streams`, as (start, batch) pairs in `_calls` groups."""
     for start, count in _calls(total, _layout(shape.d, bits=shape.bits)[2], first):
-        yield start, _draw_walks(shape, stream, start, count)
+        yield start, _draw_walks(shape, streams, start, count)
 
 
 def test_tau_ceiling():
@@ -356,7 +355,7 @@ def test_persistence_examples(rng):
 
 
 def test_tau_distribution_uniform(rng):
-    words = _words(_stream(rng), 0, CHI_SQUARE_SAMPLES // 4, 4).ravel()
+    words = _Streams([rng]).words([0], 0, CHI_SQUARE_SAMPLES // 4, 4).ravel()
     values, counts = np.unique(_taus(words, 4096), return_counts=True)
     assert values.tolist() == [1, 2, 4]
     stat = chisquare(counts)
@@ -446,7 +445,7 @@ def test_draw_distributions_chi_square(rng):
     shape = GridShape(4, 2)
     x_counts = np.zeros(shape.size, dtype=np.int64)
     a_counts = np.zeros((shape.d, 2 * shape.bits), dtype=np.int64)
-    for _, w in _walk_batches(shape, _stream(rng), CHI_SQUARE_SAMPLES):
+    for _, w in _walk_batches(shape, _Streams([rng]), CHI_SQUARE_SAMPLES):
         x_counts += np.bincount(w.x[:, 0] + shape.n * w.x[:, 1], minlength=shape.size)
         for i in range(shape.d):
             codes = 2 * w.exp[:, i] + w.parity[:, i]
@@ -491,7 +490,7 @@ def test_step_marginal_matches_enumeration(rng):
     counts = Counter()
     moved = 0
     trials = 400_000
-    for _, w in _walk_batches(shape, _stream(rng), trials):
+    for _, w in _walk_batches(shape, _Streams([rng]), trials):
         for x, y in zip(w.x[w.moved].tolist(), w.y[w.moved].tolist()):
             counts[(tuple(x), tuple(y))] += 1
         moved += int(w.moved.sum())
@@ -509,10 +508,10 @@ WALK_FIELDS = ("tau", "x", "exp", "parity", "lower", "stepped", "y", "moved")
 
 def test_walk_rows_do_not_depend_on_grouping():
     shape = GridShape(8, 3)
-    stream = _stream(random.Random(5))
-    whole = _draw_walks(shape, stream, 0, 100)
+    streams = _Streams([random.Random(5)])
+    whole = _draw_walks(shape, streams, 0, 100)
     for cuts in ((0, 1, 100), (0, 37, 38, 100), (0, 64, 100)):
-        parts = [_draw_walks(shape, stream, a, b - a) for a, b in zip(cuts, cuts[1:])]
+        parts = [_draw_walks(shape, streams, a, b - a) for a, b in zip(cuts, cuts[1:])]
         for field in WALK_FIELDS:
             joined = np.concatenate([getattr(p, field) for p in parts])
             assert np.array_equal(joined, getattr(whole, field)), field
@@ -562,12 +561,12 @@ def kernel_fixture_walks(case):
     n, d, tau = case
     shape = GridShape(n, d)
     if tau is None:
-        stream = _stream(random.Random(f"kernel {n}^{d}"))
-        return stream.key, None, _draw_walks(shape, stream, 3, 500)
+        streams = _Streams([random.Random(f"kernel {n}^{d}")])
+        return streams.keys[0], None, _draw_walks(shape, streams, 3, 500)
     starts = random.Random(f"starts {n}^{d} {tau}")
     x = np.array([[starts.randrange(n) for _ in range(d)] for _ in range(500)], np.int64)
-    stream = _stream(random.Random(f"persistence {n}^{d}"))
-    return stream.key, x, _draw_walks(shape, stream, 3, 500, tau=tau, x=x)
+    streams = _Streams([random.Random(f"persistence {n}^{d}")])
+    return streams.keys[0], x, _draw_walks(shape, streams, 3, 500, tau=tau, x=x)
 
 
 @pytest.mark.parametrize("case", KERNEL_DIGESTS, ids=lambda c: "%d^%d-tau%s" % c)
@@ -670,7 +669,7 @@ def test_field_cut_equals_the_shift_and_mask_cut(n, monkeypatch):
         shape = GridShape(n, d)
         width = _layout(d, bits=bits)[1]
         for count in (1, 5, 64):
-            w = _words(_stream(random.Random(f"cut {n}^{d} {count}")), 0, count, width)
+            w = _Streams([random.Random(f"cut {n}^{d} {count}")]).words([0], 0, count, width)
             got = tester._walks(shape, w.copy())
             swapped = tester._walks(shape, w.astype(">u8"))
             with monkeypatch.context() as patch:
@@ -697,7 +696,7 @@ def test_matching_and_start_joint_chi_square(n, d, walks):
     x_bits = min(bits, 8)
     cells = (1 << x_bits) * 2 * bits
     counts = np.zeros(cells, dtype=np.int64)
-    for _, w in _walk_batches(shape, _stream(random.Random(f"joint {n}^{d}")), walks):
+    for _, w in _walk_batches(shape, _Streams([random.Random(f"joint {n}^{d}")]), walks):
         x = w.x.astype(np.int64)   # w.x * 2 would wrap in a narrow dtype
         if bits > x_bits:
             x = (x >> bits - 4 << 4) | (x & 15)
@@ -714,7 +713,7 @@ def test_steps_stay_on_the_grid_at_the_dtype_edges(bits):
     differs from x by 2^exp exactly where it stepped."""
     n = 1 << bits
     shape = GridShape(n, 5)
-    w = _draw_walks(shape, _stream(random.Random(f"edges {n}")), 0, 20_000)
+    w = _draw_walks(shape, _Streams([random.Random(f"edges {n}")]), 0, 20_000)
     assert w.x.dtype == w.y.dtype == w.exp.dtype == np.min_scalar_type(2 * n - 1)
     x, y, exp = (a.astype(np.int64) for a in (w.x, w.y, w.exp))
     assert x.min() >= 0 and y.max() < n and exp.max() < bits and w.parity.max() <= 1
@@ -754,10 +753,10 @@ def test_walk_counts_past_the_philox_counter_are_refused():
     f = generate("anti_slab", GridShape(8, 4))
     width = _layout(4, bits=3)[1]
     last = ((1 << 66) - 1) // width   # the last walk a stream can start
-    w = _draw_walks(f.shape, _stream(random.Random(0)), last, 1)
+    w = _draw_walks(f.shape, _Streams([random.Random(0)]), last, 1)
     assert w.x.shape == (1, 4)
     with pytest.raises(OverflowError):
-        _draw_walks(f.shape, _stream(random.Random(0)), last + 1, 1)
+        _draw_walks(f.shape, _Streams([random.Random(0)]), last + 1, 1)
     runs = (lambda: amplified_test(f, 0.5, 1e200, random.Random(1)),
             lambda: detection_rate(f, last + 2, random.Random(2)),
             lambda: persistence_fraction(f, 1, last + 2, 1, random.Random(3)),
@@ -782,59 +781,59 @@ def test_below_power_of_two_matches_the_float_path(j):
     assert narrow.dtype == np.uint64 and np.array_equal(narrow, got)
 
 
-def test_words_continue_or_restart_the_generator():
-    stream = _stream(random.Random(11))
+class StateSpy:
+    """A Philox generator, counting how often its state is set."""
 
-    def fresh(start, count, width):
+    def __init__(self, real):
+        self.real, self.sets = real, 0
+
+    @property
+    def state(self):
+        return self.real.state
+
+    @state.setter
+    def state(self, value):
+        self.sets += 1
+        self.real.state = value
+
+    def random_raw(self, size):
+        return self.real.random_raw(size)
+
+
+def test_words_continue_or_set_the_generator_state():
+    keys = _Streams([random.Random(11), random.Random(12)]).keys
+
+    def fresh(run, start, count, width):
         counter = np.array([start * width // 4, 0, 0, 0], dtype=np.uint64)
-        gen = np.random.Philox(key=stream.key, counter=counter)
+        gen = np.random.Philox(key=keys[run], counter=counter)
         return gen.random_raw(count * width).reshape(count, width)
 
-    # (start, count, width, continues the previous read)
-    reads = ((0, 5, 8, False), (5, 3, 8, True), (2, 4, 8, False), (6, 1, 8, True),
-             (100, 1, 12, False), (101, 2, 12, True), (3, 7, 4, False), (0, 2, 4, False),
-             (1, 1, 8, True))
-    class Spy:
-        """The stream's generator, counting how often its state is set."""
-
-        def __init__(self, real):
-            self.real, self.sets = real, 0
-
-        @property
-        def state(self):
-            return self.real.state
-
-        @state.setter
-        def state(self, value):
-            self.sets += 1
-            self.real.state = value
-
-        def random_raw(self, size):
-            return self.real.random_raw(size)
-
-    # the first read builds the stream's one generator; every later read
+    # (run, start, count, width, continues the previous read); run 1's read
+    # starts at the block where run 0's counter stands, under another key
+    reads = ((0, 0, 5, 8, False), (0, 5, 3, 8, True), (0, 2, 4, 8, False), (0, 6, 1, 8, True),
+             (1, 7, 1, 8, False), (1, 8, 2, 8, True), (0, 100, 1, 12, False),
+             (0, 101, 2, 12, True), (0, 3, 7, 4, False), (0, 0, 2, 4, False), (0, 1, 1, 8, True))
+    expected = [fresh(*read[:4]) for read in reads]
+    # the batch's first read builds its one generator; every later read
     # either continues it or sets its state
-    built = 0
-    for start, count, width, continues in reads:
-        expected = fresh(start, count, width)
-        sets = stream.gen.philox.sets if stream.gen.philox else 0
-        with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
-            assert np.array_equal(_words(stream, start, count, width), expected)
-        built += philox.call_count
-        if not isinstance(stream.gen.philox, Spy):
-            stream.gen.philox = Spy(stream.gen.philox)
-        else:
-            assert (stream.gen.philox.sets == sets) == continues
-    assert built == 1
+    with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
+        streams = _Streams([random.Random(11), random.Random(12)])
+        assert philox.call_count == 0
+        for (run, start, count, width, continues), words in zip(reads, expected):
+            sets = streams.philox.sets if streams.philox else 0
+            assert np.array_equal(streams.words([run], start, count, width), words)
+            if not isinstance(streams.philox, StateSpy):
+                streams.philox = StateSpy(streams.philox)
+            else:
+                assert (streams.philox.sets == sets) == continues, (run, start, count, width)
+    assert philox.call_count == 1
+    assert all(np.array_equal(a, b) for a, b in zip(streams.keys, keys))
 
 
-def test_streams_sharing_a_generator_read_their_own_words():
-    gen = tester._Generator()
+def test_runs_read_interleaved_get_the_words_each_reads_alone():
     rng = random.Random(12)
-    shared = [_stream(rng, gen) for _ in range(5)]
-    rng = random.Random(12)
-    alone = [_words(_stream(rng), 0, 40, 8) for _ in range(5)]   # walks 0 .. 39 of each
-    # each stream's walks in groups of 1 to 6 words' rows
+    alone = [_Streams([rng]).words([0], 0, 40, 8) for _ in range(5)]   # walks 0 .. 39 of each
+    # each run's walks in groups of 1 to 6 words' rows
     order = random.Random(13)
     groups = []
     for k in range(5):
@@ -844,9 +843,9 @@ def test_streams_sharing_a_generator_read_their_own_words():
             mine.append((k, start, count))
             start += count
         groups.append(mine)
-    # the streams take turns at random, each reading its groups in order
-    # (so some reads continue the generator), then every group once more in
-    # a shuffled order
+    # the runs take turns at random, each reading its groups in order (so
+    # some reads continue the generator), then every group once more in a
+    # shuffled order, then ranges of several runs in one read
     reads = []
     pending = [list(mine) for mine in groups]
     while any(pending):
@@ -854,10 +853,14 @@ def test_streams_sharing_a_generator_read_their_own_words():
     again = [read for mine in groups for read in mine]
     order.shuffle(again)
     with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
+        streams = _Streams([random.Random(12)] * 5)   # five keys from one rng, in order
         for k, start, count in reads + again:
-            got = _words(shared[k], start, count, 8)
+            got = streams.words([k], start, count, 8)
             assert np.array_equal(got, alone[k][start:start + count]), (k, start, count)
-    assert philox.call_count == 1 and all(s.gen is gen for s in shared)
+        for runs, start, count in (([4, 0, 2], 10, 7), ([1, 3], 17, 1), ([0, 1, 2, 3, 4], 0, 40)):
+            expected = np.concatenate([alone[k][start:start + count] for k in runs])
+            assert np.array_equal(streams.words(runs, start, count, 8), expected), runs
+    assert philox.call_count == 1
 
 
 @pytest.mark.parametrize("d", [1, 4, 16, 20, 62, 2048, 1 << 16])
@@ -967,10 +970,10 @@ def test_walk_batches_do_not_depend_on_call_size(entries):
     for n, d, total in ((8, 3, 3000), (8, 16, 3000), (2, 62, 3000), (4, 20, 8000),
                         (2, 2048, 100), (2, 8400, 40)):
         shape = GridShape(n, d)
-        whole = _draw_walks(shape, _stream(random.Random(f"{n}^{d}")), 0, total)
+        whole = _draw_walks(shape, _Streams([random.Random(f"{n}^{d}")]), 0, total)
         with _call_entries(entries):
-            regrouped = list(_walk_batches(shape, _stream(random.Random(f"{n}^{d}")), total, 64))
-        default = list(_walk_batches(shape, _stream(random.Random(f"{n}^{d}")), total, 64))
+            regrouped = list(_walk_batches(shape, _Streams([random.Random(f"{n}^{d}")]), total, 64))
+        default = list(_walk_batches(shape, _Streams([random.Random(f"{n}^{d}")]), total, 64))
         for batches in (regrouped, default):
             assert len(batches) > 1
             for field in WALK_FIELDS:
@@ -983,7 +986,7 @@ def test_walk_batches_do_not_depend_on_call_size(entries):
 @pytest.mark.parametrize("n, d", [(8, 3), (8, 16), (2, 2048)])
 def test_stepped_is_the_set_of_moved_coordinates(n, d):
     """stepped (y != x) is a subset of S with tau entries on moved rows, none elsewhere."""
-    w = _draw_walks(GridShape(n, d), _stream(random.Random(f"stepped {n}^{d}")), 0, 400)
+    w = _draw_walks(GridShape(n, d), _Streams([random.Random(f"stepped {n}^{d}")]), 0, 400)
     assert not (w.stepped & ~w.lower).any()
     assert np.array_equal(w.moved, w.lower.sum(axis=1) >= w.tau)
     assert np.array_equal(w.stepped.sum(axis=1), np.where(w.moved, w.tau, 0))
@@ -1013,11 +1016,11 @@ def test_amplified_matches_walk_by_walk_replay():
         f = generate(family, shape, seed=9)
         for seed in range(4):
             verdict = amplified_test(f, 0.5, 1.0, random.Random(seed))
-            stream = _stream(random.Random(seed))
+            streams = _Streams([random.Random(seed)])
             queries = 0
             invocations = rounds
             for k in range(rounds):
-                w = _draw_walks(shape, stream, k, 1)
+                w = _draw_walks(shape, streams, k, 1)
                 fx = f.eval(tuple(w.x[0].tolist()))
                 fy = f.eval(tuple(w.y[0].tolist())) if w.moved[0] else fx
                 queries += 1 + int(w.moved[0])
@@ -1030,11 +1033,11 @@ def test_amplified_matches_walk_by_walk_replay():
 
 def replayed_rate(f, trials, seed):
     """(rejections, WalkStats) of detection_rate's walks, drawn and queried one by one."""
-    stream = _stream(random.Random(seed))
+    streams = _Streams([random.Random(seed)])
     rejections = degenerate = lower = 0
     taus = Counter()
     for k in range(trials):
-        w = _draw_walks(f.shape, stream, k, 1)
+        w = _draw_walks(f.shape, streams, k, 1)
         fx = f.eval(tuple(w.x[0].tolist()))
         fy = f.eval(tuple(w.y[0].tolist())) if w.moved[0] else fx
         rejections += fx > fy
